@@ -1,18 +1,17 @@
-"""AP-Rad radius-LP throughput: dense tableau vs sparse revised simplex.
+"""AP-Rad radius-LP throughput: cold fit vs warm incremental re-fit.
 
 The radius LP is re-solved every time the attack corpus grows.  This
-bench times three ways of absorbing the same evidence:
+bench times two ways of absorbing the same evidence with the sparse
+revised-simplex engine:
 
-* ``dense``       — cold fit with the dense two-phase tableau solver
-  (rebuilds and re-solves the full system);
-* ``revised``     — cold fit with the sparse revised-simplex engine;
+* ``cold``        — a full fit over the whole corpus (rebuilds and
+  re-solves the full system);
 * ``incremental`` — the streaming path: the estimator already holds
   the pre-delta corpus and LP basis, then ``ingest`` + warm-started
   ``refit`` folds the delta in.
 
-Sweeps AP count × observation count.  Every cell cross-checks that all
-three paths land on the same radii (to 1e-6, with a tie-break making
-the LP optimum unique).  Run standalone for the JSON report (the
+Sweeps AP count.  Every cell cross-checks that both paths land on the
+same radii (to 1e-6, with a tie-break making the LP optimum unique).  Run standalone for the JSON report (the
 tier-1 smoke test does)::
 
     PYTHONPATH=src python benchmarks/bench_aprad_lp.py \
@@ -39,8 +38,8 @@ R_MAX = 150.0
 TRUE_RADIUS = 90.0
 #: Density of the synthetic deployment (APs per square of this side).
 AREA_PER_AP = 150.0
-#: Uniqueness perturbation so "same radii" is well-defined across
-#: solvers and warm starts (alternate optima are routine in this LP).
+#: Uniqueness perturbation so "same radii" is well-defined across cold
+#: and warm solves (alternate optima are routine in this LP).
 TIE_BREAK = 1e-7
 #: Neighbor cap bounding the separated-pair rows, as a deployment would.
 MAX_NEIGHBORS = 6
@@ -83,8 +82,8 @@ def build_corpus(locations: Dict[MacAddress, Point], count: int,
     return corpus
 
 
-def make_estimator(locations, solver: str) -> RadiusEstimator:
-    return RadiusEstimator(locations, r_max=R_MAX, solver=solver,
+def make_estimator(locations) -> RadiusEstimator:
+    return RadiusEstimator(locations, r_max=R_MAX,
                            max_separated_neighbors=MAX_NEIGHBORS,
                            tie_break=TIE_BREAK)
 
@@ -99,54 +98,41 @@ def _best_seconds(run, repeats: int) -> float:
 
 
 def run_cell(ap_count: int, observations: int, repeats: int) -> dict:
-    """Time the three paths over one (AP count, corpus size) workload."""
+    """Time both paths over one (AP count, corpus size) workload."""
     locations = build_locations(ap_count)
     corpus = build_corpus(locations, observations)
     delta_size = max(1, int(len(corpus) * DELTA_FRACTION))
     initial, delta = corpus[:-delta_size], corpus[-delta_size:]
 
-    dense_est = make_estimator(locations, "simplex")
-    dense_seconds = _best_seconds(lambda: dense_est.fit(corpus), repeats)
-    dense = dense_est.fit(corpus)
-
-    revised_est = make_estimator(locations, "revised")
-    revised_seconds = _best_seconds(lambda: revised_est.fit(corpus),
-                                    repeats)
-    revised = revised_est.fit(corpus)
+    cold_est = make_estimator(locations)
+    cold_seconds = _best_seconds(lambda: cold_est.fit(corpus), repeats)
+    cold = cold_est.fit(corpus)
 
     # The streaming measurement: the estimator has already absorbed the
     # initial corpus; the timed unit is ingest(delta) + warm refit —
     # what one re-fit costs inside the engine loop.
-    warm_est = make_estimator(locations, "revised")
-    warm_est.fit(initial)
     warm_seconds = float("inf")
     for _ in range(repeats):
-        cold_base = make_estimator(locations, "revised")
-        cold_base.fit(initial)
+        warm_est = make_estimator(locations)
+        warm_est.fit(initial)
         start = time.perf_counter()
-        cold_base.ingest(delta)
-        estimate = cold_base.refit()
+        warm_est.ingest(delta)
+        warm = warm_est.refit()
         warm_seconds = min(warm_seconds, time.perf_counter() - start)
-    warm = estimate
 
-    max_diff = max(
-        max(abs(revised.radii[m] - dense.radii[m]) for m in locations),
-        max(abs(warm.radii[m] - dense.radii[m]) for m in locations))
+    max_diff = max(abs(warm.radii[m] - cold.radii[m]) for m in locations)
     return {
         "aps": ap_count,
         "observations": observations,
-        "lp_rows": revised_est.lp_rows,
+        "lp_rows": cold_est.lp_rows,
         "delta_observations": delta_size,
-        "dense_cold_seconds": dense_seconds,
-        "revised_cold_seconds": revised_seconds,
+        "cold_seconds": cold_seconds,
         "incremental_seconds": warm_seconds,
-        "revised_vs_dense": (dense_seconds / revised_seconds
-                             if revised_seconds > 0.0 else 0.0),
-        "incremental_vs_dense": (dense_seconds / warm_seconds
-                                 if warm_seconds > 0.0 else 0.0),
+        "incremental_vs_cold": (cold_seconds / warm_seconds
+                                if warm_seconds > 0.0 else 0.0),
         "warm_started": bool(warm.warm_started),
         "warm_iterations": warm.solver_iterations,
-        "dense_iterations": dense.solver_iterations,
+        "cold_iterations": cold.solver_iterations,
         "max_radius_diff_m": float(max_diff),
         "radii_agree": bool(max_diff <= 1e-6),
     }
@@ -172,8 +158,7 @@ def run_sweep(aps, observations: int, repeats: int = 2) -> dict:
         "results": results,
         "acceptance": {
             "aps": acceptance["aps"],
-            "incremental_vs_dense": acceptance["incremental_vs_dense"],
-            "revised_vs_dense": acceptance["revised_vs_dense"],
+            "incremental_vs_cold": acceptance["incremental_vs_cold"],
             "radii_agree": all(c["radii_agree"] for c in results),
         },
     }
@@ -187,7 +172,7 @@ def test_aprad_incremental_refit_speedup(benchmark, reporter):
     locations = build_locations(120)
     corpus = build_corpus(locations, 300)
     delta = corpus[-30:]
-    estimator = make_estimator(locations, "revised")
+    estimator = make_estimator(locations)
     estimator.fit(corpus[:-30])
 
     def refit_delta():
@@ -197,16 +182,15 @@ def test_aprad_incremental_refit_speedup(benchmark, reporter):
     benchmark(refit_delta)
 
     report = run_sweep(aps=(60, 120), observations=250, repeats=1)
-    reporter("", "=== AP-Rad LP: dense cold vs incremental re-fit ===")
+    reporter("", "=== AP-Rad LP: cold fit vs incremental re-fit ===")
     for cell in report["results"]:
         reporter(
             f"  aps={cell['aps']:>4} rows={cell['lp_rows']:>5}: "
-            f"dense {cell['dense_cold_seconds'] * 1e3:8.1f} ms | "
-            f"revised {cell['revised_cold_seconds'] * 1e3:8.1f} ms | "
+            f"cold {cell['cold_seconds'] * 1e3:8.1f} ms | "
             f"incremental {cell['incremental_seconds'] * 1e3:7.1f} ms "
-            f"({cell['incremental_vs_dense']:.1f}x)")
+            f"({cell['incremental_vs_cold']:.1f}x)")
     assert report["acceptance"]["radii_agree"]
-    assert report["acceptance"]["incremental_vs_dense"] > 1.0
+    assert report["acceptance"]["incremental_vs_cold"] > 1.0
     reporter("Warm-started re-fits pay for the evidence delta, not the"
              " accumulated corpus.")
 
@@ -221,7 +205,7 @@ def _int_list(text: str):
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
-        description="AP-Rad radius LP: dense vs revised vs incremental")
+        description="AP-Rad radius LP: cold fit vs incremental re-fit")
     parser.add_argument("--aps", type=_int_list, default=DEFAULT_APS,
                         help="comma-separated AP deployment sizes")
     parser.add_argument("--observations", type=int,
@@ -235,20 +219,18 @@ def main(argv=None) -> int:
 
     report = run_sweep(args.aps, args.observations,
                        repeats=args.repeats)
-    print(f"{'aps':>5} {'rows':>6} {'dense ms':>9} {'revised ms':>10} "
-          f"{'incr ms':>8} {'rx':>6} {'ix':>6} {'agree':>6}")
+    print(f"{'aps':>5} {'rows':>6} {'cold ms':>9} {'incr ms':>8} "
+          f"{'ix':>6} {'agree':>6}")
     for cell in report["results"]:
         print(f"{cell['aps']:>5} {cell['lp_rows']:>6} "
-              f"{cell['dense_cold_seconds'] * 1e3:>9.1f} "
-              f"{cell['revised_cold_seconds'] * 1e3:>10.1f} "
+              f"{cell['cold_seconds'] * 1e3:>9.1f} "
               f"{cell['incremental_seconds'] * 1e3:>8.1f} "
-              f"{cell['revised_vs_dense']:>5.1f}x "
-              f"{cell['incremental_vs_dense']:>5.1f}x "
+              f"{cell['incremental_vs_cold']:>5.1f}x "
               f"{'yes' if cell['radii_agree'] else 'NO':>6}")
     acceptance = report["acceptance"]
     print(f"acceptance cell aps={acceptance['aps']}: "
           f"incremental speedup "
-          f"{acceptance['incremental_vs_dense']:.2f}x vs cold dense, "
+          f"{acceptance['incremental_vs_cold']:.2f}x vs cold fit, "
           f"radii agree: {acceptance['radii_agree']}")
     if args.json:
         with open(args.json, "w", encoding="utf-8") as handle:

@@ -17,7 +17,7 @@ end to end on a simulated substrate:
 * :mod:`repro.analysis` / :mod:`repro.display` — experiment harness and
   the map display,
 * :mod:`repro.faults` — the typed failure hierarchy, deterministic
-  fault injection, retry/supervision policies behind the streaming
+  fault injection and retry policies behind the streaming
   engine's fault tolerance.
 
 Quickstart::
@@ -41,7 +41,6 @@ from repro.faults import (
     SinkError,
     SolverError,
     UnboundedError,
-    WorkerError,
 )
 from repro.geometry import Circle, DiscIntersection, Point
 from repro.knowledge import ApDatabase, ApRecord, TrainingTuple
@@ -81,6 +80,5 @@ __all__ = [
     "UnboundedError",
     "SinkError",
     "CheckpointError",
-    "WorkerError",
     "__version__",
 ]

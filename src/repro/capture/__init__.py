@@ -17,9 +17,6 @@ Typical use::
     reader = open_capture("walk.cap")                  # format sniffed
     for batch in reader.iter_batches(device="aa:bb:cc:dd:ee:ff"):
         ...                                            # bloom-skipped
-
-The old import site :mod:`repro.net80211.capture_file` survives as
-deprecated shims over the JSONL codec.
 """
 
 from repro.capture.bloom import BloomFilter

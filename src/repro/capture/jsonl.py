@@ -6,9 +6,6 @@ the :mod:`repro.capture` codec registry as the compatibility format.
 The columnar codec (:mod:`repro.capture.columnar`) is the ingest hot
 path; JSONL stays the durable interchange format and the lenient
 parser of week-long field captures.
-
-The old import site, :mod:`repro.net80211.capture_file`, re-exports
-deprecated shims over these classes.
 """
 
 from __future__ import annotations

@@ -29,7 +29,7 @@ from repro.engine.sinks import (
     make_sink,
     sink_names,
 )
-from repro.engine.stats import EngineStats, PipelineStats, StageTimer
+from repro.engine.stats import EngineStats, StageTimer
 
 __all__ = [
     "StreamingEngine",
@@ -42,7 +42,6 @@ __all__ = [
     "MicroBatchScheduler",
     "ReorderBuffer",
     "EngineStats",
-    "PipelineStats",
     "StageTimer",
     "EngineSink",
     "TrackerSink",

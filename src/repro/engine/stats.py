@@ -4,16 +4,13 @@ A production engine is judged by its counters — estimates per second,
 cache hit rate, where the wall time goes.  :class:`StageTimer`
 accumulates per-stage wall time with negligible overhead;
 :class:`EngineStats` is the immutable snapshot the engine hands out
-(and the CLI / throughput bench print).  Since the ``repro.obs``
-subsystem landed, the snapshot is a *view* computed from the engine's
-:class:`~repro.obs.MetricsRegistry`; :class:`PipelineStats` remains as
-a deprecated alias for one release.
+(and the CLI prints).  The snapshot is a *view* computed from the
+engine's :class:`~repro.obs.MetricsRegistry`.
 """
 
 from __future__ import annotations
 
 import time
-import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Dict, Iterable
@@ -134,7 +131,7 @@ class EngineStats:
         return self.estimates_emitted / elapsed if elapsed > 0.0 else 0.0
 
     def to_dict(self) -> dict:
-        """JSON-compatible form (what the throughput bench emits)."""
+        """JSON-compatible form (what ``--metrics-json`` consumers read)."""
         return {
             "frames_ingested": self.frames_ingested,
             "evidence_events": self.evidence_events,
@@ -163,7 +160,7 @@ class EngineStats:
     def format(self) -> str:
         """The human-readable block ``marauder engine`` prints."""
         lines = [
-            "PipelineStats:",
+            "EngineStats:",
             f"  frames ingested   : {self.frames_ingested}",
             f"  evidence events   : {self.evidence_events}",
             f"  probe requests    : {self.probe_requests}",
@@ -198,19 +195,3 @@ class EngineStats:
         lines.append(f"  throughput        : "
                      f"{self.estimates_per_sec:.0f} estimates/s")
         return "\n".join(lines)
-
-
-class PipelineStats(EngineStats):
-    """Deprecated alias of :class:`EngineStats` (one-release shim).
-
-    Instantiating it warns; everything else — fields, properties,
-    ``to_dict`` / ``format`` — is inherited unchanged, so existing
-    callers keep working while they migrate.
-    """
-
-    def __init__(self, *args, **kwargs):
-        warnings.warn(
-            "PipelineStats is deprecated; use EngineStats "
-            "(repro.engine.EngineStats) instead",
-            DeprecationWarning, stacklevel=2)
-        super().__init__(*args, **kwargs)

@@ -1,6 +1,6 @@
 """``repro.faults`` — the fault-tolerance substrate.
 
-Four pieces (DESIGN.md §7):
+Three pieces (DESIGN.md §7):
 
 * **Typed errors** — the :class:`ReproError` hierarchy every supervised
   failure is classified under, so retry/degradation policies select by
@@ -8,11 +8,9 @@ Four pieces (DESIGN.md §7):
 * **Injection** — a seeded, deterministic :class:`FaultInjector` armed
   via :func:`use_injector`; production code calls the cheap no-op
   :func:`hook` at named sites (``engine.flush``, ``lp.solve``,
-  ``sink.emit``, ``worker.chunk``, ...).
+  ``sink.emit``, ...).
 * **Retry** — :class:`RetryPolicy`, exponential backoff with a
   deterministic seeded jitter stream and an injectable clock.
-* **Supervision** — :class:`WorkerSupervisor`, per-chunk timeouts and
-  bounded re-dispatch over the process-pool fan-out.
 
 Nothing here imports outside the standard library and :mod:`repro.obs`,
 so any layer — capture, LP, engine — can depend on it without cycles.
@@ -26,7 +24,6 @@ from repro.faults.errors import (
     SinkError,
     SolverError,
     UnboundedError,
-    WorkerError,
 )
 from repro.faults.injector import (
     DROPPED,
@@ -39,7 +36,6 @@ from repro.faults.injector import (
     use_injector,
 )
 from repro.faults.retry import RetryPolicy
-from repro.faults.supervisor import WorkerSupervisor
 
 __all__ = [
     "ReproError",
@@ -49,7 +45,6 @@ __all__ = [
     "UnboundedError",
     "SinkError",
     "CheckpointError",
-    "WorkerError",
     "FaultInjector",
     "FaultSpec",
     "parse_fault_spec",
@@ -59,5 +54,4 @@ __all__ = [
     "DROPPED",
     "ERROR_TYPES",
     "RetryPolicy",
-    "WorkerSupervisor",
 ]

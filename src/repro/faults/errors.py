@@ -55,7 +55,3 @@ class SinkError(ReproError):
 
 class CheckpointError(ReproError, ValueError):
     """A checkpoint could not be written, or no valid one could be read."""
-
-
-class WorkerError(ReproError, RuntimeError):
-    """A worker chunk was lost: timeout, pool breakage, or poison task."""

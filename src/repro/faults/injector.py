@@ -23,7 +23,6 @@ Sites are plain dotted strings; the conventional ones are
 ``engine.checkpoint`` between the checkpoint temp-write and the rename
 ``lp.solve``       entry of :meth:`repro.lp.LpProblem.solve`
 ``sink.emit``      each (sink, estimate) delivery attempt
-``worker.chunk``   each worker-chunk dispatch (local or pooled)
 ``bus.publish``    each router → shard bus message (key = shard index)
 ``bus.collect``    each shard → router bus read (key = shard index)
 ``socket.send``    each encoded wire frame before the TCP write
@@ -69,7 +68,6 @@ from repro.faults.errors import (
     SinkError,
     SolverError,
     UnboundedError,
-    WorkerError,
 )
 
 #: Sentinel returned by a ``drop``-mode fault: the caller discards the
@@ -87,7 +85,6 @@ ERROR_TYPES: Dict[str, type] = {
     "UnboundedError": UnboundedError,
     "SinkError": SinkError,
     "CheckpointError": CheckpointError,
-    "WorkerError": WorkerError,
     "OSError": OSError,
     "RuntimeError": RuntimeError,
     "ValueError": ValueError,
@@ -102,7 +99,7 @@ class FaultSpec:
     ----------
     site:
         Site pattern the spec arms (``fnmatch`` glob, so
-        ``"worker.*"`` matches every worker site).
+        ``"engine.*"`` matches every engine site).
     mode:
         ``"raise"`` | ``"delay"`` | ``"corrupt"`` | ``"drop"``.
     times:

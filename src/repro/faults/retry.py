@@ -1,7 +1,7 @@
 """Retry with exponential backoff, deterministic and clock-injectable.
 
-The engine wraps its fallible stages — sink emission, worker-chunk
-execution, scheduled re-fits — in a :class:`RetryPolicy`.  The policy
+The engine wraps its fallible stages — sink emission, batch
+localization, scheduled re-fits — in a :class:`RetryPolicy`.  The policy
 is deliberately boring: a fixed attempt budget, an exponential delay
 schedule with optional seeded jitter, and a *type-based* retryable
 filter (the :mod:`repro.faults.errors` hierarchy exists precisely so

@@ -115,8 +115,8 @@ class DiscIntersection:
     def __getstate__(self) -> dict:
         """Pickle without the derived caches.
 
-        Batch workers ship regions back over process boundaries; the
-        arc list is recomputable from the vertices on demand and the
+        Estimates carry regions across process boundaries (process
+        shard transports pickle them); the arc list is recomputable from the vertices on demand and the
         precomputed-vertex input was already consumed by ``_build``, so
         neither belongs in the payload.  The empty arc list (set when
         the region degenerates) is kept — it records a decision, not a

@@ -72,7 +72,7 @@ class APLoc(Localizer):
 
     def __init__(self, training: Sequence[TrainingTuple],
                  training_radius_m: float, r_max: float,
-                 r_min: float = 1.0, solver: str = "simplex",
+                 r_min: float = 1.0, solver: str = "revised",
                  mloc_mode: str = "vertex",
                  max_separated_neighbors: Optional[int] = None,
                  min_evidence: int = 1,

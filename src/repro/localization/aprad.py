@@ -37,7 +37,7 @@ class APRad(Localizer):
     supports_partial_fit = True
 
     def __init__(self, database: ApDatabase, r_max: float,
-                 r_min: float = 1.0, solver: str = "simplex",
+                 r_min: float = 1.0, solver: str = "revised",
                  mloc_mode: str = "vertex",
                  max_separated_neighbors: Optional[int] = None,
                  min_evidence: int = 1,

@@ -101,9 +101,9 @@ class RadiusEstimator:
     r_min:
         Lower bound; a working AP has some nonzero range.
     solver:
-        ``"simplex"`` (dense tableau), ``"revised"`` (sparse, warm-
-        startable — required for cheap incremental refits), or
-        ``"scipy"``.
+        ``"revised"`` (the in-tree sparse solver, warm-startable — the
+        incremental refit path needs it) or ``"scipy"`` (HiGHS, always
+        a cold rebuild).
     tie_break:
         When > 0, adds a deterministic per-variable objective
         perturbation of this magnitude (scaled into ``(0, tie_break]``
@@ -115,7 +115,7 @@ class RadiusEstimator:
     """
 
     def __init__(self, locations: Dict[MacAddress, Point], r_max: float,
-                 r_min: float = 1.0, solver: str = "simplex",
+                 r_min: float = 1.0, solver: str = "revised",
                  max_separated_neighbors: Optional[int] = None,
                  min_evidence: int = 1,
                  overestimate_factor: float = 1.0,

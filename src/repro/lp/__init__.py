@@ -8,26 +8,18 @@ distance by solving::
                r_i + r_j <  d_ij   for never-co-observed pairs
                0 <= r_i <= r_max
 
-This package provides two from-scratch solvers behind one modeling
-layer (:class:`LpProblem`):
-
-* :func:`solve_lp` — a dense two-phase tableau simplex, the reference
-  implementation;
-* :func:`solve_revised` — a sparse revised simplex (CSC constraint
-  storage, LU-factorized basis with product-form eta updates) that
-  accepts an :class:`LpState` warm start, so streaming AP-Rad re-fits
-  restart from the previous optimal basis.
-
-Both are cross-checked against each other and against
-``scipy.optimize.linprog`` in the test suite.
+This package provides one from-scratch solver behind a modeling layer
+(:class:`LpProblem`): :func:`solve_revised`, a sparse revised simplex
+(CSC constraint storage, LU-factorized basis with product-form eta
+updates) that accepts an :class:`LpState` warm start, so streaming
+AP-Rad re-fits restart from the previous optimal basis.  The test suite
+cross-checks it against ``scipy.optimize.linprog``.
 """
 
-from repro.lp.simplex import LpResult, solve_lp
 from repro.lp.revised import LpState, RevisedResult, solve_revised
-from repro.lp.problem import LpProblem
+from repro.lp.problem import LpProblem, LpResult
 
 __all__ = [
-    "solve_lp",
     "LpResult",
     "LpProblem",
     "solve_revised",

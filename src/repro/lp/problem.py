@@ -1,4 +1,4 @@
-"""A small LP modeling layer over the simplex solver.
+"""A small LP modeling layer over the revised simplex solver.
 
 Lets AP-Rad express its radius-estimation program naturally::
 
@@ -8,10 +8,10 @@ Lets AP-Rad express its radius-estimation program naturally::
     problem.set_objective({i: 1.0 for i in range(n)})
     result = problem.solve()
 
-The ``solver`` argument selects the from-scratch dense simplex
-(default), the sparse revised simplex (``"revised"`` — supports warm
-starts from a previous solve's basis), or ``scipy.optimize.linprog``
-(used by the test suite as a cross-check).
+The ``solver`` argument selects the in-tree sparse revised simplex
+(``"revised"``, the default — supports warm starts from a previous
+solve's basis) or ``scipy.optimize.linprog`` (``"scipy"``, the
+cross-check the test suite pins it against).
 """
 
 from __future__ import annotations
@@ -24,9 +24,29 @@ import numpy as np
 from repro import faults
 from repro.faults import InfeasibleError, SolverError, UnboundedError
 from repro.lp.revised import LpState, RevisedResult, solve_revised
-from repro.lp.simplex import LpResult, solve_lp
 
 _SENSES = ("<=", ">=", "==")
+
+
+@dataclass
+class LpResult:
+    """Outcome of a scipy cross-check solve.
+
+    Carries the same status/solution/counter fields as
+    :class:`~repro.lp.revised.RevisedResult`, so callers read either
+    uniformly; HiGHS never reports basis refactorizations, so
+    ``refactorizations`` stays 0.
+    """
+
+    status: str  # "optimal" | "infeasible" | "unbounded" | "iteration_limit"
+    x: Optional[np.ndarray]
+    objective: Optional[float]
+    iterations: int = 0
+    refactorizations: int = 0
+
+    @property
+    def is_optimal(self) -> bool:
+        return self.status == "optimal"
 
 
 def _check_result(result: LpResult, raise_on_failure: bool) -> LpResult:
@@ -114,39 +134,14 @@ class LpProblem:
             raise IndexError(f"unknown constraint index {index}")
         self._constraints[index].rhs = float(rhs)
 
-    def _assemble(self):
-        n = len(self._names)
-        cost = np.zeros(n)
-        for index, value in self._objective.items():
-            cost[index] = value
-        a_ub: List[np.ndarray] = []
-        b_ub: List[float] = []
-        a_eq: List[np.ndarray] = []
-        b_eq: List[float] = []
-        for constraint in self._constraints:
-            row = np.zeros(n)
-            for index, value in constraint.coefficients.items():
-                row[index] = value
-            if constraint.sense == "<=":
-                a_ub.append(row)
-                b_ub.append(constraint.rhs)
-            elif constraint.sense == ">=":
-                a_ub.append(-row)
-                b_ub.append(-constraint.rhs)
-            else:
-                a_eq.append(row)
-                b_eq.append(constraint.rhs)
-        return cost, a_ub, b_ub, a_eq, b_eq
-
-    def solve(self, solver: str = "simplex", max_iter: int = 20000,
+    def solve(self, solver: str = "revised", max_iter: int = 20000,
               warm_start: Optional[LpState] = None,
               raise_on_failure: bool = False) -> LpResult:
         """Solve with the chosen backend.
 
-        ``"simplex"`` is the dense reference implementation,
-        ``"revised"`` the sparse revised simplex (the only backend that
-        honors ``warm_start``), and ``"scipy"`` linprog/HiGHS as an
-        external cross-check.
+        ``"revised"`` is the in-tree sparse revised simplex (the only
+        backend that honors ``warm_start``), ``"scipy"`` linprog/HiGHS
+        as an external cross-check.
 
         With ``raise_on_failure=True`` a non-optimal outcome raises the
         typed :class:`~repro.faults.InfeasibleError`,
@@ -158,18 +153,10 @@ class LpProblem:
             return self.solve_revised(max_iter=max_iter,
                                       warm_start=warm_start,
                                       raise_on_failure=raise_on_failure)
+        if solver != "scipy":
+            raise ValueError(f"unknown solver {solver!r}")
         faults.hook("lp.solve")
-        if solver == "simplex":
-            cost, a_ub, b_ub, a_eq, b_eq = self._assemble()
-            return _check_result(
-                solve_lp(cost, a_ub or None, b_ub or None,
-                         a_eq or None, b_eq or None,
-                         bounds=self._bounds, maximize=self.maximize,
-                         max_iter=max_iter),
-                raise_on_failure)
-        if solver == "scipy":
-            return _check_result(self._solve_scipy(), raise_on_failure)
-        raise ValueError(f"unknown solver {solver!r}")
+        return _check_result(self._solve_scipy(), raise_on_failure)
 
     def solve_revised(self, max_iter: int = 20000,
                       warm_start: Optional[LpState] = None,

@@ -1,11 +1,11 @@
 """Sparse revised-simplex solver with warm starts.
 
-The dense tableau solver (:mod:`repro.lp.simplex`) carries the whole
-``m × (n + m)`` tableau through every pivot — O(m·n) work per iteration
-and a from-scratch rebuild per solve.  AP-Rad's streaming re-fits are
-the opposite workload: thousands of rows with 2–3 nonzeros each, solved
-over and over with only a handful of rows changed.  This module is the
-engine built for that shape:
+A dense tableau simplex carries the whole ``m × (n + m)`` tableau
+through every pivot — O(m·n) work per iteration and a from-scratch
+rebuild per solve.  AP-Rad's streaming re-fits are the opposite
+workload: thousands of rows with 2–3 nonzeros each, solved over and
+over with only a handful of rows changed.  This module is the engine
+built for that shape:
 
 * **Sparse storage** — the constraint matrix lives in CSC form
   (``indptr`` / ``indices`` / ``data`` arrays); the tableau is never
@@ -33,9 +33,9 @@ engine built for that shape:
   previous optimum; unknown or clashing tags degrade gracefully to
   that row's slack.
 
-The solver accepts the same problem family as :func:`repro.lp.simplex.
-solve_lp` (finite lower bounds; optional upper bounds) and is pinned
-against it by the property tests in ``tests/test_lp_revised.py``.
+The solver accepts LPs with finite lower bounds and optional upper
+bounds, and is pinned against ``scipy.optimize.linprog`` by the
+property tests in ``tests/test_lp_revised.py``.
 """
 
 from __future__ import annotations
@@ -56,7 +56,7 @@ except ImportError:  # pragma: no cover - exercised on scipy-free hosts
 
 #: Reduced-cost optimality tolerance.
 DUAL_TOL = 1e-9
-#: Primal feasibility tolerance (matches the dense solver's phase-1 cut).
+#: Primal feasibility tolerance.
 FEAS_TOL = 1e-7
 #: Smallest acceptable pivot element before forcing a refactorization.
 PIVOT_TOL = 1e-10

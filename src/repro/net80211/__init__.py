@@ -13,9 +13,9 @@ package models exactly that slice of the protocol:
   (active/passive scanners, preferred-network lists, deauth-triggered
   rescans),
 * :mod:`repro.net80211.medium` — frame delivery through a propagation
-  model, SNR, and the cross-channel decode model,
-* :mod:`repro.net80211.capture_file` — deprecated capture I/O shims;
-  capture persistence lives in :mod:`repro.capture` now.
+  model, SNR, and the cross-channel decode model.
+
+Capture persistence lives in :mod:`repro.capture`.
 """
 
 from repro.net80211.mac import BROADCAST_MAC, MacAddress
@@ -47,23 +47,4 @@ __all__ = [
     "ScanProfile",
     "Medium",
     "ReceivedFrame",
-    "CaptureWriter",
-    "CaptureReader",
 ]
-
-_LAZY_CAPTURE_NAMES = ("CaptureReader", "CaptureWriter")
-
-
-def __getattr__(name):
-    # Resolved lazily (PEP 562): the deprecated capture shims now live
-    # on top of repro.capture, which itself imports this package's
-    # submodules — an eager import here would be a cycle.
-    if name in _LAZY_CAPTURE_NAMES:
-        from repro.net80211 import capture_file
-        return getattr(capture_file, name)
-    raise AttributeError(
-        f"module {__name__!r} has no attribute {name!r}")
-
-
-def __dir__():
-    return sorted(set(globals()) | set(_LAZY_CAPTURE_NAMES))

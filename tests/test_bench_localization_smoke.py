@@ -24,7 +24,7 @@ def test_bench_localization_kernels_smoke(tmp_path):
                          if env.get("PYTHONPATH") else src)
     result = subprocess.run(
         [sys.executable, str(BENCH), "--ks", "10", "--batches", "128",
-         "--repeats", "1", "--workers", "2", "--clusters", "8",
+         "--repeats", "1", "--clusters", "8",
          "--json", str(out_path)],
         capture_output=True, text=True, env=env, timeout=300)
     assert result.returncode == 0, result.stderr
@@ -35,10 +35,9 @@ def test_bench_localization_kernels_smoke(tmp_path):
     assert report["config"]["ks"] == [10]
     (cell,) = report["results"]
     assert cell["k"] == 10 and cell["batch"] == 128
-    # All three implementations ran and produced real throughput.
+    # Both implementations ran and produced real throughput.
     assert cell["scalar_sets_per_sec"] > 0.0
     assert cell["kernel_sets_per_sec"] > 0.0
-    assert cell["parallel_sets_per_sec"] > 0.0
     # The acceptance property (loose bound — the full sweep is the
     # authoritative ≥3x check; the smoke just guards the direction).
     assert cell["kernel_speedup"] > 1.0

@@ -1,6 +1,5 @@
 """Codec registry: sniffing, open/make dispatch, custom codecs, shims."""
 
-import warnings
 
 import pytest
 
@@ -192,38 +191,6 @@ class TestCustomCodec:
     def test_get_codec_unknown(self):
         with pytest.raises(ValueError, match="unknown capture format"):
             get_codec("nope")
-
-
-class TestDeprecatedShims:
-    def test_writer_shim_warns_and_works(self, tmp_path):
-        from repro.net80211.capture_file import CaptureReader, CaptureWriter
-
-        path = tmp_path / "cap.jsonl"
-        records = make_records(2)
-        with pytest.warns(DeprecationWarning):
-            writer = CaptureWriter(path)
-        with writer:
-            for record in records:
-                writer.write(record)
-        with pytest.warns(DeprecationWarning):
-            reader = CaptureReader(path)
-        assert list(reader) == records
-
-    def test_shims_are_the_jsonl_codec(self):
-        from repro.net80211.capture_file import CaptureReader, CaptureWriter
-
-        assert issubclass(CaptureReader, JsonlReader)
-        assert issubclass(CaptureWriter, JsonlWriter)
-
-    def test_lazy_attribute_on_package(self):
-        import repro.net80211 as net80211
-
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            assert net80211.CaptureReader is not None
-        assert "CaptureWriter" in dir(net80211)
-        with pytest.raises(AttributeError):
-            net80211.DoesNotExist
 
 
 class TestErrorTaxonomy:

@@ -29,8 +29,8 @@ def latest_fixes(sink):
 
 def run_mloc(square_db, frames, injector=None):
     sink = LatestFixSink()
-    # Six attempts: enough headroom to absorb two engine.flush faults
-    # followed by two worker.chunk faults inside one retry budget.
+    # Six attempts: enough headroom to absorb two untyped engine.flush
+    # faults followed by two typed ones inside one retry budget.
     engine = StreamingEngine(
         MLoc(square_db), window_s=30.0, batch_size=3, sinks=[sink],
         retry=RetryPolicy(max_attempts=6, base_delay=0.0,
@@ -51,7 +51,7 @@ def test_faulted_run_matches_fault_free_output(square_db):
         [parse_fault_spec(spec) for spec in [
             "sink.emit:raise=SinkError,times=2",
             "engine.flush:raise,times=2",
-            "worker.chunk:raise=WorkerError,times=2",
+            "engine.flush:raise=SolverError,times=2",
         ]],
         seed=5)
     chaotic, chaotic_sink = run_mloc(square_db, frames, injector)

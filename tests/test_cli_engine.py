@@ -4,11 +4,11 @@ import re
 
 import pytest
 
+from repro.capture import make_capture_writer
 from repro.cli import main
 from repro.geo.enu import LocalTangentPlane
 from repro.geo.wgs84 import GeodeticCoordinate
 from repro.knowledge.wigle import export_wigle_csv
-from repro.net80211.capture_file import CaptureWriter
 from repro.sim import build_attack_scenario
 
 ORIGIN = GeodeticCoordinate(42.6555, -71.3262)
@@ -24,7 +24,7 @@ def sim_capture(tmp_path_factory):
     scenario.world.run(duration_s=120.0)
 
     capture_path = tmp_path / "capture.jsonl"
-    with CaptureWriter(capture_path) as writer:
+    with make_capture_writer(capture_path, format="jsonl") as writer:
         for received in scenario.world.sniffer.captured:
             writer.write(received)
     wigle_path = tmp_path / "wigle.csv"
@@ -40,7 +40,7 @@ class TestEngineCommand:
                      "--wigle", str(wigle_path)])
         assert code == 0
         out = capsys.readouterr().out
-        assert "PipelineStats" in out
+        assert "EngineStats:" in out
         assert "frames ingested" in out
         assert "hit rate" in out
         assert "estimates/s" in out
@@ -80,7 +80,7 @@ class TestEngineCommand:
         assert code == 0
         out = capsys.readouterr().out
         assert "Resumed from" in out
-        assert "PipelineStats" in out
+        assert "EngineStats:" in out
 
     def test_resume_restores_refit_schedule(self, sim_capture, tmp_path,
                                             capsys):
@@ -160,7 +160,7 @@ class TestEngineObservability:
                      "--wigle", str(wigle_path),
                      "--localizer", "centroid"])
         assert code == 0
-        assert "PipelineStats" in capsys.readouterr().out
+        assert "EngineStats:" in capsys.readouterr().out
 
     def test_bad_localizer_spec_fails_cleanly(self, sim_capture, capsys):
         _, capture_path, wigle_path = sim_capture
@@ -195,6 +195,16 @@ class TestCleanFailures:
                      "--wigle", str(tmp_path / "nope.csv")])
         assert code == 2
         assert "WiGLE" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", ["--workers", "--worker-timeout"])
+    def test_engine_rejects_process_pool_flags(self, sim_capture, capsys,
+                                               flag):
+        _, capture_path, wigle_path = sim_capture
+        with pytest.raises(SystemExit) as exit_info:
+            main(["engine", str(capture_path), "--wigle", str(wigle_path),
+                  flag, "2"])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_engine_corrupt_checkpoint(self, sim_capture, tmp_path,
                                        capsys):
@@ -255,7 +265,7 @@ class TestColumnarCaptureCLI:
         code = main(["engine", "--capture", str(columnar_capture),
                      "--wigle", str(wigle_path)])
         assert code == 0
-        assert "PipelineStats" in capsys.readouterr().out
+        assert "EngineStats:" in capsys.readouterr().out
 
     def test_engine_batch_replay_matches_record_replay(
             self, sim_capture, columnar_capture, capsys):

@@ -2,11 +2,11 @@
 
 import pytest
 
+from repro.capture import make_capture_writer
 from repro.cli import main
 from repro.geo.enu import LocalTangentPlane
 from repro.geo.wgs84 import GeodeticCoordinate
 from repro.knowledge.wigle import export_wigle_csv
-from repro.net80211.capture_file import CaptureWriter
 from repro.sim import build_attack_scenario
 
 ORIGIN = GeodeticCoordinate(42.6555, -71.3262)
@@ -21,7 +21,7 @@ def recorded_scenario(tmp_path):
     scenario.world.run(duration_s=150.0)
 
     capture_path = tmp_path / "capture.jsonl"
-    with CaptureWriter(capture_path) as writer:
+    with make_capture_writer(capture_path, format="jsonl") as writer:
         for received in scenario.world.sniffer.captured:
             writer.write(received)
 
@@ -65,7 +65,7 @@ class TestReplayCommand:
 
     def test_empty_capture_handled(self, tmp_path, capsys):
         capture_path = tmp_path / "empty.jsonl"
-        with CaptureWriter(capture_path):
+        with make_capture_writer(capture_path, format="jsonl"):
             pass
         plane = LocalTangentPlane(ORIGIN)
         wigle_path = tmp_path / "wigle.csv"

@@ -76,8 +76,8 @@ class TestStreamingWriter:
     def test_sniffer_streams_to_capture_file(self, tmp_path):
         import numpy as np
 
+        from repro.capture import make_capture_writer, open_capture
         from repro.geometry.point import Point
-        from repro.net80211.capture_file import CaptureReader, CaptureWriter
         from repro.net80211.frames import probe_request
         from repro.net80211.medium import Medium
         from repro.radio.propagation import FreeSpaceModel
@@ -87,7 +87,7 @@ class TestStreamingWriter:
         medium = Medium(FreeSpaceModel())
         sniffer = build_marauder_sniffer(Point(0, 0), medium)
         rng = np.random.default_rng(0)
-        with CaptureWriter(path) as writer:
+        with make_capture_writer(path, format="jsonl") as writer:
             sniffer.attach_writer(writer)
             for i in range(5):
                 frame = probe_request(MacAddress(0x111), channel=6,
@@ -98,6 +98,6 @@ class TestStreamingWriter:
             sniffer.hear(probe_request(MacAddress(0x111), channel=6,
                                        timestamp=99.0),
                          Point(100, 0), rng)
-        records = list(CaptureReader(path))
+        records = list(open_capture(path))
         assert len(records) == 5
         assert all(r.frame.channel == 6 for r in records)

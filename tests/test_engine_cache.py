@@ -2,13 +2,14 @@
 
 import pytest
 
-from repro.engine import GammaCache
+from repro.engine import GammaCache, StreamingEngine
 from repro.geometry.point import Point
 from repro.localization import CentroidLocalizer, MLoc
 from repro.localization.base import LocalizationEstimate
 from repro.net80211.mac import MacAddress
 
 from tests.helpers import make_record
+from tests.test_engine_checkpoint import build_stream, final_tracks
 
 
 def gamma(*indices):
@@ -66,6 +67,22 @@ class TestGammaCache:
     def test_rejects_bad_capacity(self):
         with pytest.raises(ValueError):
             GammaCache(max_entries=0)
+
+
+class TestEngineCacheEquivalence:
+    def test_cache_on_and_off_emit_identical_tracks(self, square_db):
+        # Every device hears the same APs, so most Γ sets repeat and
+        # the cache answers them; memoization may change speed only.
+        frames = build_stream(square_db)
+        cached = StreamingEngine(MLoc(square_db), batch_size=3)
+        uncached = StreamingEngine(MLoc(square_db), batch_size=3,
+                                   cache_size=0)
+        cached.run(iter(frames))
+        uncached.run(iter(frames))
+        assert cached.stats().cache_hit_rate > 0.5
+        assert final_tracks(cached) == final_tracks(uncached)
+        assert (cached.stats().estimates_emitted
+                == uncached.stats().estimates_emitted)
 
 
 class TestLocalizerCacheKey:

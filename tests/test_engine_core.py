@@ -244,7 +244,7 @@ class TestStreamingEngine:
         engine = StreamingEngine(MLoc(square_db), batch_size=4)
         stats = engine.run(response_stream(square_db, devices=2))
         text = stats.format()
-        assert "PipelineStats" in text
+        assert "EngineStats:" in text
         assert "hit rate" in text
         assert "estimates/s" in text
         assert stats.estimates_per_sec >= 0.0

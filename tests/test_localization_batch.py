@@ -1,12 +1,10 @@
-"""locate_batch equals sequential locate — with and without workers.
+"""locate_batch equals sequential locate.
 
 The batch API is a pure throughput optimization: for any sequence of Γ
 sets it must produce exactly the estimates the sequential ``locate``
-loop produces, in the same order, whether the batch runs in-process or
-fanned across a ProcessPoolExecutor.
+loop produces, in the same order.  Batches run in-process; devices
+spread across cores through the sharded service, not an executor.
 """
-
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
@@ -74,14 +72,6 @@ class TestMLocBatch:
         batched = localizer.locate_batch(gammas)
         assert_estimates_match(batched, sequential)
 
-    def test_matches_with_four_workers(self, grid_db):
-        localizer = MLoc(grid_db)
-        gammas = mixed_gammas(grid_db)
-        sequential = [localizer.locate(g) for g in gammas]
-        with ProcessPoolExecutor(max_workers=4) as executor:
-            batched = localizer.locate_batch(gammas, executor=executor)
-        assert_estimates_match(batched, sequential)
-
     def test_matches_with_kernels_disabled(self, grid_db):
         localizer = MLoc(grid_db)
         gammas = mixed_gammas(grid_db, count=12, seed=5)
@@ -117,10 +107,9 @@ class TestBaseLocalizerBatch:
         sequential = [localizer.locate(g) for g in gammas]
         assert_estimates_match(localizer.locate_batch(gammas), sequential)
 
-    def test_centroid_with_workers(self, grid_db):
+    @pytest.mark.parametrize("keyword", ["executor", "supervisor"])
+    def test_executor_and_supervisor_are_refused(self, grid_db, keyword):
         localizer = CentroidLocalizer(grid_db)
-        gammas = mixed_gammas(grid_db, count=20, seed=3)
-        sequential = [localizer.locate(g) for g in gammas]
-        with ProcessPoolExecutor(max_workers=2) as executor:
-            batched = localizer.locate_batch(gammas, executor=executor)
-        assert_estimates_match(batched, sequential)
+        with pytest.raises(TypeError, match="ShardedEngine"):
+            localizer.locate_batch(mixed_gammas(grid_db, count=3),
+                                   **{keyword: object()})

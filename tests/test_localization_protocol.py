@@ -50,8 +50,7 @@ class TestProtocolConformance:
         assert isinstance(localizer.supports_partial_fit, bool)
         assert isinstance(localizer.is_fitted, bool)
         assert isinstance(localizer.cache_key(), str)
-        for method in ("fit", "partial_fit", "locate", "locate_batch",
-                       "locate_many"):
+        for method in ("fit", "partial_fit", "locate", "locate_batch"):
             assert callable(getattr(localizer, method))
 
     def test_fit_then_locate(self, spec, square_db, training, corpus):

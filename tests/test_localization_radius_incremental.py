@@ -80,7 +80,7 @@ class TestIncrementalEquivalence:
         assert warm.warm_started
         assert not cold.warm_started
 
-    def test_refit_matches_dense_solver(self):
+    def test_refit_matches_scipy(self):
         locations = grid_locations(3)
         corpus = disc_corpus(locations, 50.0, 90, seed=5)
         incremental = make_estimator(locations)
@@ -88,9 +88,9 @@ class TestIncrementalEquivalence:
         incremental.ingest(corpus[60:])
         warm = incremental.refit()
 
-        dense = make_estimator(locations, solver="simplex").fit(corpus)
+        reference = make_estimator(locations, solver="scipy").fit(corpus)
         for m in locations:
-            assert warm.radii[m] == pytest.approx(dense.radii[m],
+            assert warm.radii[m] == pytest.approx(reference.radii[m],
                                                   abs=1e-6)
 
     def test_many_small_deltas(self):

@@ -112,7 +112,7 @@ class TestNeighborCap:
 
 
 class TestRecoveryQuality:
-    @pytest.mark.parametrize("solver", ["simplex", "scipy"])
+    @pytest.mark.parametrize("solver", ["revised", "scipy"])
     def test_recovers_radii_on_dense_evidence(self, solver):
         """With full spatial sampling, estimated radii track the truth."""
         rng = np.random.default_rng(4)
@@ -141,7 +141,7 @@ class TestRecoveryQuality:
         locations = collinear_locations()
         observations = [{A, B}, {B}, {C}]
         ours = RadiusEstimator(locations, r_max=100.0,
-                               solver="simplex").fit(observations)
+                               solver="revised").fit(observations)
         scipy_fit = RadiusEstimator(locations, r_max=100.0,
                                     solver="scipy").fit(observations)
         total_ours = sum(ours.radii.values())

@@ -51,7 +51,7 @@ class TestModeling:
 
 class TestSolving:
     def test_simplex_backend(self):
-        result = build_sample_problem().solve(solver="simplex")
+        result = build_sample_problem().solve(solver="revised")
         assert result.is_optimal
         assert result.objective == pytest.approx(2.8)
 
@@ -61,7 +61,7 @@ class TestSolving:
         assert result.objective == pytest.approx(2.8)
 
     def test_backends_agree(self):
-        ours = build_sample_problem().solve(solver="simplex")
+        ours = build_sample_problem().solve(solver="revised")
         scipy_result = build_sample_problem().solve(solver="scipy")
         assert ours.objective == pytest.approx(scipy_result.objective)
 
@@ -87,7 +87,7 @@ class TestSolving:
         problem.add_constraint({x: 1.0, y: 1.0}, "==", 6.0)
         problem.add_constraint({x: 1.0}, ">=", 2.0)
         problem.set_objective({y: 1.0})  # minimize y
-        for solver in ("simplex", "scipy"):
+        for solver in ("revised", "scipy"):
             result = problem.solve(solver=solver)
             assert result.is_optimal
             assert result.x[0] + result.x[1] == pytest.approx(6.0)

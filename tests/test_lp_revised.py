@@ -1,8 +1,9 @@
-"""Sparse revised-simplex tests: pinned to the dense tableau solver.
+"""Sparse revised-simplex tests, cross-checked against scipy's HiGHS.
 
-The revised engine (:mod:`repro.lp.revised`) must agree with
-:func:`repro.lp.simplex.solve_lp` on every instance both can express —
-that equivalence is the contract that lets AP-Rad swap solvers freely.
+The revised engine (:mod:`repro.lp.revised`) is the one in-tree LP
+solver.  It must agree with ``LpProblem.solve(solver="scipy")`` on
+every instance both can express — that equivalence is the contract
+that lets AP-Rad swap solvers freely.
 Property tests generate random bounded LPs and compare; targeted tests
 cover the degenerate / warm-start / softened-infeasible corners that
 random sampling rarely hits.
@@ -12,11 +13,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.lp import LpProblem, LpState, solve_lp, solve_revised
+from repro.lp import LpProblem, LpState, solve_revised
 
-# Quantized draws: see the rationale in test_lp_simplex.py — denormal
-# coefficients make instances so ill-conditioned that two correct
-# solvers disagree within their own tolerances.
+# Quantized draws: denormal-ish coefficients like 1e-7 make an instance
+# so ill-conditioned that HiGHS's own feasibility tolerance (~1e-9 on a
+# variable) amplifies into objective differences far beyond any sane
+# comparison tolerance — both solvers are "right" within their
+# tolerances yet disagree.  Well-scaled coefficients keep the
+# cross-check meaningful.
 COEF = st.floats(min_value=-5.0, max_value=5.0,
                  allow_nan=False, allow_infinity=False,
                  ).map(lambda v: round(v * 64.0) / 64.0)
@@ -25,23 +29,115 @@ RHS = st.floats(min_value=0.0, max_value=10.0,
                 ).map(lambda v: round(v * 64.0) / 64.0)
 
 
-def _dense_constraints(constraints, n):
-    """Convert sparse (coeffs, sense, rhs) rows to solve_lp matrices."""
-    a_ub, b_ub, a_eq, b_eq = [], [], [], []
-    for coefficients, sense, rhs in constraints:
-        row = [0.0] * n
-        for index, value in coefficients.items():
-            row[index] = value
+def build_problem(cost, rows, bounds, maximize=False):
+    """An :class:`LpProblem` from a dense cost and sparse rows."""
+    problem = LpProblem(maximize=maximize)
+    for low, up in bounds:
+        problem.add_variable(low=low, up=up)
+    problem.set_objective(dict(enumerate(cost)))
+    for coefficients, sense, rhs in rows:
+        problem.add_constraint(coefficients, sense, rhs)
+    return problem
+
+
+def assert_rows_hold(rows, x):
+    for coefficients, sense, rhs in rows:
+        lhs = sum(value * x[index] for index, value in coefficients.items())
         if sense == "<=":
-            a_ub.append(row)
-            b_ub.append(rhs)
+            assert lhs <= rhs + 1e-6
         elif sense == ">=":
-            a_ub.append([-v for v in row])
-            b_ub.append(-rhs)
+            assert lhs >= rhs - 1e-6
         else:
-            a_eq.append(row)
-            b_eq.append(rhs)
-    return a_ub or None, b_ub or None, a_eq or None, b_eq or None
+            assert lhs == pytest.approx(rhs, abs=1e-6)
+
+
+FREE = (0.0, None)
+BEALE_COST = [-0.75, 150.0, -0.02, 6.0]
+#: The classic cycling example: it cycles under naive Dantzig pricing.
+BEALE_ROWS = [
+    ({0: 0.25, 1: -60.0, 2: -0.04, 3: 9.0}, "<=", 0.0),
+    ({0: 0.5, 1: -90.0, 2: -0.02, 3: 3.0}, "<=", 0.0),
+    ({2: 1.0}, "<=", 1.0),
+]
+
+#: cost, rows, bounds, maximize, status, objective, {index: value}
+LP_CASES = [
+    pytest.param(
+        [1.0, 1.0],
+        [({0: 1.0, 1: 2.0}, "<=", 4.0), ({0: 3.0, 1: 1.0}, "<=", 6.0)],
+        [FREE, FREE], True, "optimal", 2.8, {0: 1.6, 1: 1.2},
+        id="textbook-max"),
+    pytest.param(
+        [1.0, 1.0], [({0: 1.0, 1: 1.0}, ">=", 2.0)],
+        [FREE, FREE], False, "optimal", 2.0, {}, id="textbook-min"),
+    pytest.param(
+        [1.0, 2.0], [({0: 1.0, 1: 1.0}, "==", 3.0)],
+        [FREE, FREE], False, "optimal", 3.0, {0: 3.0}, id="equality-row"),
+    pytest.param(
+        [1.0], [], [(0.0, 5.0)], True, "optimal", 5.0, {0: 5.0},
+        id="upper-bound"),
+    pytest.param(
+        [1.0], [], [(2.5, None)], False, "optimal", 2.5, {0: 2.5},
+        id="shifted-lower-bound"),
+    pytest.param(
+        [1.0], [], [(-3.0, 4.0)], False, "optimal", -3.0, {0: -3.0},
+        id="negative-lower-bound"),
+    pytest.param(
+        [2.0, 3.0], [], [FREE, FREE], False, "optimal", 0.0, {},
+        id="no-rows-minimum-at-lower"),
+    pytest.param(
+        [1.0], [({0: 1.0}, "<=", 1.0), ({0: 1.0}, ">=", 3.0)],
+        [FREE], False, "infeasible", None, {}, id="infeasible"),
+    pytest.param(
+        [1.0], [], [FREE], True, "unbounded", None, {}, id="unbounded"),
+    pytest.param(
+        BEALE_COST, BEALE_ROWS, [FREE] * 4, False, "optimal", -0.05, {},
+        id="beale-cycling"),
+    pytest.param(
+        [1.0, 1.0],
+        [({0: 1.0, 1: 1.0}, "==", 2.0), ({0: 2.0, 1: 2.0}, "==", 4.0)],
+        [FREE, FREE], False, "optimal", 2.0, {}, id="redundant-equalities"),
+    # Three collinear APs at 0, 100, 260: the pair (0, 100) is
+    # co-observed (r0 + r1 >= 100); the others are not.  The optimum
+    # is r0 = 100 with r1 + r2 = 160 -> 260.
+    pytest.param(
+        [1.0, 1.0, 1.0],
+        [({0: 1.0, 1: 1.0}, ">=", 100.0), ({1: 1.0, 2: 1.0}, "<=", 160.0),
+         ({0: 1.0, 2: 1.0}, "<=", 260.0)],
+        [(0.0, 100.0)] * 3, True, "optimal", 260.0, {0: 100.0},
+        id="ap-rad-shape"),
+]
+
+
+class TestLpProblemRevised:
+    """Textbook and degenerate LPs through ``LpProblem.solve``."""
+
+    @pytest.mark.parametrize(
+        "cost, rows, bounds, maximize, status, objective, x", LP_CASES)
+    def test_solve(self, cost, rows, bounds, maximize, status, objective,
+                   x):
+        result = build_problem(cost, rows, bounds, maximize).solve(
+            "revised")
+        assert result.status == status
+        if status != "optimal":
+            assert result.x is None
+            return
+        assert result.objective == pytest.approx(objective)
+        for index, value in x.items():
+            assert result.x[index] == pytest.approx(value)
+        assert_rows_hold(rows, result.x)
+
+    def test_revised_is_the_default_solver(self):
+        problem = build_problem(BEALE_COST, BEALE_ROWS, [FREE] * 4)
+        default = problem.solve()
+        revised = problem.solve("revised")
+        assert default.objective == revised.objective
+        assert default.iterations == revised.iterations
+
+    def test_simplex_solver_is_unknown(self):
+        problem = build_problem([1.0], [], [(0.0, 5.0)])
+        with pytest.raises(ValueError, match="unknown solver 'simplex'"):
+            problem.solve(solver="simplex")
 
 
 class TestBasicLps:
@@ -108,14 +204,8 @@ class TestDegenerateOutcomes:
         assert result.status == "unbounded"
 
     def test_beale_degenerate_terminates(self):
-        # The classic cycling example: cycles under naive Dantzig
-        # pricing, so termination exercises the Bland fallback path.
-        constraints = [
-            ({0: 0.25, 1: -60.0, 2: -0.04, 3: 9.0}, "<=", 0.0),
-            ({0: 0.5, 1: -90.0, 2: -0.02, 3: 3.0}, "<=", 0.0),
-            ({2: 1.0}, "<=", 1.0),
-        ]
-        result = solve_revised([-0.75, 150.0, -0.02, 6.0], constraints,
+        # Termination exercises the Bland fallback path.
+        result = solve_revised(BEALE_COST, BEALE_ROWS,
                                lower=[0.0] * 4, upper=[None] * 4)
         assert result.is_optimal
         assert result.objective == pytest.approx(-0.05)
@@ -123,12 +213,7 @@ class TestDegenerateOutcomes:
     def test_beale_under_forced_bland(self):
         # bland_after=0 makes every pivot use Bland's rule: slower but
         # provably finite, and it must land on the same optimum.
-        constraints = [
-            ({0: 0.25, 1: -60.0, 2: -0.04, 3: 9.0}, "<=", 0.0),
-            ({0: 0.5, 1: -90.0, 2: -0.02, 3: 3.0}, "<=", 0.0),
-            ({2: 1.0}, "<=", 1.0),
-        ]
-        result = solve_revised([-0.75, 150.0, -0.02, 6.0], constraints,
+        result = solve_revised(BEALE_COST, BEALE_ROWS,
                                lower=[0.0] * 4, upper=[None] * 4,
                                bland_after=0)
         assert result.is_optimal
@@ -143,10 +228,10 @@ class TestDegenerateOutcomes:
         assert result.objective == pytest.approx(2.0)
 
 
-class TestDenseSolverEquivalence:
+class TestScipyCrossCheck:
     @settings(max_examples=80, deadline=None)
     @given(st.data())
-    def test_random_lps_match_dense_tableau(self, data):
+    def test_random_mixed_rows_match_scipy(self, data):
         n = data.draw(st.integers(min_value=1, max_value=5))
         m = data.draw(st.integers(min_value=0, max_value=6))
         cost = data.draw(st.lists(COEF, min_size=n, max_size=n))
@@ -162,19 +247,18 @@ class TestDenseSolverEquivalence:
             constraints.append((coefficients, sense, rhs))
         maximize = data.draw(st.booleans())
 
-        revised = solve_revised(cost, constraints, lower=[0.0] * n,
-                                upper=[10.0] * n, maximize=maximize)
-        a_ub, b_ub, a_eq, b_eq = _dense_constraints(constraints, n)
-        dense = solve_lp(cost, a_ub=a_ub, b_ub=b_ub, a_eq=a_eq, b_eq=b_eq,
-                         bounds=[(0.0, 10.0)] * n, maximize=maximize)
-        assert revised.status == dense.status
-        if dense.is_optimal:
-            assert revised.objective == pytest.approx(dense.objective,
+        problem = build_problem(cost, constraints, [(0.0, 10.0)] * n,
+                                maximize)
+        revised = problem.solve(solver="revised")
+        reference = problem.solve(solver="scipy")
+        assert revised.status == reference.status
+        if reference.is_optimal:
+            assert revised.objective == pytest.approx(reference.objective,
                                                       rel=1e-6, abs=1e-6)
 
     @settings(max_examples=40, deadline=None)
     @given(st.data())
-    def test_random_sparse_rows_match_dense(self, data):
+    def test_random_sparse_rows_match_scipy(self, data):
         # The AP-Rad shape: many variables, 2-nonzero rows.
         n = data.draw(st.integers(min_value=3, max_value=8))
         m = data.draw(st.integers(min_value=1, max_value=10))
@@ -189,17 +273,42 @@ class TestDenseSolverEquivalence:
                                       allow_nan=False,
                                       ).map(lambda v: round(v * 64.0) / 64.0))
             constraints.append(({i: 1.0, j: 1.0}, sense, rhs))
-        cost = [1.0] * n
 
-        revised = solve_revised(cost, constraints, lower=[0.0] * n,
-                                upper=[10.0] * n, maximize=True)
-        a_ub, b_ub, a_eq, b_eq = _dense_constraints(constraints, n)
-        dense = solve_lp(cost, a_ub=a_ub, b_ub=b_ub,
-                         bounds=[(0.0, 10.0)] * n, maximize=True)
-        assert revised.status == dense.status
-        if dense.is_optimal:
-            assert revised.objective == pytest.approx(dense.objective,
+        problem = build_problem([1.0] * n, constraints, [(0.0, 10.0)] * n,
+                                maximize=True)
+        revised = problem.solve(solver="revised")
+        reference = problem.solve(solver="scipy")
+        assert revised.status == reference.status
+        if reference.is_optimal:
+            assert revised.objective == pytest.approx(reference.objective,
                                                       rel=1e-6, abs=1e-6)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_random_lps_match_scipy(self, data):
+        linprog = pytest.importorskip("scipy.optimize").linprog
+        n = data.draw(st.integers(min_value=1, max_value=5))
+        m = data.draw(st.integers(min_value=0, max_value=6))
+        cost = data.draw(st.lists(COEF, min_size=n, max_size=n))
+        rows = [data.draw(st.lists(COEF, min_size=n, max_size=n))
+                for _ in range(m)]
+        b_ub = data.draw(st.lists(RHS, min_size=m, max_size=m))
+        constraints = [
+            ({j: v for j, v in enumerate(row) if v != 0.0}, "<=", rhs)
+            for row, rhs in zip(rows, b_ub)
+        ]
+
+        ours = solve_revised(cost, constraints, lower=[0.0] * n,
+                             upper=[10.0] * n)
+        reference = linprog(cost, A_ub=np.array(rows) if m else None,
+                            b_ub=np.array(b_ub) if m else None,
+                            bounds=[(0.0, 10.0)] * n, method="highs")
+        if reference.status == 0:
+            assert ours.is_optimal
+            assert ours.objective == pytest.approx(reference.fun,
+                                                   rel=1e-6, abs=1e-6)
+        elif reference.status == 2:
+            assert ours.status == "infeasible"
 
 
 class TestWarmStart:
@@ -266,10 +375,10 @@ class TestSoftenedInfeasible:
         problem.set_objective({r_a: 1.0, r_b: 1.0, w: -10.0})
         problem.add_constraint({r_a: 1.0, r_b: 1.0}, ">=", 120.0)
         problem.add_constraint({r_a: 1.0, r_b: 1.0, w: -1.0}, "<=", 50.0)
-        dense = problem.solve(solver="simplex")
+        reference = problem.solve(solver="scipy")
         revised = problem.solve_revised()
-        assert dense.is_optimal and revised.is_optimal
-        assert revised.objective == pytest.approx(dense.objective,
+        assert reference.is_optimal and revised.is_optimal
+        assert revised.objective == pytest.approx(reference.objective,
                                                   abs=1e-6)
         # The slack absorbs exactly the contradiction: w = 120 - 50.
         assert revised.x[w] == pytest.approx(70.0, abs=1e-6)
@@ -281,9 +390,9 @@ class TestLpProblemIntegration:
         x = problem.add_variable("x", low=0.0, up=5.0)
         problem.set_objective({x: 1.0})
         problem.add_constraint({x: 1.0}, "<=", 3.0)
-        via_dense = problem.solve(solver="simplex")
+        via_scipy = problem.solve(solver="scipy")
         via_revised = problem.solve(solver="revised")
-        assert via_dense.objective == pytest.approx(3.0)
+        assert via_scipy.objective == pytest.approx(3.0)
         assert via_revised.objective == pytest.approx(3.0)
 
     def test_iteration_counts_reported(self):
@@ -292,10 +401,9 @@ class TestLpProblemIntegration:
         y = problem.add_variable("y", low=0.0, up=5.0)
         problem.set_objective({x: 2.0, y: 1.0})
         problem.add_constraint({x: 1.0, y: 1.0}, "<=", 6.0)
-        dense = problem.solve(solver="simplex")
         revised = problem.solve_revised()
-        assert dense.iterations > 0
         assert revised.iterations > 0
+        assert problem.solve().iterations == revised.iterations
 
 
 class TestRefactorizationParity:
@@ -317,11 +425,6 @@ class TestRefactorizationParity:
         assert dispatched.refactorizations == direct.refactorizations
         assert dispatched.objective == pytest.approx(direct.objective)
 
-    def test_dense_backend_reports_zero_refactorizations(self):
-        result = self._problem().solve(solver="simplex")
-        assert result.is_optimal
-        assert result.refactorizations == 0
-
     def test_scipy_backend_reports_zero_refactorizations(self):
         pytest.importorskip("scipy.optimize")
         result = self._problem().solve(solver="scipy")
@@ -338,32 +441,3 @@ class TestRefactorizationParity:
         assert counters["repro.lp.revised.pivots"] == result.iterations
         assert (counters["repro.lp.revised.refactorizations"]
                 == result.refactorizations)
-
-
-class TestScipyCrossCheck:
-    @settings(max_examples=40, deadline=None)
-    @given(st.data())
-    def test_random_lps_match_scipy(self, data):
-        linprog = pytest.importorskip("scipy.optimize").linprog
-        n = data.draw(st.integers(min_value=1, max_value=5))
-        m = data.draw(st.integers(min_value=0, max_value=6))
-        cost = data.draw(st.lists(COEF, min_size=n, max_size=n))
-        rows = [data.draw(st.lists(COEF, min_size=n, max_size=n))
-                for _ in range(m)]
-        b_ub = data.draw(st.lists(RHS, min_size=m, max_size=m))
-        constraints = [
-            ({j: v for j, v in enumerate(row) if v != 0.0}, "<=", rhs)
-            for row, rhs in zip(rows, b_ub)
-        ]
-
-        ours = solve_revised(cost, constraints, lower=[0.0] * n,
-                             upper=[10.0] * n)
-        reference = linprog(cost, A_ub=np.array(rows) if m else None,
-                            b_ub=np.array(b_ub) if m else None,
-                            bounds=[(0.0, 10.0)] * n, method="highs")
-        if reference.status == 0:
-            assert ours.is_optimal
-            assert ours.objective == pytest.approx(reference.fun,
-                                                   rel=1e-6, abs=1e-6)
-        elif reference.status == 2:
-            assert ours.status == "infeasible"

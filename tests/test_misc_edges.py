@@ -6,23 +6,28 @@ import pytest
 from repro.geometry.circle import Circle
 from repro.geometry.point import Point
 from repro.geometry.region import DiscIntersection
-from repro.lp.simplex import solve_lp
+from repro.lp.problem import LpProblem
 
 
 class TestSimplexLimits:
     def test_iteration_limit_status(self):
         # A legitimate LP with max_iter too small to finish.
-        result = solve_lp([1.0, 1.0, 1.0],
-                          a_ub=[[-1, -1, 0], [0, -1, -1], [-1, 0, -1]],
-                          b_ub=[-1, -1, -1],
-                          bounds=[(0, 10)] * 3,
-                          max_iter=1)
+        problem = LpProblem()
+        for _ in range(3):
+            problem.add_variable(low=0.0, up=10.0)
+        problem.set_objective({0: 1.0, 1: 1.0, 2: 1.0})
+        for i, j in ((0, 1), (1, 2), (0, 2)):
+            problem.add_constraint({i: 1.0, j: 1.0}, ">=", 1.0)
+        result = problem.solve(max_iter=1)
         assert result.status in ("iteration_limit", "optimal")
         if result.status == "iteration_limit":
             assert result.x is None
 
     def test_zero_variable_edge(self):
-        result = solve_lp([5.0], bounds=[(2.0, 2.0)])
+        problem = LpProblem()
+        x = problem.add_variable(low=2.0, up=2.0)
+        problem.set_objective({x: 5.0})
+        result = problem.solve()
         assert result.is_optimal
         assert result.x[0] == pytest.approx(2.0)
 

@@ -1,14 +1,14 @@
-"""Capture-file (JSONL pcap stand-in) round-trip tests."""
+"""JSONL capture codec (pcap stand-in) round-trip tests."""
 
 import json
 
 import pytest
 
-from repro.net80211.capture_file import (
-    CaptureReader,
-    CaptureWriter,
+from repro.capture import (
     frame_from_dict,
     frame_to_dict,
+    make_capture_writer,
+    open_capture,
 )
 from repro.net80211.frames import (
     FrameType,
@@ -55,35 +55,36 @@ class TestCaptureFile:
                           rx_timestamp=frame.timestamp)
             for i, frame in enumerate(sample_frames())
         ]
-        with CaptureWriter(path) as writer:
+        with make_capture_writer(path, format="jsonl") as writer:
             for record in records:
                 writer.write(record)
-        recovered = list(CaptureReader(path))
+        recovered = list(open_capture(path))
         assert recovered == records
 
     def test_header_written_once(self, tmp_path):
         path = tmp_path / "capture.jsonl"
-        with CaptureWriter(path) as writer:
+        with make_capture_writer(path, format="jsonl") as writer:
             writer.write(ReceivedFrame(sample_frames()[0], -70.0, 20.0,
                                        6, 1.0))
-        with CaptureWriter(path) as writer:  # append session
+        # A second session appends to the same file.
+        with make_capture_writer(path, format="jsonl") as writer:
             writer.write(ReceivedFrame(sample_frames()[1], -71.0, 19.0,
                                        6, 1.1))
         lines = path.read_text().strip().splitlines()
         headers = [line for line in lines if "capture_format" in line]
         assert len(headers) == 1
-        assert len(list(CaptureReader(path))) == 2
+        assert len(list(open_capture(path))) == 2
 
     def test_unsupported_version_rejected(self, tmp_path):
         path = tmp_path / "capture.jsonl"
         path.write_text('{"capture_format": 99}\n')
         with pytest.raises(ValueError, match="unsupported"):
-            list(CaptureReader(path))
+            list(open_capture(path))
 
     def test_blank_lines_skipped(self, tmp_path):
         path = tmp_path / "capture.jsonl"
-        with CaptureWriter(path) as writer:
+        with make_capture_writer(path, format="jsonl") as writer:
             writer.write(ReceivedFrame(sample_frames()[0], -70.0, 20.0,
                                        6, 1.0))
         path.write_text(path.read_text() + "\n\n")
-        assert len(list(CaptureReader(path))) == 1
+        assert len(list(open_capture(path))) == 1

@@ -19,10 +19,10 @@ from pathlib import Path
 
 import pytest
 
+from repro.capture import make_capture_writer
 from repro.geo.enu import LocalTangentPlane
 from repro.geo.wgs84 import GeodeticCoordinate
 from repro.knowledge.wigle import export_wigle_csv
-from repro.net80211.capture_file import CaptureWriter
 from repro.sim import build_attack_scenario
 
 ORIGIN = GeodeticCoordinate(42.6555, -71.3262)
@@ -56,7 +56,7 @@ def capture(tmp_path_factory):
     scenario.world.sniffer.keep_frames = True
     scenario.world.run(duration_s=60.0)
     capture_path = tmp_path / "capture.jsonl"
-    with CaptureWriter(capture_path) as writer:
+    with make_capture_writer(capture_path, format="jsonl") as writer:
         for received in scenario.world.sniffer.captured:
             writer.write(received)
     wigle_path = tmp_path / "wigle.csv"

@@ -2,8 +2,8 @@
 
 import pytest
 
+from repro.capture import make_capture_writer
 from repro.localization import MLoc
-from repro.net80211.capture_file import CaptureWriter
 from repro.net80211.frames import probe_request, probe_response
 from repro.net80211.mac import MacAddress
 from repro.net80211.medium import ReceivedFrame
@@ -17,7 +17,7 @@ STA = MacAddress.parse("00:1b:63:11:22:33")
 
 def write_capture(path, square_db):
     """A capture: the station probes, all four square APs answer."""
-    with CaptureWriter(path) as writer:
+    with make_capture_writer(path, format="jsonl") as writer:
         writer.write(ReceivedFrame(
             probe_request(STA, 6, 1.0, ssid=Ssid("home")),
             rssi_dbm=-70.0, snr_db=20.0, rx_channel=6, rx_timestamp=1.0))
@@ -67,7 +67,7 @@ class TestReplay:
 
     def test_empty_capture(self, tmp_path):
         path = tmp_path / "empty.jsonl"
-        with CaptureWriter(path):
+        with make_capture_writer(path, format="jsonl"):
             pass
         result = replay_capture(path)
         assert result.frames_replayed == 0
@@ -80,7 +80,7 @@ class TestIterCapture:
     def write_shuffled(self, path, square_db, order):
         """Probe responses with rx timestamps written in ``order``."""
         records = list(square_db)
-        with CaptureWriter(path) as writer:
+        with make_capture_writer(path, format="jsonl") as writer:
             for position in order:
                 record = records[position % len(records)]
                 t = float(position)
