@@ -419,17 +419,11 @@ class ShardedEngine:
         return self.stats()
 
     def _publish_pending(self, handle: _ShardHandle) -> None:
-        batch = handle.pending
-        if not batch:
+        if not handle.pending:
             return
-        handle.pending = []
         with handle.lock:
             self._ensure_alive(handle)
-            self._publish_message(handle, ("frames", batch))
-            handle.retention.extend(batch)
-            handle.published += len(batch)
-            handle.since_checkpoint += len(batch)
-            self._c_published.inc(len(batch))
+            self._publish_pending_locked(handle)
             self._pump_acks(handle)
             if (self.checkpoint_every > 0
                     and handle.since_checkpoint >= self.checkpoint_every

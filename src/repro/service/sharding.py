@@ -18,7 +18,6 @@ from __future__ import annotations
 import zlib
 
 from repro.engine.ingest import extract_evidence
-from repro.net80211.frames import FrameType
 from repro.net80211.mac import MacAddress
 from repro.net80211.medium import ReceivedFrame
 
@@ -42,10 +41,7 @@ def routing_key(received: ReceivedFrame) -> MacAddress:
     evidence = extract_evidence(received)
     if evidence is not None:
         return evidence.mobile
-    frame = received.frame
-    if frame.frame_type is FrameType.PROBE_REQUEST:
-        return frame.source
-    return frame.source
+    return received.frame.source
 
 
 def shard_of(received: ReceivedFrame, shards: int) -> int:
