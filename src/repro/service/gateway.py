@@ -12,33 +12,35 @@ survive the network.  Two halves:
   :mod:`repro.capture` codec (legacy JSONL or columnar, via
   :func:`repro.sniffer.replay.iter_capture`) to a gateway address.
 
-Delivery is **at-least-once + dedup-by-sequence**: the client numbers
-its batches, retains everything unacked, and resends the tail after a
-supervised reconnect (:class:`~repro.faults.RetryPolicy`); the server
-remembers, per ``client_id``, the last contiguous sequence it ingested
-and drops duplicates, so a batch reaches the engine exactly once no
-matter how many times the connection dies mid-stream.  The HELLO
-exchange returns the server's cumulative count, which is also how a
-re-run of the same client id resumes instead of double-ingesting.
+Delivery is one :mod:`repro.service.stream` per ``client_id``: the
+client's :class:`~repro.service.stream.Outbound` numbers its batches,
+retains everything unacked, and resends the tail after a supervised
+reconnect (:class:`~repro.faults.RetryPolicy`); the server keeps the
+client's :class:`~repro.service.stream.Inbound` for its lifetime and
+drops duplicates, so a batch reaches the engine exactly once no matter
+how many times the connection dies mid-stream.  An ack counts batches
+the engine ingested.  The HELLO exchange returns the server's
+cumulative count, which is also how a re-run of the same client id
+resumes instead of double-ingesting.
 """
 
 from __future__ import annotations
 
-import collections
 import select
 import socket
 import threading
 import uuid
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Deque, Dict, List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Tuple, Union
 
 from repro import obs
 from repro.faults import ReproError, RetryPolicy
 from repro.net80211.mac import MacAddress
 from repro.net80211.medium import ReceivedFrame
 from repro.service import wire
-from repro.service.socketbus import DEFAULT_RECONNECT, _close_socket
+from repro.service.stream import (Conn, DEFAULT_RECONNECT, Inbound,
+                                  Outbound, close_socket, dial, reject)
 from repro.sniffer.replay import iter_capture
 
 PathLike = Union[str, Path]
@@ -72,15 +74,16 @@ class IngestStats:
 class FrameIngestServer:
     """TCP listener feeding framed capture batches into an engine.
 
-    ``engine`` is anything with ``ingest_batch`` — a
-    :class:`~repro.service.core.ShardedEngine` (the serve CLI's shape)
-    or a bare :class:`~repro.engine.StreamingEngine`.  One lock
-    serializes ingest across client connections, so concurrent
-    collectors interleave at batch granularity, never mid-batch.
+    ``engine`` needs an ``ingest_batch`` that reads the batch through
+    ``iter_frames()``, as :class:`~repro.service.core.ShardedEngine`
+    (the serve CLI's shape) has; ``drain`` is called on BYE when the
+    engine has one.  One lock serializes ingest across client
+    connections, so concurrent collectors interleave at batch
+    granularity, never mid-batch.
 
-    Per-client delivery state (the last contiguous sequence ingested)
-    lives for the server's lifetime: a client that reconnects — or a
-    rerun of the same ``client_id`` — resumes after what already
+    Per-client delivery state (an :class:`~repro.service.stream.\
+Inbound`) lives for the server's lifetime: a client that reconnects —
+    or a rerun of the same ``client_id`` — resumes after what already
     reached the engine.
     """
 
@@ -97,7 +100,7 @@ class FrameIngestServer:
         self._c_frames = registry.counter("repro.ingest.frames")
         self._c_duplicates = registry.counter("repro.ingest.duplicates")
         self._c_rejects = registry.counter("repro.ingest.rejects")
-        self._clients: Dict[str, int] = {}
+        self._clients: Dict[str, Inbound] = {}
         self._lock = threading.Lock()
         self._closed = False
         self._conns: List[socket.socket] = []
@@ -117,11 +120,11 @@ class FrameIngestServer:
         if self._closed:
             return
         self._closed = True
-        _close_socket(self._listener)
+        close_socket(self._listener)
         with self._lock:
             conns, self._conns = self._conns, []
         for sock in conns:
-            _close_socket(sock)
+            close_socket(sock)
 
     def __enter__(self) -> "FrameIngestServer":
         return self
@@ -141,7 +144,7 @@ class FrameIngestServer:
                 return
             with self._lock:
                 if self._closed:
-                    _close_socket(sock)
+                    close_socket(sock)
                     return
                 self._conns.append(sock)
             threading.Thread(target=self._serve_client, args=(sock,),
@@ -154,7 +157,7 @@ class FrameIngestServer:
         except (ReproError, OSError):
             pass  # the client reconnects and resumes; state is kept
         finally:
-            _close_socket(sock)
+            close_socket(sock)
             with self._lock:
                 if sock in self._conns:
                     self._conns.remove(sock)
@@ -165,42 +168,27 @@ class FrameIngestServer:
         if hello.get("role") != "ingest" or not isinstance(client_id,
                                                           str):
             self._c_rejects.inc()
-            wire.send_frame(sock, wire.HELLO_REJECT, wire.pack_dict(
-                {"reason": "expected an ingest HELLO with a client_id"}))
+            reject(sock, "expected an ingest HELLO with a client_id")
             return
         with self._lock:
-            acked = self._clients.get(client_id, 0)
+            inbound = self._clients.setdefault(client_id,
+                                               Inbound(self._ingest))
+            received = inbound.received
         wire.send_frame(sock, wire.HELLO_OK,
-                        wire.pack_dict({"received": acked}))
+                        wire.pack_dict({"received": received}))
         self._c_connections.inc()
         while True:
             ftype, payload = wire.read_frame(sock)
             if ftype == wire.DATA:
                 seq, frames = wire.unpack_data(payload)
                 with self._lock:
-                    acked = self._clients.get(client_id, 0)
-                    if seq <= acked:
+                    if not inbound.accept(seq, frames):
                         # A resend of something already ingested: the
                         # dedup half of at-least-once.  Re-ack it.
                         self._c_duplicates.inc()
-                    elif seq == acked + 1:
-                        self.engine.ingest_batch(_ListBatch(frames))
-                        self._clients[client_id] = acked = seq
-                        self._c_batches.inc()
-                        self._c_frames.inc(len(frames))
-                    else:
-                        # A gap means this connection lost a frame the
-                        # client believes it sent; kill it and let the
-                        # reconnect resync from the acked count.
-                        raise wire.ConnectionLost(
-                            f"ingest sequence gap from {client_id!r}: "
-                            f"expected {acked + 1}, got {seq}")
-                wire.send_frame(sock, wire.CREDIT, wire.pack_count(acked))
-            elif ftype == wire.HEARTBEAT:
-                with self._lock:
-                    acked = self._clients.get(client_id, 0)
-                wire.send_frame(sock, wire.HEARTBEAT,
-                                wire.pack_dict({"received": acked}))
+                    received = inbound.received
+                wire.send_frame(sock, wire.CREDIT,
+                                wire.pack_count(received))
             elif ftype == wire.BYE:
                 # Settle the engine (publish flush + reorder/refit
                 # drain) so every streamed frame is visible to readers
@@ -212,12 +200,19 @@ class FrameIngestServer:
                 if settle is not None:
                     settle()
                 with self._lock:
-                    acked = self._clients.get(client_id, 0)
-                wire.send_frame(sock, wire.CREDIT, wire.pack_count(acked))
+                    received = inbound.received
+                wire.send_frame(sock, wire.CREDIT,
+                                wire.pack_count(received))
                 return
             else:
                 raise wire.WireError(
                     f"unexpected ingest frame type {ftype}")
+
+    def _ingest(self, frames: List[ReceivedFrame]) -> None:
+        """An :class:`Inbound`'s deliver step (caller holds the lock)."""
+        self.engine.ingest_batch(_ListBatch(frames))
+        self._c_batches.inc()
+        self._c_frames.inc(len(frames))
 
 
 # ----------------------------------------------------------------------
@@ -225,7 +220,7 @@ class FrameIngestServer:
 # ----------------------------------------------------------------------
 
 class _IngestSession:
-    """Sequence/retention bookkeeping for one streaming client."""
+    """One streaming client: an :class:`Outbound` over one connection."""
 
     def __init__(self, address: Tuple[str, int], client_id: str,
                  window: int, reconnect: Dict[str, float],
@@ -236,139 +231,108 @@ class _IngestSession:
         self.reconnect = reconnect
         self.connect_timeout_s = connect_timeout_s
         self.ack_timeout_s = ack_timeout_s
-        self.sock: Optional[socket.socket] = None
-        self.seq = 0
-        self.acked = 0
-        self.sent = 0
-        self.max_sent = 0
+        self.conn: Optional[Conn] = None
+        self.out = Outbound()
         self.connects = 0
         self.batches_resent = 0
-        self.retained: Deque[Tuple[int, List[ReceivedFrame]]] = \
-            collections.deque()
+        self.acked_at_connect = 0
+        self.stalls = 0           # consecutive connections with no ack
 
     # -- connection ---------------------------------------------------
 
-    def _connect_once(self) -> None:
-        sock = socket.create_connection(self.address,
-                                        timeout=self.connect_timeout_s)
-        try:
-            wire.send_frame(sock, wire.HELLO, wire.pack_dict(
-                {"role": "ingest", "client_id": self.client_id}))
-            sock.settimeout(self.ack_timeout_s)
-            ftype, payload = wire.read_frame(sock)
-            if ftype == wire.HELLO_REJECT:
-                reason = wire.unpack_dict(payload).get("reason", "?")
-                raise wire.HelloRejected(
-                    f"gateway rejected ingest: {reason}")
-            if ftype != wire.HELLO_OK:
-                raise wire.WireError(
-                    f"expected HELLO_OK, got frame type {ftype}")
-            acked = int(wire.unpack_dict(payload).get("received", 0))
-        except BaseException:
-            _close_socket(sock)
-            raise
-        self._absorb(acked)
-        self.sent = max(self.acked, min(acked, self.seq))
-        self.sock = sock
+    def _connect_once(self) -> Conn:
+        conn, received = dial(
+            self.address, {"role": "ingest", "client_id": self.client_id},
+            self.connect_timeout_s, self.ack_timeout_s)
+        # A rerun of a resumed client id: ``received`` may exceed what
+        # this session has numbered so far, and pushes up to it are
+        # never retained.
+        self.out.ack(received)
+        self.batches_resent += self.out.resume(received)
+        return conn
 
     def ensure_connected(self) -> None:
-        if self.sock is not None:
+        if self.conn is not None:
             return
         policy = RetryPolicy(retryable=(wire.WireError, OSError),
                              **self.reconnect)
-        policy.call(self._connect_once)
+        self.conn = policy.call(self._connect_once)
         self.connects += 1
+        self.acked_at_connect = self.out.acked
 
     def drop(self) -> None:
-        if self.sock is not None:
-            _close_socket(self.sock)
-            self.sock = None
+        if self.conn is not None:
+            self.conn.close()
+            self.conn = None
+
+    def lost(self, error: Exception) -> None:
+        """A connection failed after its handshake: drop it, and give up
+        once ``max_attempts`` connections in a row ended with no ack.
+
+        The retry budget covers failed connects; this covers a server
+        that accepts every connection but never ingests (an engine that
+        raises on every batch), which would otherwise loop forever.
+        """
+        self.drop()
+        self.stalls = 0 if self.out.acked > self.acked_at_connect \
+            else self.stalls + 1
+        if self.stalls >= self.reconnect["max_attempts"]:
+            raise wire.WireError(
+                f"gateway acked nothing over {self.stalls} consecutive "
+                f"connections; last error: {error}") from error
 
     # -- the at-least-once pump ---------------------------------------
-
-    def _absorb(self, count: int) -> None:
-        if count > self.acked:
-            self.acked = count
-        self._trim_acked()
-
-    def _trim_acked(self) -> None:
-        """Drop retained batches the server has already ingested.
-
-        Beyond absorbing fresh acks, this is what makes a *resumed*
-        ``client_id`` terminate: batches retained after the connect
-        handshake already reported them ingested (a rerun of the same
-        capture) will never earn a new ack, so they are dropped here
-        instead of waiting for one.
-        """
-        while self.retained and self.retained[0][0] <= self.acked:
-            self.retained.popleft()
 
     def _pump(self, wait: bool) -> None:
         """Drain server acks; with ``wait``, block until one arrives."""
         while True:
-            ready = select.select([self.sock], [], [],
+            ready = select.select([self.conn.sock], [], [],
                                   self.ack_timeout_s if wait else 0.0)[0]
             if not ready:
                 if wait:
                     raise wire.ConnectionLost(
                         f"no ingest ack within {self.ack_timeout_s}s")
                 return
-            ftype, payload = wire.read_frame(self.sock)
-            if ftype == wire.CREDIT:
-                self._absorb(wire.unpack_count(payload))
-            elif ftype == wire.HEARTBEAT:
-                info = wire.unpack_dict(payload)
-                if "received" in info:
-                    self._absorb(int(info["received"]))
-            else:
+            ftype, payload = wire.read_frame(self.conn.sock)
+            if ftype != wire.CREDIT:
                 raise wire.WireError(
                     f"unexpected gateway frame type {ftype}")
+            self.out.ack(wire.unpack_count(payload))
             wait = False
 
     def _flush(self) -> None:
-        self._trim_acked()
-        for seq, frames in list(self.retained):
-            if seq <= self.sent:
-                continue
-            if seq <= self.max_sent:
-                self.batches_resent += 1
-            wire.send_frame(self.sock, wire.DATA,
-                            wire.pack_data(seq, frames))
-            self.sent = seq
-            if seq > self.max_sent:
-                self.max_sent = seq
+        for seq, frames in self.out.unsent():
+            self.conn.send(wire.DATA, wire.pack_data(seq, frames))
+            self.out.mark_sent(seq)
             self._pump(wait=False)
 
     def send(self, frames: List[ReceivedFrame]) -> None:
-        self.seq += 1
-        self.retained.append((self.seq, frames))
+        self.out.push(frames)
         while True:
             # A failed connect exhausts the retry budget and raises out
             # of here; a failure *after* connecting re-enters the
             # supervised reconnect with the retained tail intact.
             self.ensure_connected()
             try:
-                self._trim_acked()
-                while len(self.retained) > self.window:
+                while len(self.out.retained) > self.window:
                     self._pump(wait=True)
                 self._flush()
                 return
-            except (wire.WireError, OSError):
-                self.drop()
+            except (wire.WireError, OSError) as error:
+                self.lost(error)
 
     def finish(self) -> None:
-        while self.retained:
+        while self.out.retained:
             self.ensure_connected()
             try:
                 self._flush()
-                while self.retained:
+                while self.out.retained:
                     self._pump(wait=True)
-            except (wire.WireError, OSError):
-                self.drop()
-            self._trim_acked()
-        if self.sock is not None:
+            except (wire.WireError, OSError) as error:
+                self.lost(error)
+        if self.conn is not None:
             try:
-                wire.send_frame(self.sock, wire.BYE)
+                self.conn.send(wire.BYE)
                 self._pump(wait=True)  # the BYE ack flushes the router
             except (wire.WireError, OSError):
                 pass
@@ -424,6 +388,6 @@ def stream_capture_to(path: PathLike, address: Tuple[str, int],
         session.send(batch)
         frames += len(batch)
     session.finish()
-    return IngestStats(frames=frames, batches=session.seq,
+    return IngestStats(frames=frames, batches=session.out.seq,
                        reconnects=max(0, session.connects - 1),
                        batches_resent=session.batches_resent)

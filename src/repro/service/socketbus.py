@@ -21,12 +21,12 @@ TCP so shards can live on other machines:
   back-pressures ``publish`` into :class:`BusTimeout` exactly like a
   full ``queue.Queue`` — the router's dead-shard probe works
   unchanged.
-* **Exactly-once delivery over reconnects** — both directions number
-  their DATA frames and retain sent-but-unacked messages.  A receiver
-  delivers only the next-in-sequence frame (duplicates are dropped, a
-  gap kills the connection), and the HELLO/HELLO_OK exchange carries
-  each side's cumulative counters so a reconnect resumes by resending
-  exactly the lost tail (counted under ``repro.socket.frames_resent``).
+* **Exactly-once delivery over reconnects** — each direction is one
+  :mod:`repro.service.stream` (numbered DATA frames retained until
+  acked, duplicates dropped, gaps fatal to the connection), and the
+  HELLO/HELLO_OK exchange carries each side's cumulative counters so a
+  reconnect resends exactly the lost tail (counted under
+  ``repro.socket.frames_resent``).
 * **Liveness** — both sides heartbeat on an interval and declare a
   peer dead after ``dead_after_s`` of silence
   (``repro.socket.heartbeats_missed``); the shard side then runs a
@@ -44,60 +44,29 @@ retention replay reproduces a killed shard's state byte-for-byte.
 
 from __future__ import annotations
 
-import collections
+import functools
 import queue
 import socket
 import threading
 import time
 import uuid
-from typing import Any, Deque, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro import faults, obs
 from repro.faults import DROPPED, ReproError, RetryPolicy
 from repro.service import wire
 from repro.service.bus import (Bus, BusTimeout, DEFAULT_CAPACITY,
                                empty_collect_message)
+from repro.service.stream import (Conn, DEFAULT_RECONNECT, Inbound,
+                                  Outbound, close_socket, counter, dial,
+                                  read_loop, reject, send_loop)
 
 #: Default liveness knobs: heartbeat every second, declare a peer dead
 #: after five silent seconds.  Tests shrink both.
 DEFAULT_HEARTBEAT_S = 1.0
 DEFAULT_DEAD_AFTER_S = 5.0
 
-#: Default supervised-reconnect schedule for shard endpoints.
-DEFAULT_RECONNECT = {"max_attempts": 5, "base_delay": 0.05,
-                     "multiplier": 2.0, "max_delay": 1.0,
-                     "jitter": 0.25, "seed": 0}
-
 _POISON = object()
-
-
-def _close_socket(sock: socket.socket) -> None:
-    """Shutdown + close, waking any thread blocked in recv."""
-    try:
-        sock.shutdown(socket.SHUT_RDWR)
-    except OSError:
-        pass
-    try:
-        sock.close()
-    except OSError:  # pragma: no cover - already gone
-        pass
-
-
-class _Conn:
-    """One live TCP connection: the socket plus its write lock."""
-
-    __slots__ = ("sock", "wlock")
-
-    def __init__(self, sock: socket.socket):
-        self.sock = sock
-        self.wlock = threading.Lock()
-
-    def send(self, ftype: int, payload: bytes = b"") -> None:
-        with self.wlock:
-            wire.send_frame(self.sock, ftype, payload)
-
-    def close(self) -> None:
-        _close_socket(self.sock)
 
 
 class _Link:
@@ -105,19 +74,24 @@ class _Link:
 
     def __init__(self) -> None:
         self.cond = threading.Condition()
-        self.conn: Optional[_Conn] = None
+        self.conn: Optional[Conn] = None
         self.generation = 0
         self.attaches = 0           # attach count within this generation
-        self.recv_queue: "queue.Queue" = queue.Queue()
-        # Router -> shard stream (flow-controlled, capacity-bounded).
-        self.retained: Deque[Tuple[int, Any]] = collections.deque()
-        self.published = 0          # highest seq assigned by publish()
-        self.consumed = 0           # cumulative CREDIT from the shard
-        self.sent = 0               # resume point on the current conn
-        self.max_sent = 0           # high-water mark across conns
-        # Shard -> router stream (delivered straight into recv_queue).
-        self.received = 0
         self.last_recv_t = time.monotonic()
+        self.restart()
+
+    def restart(self) -> None:
+        """Fresh streams (caller holds ``cond`` once shared): router ->
+        shard acked by the shard's CREDIT as it consumes, which also
+        bounds it by ``capacity``; shard -> router delivered straight
+        into ``recv_queue``."""
+        self.recv_queue: "queue.Queue" = queue.Queue()
+        self.out = Outbound()
+        self.inb = Inbound(self.recv_queue.put)
+
+    def current(self, conn: Conn) -> bool:
+        with self.cond:
+            return self.conn is conn
 
 
 class SocketBus(Bus):
@@ -223,7 +197,7 @@ class SocketBus(Bus):
         deadline = None if timeout is None \
             else time.monotonic() + timeout
         with link.cond:
-            while link.published - link.consumed >= self.capacity:
+            while link.out.seq - link.out.acked >= self.capacity:
                 if self._closed:
                     raise BusTimeout("bus is closed")
                 remaining = None if deadline is None \
@@ -232,8 +206,7 @@ class SocketBus(Bus):
                     raise BusTimeout(
                         f"shard {shard} inbox full after {timeout}s")
                 link.cond.wait(remaining)
-            link.published += 1
-            link.retained.append((link.published, message))
+            link.out.push(message)
             link.cond.notify_all()
 
     def collect(self, shard: int,
@@ -259,11 +232,7 @@ class SocketBus(Bus):
             conn, link.conn = link.conn, None
             link.generation += 1
             link.attaches = 0
-            link.recv_queue = queue.Queue()
-            link.retained.clear()
-            link.published = link.consumed = 0
-            link.sent = link.max_sent = 0
-            link.received = 0
+            link.restart()
             link.cond.notify_all()
         if conn is not None:
             conn.close()
@@ -287,7 +256,7 @@ class SocketBus(Bus):
             return
         self._closed = True
         self._stop_event.set()
-        _close_socket(self._listener)
+        close_socket(self._listener)
         for link in self._links:
             with link.cond:
                 conn, link.conn = link.conn, None
@@ -342,22 +311,18 @@ class SocketBus(Bus):
         except (wire.BadMagic, wire.VersionMismatch, wire.CrcMismatch,
                 wire.TruncatedFrame):
             self._c_crc_rejects.inc()
-            _close_socket(sock)
+            close_socket(sock)
             return
         except (ReproError, OSError):
-            _close_socket(sock)
+            close_socket(sock)
             return
         reason = self._vet_hello(hello)
         if reason is not None:
             self._c_hello_rejects.inc()
-            try:
-                wire.send_frame(sock, wire.HELLO_REJECT,
-                                wire.pack_dict({"reason": reason}))
-            except (ReproError, OSError):
-                pass
-            _close_socket(sock)
+            reject(sock, reason)
+            close_socket(sock)
             return
-        self._attach(int(hello["shard"]), _Conn(sock), hello)
+        self._attach(hello["shard"], Conn(sock), hello)
 
     def _vet_hello(self, hello: dict) -> Optional[str]:
         if hello.get("role") != "shard":
@@ -376,15 +341,15 @@ class SocketBus(Bus):
                     f"{hello.get('generation')!r}, current {generation}")
         return None
 
-    def _attach(self, shard: int, conn: _Conn, hello: dict) -> None:
+    def _attach(self, shard: int, conn: Conn, hello: dict) -> None:
         link = self._links[shard]
-        peer_received = int(hello.get("received", 0))
-        peer_consumed = int(hello.get("consumed", 0))
         # HELLO_OK must precede any DATA on this connection so the
         # endpoint can read its resume point synchronously.
         with link.cond:
-            received = link.received
+            received = link.inb.received
         try:
+            peer_received = counter(hello, "received")
+            peer_consumed = counter(hello, "consumed")
             conn.send(wire.HELLO_OK,
                       wire.pack_dict({"received": received}))
         except (ReproError, OSError):
@@ -392,11 +357,8 @@ class SocketBus(Bus):
             return
         with link.cond:
             old, link.conn = link.conn, conn
-            if peer_consumed > link.consumed:
-                self._trim_locked(link, peer_consumed)
-            link.sent = max(link.consumed,
-                            min(peer_received, link.published))
-            resend = max(0, link.max_sent - link.sent)
+            link.out.ack(peer_consumed)
+            resend = link.out.resume(peer_received)
             if link.attaches > 0:
                 self._c_reconnects.inc()
                 if resend:
@@ -415,36 +377,24 @@ class SocketBus(Bus):
     # Per-connection loops
     # ------------------------------------------------------------------
 
-    def _detach(self, link: _Link, conn: _Conn) -> None:
+    def _detach(self, link: _Link, conn: Conn) -> None:
         with link.cond:
-            if link.conn is not conn:
-                conn.close()
-                return
-            link.conn = None
-            link.cond.notify_all()
+            if link.conn is conn:
+                link.conn = None
+                link.cond.notify_all()
         conn.close()
 
-    def _trim_locked(self, link: _Link, count: int) -> None:
-        """Absorb a cumulative ack (caller holds ``link.cond``)."""
-        if count > link.consumed:
-            link.consumed = count
-            while link.retained and link.retained[0][0] <= count:
-                link.retained.popleft()
-            link.cond.notify_all()
+    def _ack(self, link: _Link, count: int) -> None:
+        with link.cond:
+            if link.out.ack(count):
+                link.cond.notify_all()  # wake capacity-blocked publishers
 
-    def _reader_loop(self, link: _Link, conn: _Conn) -> None:
-        while True:
-            try:
-                ftype, payload = wire.read_frame(conn.sock)
-                self._dispatch(link, conn, ftype, payload)
-            except (ReproError, OSError):
-                self._detach(link, conn)
-                return
-            with link.cond:
-                if link.conn is not conn:
-                    return
+    def _reader_loop(self, link: _Link, conn: Conn) -> None:
+        read_loop(conn, functools.partial(self._dispatch, link),
+                  link.current)
+        self._detach(link, conn)
 
-    def _dispatch(self, link: _Link, conn: _Conn, ftype: int,
+    def _dispatch(self, link: _Link, conn: Conn, ftype: int,
                   payload: bytes) -> None:
         with link.cond:
             if link.conn is not conn:
@@ -453,56 +403,24 @@ class SocketBus(Bus):
         if ftype == wire.DATA:
             seq, message = wire.unpack_data(payload)
             with link.cond:
-                if link.conn is not conn:
+                if link.conn is not conn \
+                        or not link.inb.accept(seq, message):
                     return
-                if seq <= link.received:
-                    return  # duplicate of a delivered message
-                if seq != link.received + 1:
-                    raise wire.ConnectionLost(
-                        f"sequence gap: expected {link.received + 1}, "
-                        f"got {seq}")
-                link.received = seq
-                recv_queue = link.recv_queue
-                received = link.received
-            recv_queue.put(message)
+                received = link.inb.received
             # The router consumes on delivery, so the ack is immediate.
             conn.send(wire.CREDIT, wire.pack_count(received))
         elif ftype == wire.CREDIT:
-            count = wire.unpack_count(payload)
-            with link.cond:
-                self._trim_locked(link, count)
+            self._ack(link, wire.unpack_count(payload))
         elif ftype == wire.HEARTBEAT:
-            info = wire.unpack_dict(payload)
-            if "consumed" in info:
-                with link.cond:
-                    self._trim_locked(link, int(info["consumed"]))
+            self._ack(link, counter(wire.unpack_dict(payload), "consumed"))
         elif ftype == wire.BYE:
             raise wire.ConnectionLost("peer said BYE")
 
     def _sender_loop(self, shard: int) -> None:
         link = self._links[shard]
-        while True:
-            with link.cond:
-                while not self._closed and (
-                        link.conn is None or link.sent >= link.published):
-                    link.cond.wait()
-                if self._closed:
-                    return
-                conn = link.conn
-                batch = [(seq, message) for seq, message in link.retained
-                         if seq > link.sent]
-            for seq, message in batch:
-                try:
-                    conn.send(wire.DATA, wire.pack_data(seq, message))
-                except (ReproError, OSError):
-                    self._detach(link, conn)
-                    break
-                with link.cond:
-                    if link.conn is not conn:
-                        break
-                    link.sent = seq
-                    if seq > link.max_sent:
-                        link.max_sent = seq
+        send_loop(link.cond, lambda: (link.conn, link.out),
+                  lambda: self._closed,
+                  functools.partial(self._detach, link))
 
     def _heartbeat_loop(self) -> None:
         while not self._stop_event.wait(self.heartbeat_s):
@@ -512,7 +430,7 @@ class SocketBus(Bus):
                     conn = link.conn
                     stale = conn is not None and \
                         now - link.last_recv_t > self.dead_after_s
-                    received = link.received
+                    received = link.inb.received
                 if conn is None:
                     continue
                 if stale:
@@ -572,18 +490,16 @@ RetryPolicy`; when the budget is exhausted — or the router rejects the
 
     def _init_runtime(self) -> None:
         self._cond = threading.Condition()
-        self._conn: Optional[_Conn] = None
+        self._conn: Optional[Conn] = None
         self._started = False
         self._closed = False
         self._dead: Optional[str] = None
         self._delivery: "queue.Queue" = queue.Queue()
-        self._in_received = 0
-        self._in_consumed = 0
-        self._out_seq = 0
-        self._out_sent = 0
-        self._out_max_sent = 0
-        self._out_acked = 0
-        self._out_retained: Deque[Tuple[int, Any]] = collections.deque()
+        # Router -> shard: the CREDIT this end sends counts ``consumed``.
+        self._in = Inbound(self._delivery.put)
+        self._consumed = 0
+        # Shard -> router: acked by the router's received count.
+        self._out = Outbound()
         self.reconnects = 0
 
     # -- lifecycle -----------------------------------------------------
@@ -640,9 +556,9 @@ RetryPolicy`; when the budget is exhausted — or the router rejects the
             raise wire.ConnectionLost(
                 self._dead or "channel closed")
         with self._cond:
-            self._in_consumed += 1
+            self._consumed += 1
             conn = self._conn
-            count = self._in_consumed
+            count = self._consumed
         if conn is not None:
             try:
                 conn.send(wire.CREDIT, wire.pack_count(count))
@@ -657,61 +573,41 @@ RetryPolicy`; when the budget is exhausted — or the router rejects the
             if self._closed or self._dead is not None:
                 raise wire.ConnectionLost(
                     self._dead or "channel closed")
-            self._out_seq += 1
-            self._out_retained.append((self._out_seq, message))
+            self._out.push(message)
             self._cond.notify_all()
 
     # -- connection management ----------------------------------------
 
-    def _drop_conn(self, conn: _Conn) -> None:
+    def _drop_conn(self, conn: Conn) -> None:
         with self._cond:
             if self._conn is conn:
                 self._conn = None
                 self._cond.notify_all()
         conn.close()
 
-    def _connect_once(self) -> _Conn:
-        sock = socket.create_connection(self.address,
-                                        timeout=self.connect_timeout_s)
-        try:
-            with self._cond:
-                hello = {"role": "shard", "run_id": self.run_id,
-                         "shard": self.shard,
-                         "generation": self.generation,
-                         "received": self._in_received,
-                         "consumed": self._in_consumed}
-            wire.send_frame(sock, wire.HELLO, wire.pack_dict(hello))
-            ftype, payload = wire.read_frame(sock)
-            if ftype == wire.HELLO_REJECT:
-                reason = wire.unpack_dict(payload).get("reason", "?")
-                raise wire.HelloRejected(
-                    f"router rejected shard {self.shard}: {reason}")
-            if ftype != wire.HELLO_OK:
-                raise wire.WireError(
-                    f"expected HELLO_OK, got frame type {ftype}")
-            acked = int(wire.unpack_dict(payload).get("received", 0))
-        except BaseException:
-            _close_socket(sock)
-            raise
-        sock.settimeout(None)
-        conn = _Conn(sock)
+    def _current(self, conn: Conn) -> bool:
+        with self._cond:
+            return self._conn is conn
+
+    def _connect_once(self) -> Conn:
+        with self._cond:
+            hello = {"role": "shard", "run_id": self.run_id,
+                     "shard": self.shard, "generation": self.generation,
+                     "received": self._in.received,
+                     "consumed": self._consumed}
+        conn, peer_received = dial(self.address, hello,
+                                   self.connect_timeout_s,
+                                   self.connect_timeout_s)
+        conn.sock.settimeout(None)
         with self._cond:
             if self._closed:
                 conn.close()
                 raise wire.ConnectionLost("channel closed")
-            self._absorb_ack_locked(acked)
-            self._out_sent = max(self._out_acked,
-                                 min(acked, self._out_seq))
+            self._out.ack(peer_received)
+            self._out.resume(peer_received)
             self._conn = conn
             self._cond.notify_all()
         return conn
-
-    def _absorb_ack_locked(self, count: int) -> None:
-        if count > self._out_acked:
-            self._out_acked = count
-            while self._out_retained \
-                    and self._out_retained[0][0] <= count:
-                self._out_retained.popleft()
 
     def _reader_main(self) -> None:
         first = True
@@ -729,71 +625,30 @@ RetryPolicy`; when the budget is exhausted — or the router rejects the
             if not first:
                 self.reconnects += 1
             first = False
-            self._read_until_failure(conn)
+            read_loop(conn, self._dispatch, self._current)
+            self._drop_conn(conn)
 
-    def _read_until_failure(self, conn: _Conn) -> None:
-        while True:
-            try:
-                ftype, payload = wire.read_frame(conn.sock)
-                self._dispatch(conn, ftype, payload)
-            except (ReproError, OSError):
-                self._drop_conn(conn)
-                return
-            with self._cond:
-                if self._conn is not conn:
-                    return
+    def _ack(self, count: int) -> None:
+        with self._cond:
+            self._out.ack(count)
 
-    def _dispatch(self, conn: _Conn, ftype: int, payload: bytes) -> None:
+    def _dispatch(self, conn: Conn, ftype: int, payload: bytes) -> None:
         if ftype == wire.DATA:
             seq, message = wire.unpack_data(payload)
             with self._cond:
-                if self._conn is not conn:
-                    return
-                if seq <= self._in_received:
-                    return  # duplicate after a resend
-                if seq != self._in_received + 1:
-                    raise wire.ConnectionLost(
-                        f"sequence gap: expected "
-                        f"{self._in_received + 1}, got {seq}")
-                self._in_received = seq
-            self._delivery.put(message)
+                if self._conn is conn:
+                    self._in.accept(seq, message)
         elif ftype == wire.CREDIT:
-            count = wire.unpack_count(payload)
-            with self._cond:
-                self._absorb_ack_locked(count)
+            self._ack(wire.unpack_count(payload))
         elif ftype == wire.HEARTBEAT:
-            info = wire.unpack_dict(payload)
-            if "received" in info:
-                with self._cond:
-                    self._absorb_ack_locked(int(info["received"]))
+            self._ack(counter(wire.unpack_dict(payload), "received"))
         elif ftype == wire.BYE:
             raise wire.ConnectionLost("peer said BYE")
 
     def _sender_loop(self) -> None:
-        while True:
-            with self._cond:
-                while not self._closed and self._dead is None and (
-                        self._conn is None
-                        or self._out_sent >= self._out_seq):
-                    self._cond.wait()
-                if self._closed or self._dead is not None:
-                    return
-                conn = self._conn
-                batch = [(seq, message)
-                         for seq, message in self._out_retained
-                         if seq > self._out_sent]
-            for seq, message in batch:
-                try:
-                    conn.send(wire.DATA, wire.pack_data(seq, message))
-                except (ReproError, OSError):
-                    self._drop_conn(conn)
-                    break
-                with self._cond:
-                    if self._conn is not conn:
-                        break
-                    self._out_sent = seq
-                    if seq > self._out_max_sent:
-                        self._out_max_sent = seq
+        send_loop(self._cond, lambda: (self._conn, self._out),
+                  lambda: self._closed or self._dead is not None,
+                  self._drop_conn)
 
     def _heartbeat_loop(self) -> None:
         while True:
@@ -802,8 +657,8 @@ RetryPolicy`; when the budget is exhausted — or the router rejects the
                 if self._closed or self._dead is not None:
                     return
                 conn = self._conn
-                counters = {"received": self._in_received,
-                            "consumed": self._in_consumed}
+                counters = {"received": self._in.received,
+                            "consumed": self._consumed}
             if conn is None:
                 continue
             try:

@@ -15,15 +15,15 @@ drops, and both get that promise from this module:
   next-in-sequence message: a duplicate is dropped, a gap kills the
   connection so the reconnect resyncs from the cumulative counters.
 * :func:`dial` — the connecting side's handshake: HELLO out,
-  HELLO_OK (the peer's counters) or HELLO_REJECT back.
-* :func:`read_loop` and :meth:`Endpoint.send_loop` — the one reader
-  and one sender loop; :class:`Endpoint` bundles a connection with
-  both halves under one condition for the threaded ends.
+  HELLO_OK (the peer's received count) or HELLO_REJECT back.
+* :func:`read_loop` and :func:`send_loop` — the reader and sender
+  threads of the socket bus's two ends.
 
-What an ack *counts* is each site's business: router → shard acks
-count what the shard consumed (also the ``capacity`` flow-control
-bound), shard → router acks count what the router received, gateway
-acks count batches the engine ingested.
+The halves hold no locks and start no threads; each site calls them
+under its own lock.  What an ack *counts* is each site's business:
+router → shard acks count what the shard consumed (also the
+``capacity`` flow-control bound), shard → router acks count what the
+router received, gateway acks count batches the engine ingested.
 """
 
 from __future__ import annotations
@@ -31,7 +31,6 @@ from __future__ import annotations
 import collections
 import socket
 import threading
-import time
 from typing import Any, Callable, Deque, List, Optional, Tuple
 
 from repro.faults import ReproError
@@ -159,19 +158,20 @@ def counter(info: dict, key: str) -> int:
     return value
 
 
-def dial(address: Tuple[str, int], hello: dict,
-         timeout_s: float) -> Tuple[Conn, int]:
+def dial(address: Tuple[str, int], hello: dict, connect_timeout_s: float,
+         reply_timeout_s: float) -> Tuple[Conn, int]:
     """Connect and handshake; returns the connection and the peer's
     cumulative received count from its HELLO_OK (the resume point).
 
-    ``timeout_s`` bounds the connect and the wait for the reply (and
-    stays on the socket for the caller to change).  A HELLO_REJECT
-    raises :class:`~repro.service.wire.HelloRejected`, which the
-    reconnect retry filters let through.
+    ``reply_timeout_s`` bounds the wait for the reply and stays on the
+    socket for the caller to change.  A HELLO_REJECT raises
+    :class:`~repro.service.wire.HelloRejected`, which the reconnect
+    retry filters let through.
     """
-    sock = socket.create_connection(address, timeout=timeout_s)
+    sock = socket.create_connection(address, timeout=connect_timeout_s)
     try:
         wire.send_frame(sock, wire.HELLO, wire.pack_dict(hello))
+        sock.settimeout(reply_timeout_s)
         ftype, payload = wire.read_frame(sock)
         if ftype == wire.HELLO_REJECT:
             reason = wire.unpack_dict(payload).get("reason", "?")
@@ -187,10 +187,11 @@ def dial(address: Tuple[str, int], hello: dict,
     return Conn(sock), received
 
 
-def reject(conn: Conn, reason: str) -> None:
-    """Refuse a handshake; the caller closes the connection."""
+def reject(sock: socket.socket, reason: str) -> None:
+    """Refuse a handshake; the caller closes the socket."""
     try:
-        conn.send(wire.HELLO_REJECT, wire.pack_dict({"reason": reason}))
+        wire.send_frame(sock, wire.HELLO_REJECT,
+                        wire.pack_dict({"reason": reason}))
     except (ReproError, OSError):
         pass
 
@@ -212,106 +213,34 @@ def read_loop(conn: Conn,
         pass
 
 
-class Endpoint:
-    """A threaded end of a link: connection plus both stream halves.
+def send_loop(cond: threading.Condition,
+              current: Callable[[], Tuple[Optional[Conn], Outbound]],
+              stopped: Callable[[], bool],
+              detach: Callable[[Conn], None]) -> None:
+    """Ship unsent DATA on the current connection until ``stopped()``.
 
-    ``ack_field`` names the HEARTBEAT counter the peer acks this end's
-    outbound half with.  With ``credit_received`` every delivered
-    message is acked at once (the receiver consumes on delivery);
-    otherwise the owner sends CREDIT when it consumes.
+    ``current()`` returns the site's live connection (or None) and its
+    outbound half; it and ``stopped()`` are called holding ``cond``,
+    which the site notifies whenever either may have changed.  A failed
+    write hands the connection to ``detach``.
     """
-
-    def __init__(self, deliver: Callable[[Any], None], ack_field: str,
-                 credit_received: bool):
-        self.cond = threading.Condition()
-        self.conn: Optional[Conn] = None
-        self.ack_field = ack_field
-        self.credit_received = credit_received
-        self.last_recv_t = time.monotonic()
-        self.restart(deliver)
-
-    def restart(self, deliver: Callable[[Any], None]) -> None:
-        """Fresh stream halves (caller holds ``cond`` once shared)."""
-        self.out = Outbound()
-        self.inb = Inbound(deliver)
-
-    def current(self, conn: Conn) -> bool:
-        with self.cond:
-            return self.conn is conn
-
-    def attach_locked(self, conn: Conn, acked: int,
-                      peer_received: int) -> Tuple[Optional[Conn], int]:
-        """Make ``conn`` current after a handshake (caller holds
-        ``cond``); returns the replaced connection and the resend
-        count."""
-        old, self.conn = self.conn, conn
-        self.out.ack(acked)
-        resent = self.out.resume(peer_received)
-        self.last_recv_t = time.monotonic()
-        self.cond.notify_all()
-        return old, resent
-
-    def detach(self, conn: Conn) -> None:
-        with self.cond:
-            if self.conn is conn:
-                self.conn = None
-                self.cond.notify_all()
-        conn.close()
-
-    def ack(self, count: int) -> None:
-        with self.cond:
-            if self.out.ack(count):
-                self.cond.notify_all()
-
-    def push_locked(self, message: Any) -> None:
-        self.out.push(message)
-        self.cond.notify_all()
-
-    def serve(self, conn: Conn) -> None:
-        """Run the reader on ``conn`` until it fails, then detach it."""
-        read_loop(conn, self.dispatch, self.current)
-        self.detach(conn)
-
-    def dispatch(self, conn: Conn, ftype: int, payload: bytes) -> None:
-        with self.cond:
-            if self.conn is not conn:
-                return
-            self.last_recv_t = time.monotonic()
-        if ftype == wire.DATA:
-            seq, message = wire.unpack_data(payload)
-            with self.cond:
-                if self.conn is not conn \
-                        or not self.inb.accept(seq, message):
-                    return
-                received = self.inb.received
-            if self.credit_received:
-                conn.send(wire.CREDIT, wire.pack_count(received))
-        elif ftype == wire.CREDIT:
-            self.ack(wire.unpack_count(payload))
-        elif ftype == wire.HEARTBEAT:
-            self.ack(counter(wire.unpack_dict(payload), self.ack_field))
-        elif ftype == wire.BYE:
-            raise wire.ConnectionLost("peer said BYE")
-
-    def send_loop(self, stopped: Callable[[], bool]) -> None:
-        """Ship unsent DATA on whatever connection is current until
-        ``stopped()``; a failed write detaches the connection."""
-        while True:
-            with self.cond:
-                while not stopped() and (
-                        self.conn is None or not self.out.has_unsent()):
-                    self.cond.wait()
+    while True:
+        with cond:
+            while True:
                 if stopped():
                     return
-                conn = self.conn
-                batch = self.out.unsent()
-            for seq, message in batch:
-                try:
-                    conn.send(wire.DATA, wire.pack_data(seq, message))
-                except (ReproError, OSError):
-                    self.detach(conn)
+                conn, out = current()
+                if conn is not None and out.has_unsent():
                     break
-                with self.cond:
-                    if self.conn is not conn:
-                        break
-                    self.out.mark_sent(seq)
+                cond.wait()
+            batch = out.unsent()
+        for seq, message in batch:
+            try:
+                conn.send(wire.DATA, wire.pack_data(seq, message))
+            except (ReproError, OSError):
+                detach(conn)
+                break
+            with cond:
+                if current()[0] is not conn:
+                    break
+                out.mark_sent(seq)

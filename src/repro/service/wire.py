@@ -8,29 +8,31 @@ batches, heartbeats, handshakes — travels as one *frame*::
     | 4 B   | 1 B     | 1 B   | 4 B BE    | length B  | 4 B BE  |
     +-------+---------+-------+-----------+-----------+---------+
 
-The CRC32 trailer covers version + ftype + length + payload, so a
-flipped bit anywhere but the magic is caught before the payload is
-unpickled.  A magic or version mismatch, a CRC failure, or a length
-beyond :data:`MAX_FRAME_BYTES` each raise a distinct
+The CRC32 trailer covers the whole header and the payload, so a
+flipped bit anywhere is caught before the payload is decoded.  A magic
+or version mismatch, a CRC failure, or a length beyond
+:data:`MAX_FRAME_BYTES` each raise a distinct
 :class:`WireError` subclass — the receiving side closes the connection
 rather than guessing at resynchronization, and the reconnect machinery
-(sequence numbers + cumulative acks, see
-:mod:`repro.service.socketbus`) replays whatever the broken connection
-lost.
+(sequence numbers + cumulative acks, see :mod:`repro.service.stream`)
+replays whatever the broken connection
+lost.  A payload that fails to decode raises :class:`WireError` too.
 
-Frame types are deliberately few:
+Frame types are deliberately few.  Control payloads are JSON objects
+of strings and ints; only DATA carries a pickle:
 
 ==============  ========================================================
-``HELLO``       first frame on every connection: pickled dict carrying
-                ``run_id`` / ``shard`` / ``generation`` / stream
-                counters, so a stale or cross-run peer is rejected
-``HELLO_OK``    acceptance + the receiver's cumulative counters (the
-                resume point after a reconnect)
-``HELLO_REJECT``pickled reason string; the connection closes after it
+``HELLO``       first frame on every connection: JSON carrying
+                ``role`` plus ``run_id`` / ``shard`` / ``generation`` /
+                stream counters (shards) or ``client_id`` (ingest), so
+                a stale or cross-run peer is rejected
+``HELLO_OK``    JSON ``{"received": n}``: the receiver's cumulative
+                count, the resume point after a reconnect
+``HELLO_REJECT``JSON ``{"reason": ...}``; the connection closes after it
 ``DATA``        u64 BE sequence number + pickled message
-``CREDIT``      u64 BE cumulative consumed/received count (flow control
-                *and* retention trim in one frame)
-``HEARTBEAT``   pickled counter dict; liveness plus ack redundancy
+``CREDIT``      u64 BE cumulative ack count (flow control *and*
+                retention trim in one frame)
+``HEARTBEAT``   JSON counter dict; liveness plus ack redundancy
 ``BYE``         clean end-of-stream (ingest clients)
 ==============  ========================================================
 
@@ -43,6 +45,7 @@ resend/reconnect paths without a real flaky network.
 
 from __future__ import annotations
 
+import json
 import pickle
 import socket
 import struct
@@ -54,7 +57,7 @@ from repro.faults import DROPPED
 from repro.faults.errors import ReproError
 
 MAGIC = b"MRSB"
-WIRE_VERSION = 1
+WIRE_VERSION = 2
 
 #: Upper bound on one frame's payload; a corrupt length field must not
 #: make the reader try to allocate gigabytes.
@@ -210,7 +213,10 @@ def unpack_data(payload: bytes) -> Tuple[int, Any]:
             f"DATA payload of {len(payload)} bytes is too short for a "
             f"sequence number")
     (seq,) = _SEQ.unpack_from(payload)
-    return seq, pickle.loads(payload[_SEQ.size:])
+    try:
+        return seq, pickle.loads(payload[_SEQ.size:])
+    except Exception as error:  # pickle raises a zoo of types
+        raise WireError(f"undecodable DATA payload: {error}") from error
 
 
 def pack_count(count: int) -> bytes:
@@ -227,22 +233,19 @@ def unpack_count(payload: bytes) -> int:
 
 
 def pack_dict(mapping: dict) -> bytes:
-    return pickle.dumps(mapping, protocol=pickle.HIGHEST_PROTOCOL)
+    """A control payload (HELLO, HELLO_OK, HELLO_REJECT, HEARTBEAT)."""
+    return json.dumps(mapping, separators=(",", ":")).encode("utf-8")
 
 
 def unpack_dict(payload: bytes) -> dict:
     try:
-        value = pickle.loads(payload)
-    except Exception as error:  # pickle raises a zoo of types
+        value = json.loads(payload)
+    except (ValueError, RecursionError) as error:
         raise WireError(f"undecodable frame payload: {error}") from error
     if not isinstance(value, dict):
         raise WireError(
             f"expected a dict payload, got {type(value).__name__}")
     return value
-
-
-def hello_payload(**fields: Any) -> bytes:
-    return pack_dict(fields)
 
 
 def read_hello(sock: socket.socket,

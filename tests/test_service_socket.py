@@ -224,8 +224,8 @@ class TestIngestGateway:
                 FrameIngestServer(engine) as gateway:
             raw = socket.create_connection(gateway.address, timeout=5.0)
             try:
-                wire.send_frame(raw, wire.HELLO, wire.hello_payload(
-                    role="shard", shard=0))
+                wire.send_frame(raw, wire.HELLO, wire.pack_dict(dict(
+                    role="shard", shard=0)))
                 ftype, payload = wire.read_frame(raw)
                 assert ftype == wire.HELLO_REJECT
                 assert "client_id" in wire.unpack_dict(payload)["reason"]

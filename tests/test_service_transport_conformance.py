@@ -180,9 +180,9 @@ class TestSocketBusSpecific:
     def test_silent_peer_is_declared_dead(self, bus, registry):
         raw = socket.create_connection(bus.address, timeout=5.0)
         try:
-            wire.send_frame(raw, wire.HELLO, wire.hello_payload(
+            wire.send_frame(raw, wire.HELLO, wire.pack_dict(dict(
                 role="shard", run_id=bus.run_id, shard=0, generation=0,
-                received=0, consumed=0))
+                received=0, consumed=0)))
             ftype, _ = wire.read_frame(raw)
             assert ftype == wire.HELLO_OK
             assert wait_until(lambda: bus.connected(0))
@@ -206,9 +206,9 @@ class TestSocketBusSpecific:
     def test_wrong_run_id_is_rejected_at_hello(self, bus, registry):
         raw = socket.create_connection(bus.address, timeout=5.0)
         try:
-            wire.send_frame(raw, wire.HELLO, wire.hello_payload(
+            wire.send_frame(raw, wire.HELLO, wire.pack_dict(dict(
                 role="shard", run_id="someone-elses-fleet", shard=0,
-                generation=0))
+                generation=0)))
             ftype, payload = wire.read_frame(raw)
             assert ftype == wire.HELLO_REJECT
             assert "wrong run" in wire.unpack_dict(payload)["reason"]
@@ -219,8 +219,8 @@ class TestSocketBusSpecific:
     def test_out_of_range_shard_is_rejected(self, bus):
         raw = socket.create_connection(bus.address, timeout=5.0)
         try:
-            wire.send_frame(raw, wire.HELLO, wire.hello_payload(
-                role="shard", run_id=bus.run_id, shard=99, generation=0))
+            wire.send_frame(raw, wire.HELLO, wire.pack_dict(dict(
+                role="shard", run_id=bus.run_id, shard=99, generation=0)))
             ftype, payload = wire.read_frame(raw)
             assert ftype == wire.HELLO_REJECT
             assert "out of range" in wire.unpack_dict(payload)["reason"]

@@ -151,7 +151,7 @@ class TestHello:
     def test_hello_roundtrip(self, pair):
         left, right = pair
         wire.send_frame(left, wire.HELLO,
-                        wire.hello_payload(run_id="r", shard=1))
+                        wire.pack_dict(dict(run_id="r", shard=1)))
         assert wire.read_hello(right, timeout=5.0) == {"run_id": "r",
                                                        "shard": 1}
 
