@@ -26,8 +26,8 @@ from repro.capture.compact import compact_captures, convert_capture
 from repro.capture.jsonl import (FORMAT_VERSION, JsonlReader, JsonlWriter,
                                  frame_from_dict, frame_to_dict, sniff_jsonl)
 from repro.capture.records import (CAPTURE_DTYPE, FRAME_TYPES, NO_BSSID,
-                                   FrameBatch, decode_row, encode_frames,
-                                   mac_from_int)
+                                   FrameBatch, check_rows, concat_batches,
+                                   decode_row, encode_frames, mac_from_int)
 from repro.capture.registry import (CaptureCodec, capture_info, codec_names,
                                     get_codec, make_capture_writer,
                                     open_capture, register_codec,
@@ -46,8 +46,10 @@ __all__ = [
     "JsonlWriter",
     "NO_BSSID",
     "capture_info",
+    "check_rows",
     "codec_names",
     "compact_captures",
+    "concat_batches",
     "convert_capture",
     "decode_row",
     "encode_frames",

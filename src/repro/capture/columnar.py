@@ -47,7 +47,8 @@ import numpy as np
 from repro import obs
 from repro.capture.bloom import BloomFilter
 from repro.capture.records import (CAPTURE_DTYPE, FRAME_TYPES, NO_BSSID,
-                                   FrameBatch, encode_frames)
+                                   FrameBatch, concat_batches,
+                                   encode_frames)
 from repro.faults import CaptureError
 from repro.net80211.frames import FrameType
 from repro.net80211.mac import MacAddress
@@ -149,7 +150,9 @@ class ColumnarWriter:
     def _write_block(self, rows: np.ndarray, aux: bytes) -> None:
         if len(rows) == 0:
             return
-        rows, aux = _rebase_aux(rows, aux)
+        # Each block carries exactly its own overflow bytes.
+        batch = concat_batches([FrameBatch(rows, aux)])
+        rows, aux = batch.records, batch.aux
         rx_ts = rows["rx_ts"]
         is_sorted = bool(np.all(rx_ts[:-1] <= rx_ts[1:]))
         if self.sort_within_block and not is_sorted:
@@ -199,36 +202,6 @@ class ColumnarWriter:
         self._handle.write(blob)
         self._handle.write(struct.pack("<Q", len(blob)))
         self._handle.write(FOOTER_MAGIC)
-
-
-def _rebase_aux(rows: np.ndarray, aux) -> "tuple[np.ndarray, bytes]":
-    """Copy the aux slices ``rows`` references into a fresh dense blob.
-
-    Lets a caller hand any row subset (a compactor merge, a re-chunked
-    block) plus the original blob; offsets are rewritten so each block
-    carries exactly its own overflow bytes.
-    """
-    used = rows["aux_len"] > 0
-    if not used.any():
-        if rows["aux_off"].any():
-            rows = rows.copy()
-            rows["aux_off"] = 0
-        return rows, b""
-    rows = rows.copy()
-    parts: List[bytes] = []
-    position = 0
-    for index in np.nonzero(used)[0]:
-        offset = int(rows["aux_off"][index])
-        length = int(rows["aux_len"][index])
-        blob = bytes(aux[offset:offset + length])
-        if len(blob) != length:
-            raise CaptureError(
-                f"aux slice [{offset}:{offset + length}] out of range")
-        parts.append(blob)
-        rows["aux_off"][index] = position
-        position += length
-    rows["aux_off"][~used] = 0
-    return rows, b"".join(parts)
 
 
 class ColumnarReader:

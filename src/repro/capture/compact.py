@@ -3,9 +3,11 @@
 The compactor is how legacy JSONL field captures enter the columnar
 world, and how multi-sniffer captures (one file per channel-hopping
 card) merge into one globally time-sorted store.  All sources are
-decoded batch-wise, concatenated, stable-sorted by ``rx_ts`` — the
-stable sort preserves file/argument order for equal timestamps, the
-same tie-break replay's ReorderBuffer applies — and re-blocked through
+decoded batch-wise, concatenated into one kind-code table by
+:func:`~repro.capture.records.concat_batches`, stable-sorted by
+``rx_ts`` — the stable sort preserves file/argument order for equal
+timestamps, the same tie-break replay's ReorderBuffer applies — and
+re-blocked through
 :meth:`~repro.capture.columnar.ColumnarWriter.write_rows`.
 
 The merge sorts in memory: at the 121-byte record a 1M-record compact
@@ -19,7 +21,7 @@ from typing import List, Sequence, Union
 
 import numpy as np
 
-from repro.capture.records import CAPTURE_DTYPE, FrameBatch
+from repro.capture.records import FrameBatch, concat_batches
 from repro.capture.registry import make_capture_writer, open_capture
 
 PathLike = Union[str, Path]
@@ -37,36 +39,26 @@ def compact_captures(sources: Sequence[PathLike], dst: PathLike,
     """
     if not sources:
         raise ValueError("compact_captures needs at least one source")
-    arrays: List[np.ndarray] = []
-    aux_parts: List[bytes] = []
-    aux_size = 0
+    owned: List[FrameBatch] = []
     skipped = 0
     for source in sources:
         reader = open_capture(source, strict=strict)
         try:
-            for batch in reader.iter_batches():
-                rows = np.array(batch.records, dtype=CAPTURE_DTYPE)
-                aux = bytes(batch.aux)
-                if len(aux):
-                    rows["aux_off"][rows["aux_len"] > 0] += aux_size
-                    aux_parts.append(aux)
-                    aux_size += len(aux)
-                arrays.append(rows)
+            # Owned copies, in one kind-code table, before the reader
+            # (and any mmap its batches view) closes.
+            owned.extend(concat_batches([batch])
+                         for batch in reader.iter_batches())
             skipped += getattr(reader, "skipped", 0)
         finally:
             close = getattr(reader, "close", None)
             if close is not None:
                 close()
-    if arrays:
-        merged = np.concatenate(arrays)
-    else:
-        merged = np.zeros(0, dtype=CAPTURE_DTYPE)
-    aux_blob = b"".join(aux_parts)
-    order = np.argsort(merged["rx_ts"], kind="stable")
-    merged = merged[order]
+    merged = concat_batches(owned)
+    order = np.argsort(merged.records["rx_ts"], kind="stable")
+    merged = FrameBatch(merged.records[order], merged.aux)
     report = {
         "sources": [str(Path(s)) for s in sources],
-        "records": int(len(merged)),
+        "records": len(merged),
         "skipped": int(skipped),
         "output": str(Path(dst)),
         "format": format,
@@ -74,13 +66,12 @@ def compact_captures(sources: Sequence[PathLike], dst: PathLike,
     if format == "columnar":
         with make_capture_writer(dst, format="columnar",
                                  **writer_options) as writer:
-            writer.write_rows(merged, aux_blob)
+            writer.write_rows(merged.records, merged.aux)
         report["blocks"] = len(writer._blocks)
     else:
-        batch = FrameBatch(merged, aux_blob)
         with make_capture_writer(dst, format=format,
                                  **writer_options) as writer:
-            for received in batch.iter_frames():
+            for received in merged.iter_frames():
                 writer.write(received)
     return report
 

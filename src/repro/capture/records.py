@@ -24,8 +24,10 @@ records (probe requests) that need one.
 
 from __future__ import annotations
 
+import functools
 import json
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import (Callable, Dict, Iterable, Iterator, List, Optional,
+                    Sequence, Tuple)
 
 import numpy as np
 
@@ -107,26 +109,11 @@ def encode_frames(frames: Sequence[ReceivedFrame]
     Row ``aux_off`` offsets are relative to the returned blob — the
     writer stores rows and blob side by side, so offsets are final.
     """
-    rows = np.zeros(len(frames), dtype=CAPTURE_DTYPE)
+    rows: List[tuple] = []
     aux_parts: List[bytes] = []
     aux_size = 0
-    for index, received in enumerate(frames):
+    for received in frames:
         frame = received.frame
-        row = rows[index]
-        row["kind"] = CODE_OF[frame.frame_type]
-        row["channel"] = frame.channel
-        row["rx_channel"] = received.rx_channel
-        row["seq"] = frame.sequence
-        row["src"] = frame.source.value
-        row["dst"] = frame.destination.value
-        row["bssid"] = (NO_BSSID if frame.bssid is None
-                        else frame.bssid.value)
-        row["ts"] = frame.timestamp
-        row["rx_ts"] = received.rx_timestamp
-        row["rssi"] = received.rssi_dbm
-        row["snr"] = received.snr_db
-        row["tx_power"] = frame.tx_power_dbm
-        row["tx_gain"] = frame.tx_antenna_gain_dbi
         overflow: Dict[str, object] = {}
         encoded_ssid = frame.ssid.name.encode("utf-8")
         if encoded_ssid.endswith(b"\x00"):
@@ -134,16 +121,24 @@ def encode_frames(frames: Sequence[ReceivedFrame]
             # lossless by routing it through the aux blob instead.
             overflow["s"] = frame.ssid.name
             encoded_ssid = b""
-        row["ssid"] = encoded_ssid
         if frame.elements:
             overflow["e"] = dict(frame.elements)
+        aux_off = aux_len = 0
         if overflow:
             blob = json.dumps(overflow, sort_keys=True).encode("utf-8")
-            row["aux_off"] = aux_size
-            row["aux_len"] = len(blob)
+            aux_off, aux_len = aux_size, len(blob)
             aux_parts.append(blob)
             aux_size += len(blob)
-    return rows, b"".join(aux_parts)
+        # One tuple per row, in CAPTURE_DTYPE field order: NumPy builds
+        # the whole structured array in one call.
+        rows.append((
+            CODE_OF[frame.frame_type], frame.channel, received.rx_channel,
+            frame.sequence, frame.source.value, frame.destination.value,
+            NO_BSSID if frame.bssid is None else frame.bssid.value,
+            frame.timestamp, received.rx_timestamp, received.rssi_dbm,
+            received.snr_db, frame.tx_power_dbm, frame.tx_antenna_gain_dbi,
+            encoded_ssid, aux_off, aux_len))
+    return np.array(rows, dtype=CAPTURE_DTYPE), b"".join(aux_parts)
 
 
 def decode_row(row, aux,
@@ -201,6 +196,73 @@ def decode_row(row, aux,
                          snr_db=float(row["snr"]),
                          rx_channel=int(row["rx_channel"]),
                          rx_timestamp=float(row["rx_ts"]))
+
+
+def check_rows(records: np.ndarray, aux,
+               frame_types: Sequence[FrameType] = FRAME_TYPES) -> None:
+    """Raise :class:`~repro.faults.CaptureError` unless every row decodes.
+
+    A vectorized pass picks the rows that can fail :func:`decode_row` —
+    a kind code or MAC out of range, an aux payload, SSID bytes outside
+    ASCII — and only those are decoded.
+    """
+    wide = np.uint64(1 << 48)
+    bssid = records["bssid"]
+    ssid = np.frombuffer(records["ssid"].tobytes(), dtype=np.uint8)
+    suspect = ((records["kind"] >= len(frame_types))
+               | (records["aux_len"] > 0)
+               | (records["src"] >= wide) | (records["dst"] >= wide)
+               | ((bssid >= wide) & (bssid != np.uint64(NO_BSSID)))
+               | (ssid.reshape(len(records), 32) >= 0x80).any(axis=1))
+    for index in np.nonzero(suspect)[0]:
+        try:
+            decode_row(records[index], aux, frame_types)
+        except CaptureError as error:
+            raise CaptureError(f"record {index}: {error}") from error
+
+
+@functools.lru_cache(maxsize=None)
+def _kind_remap(frame_types: Tuple[FrameType, ...]) -> np.ndarray:
+    """Kind code → :data:`FRAME_TYPES` code (unknown codes → 255)."""
+    remap = np.full(256, 255, dtype=np.uint8)
+    for code, frame_type in enumerate(frame_types):
+        remap[code] = CODE_OF[frame_type]
+    return remap
+
+
+def concat_batches(batches: Iterable["FrameBatch"]) -> "FrameBatch":
+    """One batch holding ``batches`` back to back, in owned memory.
+
+    Rows are copied out of any mmap view, kind codes remapped from each
+    batch's ``frame_types`` to :data:`FRAME_TYPES` (unknown codes stay
+    unknown), and the aux slices the rows reference copied into one
+    dense blob with ``aux_off`` rebased.  An aux slice outside its
+    batch's blob raises :class:`~repro.faults.CaptureError`.
+    """
+    parts: List[np.ndarray] = []
+    aux_parts: List[bytes] = []
+    position = 0
+    for batch in batches:
+        rows = np.array(batch.records, dtype=CAPTURE_DTYPE)
+        frame_types = tuple(batch.frame_types)
+        if frame_types != FRAME_TYPES:
+            rows["kind"] = _kind_remap(frame_types)[rows["kind"]]
+        used = rows["aux_len"] > 0
+        for index in np.nonzero(used)[0]:
+            offset = int(rows["aux_off"][index])
+            length = int(rows["aux_len"][index])
+            blob = bytes(batch.aux[offset:offset + length])
+            if len(blob) != length:
+                raise CaptureError(
+                    f"aux slice [{offset}:{offset + length}] out of range")
+            aux_parts.append(blob)
+            rows["aux_off"][index] = position
+            position += length
+        rows["aux_off"][~used] = 0
+        parts.append(rows)
+    rows = (np.concatenate(parts) if parts
+            else np.zeros(0, dtype=CAPTURE_DTYPE))
+    return FrameBatch(rows, b"".join(aux_parts))
 
 
 class FrameBatch:

@@ -29,7 +29,7 @@ from repro.engine.sinks import (
     make_sink,
     sink_names,
 )
-from repro.engine.stats import EngineStats, StageTimer
+from repro.engine.stats import EngineStats
 
 __all__ = [
     "StreamingEngine",
@@ -42,7 +42,6 @@ __all__ = [
     "MicroBatchScheduler",
     "ReorderBuffer",
     "EngineStats",
-    "StageTimer",
     "EngineSink",
     "TrackerSink",
     "CallbackSink",

@@ -44,9 +44,10 @@ import numpy as np
 
 from repro import faults, obs
 from repro.faults import CheckpointError, ReproError, RetryPolicy
-from repro.capture.records import NO_BSSID, FrameBatch, mac_from_int
+from repro.capture.records import FrameBatch, mac_from_int
 from repro.engine.cache import GammaCache
-from repro.engine.ingest import Evidence, GammaState, extract_evidence
+from repro.engine.ingest import (Evidence, GammaState, classify_rows,
+                                 extract_evidence)
 from repro.engine.scheduler import MicroBatchScheduler
 from repro.engine.sinks import EngineSink
 from repro.engine.stats import EngineStats
@@ -208,22 +209,9 @@ class StreamingEngine:
                 evidence = extract_evidence(received)
                 if evidence is not None:
                     self._c_evidence.inc()
-                    self._seen.add(evidence.mobile)
-                    gamma = self.gamma_state.observe(evidence)
-                    if (evidence.mobile not in self._quarantine
-                            and gamma != self._last_located.get(
-                                evidence.mobile)):
-                        self.scheduler.mark_dirty(evidence.mobile)
-                    if self.refit_every > 0:
-                        if gamma:
-                            self._pending_refit.append(gamma)
-                        self._events_since_refit += 1
+                    self._fold(evidence)
             self._g_devices.set(len(self._seen))
-        if (self.refit_every > 0
-                and self._events_since_refit >= self.refit_every):
-            self._refit()
-        while self.scheduler.ready:
-            self._flush_batch()
+        self._settle()
 
     def ingest_stream(self, stream: Iterable[ReceivedFrame]) -> None:
         """Consume frames without the end-of-stream flush (resumable)."""
@@ -233,12 +221,12 @@ class StreamingEngine:
     def ingest_batch(self, batch: FrameBatch) -> None:
         """Consume one :class:`~repro.capture.records.FrameBatch`.
 
-        The columnar hot path: frame classification and evidence
-        extraction run vectorized over the batch's NumPy columns, and
-        only the *interesting* records — probe requests (the pseudonym
-        linker needs the full frame) and evidence-bearing frames —
-        touch Python objects at all.  Beacons, deauths, and multicast
-        traffic never materialize.
+        The columnar hot path: :func:`~repro.engine.ingest.classify_rows`
+        classifies the whole batch over its NumPy columns, and only the
+        *interesting* records — probe requests (the pseudonym linker
+        needs the full frame) and evidence-bearing frames — touch
+        Python objects at all.  Beacons, deauths, and multicast traffic
+        never materialize.
 
         Exactly equivalent to calling :meth:`ingest` per record in row
         order: evidence folds into Γ one event at a time, and the
@@ -247,67 +235,52 @@ class StreamingEngine:
         so flush interleaving — and therefore tracks and checkpoints —
         match the record-at-a-time path bit for bit.
         """
-        records = batch.records
-        total = len(records)
+        total = len(batch)
         if total == 0:
             return
         with self._stage("ingest"):
-            kind = records["kind"]
-            frame_types = batch.frame_types
-            probe_mask = np.isin(kind, [
-                code for code, ft in enumerate(frame_types)
-                if ft is FrameType.PROBE_REQUEST])
-            resp_mask = np.isin(kind, [
-                code for code, ft in enumerate(frame_types)
-                if ft in (FrameType.PROBE_RESPONSE,
-                          FrameType.ASSOCIATION_RESPONSE)])
-            data_mask = np.isin(kind, [
-                code for code, ft in enumerate(frame_types)
-                if ft is FrameType.DATA])
-            src = records["src"]
-            dst = records["dst"]
-            bssid = records["bssid"]
-            rx_ts = records["rx_ts"]
-            has_bssid = bssid != np.uint64(NO_BSSID)
-            # The evidence mobile: responses prove (destination, bssid);
-            # infrastructure data frames prove (non-AP endpoint, bssid).
-            mobiles = np.where(resp_mask, dst,
-                               np.where(src != bssid, src, dst))
-            # 802.11 group bit: bit 40 of the 48-bit address (LSB of
-            # the first octet) — multicast mobiles carry no evidence.
-            unicast = (mobiles >> np.uint64(40)) & np.uint64(1) == 0
-            evidence_mask = (resp_mask | data_mask) & has_bssid & unicast
+            probe, evidence, mobiles = classify_rows(batch)
+            bssid = batch.records["bssid"]
+            rx_ts = batch.records["rx_ts"]
             self._c_frames.inc(total)
-            self._c_probes.inc(int(probe_mask.sum()))
-            self._c_evidence.inc(int(evidence_mask.sum()))
-            interesting = np.nonzero(probe_mask | evidence_mask)[0]
+            self._c_probes.inc(int(probe.sum()))
+            self._c_evidence.inc(int(evidence.sum()))
+            interesting = np.nonzero(probe | evidence)[0]
         for index in interesting:
             with self._stage("ingest"):
-                if probe_mask[index]:
+                if probe[index]:
                     frame = batch.frame_at(int(index)).frame
                     self._seen.add(frame.source)
                     self.linker.ingest(frame)
                 else:
-                    mobile = mac_from_int(int(mobiles[index]))
-                    evidence = Evidence(
-                        mobile=mobile,
+                    self._fold(Evidence(
+                        mobile=mac_from_int(int(mobiles[index])),
                         ap=mac_from_int(int(bssid[index])),
-                        timestamp=float(rx_ts[index]))
-                    self._seen.add(mobile)
-                    gamma = self.gamma_state.observe(evidence)
-                    if (mobile not in self._quarantine
-                            and gamma != self._last_located.get(mobile)):
-                        self.scheduler.mark_dirty(mobile)
-                    if self.refit_every > 0:
-                        if gamma:
-                            self._pending_refit.append(gamma)
-                        self._events_since_refit += 1
-            if (self.refit_every > 0
-                    and self._events_since_refit >= self.refit_every):
-                self._refit()
-            while self.scheduler.ready:
-                self._flush_batch()
+                        timestamp=float(rx_ts[index])))
+            self._settle()
         self._g_devices.set(len(self._seen))
+
+    def _fold(self, evidence: Evidence) -> None:
+        """Fold one evidence event into Γ, the dirty set and the refit
+        queue."""
+        mobile = evidence.mobile
+        self._seen.add(mobile)
+        gamma = self.gamma_state.observe(evidence)
+        if (mobile not in self._quarantine
+                and gamma != self._last_located.get(mobile)):
+            self.scheduler.mark_dirty(mobile)
+        if self.refit_every > 0:
+            if gamma:
+                self._pending_refit.append(gamma)
+            self._events_since_refit += 1
+
+    def _settle(self) -> None:
+        """Run a due re-fit, then flush every full micro-batch."""
+        if (self.refit_every > 0
+                and self._events_since_refit >= self.refit_every):
+            self._refit()
+        while self.scheduler.ready:
+            self._flush_batch()
 
     def ingest_batches(self, stream: Iterable[FrameBatch]) -> None:
         """Consume batches without the end-of-stream flush (resumable)."""

@@ -17,14 +17,20 @@ lazily at the device's frontier rather than at wall-clock "now").
 :meth:`ObservationStore.ingest` for the frame types that prove a
 (mobile, AP) link; frame types that carry no pairwise evidence (probe
 requests, beacons) return ``None`` and are handled by the engine's
-bookkeeping directly.
+bookkeeping directly.  :func:`classify_rows` is the same rule over a
+:class:`~repro.capture.records.FrameBatch`'s columns, shared by the
+engine's batch ingest and the service's router.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Optional
+from typing import Dict, FrozenSet, Optional, Tuple
 
+import numpy as np
+
+from repro.capture.records import NO_BSSID, FrameBatch
 from repro.net80211.frames import FrameType
 from repro.net80211.mac import MacAddress
 from repro.net80211.medium import ReceivedFrame
@@ -57,6 +63,48 @@ def extract_evidence(received: ReceivedFrame) -> Optional[Evidence]:
         return Evidence(mobile=mobile, ap=frame.bssid,
                         timestamp=received.rx_timestamp)
     return None
+
+
+#: Row classes for :func:`classify_rows`; every other type is class 0.
+_PROBE, _RESPONSE, _DATA = 1, 2, 3
+_CLASS_OF = {FrameType.PROBE_REQUEST: _PROBE,
+             FrameType.PROBE_RESPONSE: _RESPONSE,
+             FrameType.ASSOCIATION_RESPONSE: _RESPONSE,
+             FrameType.DATA: _DATA}
+
+
+@functools.lru_cache(maxsize=None)
+def _class_table(frame_types: Tuple[FrameType, ...]) -> np.ndarray:
+    """Kind code → row class for one kind table (unknown codes: 0)."""
+    table = np.zeros(256, dtype=np.uint8)
+    table[:len(frame_types)] = [_CLASS_OF.get(ft, 0) for ft in frame_types]
+    return table
+
+
+def classify_rows(batch: FrameBatch
+                  ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`extract_evidence` over a batch's columns, vectorized.
+
+    Returns ``(probe, evidence, mobiles)``: the probe-request mask, the
+    mask of rows carrying (mobile, AP) evidence, and the evidence
+    mobile column (48-bit ints; meaningful where ``evidence`` holds).
+    The AP of an evidence row is its ``bssid``.
+    """
+    records = batch.records
+    row_class = _class_table(tuple(batch.frame_types))[records["kind"]]
+    src = records["src"]
+    dst = records["dst"]
+    bssid = records["bssid"]
+    response = row_class == _RESPONSE
+    # Responses prove (destination, bssid); infrastructure data frames
+    # prove (the non-AP endpoint, bssid).
+    mobiles = np.where(response, dst, np.where(src != bssid, src, dst))
+    # 802.11 group bit: bit 40 of the 48-bit address (LSB of the first
+    # octet) — multicast mobiles carry no evidence.
+    unicast = (mobiles >> np.uint64(40)) & np.uint64(1) == 0
+    evidence = ((response | (row_class == _DATA))
+                & (bssid != np.uint64(NO_BSSID)) & unicast)
+    return row_class == _PROBE, evidence, mobiles
 
 
 class GammaState:

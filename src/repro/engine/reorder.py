@@ -2,9 +2,9 @@
 
 Multi-card captures and multi-producer buses interleave sources, so
 records can arrive locally out of order.  :class:`ReorderBuffer` is the
-one implementation of the bounded min-heap look-ahead both ingest paths
-share: :func:`repro.sniffer.replay.iter_capture` (file replay) and the
-per-shard ingest of :mod:`repro.service` (bus delivery).  It restores
+bounded min-heap look-ahead behind :func:`repro.sniffer.replay.\
+iter_capture`, which puts a capture into timestamp order before any
+engine or router sees it.  It restores
 exact timestamp order whenever no record is displaced by more than
 ``capacity`` positions, holds at most ``capacity`` items, and preserves
 arrival order among equal timestamps (stable).

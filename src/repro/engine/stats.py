@@ -1,45 +1,15 @@
-"""Pipeline observability: stage timers and the stats snapshot.
+"""Pipeline observability: the stats snapshot.
 
 A production engine is judged by its counters — estimates per second,
-cache hit rate, where the wall time goes.  :class:`StageTimer`
-accumulates per-stage wall time with negligible overhead;
-:class:`EngineStats` is the immutable snapshot the engine hands out
-(and the CLI prints).  The snapshot is a *view* computed from the
-engine's :class:`~repro.obs.MetricsRegistry`.
+cache hit rate, where the wall time goes.  :class:`EngineStats` is the
+immutable snapshot the engine hands out (and the CLI prints), a
+*view* computed from the engine's :class:`~repro.obs.MetricsRegistry`.
 """
 
 from __future__ import annotations
 
-import time
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Dict, Iterable
-
-
-class StageTimer:
-    """Accumulates wall-clock seconds per named pipeline stage."""
-
-    def __init__(self):
-        self._seconds: Dict[str, float] = {}
-
-    @contextmanager
-    def stage(self, name: str):
-        start = time.perf_counter()
-        try:
-            yield
-        finally:
-            elapsed = time.perf_counter() - start
-            self._seconds[name] = self._seconds.get(name, 0.0) + elapsed
-
-    def seconds(self) -> Dict[str, float]:
-        return dict(self._seconds)
-
-    def total(self) -> float:
-        return sum(self._seconds.values())
-
-    def restore(self, seconds: Dict[str, float]) -> None:
-        self._seconds = {name: float(value)
-                         for name, value in seconds.items()}
 
 
 @dataclass(frozen=True)

@@ -22,7 +22,7 @@ from repro.service.gateway import (FrameIngestServer, IngestStats,
 from repro.service.http import ServiceServer, estimate_to_dict
 from repro.service.shard import (LocalizerFactory, ShardConfig,
                                  ShardRuntime, run_shard)
-from repro.service.sharding import device_shard, routing_key, shard_of
+from repro.service.sharding import device_shard, route_batch
 from repro.service.socketbus import ShardChannel, SocketBus
 from repro.service.wire import (ConnectionLost, CrcMismatch,
                                 HelloRejected, TruncatedFrame,
@@ -35,6 +35,6 @@ __all__ = [
     "ServiceError", "ServiceServer", "ShardChannel", "ShardConfig",
     "ShardRuntime", "ShardedEngine", "SocketBus", "TRANSPORTS",
     "TruncatedFrame", "VersionMismatch", "WireError", "device_shard",
-    "empty_collect_message", "estimate_to_dict", "routing_key",
-    "run_shard", "shard_of", "stream_capture_to",
+    "empty_collect_message", "estimate_to_dict", "route_batch",
+    "run_shard", "stream_capture_to",
 ]

@@ -7,12 +7,15 @@
 surface — ``run`` / ``ingest`` / ``drain`` / ``locate`` / ``stats`` —
 over the fleet:
 
-* **Equivalence** — a device's whole frame history lands on one shard
-  in order, and shard engines are plain StreamingEngines, so the final
-  per-device localizations of a sharded run equal a single-engine
-  run's, independent of shard count.
-* **Durability** — the router retains every published frame until the
-  owning shard acks a checkpoint barrier covering it.  A dead shard is
+* **Equivalence** — the router splits each
+  :class:`~repro.capture.records.FrameBatch` by shard without decoding
+  it (:func:`~repro.service.sharding.route_batch`), so a device's
+  whole frame history lands on one shard in arrival order, and shard
+  engines are plain StreamingEngines, so the final per-device
+  localizations of a sharded run equal a single-engine run's,
+  independent of shard count.
+* **Durability** — the router retains every published message until
+  the owning shard acks a checkpoint barrier covering it.  A dead shard is
   restarted (supervised by a :class:`~repro.faults.RetryPolicy`) from
   its last checkpoint, the retained tail is replayed, and because
   ingest is deterministic the restarted shard converges to exactly the
@@ -25,6 +28,7 @@ over the fleet:
 
 from __future__ import annotations
 
+import itertools
 import json
 import threading
 import uuid
@@ -32,6 +36,8 @@ from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Tuple, Union
 
 from repro import obs
+from repro.capture.records import (FrameBatch, check_rows, concat_batches,
+                                   encode_frames)
 from repro.engine.core import load_checkpoint_data
 from repro.engine.stats import EngineStats
 from repro.faults import ReproError, RetryPolicy
@@ -40,7 +46,7 @@ from repro.net80211.mac import MacAddress
 from repro.net80211.medium import ReceivedFrame
 from repro.service.bus import Bus, BusTimeout, MpQueueBus, QueueBus
 from repro.service.shard import LocalizerFactory, ShardConfig, run_shard
-from repro.service.sharding import device_shard, shard_of
+from repro.service.sharding import device_shard, route_batch
 from repro.service.socketbus import SocketBus
 
 PathLike = Union[str, Path]
@@ -66,18 +72,23 @@ class _ShardHandle:
         self.crash_event = None       # thread transport only
         # Serializes this shard's outbox reads and request/reply pairs.
         self.lock = threading.RLock()
-        # Frames published since the last acked checkpoint barrier.
-        self.retention: List[ReceivedFrame] = []
-        self.pending: List[ReceivedFrame] = []   # not yet published
+        # Messages published since the last acked checkpoint barrier.
+        self.retention: List[FrameBatch] = []
+        # Routed rows not yet published, and how many frames they hold.
+        self.pending: List[FrameBatch] = []
+        self.pending_frames = 0
         self.published = 0
         self.since_checkpoint = 0
-        # (marker, retention length at barrier send), one in flight.
+        # (marker, retained messages at barrier send), one in flight.
         self.inflight_checkpoint: Optional[Tuple[int, int]] = None
         self.next_request = 0
         self.restarts = 0
 
     def alive(self) -> bool:
         return self.worker is not None and self.worker.is_alive()
+
+    def retained_frames(self) -> int:
+        return sum(len(message) for message in self.retention)
 
 
 class ShardedEngine:
@@ -110,7 +121,8 @@ class ShardedEngine:
         (``0`` disables scheduled barriers; explicit
         :meth:`save_checkpoints` still works).
     publish_batch:
-        Frames per bus message — the pickling/latency trade-off knob.
+        Frames a shard accumulates before its routed rows go out as one
+        bus message — the message-count/latency trade-off knob.
     resume:
         Restore every shard from ``checkpoint_dir`` (validating the
         manifest) instead of starting cold.
@@ -325,20 +337,18 @@ class ShardedEngine:
             if resume:
                 # The checkpoint may cover frames whose ack died with
                 # the shard; its embedded marker says exactly how far.
+                # Markers fall on message boundaries.
                 covered = self._covered_marker(path)
-                acked = handle.published - len(handle.retention)
-                if covered > acked:
-                    del handle.retention[:covered - acked]
+                drop = covered - (handle.published
+                                  - handle.retained_frames())
+                while drop > 0:
+                    drop -= len(handle.retention.pop(0))
             self._start_worker(handle, resume=resume)
             # Deterministic replay of everything the checkpoint does
             # not cover; the restarted engine converges to the exact
             # pre-crash state.
-            for start in range(0, len(handle.retention),
-                               self.publish_batch):
-                self.bus.publish(
-                    index, ("frames",
-                            handle.retention[start:start
-                                             + self.publish_batch]))
+            for message in handle.retention:
+                self.bus.publish(index, ("frames", message))
             if not handle.alive():
                 raise ServiceError(
                     f"shard {index} died during restart")
@@ -377,32 +387,45 @@ class ShardedEngine:
     # ------------------------------------------------------------------
 
     def ingest(self, received: ReceivedFrame) -> None:
-        """Route one frame to its owning shard (batched publish)."""
-        if self._stopped:
-            raise ServiceError("service is stopped")
-        # New traffic invalidates any cached drain report.
-        self._drained = None
-        shard = shard_of(received, self.shards)
-        handle = self._handles[shard]
-        handle.pending.append(received)
-        if len(handle.pending) >= self.publish_batch:
-            self._publish_pending(handle)
+        """Route one frame: a batch of one."""
+        self.ingest_batch(FrameBatch(*encode_frames([received])))
 
     def ingest_stream(self, stream: Iterable[ReceivedFrame]) -> None:
-        for received in stream:
-            self.ingest(received)
+        """Route frames in ``publish_batch``-sized encoded chunks."""
+        stream = iter(stream)
+        while True:
+            chunk = list(itertools.islice(stream, self.publish_batch))
+            if not chunk:
+                return
+            self.ingest_batch(FrameBatch(*encode_frames(chunk)))
 
-    def ingest_batch(self, batch) -> None:
+    def ingest_batch(self, batch: FrameBatch) -> None:
         """Route one :class:`~repro.capture.records.FrameBatch`.
 
-        The bus carries :class:`ReceivedFrame` lists (shard workers may
-        live in other processes), so batch replay materializes records
-        here at the routing boundary; the per-shard columnar win is the
-        replay side (zero-copy reads, block skipping), not the publish
-        side.
+        Rows are not decoded: :func:`~repro.service.sharding.\
+route_batch` picks each row's shard, and each shard's rows join its
+        pending messages in arrival order.  The batch is first checked
+        to decode, so a malformed row fails here, in the caller, not
+        inside a shard.
         """
-        for received in batch.iter_frames():
-            self.ingest(received)
+        if self._stopped:
+            raise ServiceError("service is stopped")
+        if len(batch) == 0:
+            return
+        check_rows(batch.records, batch.aux, batch.frame_types)
+        # New traffic invalidates any cached drain report.
+        self._drained = None
+        owners = route_batch(batch, self.shards)
+        for handle in self._handles:
+            mine = owners == handle.index
+            count = int(mine.sum())
+            if count == 0:
+                continue
+            handle.pending.append(FrameBatch(batch.records[mine],
+                                             batch.aux, batch.frame_types))
+            handle.pending_frames += count
+            if handle.pending_frames >= self.publish_batch:
+                self._publish_pending(handle)
 
     def ingest_batches(self, stream) -> None:
         for batch in stream:
@@ -568,7 +591,7 @@ class ShardedEngine:
             except (ServiceError, BusTimeout):
                 report = {"shard": handle.index, "alive": False}
             report["restarts"] = handle.restarts
-            report["retained_frames"] = len(handle.retention)
+            report["retained_frames"] = handle.retained_frames()
             reports.append(report)
         return {
             "healthy": all(r.get("alive") for r in reports),
@@ -610,7 +633,7 @@ class ShardedEngine:
             self._publish_pending(handle)
 
     def drain(self) -> EngineStats:
-        """Settle the whole fleet (reorder buffers, refits, flushes).
+        """Settle the whole fleet (pending publishes, refits, flushes).
 
         Caches each shard's drain report — fixes, stats, metrics — so
         the read side keeps answering after :meth:`stop`.  Returns the
@@ -647,16 +670,17 @@ class ShardedEngine:
                     self._handle_message(handle, message)
 
     def _publish_pending_locked(self, handle: _ShardHandle) -> None:
-        """Publish pending frames while already holding handle.lock."""
-        batch = handle.pending
-        if not batch:
+        """Publish pending rows as one message (caller holds the lock)."""
+        if not handle.pending:
             return
+        message = concat_batches(handle.pending)
         handle.pending = []
-        self._publish_message(handle, ("frames", batch))
-        handle.retention.extend(batch)
-        handle.published += len(batch)
-        handle.since_checkpoint += len(batch)
-        self._c_published.inc(len(batch))
+        handle.pending_frames = 0
+        self._publish_message(handle, ("frames", message))
+        handle.retention.append(message)
+        handle.published += len(message)
+        handle.since_checkpoint += len(message)
+        self._c_published.inc(len(message))
 
     def stop(self) -> None:
         """Graceful shutdown: drain if needed, stop workers, close bus."""

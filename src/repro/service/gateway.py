@@ -5,12 +5,16 @@ field, the tracking core elsewhere — so the capture-to-engine hop must
 survive the network.  Two halves:
 
 * :class:`FrameIngestServer` — router-side listener accepting framed
-  :class:`~repro.net80211.medium.ReceivedFrame` batches
-  (:mod:`repro.service.wire` frames, CRC-covered) and feeding them into
-  an engine's batch-ingest path.
+  batches of capture rows (:mod:`repro.service.wire` frames,
+  CRC-covered, typed by :func:`~repro.service.wire.unpack_rows` — no
+  pickle on this port) and handing each one, as a
+  :class:`~repro.capture.records.FrameBatch`, to an engine's
+  ``ingest_batch``.
 * :func:`stream_capture_to` — collector-side client streaming any
   :mod:`repro.capture` codec (legacy JSONL or columnar, via
-  :func:`repro.sniffer.replay.iter_capture`) to a gateway address.
+  :func:`repro.sniffer.replay.iter_capture`) to a gateway address,
+  each batch encoded to rows by
+  :func:`~repro.capture.records.encode_frames`.
 
 Delivery is one :mod:`repro.service.stream` per ``client_id``: the
 client's :class:`~repro.service.stream.Outbound` numbers its batches,
@@ -35,6 +39,7 @@ from pathlib import Path
 from typing import Dict, List, Optional, Tuple, Union
 
 from repro import obs
+from repro.capture.records import FrameBatch, encode_frames
 from repro.faults import ReproError, RetryPolicy
 from repro.net80211.mac import MacAddress
 from repro.net80211.medium import ReceivedFrame
@@ -44,21 +49,6 @@ from repro.service.stream import (Conn, DEFAULT_RECONNECT, Inbound,
 from repro.sniffer.replay import iter_capture
 
 PathLike = Union[str, Path]
-
-
-class _ListBatch:
-    """A plain frame list behind the ``FrameBatch`` ingest surface."""
-
-    __slots__ = ("_frames",)
-
-    def __init__(self, frames: List[ReceivedFrame]):
-        self._frames = frames
-
-    def __len__(self) -> int:
-        return len(self._frames)
-
-    def iter_frames(self):
-        return iter(self._frames)
 
 
 @dataclass
@@ -74,12 +64,13 @@ class IngestStats:
 class FrameIngestServer:
     """TCP listener feeding framed capture batches into an engine.
 
-    ``engine`` needs an ``ingest_batch`` that reads the batch through
-    ``iter_frames()``, as :class:`~repro.service.core.ShardedEngine`
-    (the serve CLI's shape) has; ``drain`` is called on BYE when the
-    engine has one.  One lock serializes ingest across client
-    connections, so concurrent collectors interleave at batch
-    granularity, never mid-batch.
+    ``engine`` is anything with an ``ingest_batch`` taking a
+    :class:`~repro.capture.records.FrameBatch` — a
+    :class:`~repro.engine.StreamingEngine` or a
+    :class:`~repro.service.core.ShardedEngine` (the serve CLI's
+    shape); ``drain`` is called on BYE when the engine has one.  One
+    lock serializes ingest across client connections, so concurrent
+    collectors interleave at batch granularity, never mid-batch.
 
     Per-client delivery state (an :class:`~repro.service.stream.\
 Inbound`) lives for the server's lifetime: a client that reconnects —
@@ -180,9 +171,9 @@ Inbound`) lives for the server's lifetime: a client that reconnects —
         while True:
             ftype, payload = wire.read_frame(sock)
             if ftype == wire.DATA:
-                seq, frames = wire.unpack_data(payload)
+                seq, batch = wire.unpack_rows(payload)
                 with self._lock:
-                    if not inbound.accept(seq, frames):
+                    if not inbound.accept(seq, batch):
                         # A resend of something already ingested: the
                         # dedup half of at-least-once.  Re-ack it.
                         self._c_duplicates.inc()
@@ -190,13 +181,10 @@ Inbound`) lives for the server's lifetime: a client that reconnects —
                 wire.send_frame(sock, wire.CREDIT,
                                 wire.pack_count(received))
             elif ftype == wire.BYE:
-                # Settle the engine (publish flush + reorder/refit
-                # drain) so every streamed frame is visible to readers
-                # before the end of stream is acknowledged.
+                # Settle the engine (publish flush + refit drain) so
+                # every streamed frame is visible to readers before the
+                # end of stream is acknowledged.
                 settle = getattr(self.engine, "drain", None)
-                if settle is None:
-                    settle = getattr(self.engine, "flush_publishes",
-                                     None)
                 if settle is not None:
                     settle()
                 with self._lock:
@@ -208,11 +196,11 @@ Inbound`) lives for the server's lifetime: a client that reconnects —
                 raise wire.WireError(
                     f"unexpected ingest frame type {ftype}")
 
-    def _ingest(self, frames: List[ReceivedFrame]) -> None:
+    def _ingest(self, batch: FrameBatch) -> None:
         """An :class:`Inbound`'s deliver step (caller holds the lock)."""
-        self.engine.ingest_batch(_ListBatch(frames))
+        self.engine.ingest_batch(batch)
         self._c_batches.inc()
-        self._c_frames.inc(len(frames))
+        self._c_frames.inc(len(batch))
 
 
 # ----------------------------------------------------------------------
@@ -301,13 +289,13 @@ class _IngestSession:
             wait = False
 
     def _flush(self) -> None:
-        for seq, frames in self.out.unsent():
-            self.conn.send(wire.DATA, wire.pack_data(seq, frames))
+        for seq, batch in self.out.unsent():
+            self.conn.send(wire.DATA, wire.pack_rows(seq, batch))
             self.out.mark_sent(seq)
             self._pump(wait=False)
 
     def send(self, frames: List[ReceivedFrame]) -> None:
-        self.out.push(frames)
+        self.out.push(FrameBatch(*encode_frames(frames)))
         while True:
             # A failed connect exhausts the retry budget and raises out
             # of here; a failure *after* connecting re-enters the
@@ -354,10 +342,10 @@ def stream_capture_to(path: PathLike, address: Tuple[str, int],
 
     Any codec the :mod:`repro.capture` registry knows replays through
     the usual reorder buffer and goes out in ``batch_records``-sized
-    numbered batches, at most ``window`` of them unacked at a time.  A
-    dropped connection triggers a supervised reconnect that resumes
-    from the server's acked count — nothing is lost, nothing is
-    double-ingested (dedup by sequence on the server).
+    numbered batches of capture rows, at most ``window`` of them
+    unacked at a time.  A dropped connection triggers a supervised
+    reconnect that resumes from the server's acked count — nothing is
+    lost, nothing is double-ingested (dedup by sequence on the server).
 
     ``client_id`` names the delivery stream; reusing one against the
     same server resumes it.  Default: a fresh UUID (one-shot stream).

@@ -3,24 +3,25 @@
 :class:`ShardRuntime` is the transport-agnostic worker body.  The same
 loop runs inside a thread (:class:`~repro.service.bus.QueueBus`) or an
 OS process (:class:`~repro.service.bus.MpQueueBus`): it pulls envelopes
-off its inbox, feeds frame batches through a bounded
-:class:`~repro.engine.reorder.ReorderBuffer` into its private
-:class:`~repro.engine.StreamingEngine`, and answers the serving-layer
-requests (`locate`, `health`, `stats`, `metrics`, `snapshot`, `drain`)
-on its outbox.
+off its inbox, hands each frame batch straight to its private
+:class:`~repro.engine.StreamingEngine`'s ``ingest_batch``, and answers
+the serving-layer requests (`locate`, `health`, `stats`, `metrics`,
+`snapshot`, `drain`) on its outbox.
+
+A shard does not reorder: its engine sees its devices' frames in the
+order a single engine fed the same stream would (DESIGN.md §8).
 
 Checkpoints are the shard's own durability: a ``("checkpoint", marker)``
-barrier drains the reorder buffer (so the checkpoint covers every frame
-delivered before the barrier), writes a v3 engine checkpoint, and acks
-the marker — at which point the router may trim its retention buffer.
-A shard that dies is restarted from that file plus a replay of the
-retained frames, which reproduces the lost state exactly because engine
-ingest is deterministic.
+barrier writes a v3 engine checkpoint covering every frame delivered
+before the barrier, and acks the marker — at which point the router
+may trim its retention buffer.  A shard that dies is restarted from
+that file plus a replay of the retained messages, which reproduces the
+lost state exactly because engine ingest is deterministic.
 
 Message protocol (all tuples, all picklable)::
 
     router -> shard                      shard -> router
-    ("frames", [ReceivedFrame, ...])
+    ("frames", FrameBatch)
     ("checkpoint", marker)               ("ckpt_ack", marker)
     ("request", req_id, kind, payload)   ("reply", req_id, result)
     ("stop",)
@@ -33,7 +34,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, Dict, Optional, Tuple
 
 from repro import obs
-from repro.engine import ReorderBuffer, StreamingEngine, make_sink
+from repro.engine import StreamingEngine, make_sink
 from repro.engine.stats import EngineStats
 from repro.faults import ReproError
 from repro.localization.base import LocalizationEstimate, Localizer
@@ -45,7 +46,7 @@ class ShardConfig:
     """Per-shard engine configuration (picklable, shared by the fleet).
 
     Mirrors the :class:`~repro.engine.StreamingEngine` constructor
-    surface the service exposes, plus the shard-ingest reorder bound.
+    surface the service exposes, plus checkpoint rotation and sinks.
     """
 
     window_s: float = 30.0
@@ -53,7 +54,6 @@ class ShardConfig:
     cache_size: int = 4096
     refit_every: int = 0
     quarantine_after: int = 3
-    reorder_capacity: int = 64
     checkpoint_keep: int = 1
     #: Sink spec strings built per shard via
     #: :func:`repro.engine.make_sink` ("null", "latest", ...).  Specs
@@ -68,7 +68,7 @@ LocalizerFactory = Callable[[], Localizer]
 
 
 class ShardRuntime:
-    """The worker body: one engine, one reorder buffer, one mailbox."""
+    """The worker body: one engine, one mailbox."""
 
     def __init__(self, shard_id: int, factory: LocalizerFactory,
                  config: ShardConfig = ShardConfig(),
@@ -79,7 +79,6 @@ class ShardRuntime:
         self.config = config
         self.checkpoint_path = checkpoint_path
         self.service_run_id = service_run_id
-        self.reorder: ReorderBuffer = ReorderBuffer(config.reorder_capacity)
         sinks = [make_sink(spec) for spec in config.sink_specs]
         if resume and checkpoint_path is not None:
             self.engine = StreamingEngine.load_checkpoint(
@@ -116,7 +115,8 @@ class ShardRuntime:
             self._c_messages.inc()
             kind = message[0]
             if kind == "frames":
-                self._ingest_batch(message[1])
+                with obs.use_registry(self.engine.registry):
+                    self.engine.ingest_batch(message[1])
             elif kind == "checkpoint":
                 self._checkpoint(outbox, message[1])
             elif kind == "request":
@@ -130,20 +130,9 @@ class ShardRuntime:
             else:  # pragma: no cover - protocol error
                 raise ValueError(f"unknown bus message kind {kind!r}")
 
-    def _ingest_batch(self, frames) -> None:
-        engine = self.engine
-        with obs.use_registry(engine.registry):
-            for received in frames:
-                for ready in self.reorder.push(received.rx_timestamp,
-                                               received):
-                    engine.ingest(ready)
-
     def _checkpoint(self, outbox, marker: int) -> None:
-        """Checkpoint barrier: settle the reorder buffer, write, ack."""
+        """Checkpoint barrier: write, then ack."""
         engine = self.engine
-        with obs.use_registry(engine.registry):
-            for ready in self.reorder.drain():
-                engine.ingest(ready)
         if self.checkpoint_path is None:
             outbox.put(("ckpt_ack", marker))
             return
@@ -210,16 +199,12 @@ class ShardRuntime:
             "frames_ingested": int(engine._c_frames.value),
             "devices_seen": int(engine._g_devices.value),
             "dirty_pending": engine.scheduler.pending(),
-            "reorder_pending": self.reorder.pending,
             "quarantined": len(engine.quarantined()),
         }
 
     def _drain(self) -> dict:
         """Settle the shard completely and hand everything back."""
         engine = self.engine
-        with obs.use_registry(engine.registry):
-            for ready in self.reorder.drain():
-                engine.ingest(ready)
         emitted = engine.drain()
         return {
             "shard": self.shard_id,

@@ -17,9 +17,11 @@ from __future__ import annotations
 
 import zlib
 
-from repro.engine.ingest import extract_evidence
+import numpy as np
+
+from repro.capture.records import FrameBatch, mac_from_int
+from repro.engine.ingest import classify_rows
 from repro.net80211.mac import MacAddress
-from repro.net80211.medium import ReceivedFrame
 
 
 def device_shard(mac: MacAddress, shards: int) -> int:
@@ -29,21 +31,21 @@ def device_shard(mac: MacAddress, shards: int) -> int:
     return zlib.crc32(mac.value.to_bytes(6, "big")) % shards
 
 
-def routing_key(received: ReceivedFrame) -> MacAddress:
-    """The MAC whose shard must ingest this frame.
+def route_batch(batch: FrameBatch, shards: int) -> np.ndarray:
+    """The owning shard of every row of a batch, without decoding it.
 
-    Evidence frames route by the *mobile* they prove communicable (so
-    Γ updates stay shard-local); probe requests route by their source
-    (the probing mobile, feeding the shard's pseudonym linker);
-    anything else — beacons, unmatched management traffic — routes by
-    its transmitter, which only moves a frame counter.
+    Evidence rows route by the *mobile* they prove communicable (so Γ
+    updates stay shard-local); every other row — a probe request (the
+    probing mobile, feeding the shard's pseudonym linker), a beacon,
+    unmatched management traffic — routes by its transmitter.  The
+    classification is :func:`~repro.engine.ingest.classify_rows`, the
+    engine's own; each distinct key goes through :func:`device_shard`
+    once.
     """
-    evidence = extract_evidence(received)
-    if evidence is not None:
-        return evidence.mobile
-    return received.frame.source
-
-
-def shard_of(received: ReceivedFrame, shards: int) -> int:
-    """Compose :func:`routing_key` and :func:`device_shard`."""
-    return device_shard(routing_key(received), shards)
+    _, evidence, mobiles = classify_rows(batch)
+    keys = np.where(evidence, mobiles, batch.records["src"])
+    unique, inverse = np.unique(keys, return_inverse=True)
+    owners = np.fromiter(
+        (device_shard(mac_from_int(int(key)), shards) for key in unique),
+        dtype=np.intp, count=len(unique))
+    return owners[inverse]

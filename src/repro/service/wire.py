@@ -19,7 +19,9 @@ replays whatever the broken connection
 lost.  A payload that fails to decode raises :class:`WireError` too.
 
 Frame types are deliberately few.  Control payloads are JSON objects
-of strings and ints; only DATA carries a pickle:
+of strings and ints.  Ingest DATA is typed capture rows
+(:func:`pack_rows`), so collector bytes never reach ``pickle``; only
+bus DATA between the router and its own shards carries a pickle:
 
 ==============  ========================================================
 ``HELLO``       first frame on every connection: JSON carrying
@@ -29,7 +31,8 @@ of strings and ints; only DATA carries a pickle:
 ``HELLO_OK``    JSON ``{"received": n}``: the receiver's cumulative
                 count, the resume point after a reconnect
 ``HELLO_REJECT``JSON ``{"reason": ...}``; the connection closes after it
-``DATA``        u64 BE sequence number + pickled message
+``DATA``        u64 BE sequence number + capture rows (ingest) or
+                a pickled bus envelope (shard links)
 ``CREDIT``      u64 BE cumulative ack count (flow control *and*
                 retention trim in one frame)
 ``HEARTBEAT``   JSON counter dict; liveness plus ack redundancy
@@ -52,12 +55,17 @@ import struct
 import zlib
 from typing import Any, Optional, Tuple
 
+import numpy as np
+
 from repro import faults
-from repro.faults import DROPPED
+from repro.capture.records import (CAPTURE_DTYPE, FrameBatch, check_rows,
+                                   concat_batches)
+from repro.faults import DROPPED, CaptureError
 from repro.faults.errors import ReproError
 
 MAGIC = b"MRSB"
-WIRE_VERSION = 2
+#: v2 made the control payloads JSON; v3 makes ingest DATA typed rows.
+WIRE_VERSION = 3
 
 #: Upper bound on one frame's payload; a corrupt length field must not
 #: make the reader try to allocate gigabytes.
@@ -75,6 +83,9 @@ BYE = 7
 _HEADER = struct.Struct(">4sBBI")   # magic, version, ftype, length
 _TRAILER = struct.Struct(">I")      # crc32
 _SEQ = struct.Struct(">Q")          # u64 sequence / cumulative count
+_ROWS = struct.Struct(">QII")       # sequence, row bytes, aux bytes
+#: Capture rows on the wire: little-endian whatever the host order.
+_ROW_DTYPE = CAPTURE_DTYPE.newbyteorder("<")
 
 
 class WireError(ReproError):
@@ -202,7 +213,7 @@ def send_frame(sock: socket.socket, ftype: int,
 # ----------------------------------------------------------------------
 
 def pack_data(seq: int, message: Any) -> bytes:
-    """A DATA payload: u64 sequence number + pickled message."""
+    """A bus DATA payload: u64 sequence number + pickled message."""
     return _SEQ.pack(seq) + pickle.dumps(
         message, protocol=pickle.HIGHEST_PROTOCOL)
 
@@ -217,6 +228,43 @@ def unpack_data(payload: bytes) -> Tuple[int, Any]:
         return seq, pickle.loads(payload[_SEQ.size:])
     except Exception as error:  # pickle raises a zoo of types
         raise WireError(f"undecodable DATA payload: {error}") from error
+
+
+def pack_rows(seq: int, batch: FrameBatch) -> bytes:
+    """An ingest DATA payload: u64 sequence number, u32 row and aux
+    byte counts, the little-endian rows in
+    :data:`~repro.capture.records.FRAME_TYPES` kind codes, the aux."""
+    batch = concat_batches([batch])
+    body = batch.records.astype(_ROW_DTYPE, copy=False).tobytes()
+    return _ROWS.pack(seq, len(body), len(batch.aux)) + body + batch.aux
+
+
+def unpack_rows(payload: bytes) -> Tuple[int, FrameBatch]:
+    """Decode an ingest DATA payload into a batch whose every row
+    decodes; any malformed payload is a :class:`WireError`."""
+    if len(payload) < _ROWS.size:
+        raise WireError(
+            f"DATA payload of {len(payload)} bytes is too short for a "
+            f"row header")
+    seq, row_bytes, aux_bytes = _ROWS.unpack_from(payload)
+    if _ROWS.size + row_bytes + aux_bytes != len(payload):
+        raise WireError(
+            f"DATA payload of {len(payload)} bytes does not hold the "
+            f"{row_bytes} row and {aux_bytes} aux bytes it declares")
+    if row_bytes % CAPTURE_DTYPE.itemsize:
+        raise WireError(
+            f"{row_bytes} row bytes is not a whole number of "
+            f"{CAPTURE_DTYPE.itemsize}-byte rows")
+    rows = np.frombuffer(payload, dtype=_ROW_DTYPE,
+                         count=row_bytes // CAPTURE_DTYPE.itemsize,
+                         offset=_ROWS.size)
+    rows = rows.astype(CAPTURE_DTYPE, copy=False)
+    aux = payload[_ROWS.size + row_bytes:]
+    try:
+        check_rows(rows, aux)
+    except CaptureError as error:
+        raise WireError(f"malformed DATA rows: {error}") from error
+    return seq, FrameBatch(rows, aux)
 
 
 def pack_count(count: int) -> bytes:

@@ -29,6 +29,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, FrozenSet, List, Optional, Set, Tuple, Union
 
+from repro.engine.ingest import extract_evidence
 from repro.net80211.frames import FrameType
 from repro.net80211.mac import MacAddress
 from repro.net80211.medium import ReceivedFrame
@@ -77,43 +78,32 @@ class ObservationStore:
     # ------------------------------------------------------------------
 
     def ingest(self, received: ReceivedFrame) -> None:
-        """Extract communicability evidence from one captured frame."""
+        """Extract communicability evidence from one captured frame.
+
+        The evidence rule is the engine's :func:`~repro.engine.ingest.\
+extract_evidence`: responses and data frames to or from an AP prove
+        the pair can communicate.
+        """
         frame = received.frame
         self._frame_count += 1
         if frame.frame_type is FrameType.PROBE_REQUEST:
             self._seen_mobiles.add(frame.source)
             self._probing_mobiles.add(frame.source)
             return
-        if frame.frame_type in (FrameType.PROBE_RESPONSE,
-                                FrameType.ASSOCIATION_RESPONSE):
-            # AP -> mobile: proof the pair can communicate.
-            if frame.bssid is None:
-                return
-            mobile = frame.destination
-            if mobile.is_multicast:
-                return
-            self._seen_mobiles.add(mobile)
-            self._known_aps.add(frame.bssid)
-            self._events[mobile][frame.bssid].append(received.rx_timestamp)
-            if frame.frame_type is FrameType.ASSOCIATION_RESPONSE:
-                # The handshake completion reveals the association the
-                # targeted deauth attack needs.
-                self._associations[mobile] = (frame.bssid, frame.channel)
-            return
         if frame.frame_type is FrameType.BEACON:
             self._known_aps.add(frame.source)
             return
-        if frame.frame_type is FrameType.DATA and frame.bssid is not None:
-            # Data to/from an AP also proves communicability — and
-            # reveals the association the active attack can target.
-            mobile = (frame.source if frame.source != frame.bssid
-                      else frame.destination)
-            if mobile.is_multicast:
-                return
-            self._seen_mobiles.add(mobile)
-            self._known_aps.add(frame.bssid)
-            self._events[mobile][frame.bssid].append(received.rx_timestamp)
-            self._associations[mobile] = (frame.bssid, frame.channel)
+        evidence = extract_evidence(received)
+        if evidence is None:
+            return
+        self._seen_mobiles.add(evidence.mobile)
+        self._known_aps.add(evidence.ap)
+        self._events[evidence.mobile][evidence.ap].append(evidence.timestamp)
+        if frame.frame_type is not FrameType.PROBE_RESPONSE:
+            # A handshake completion or data traffic reveals the
+            # association the targeted and active attacks need.
+            self._associations[evidence.mobile] = (evidence.ap,
+                                                   frame.channel)
 
     # ------------------------------------------------------------------
     # Queries

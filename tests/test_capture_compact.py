@@ -1,18 +1,24 @@
 """Compactor: JSONL → columnar conversion and multi-capture merging."""
 
+import json
+import struct
+
 import pytest
 
 from repro.capture import (
     ColumnarReader,
     JsonlReader,
     compact_captures,
+    concat_batches,
     convert_capture,
     make_capture_writer,
     open_capture,
     sniff_format,
 )
-from repro.capture.records import CaptureError
-from repro.net80211.frames import probe_request, probe_response
+from repro.capture.columnar import FOOTER_MAGIC
+from repro.capture.records import (FRAME_TYPES, CaptureError, FrameBatch,
+                                   encode_frames)
+from repro.net80211.frames import Dot11Frame, probe_request, probe_response
 from repro.net80211.mac import MacAddress
 from repro.net80211.medium import ReceivedFrame
 from repro.net80211.ssid import Ssid
@@ -39,6 +45,24 @@ def write_jsonl(path, records):
     with make_capture_writer(path, format="jsonl") as writer:
         for record in records:
             writer.write(record)
+
+
+def write_with_reversed_kind_table(path, records):
+    """A columnar capture whose footer lists the frame types reversed,
+    with every row's kind byte remapped to match."""
+    rows, aux = encode_frames(records)
+    rows["kind"] = len(FRAME_TYPES) - 1 - rows["kind"]
+    with make_capture_writer(path, format="columnar") as writer:
+        writer.write_rows(rows, aux)
+    data = path.read_bytes()
+    tail = len(FOOTER_MAGIC) + 8
+    (length,) = struct.unpack("<Q", data[-tail:-len(FOOTER_MAGIC)])
+    footer_start = len(data) - tail - length
+    footer = json.loads(data[footer_start:-tail])
+    footer["frame_types"] = [ft.value for ft in reversed(FRAME_TYPES)]
+    blob = json.dumps(footer, sort_keys=True).encode("utf-8")
+    path.write_bytes(data[:footer_start] + blob
+                     + struct.pack("<Q", len(blob)) + FOOTER_MAGIC)
 
 
 class TestConvert:
@@ -166,3 +190,48 @@ class TestCompact:
         (recovered,) = list(ColumnarReader(out))
         assert recovered.frame.elements == {"vendor": "acme"}
         assert recovered == record
+
+    def test_compaction_keeps_frame_types_of_a_foreign_kind_table(
+            self, tmp_path):
+        """Kind codes are remapped through each source's own footer
+        table, not copied raw into the output's table."""
+        records = [
+            ReceivedFrame(Dot11Frame(
+                frame_type=FRAME_TYPES[i % len(FRAME_TYPES)],
+                source=STA if i % 2 else AP,
+                destination=AP if i % 2 else STA, channel=6,
+                timestamp=float(i), ssid=Ssid("campus"), bssid=AP),
+                -65.0, 21.0, 6, float(i))
+            for i in range(50)]
+        src = tmp_path / "foreign.cap"
+        write_with_reversed_kind_table(src, records)
+        assert ColumnarReader(src).frame_types == tuple(
+            reversed(FRAME_TYPES))
+        assert list(ColumnarReader(src)) == records
+        out = tmp_path / "compacted.cap"
+        compact_captures([src], out)
+        assert list(ColumnarReader(out)) == records
+
+
+class TestConcatBatches:
+    def test_remaps_kinds_and_rebases_aux(self):
+        a = make_records(3)
+        b = [ReceivedFrame(Dot11Frame(
+            frame_type=FRAME_TYPES[1], source=STA, destination=AP,
+            channel=6, timestamp=9.0, ssid=Ssid("x\x00"),
+            elements={"vendor": "1"}), -60.0, 20.0, 6, 9.0)]
+        rows, aux = encode_frames(b)
+        rows["kind"] = len(FRAME_TYPES) - 1 - rows["kind"]
+        reversed_b = FrameBatch(rows, memoryview(b"junk" + aux)[4:],
+                                tuple(reversed(FRAME_TYPES)))
+        merged = concat_batches(
+            [FrameBatch(*encode_frames(a)), reversed_b])
+        assert isinstance(merged.aux, bytes)
+        assert merged.frame_types == FRAME_TYPES
+        assert list(merged.iter_frames()) == a + b
+
+    def test_out_of_range_aux_slice_raises(self):
+        rows, aux = encode_frames(make_records(1))
+        rows["aux_off"], rows["aux_len"] = 4, 8
+        with pytest.raises(CaptureError):
+            concat_batches([FrameBatch(rows, b"12345")])

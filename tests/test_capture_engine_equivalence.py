@@ -6,12 +6,16 @@ whichever codec the capture sits in and whichever replay seam feeds
 the engine.
 """
 
+import functools
 import json
+import random
 
 import pytest
 
-from repro.capture import convert_capture, make_capture_writer
-from repro.engine import StreamingEngine, make_sink
+from repro.capture import (FrameBatch, convert_capture, encode_frames,
+                           make_capture_writer)
+from repro.faults import CaptureError
+from repro.engine import StreamingEngine, load_checkpoint_data, make_sink
 from repro.geometry.point import Point
 from repro.knowledge.apdb import ApDatabase, ApRecord
 from repro.localization import MLoc
@@ -25,7 +29,8 @@ from repro.net80211.frames import (
 from repro.net80211.mac import BROADCAST_MAC, MacAddress
 from repro.net80211.medium import ReceivedFrame
 from repro.net80211.ssid import Ssid
-from repro.service.core import ShardedEngine
+from repro.service import (FrameIngestServer, ShardConfig, ShardedEngine,
+                           stream_capture_to)
 from repro.sniffer.replay import iter_capture, iter_capture_batches
 
 GRID = 4
@@ -177,3 +182,105 @@ class TestShardedEngine:
         finally:
             a.stop()
             b.stop()
+
+    def test_malformed_row_fails_in_the_caller(self, captures):
+        rows, aux = encode_frames(captures["records"][:8])
+        rows["ssid"][5] = b"\xff"
+        engine = self._sharded()
+        try:
+            with pytest.raises(CaptureError, match="record 5"):
+                engine.ingest_batch(FrameBatch(rows, aux))
+            assert engine.drain().frames_ingested == 0
+        finally:
+            engine.stop()
+
+
+def shuffled_within_windows(records, window=8, seed=3):
+    """``records`` with each run of ``window`` shuffled in place."""
+    rng = random.Random(seed)
+    shuffled = []
+    for start in range(0, len(records), window):
+        chunk = records[start:start + window]
+        rng.shuffle(chunk)
+        shuffled.extend(chunk)
+    return shuffled
+
+
+def per_device_state(checkpoints):
+    """The per-device parts of engine checkpoints, merged."""
+    state = {"tracks": {}, "gamma": {}, "last_located": {}}
+    for data in checkpoints:
+        state["tracks"].update(data["tracks"])
+        state["gamma"].update(data["gamma"]["events"])
+        state["last_located"].update(data["last_located"])
+    return state
+
+
+#: One flush per Γ change, so every track point is fixed by the device's
+#: own frame order alone and shard width cannot move it.
+UNBATCHED = dict(window_s=120.0, batch_size=1)
+
+
+def oracle_state(frames):
+    engine = StreamingEngine(MLoc(build_database()), **UNBATCHED)
+    engine.run(iter(frames))
+    return per_device_state([engine.checkpoint()])
+
+
+def fleet_state(engine, checkpoint_dir):
+    engine.drain()
+    engine.save_checkpoints()
+    return per_device_state(
+        load_checkpoint_data(path)
+        for path in sorted(checkpoint_dir.glob("shard-*.ckpt.json")))
+
+
+def make_fleet(checkpoint_dir, transport="thread", shards=3):
+    return ShardedEngine(functools.partial(MLoc, build_database()),
+                         shards=shards, transport=transport,
+                         config=ShardConfig(**UNBATCHED),
+                         checkpoint_dir=checkpoint_dir, publish_batch=16)
+
+
+class TestShuffledStreamEveryPath:
+    """Frames out of order within windows of 8 reach every ingest path
+    in arrival order: each path's per-device state equals the
+    single-engine record path over the same stream."""
+
+    @pytest.fixture(scope="class")
+    def shuffled(self):
+        frames = shuffled_within_windows(generate_records())
+        return frames, oracle_state(frames)
+
+    @pytest.mark.parametrize("transport", ["thread", "socket"])
+    @pytest.mark.parametrize("shards", [1, 3])
+    def test_sharded(self, shuffled, tmp_path, transport, shards):
+        frames, want = shuffled
+        with make_fleet(tmp_path, transport, shards) as engine:
+            engine.ingest_stream(frames)
+            assert fleet_state(engine, tmp_path) == want
+
+    @pytest.fixture
+    def capture(self, shuffled, tmp_path):
+        path = tmp_path / "shuffled.jsonl"
+        write_capture(path, "jsonl", shuffled[0])
+        return path
+
+    def stream(self, path, gateway):
+        # No client-side reorder either: the gateway sees file order.
+        stream_capture_to(path, gateway.address, batch_records=16,
+                          reorder_buffer=0)
+
+    def test_gateway_into_single_engine(self, shuffled, capture):
+        engine = StreamingEngine(MLoc(build_database()), **UNBATCHED)
+        with FrameIngestServer(engine) as gateway:
+            self.stream(capture, gateway)
+        assert per_device_state([engine.checkpoint()]) == shuffled[1]
+
+    def test_gateway_into_sharded_engine(self, shuffled, capture,
+                                         tmp_path):
+        checkpoint_dir = tmp_path / "fleet"
+        with make_fleet(checkpoint_dir) as engine, \
+                FrameIngestServer(engine) as gateway:
+            self.stream(capture, gateway)
+            assert fleet_state(engine, checkpoint_dir) == shuffled[1]

@@ -8,8 +8,15 @@ the socket readers catch — and never as anything else.
 import socket
 import struct
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.capture.records import (CAPTURE_DTYPE, FRAME_TYPES as KIND_TABLE,
+                                   NO_BSSID, FrameBatch, encode_frames)
+from repro.net80211.frames import Dot11Frame
+from repro.net80211.mac import MacAddress
+from repro.net80211.medium import ReceivedFrame
+from repro.net80211.ssid import Ssid
 from repro.service import wire
 
 FRAME_TYPES = st.sampled_from([wire.HELLO, wire.HELLO_OK,
@@ -137,3 +144,117 @@ class TestPayloadDecoders:
     def test_control_payloads_are_json(self):
         payload = wire.pack_dict({"role": "shard", "shard": 2})
         assert payload == b'{"role":"shard","shard":2}'
+
+
+def capture_frame(index: int) -> ReceivedFrame:
+    """Varied frames: every kind, overflow payloads, non-ASCII SSIDs."""
+    ssids = ["campus", "caf\u00e9", "x\x00", ""]
+    frame = Dot11Frame(
+        frame_type=KIND_TABLE[index % len(KIND_TABLE)],
+        source=MacAddress(0x020000000000 + index),
+        destination=MacAddress(0x001B63000000 + index % 3),
+        channel=1 + index % 11, timestamp=float(index),
+        ssid=Ssid(ssids[index % len(ssids)]),
+        bssid=None if index % 5 == 0 else MacAddress(0x001B63000000),
+        elements={"vendor": str(index)} if index % 3 == 0 else {})
+    return ReceivedFrame(frame, -60.0 - index, 20.0, 6, float(index))
+
+
+FRAMES = st.lists(st.integers(0, 40).map(capture_frame), max_size=12)
+
+
+def rows_payload(frames, seq=1, mutate=None, aux_extra=b""):
+    """An ingest DATA payload, built by hand so ``mutate`` can break
+    the rows in ways ``pack_rows`` refuses to."""
+    rows, aux = encode_frames(frames)
+    if mutate is not None:
+        mutate(rows)
+    body = rows.astype(CAPTURE_DTYPE.newbyteorder("<")).tobytes()
+    aux += aux_extra
+    return struct.pack(">QII", seq, len(body), len(aux)) + body + aux
+
+
+class TestRowPayloads:
+    @FUZZ
+    @given(seq=st.integers(0, 2 ** 64 - 1), frames=FRAMES,
+           cut=st.integers(0, 2 ** 12),
+           bits=st.lists(st.integers(0, 2 ** 14), max_size=3))
+    def test_unpack_rows(self, seq, frames, cut, bits):
+        payload = wire.pack_rows(seq, FrameBatch(*encode_frames(frames)))
+        assert payload == rows_payload(frames, seq)
+        got_seq, batch = wire.unpack_rows(payload)
+        assert got_seq == seq
+        assert list(batch.iter_frames()) == frames
+        decoded = decode_or_wire_error(wire.unpack_rows,
+                                       flip(payload, bits)[:cut])
+        if decoded is not None:
+            # Whatever gets through decodes, row by row.
+            list(decoded[1].iter_frames())
+
+    def test_empty_batch_roundtrips(self):
+        seq, batch = wire.unpack_rows(rows_payload([], seq=9))
+        assert seq == 9 and len(batch) == 0
+
+    def reject(self, payload, match=None):
+        with pytest.raises(wire.WireError, match=match):
+            wire.unpack_rows(payload)
+
+    def test_length_mismatch(self):
+        payload = rows_payload([capture_frame(1)])
+        self.reject(payload + b"x", "does not hold")
+        self.reject(payload[:-1], "does not hold")
+        self.reject(payload[:10], "too short")
+
+    def test_partial_row(self):
+        payload = struct.pack(">QII", 1, 120, 0) + bytes(120)
+        self.reject(payload, "whole number")
+
+    def test_unknown_kind_code(self):
+        def mutate(rows):
+            rows["kind"][0] = len(KIND_TABLE)
+        self.reject(rows_payload([capture_frame(1)], mutate=mutate),
+                    "unknown frame-type code")
+
+    def test_aux_slice_outside_the_blob(self):
+        def mutate(rows):
+            rows["aux_off"][0] = 2
+            rows["aux_len"][0] = 64
+        self.reject(rows_payload([capture_frame(1)], mutate=mutate,
+                                 aux_extra=b"{}"), "out of range")
+
+    def test_mac_outside_48_bits(self):
+        def wide_src(rows):
+            rows["src"][0] = 1 << 48
+
+        def wide_bssid(rows):
+            rows["bssid"][0] = NO_BSSID - 1
+
+        for mutate in (wide_src, wide_bssid):
+            self.reject(rows_payload([capture_frame(1)], mutate=mutate),
+                        "out of range")
+
+    def test_undecodable_ssid_and_aux(self):
+        def bad_ssid(rows):
+            rows["ssid"][0] = b"\xff\xfe"
+
+        def bad_aux(rows):
+            rows["aux_off"][0] = 0
+            rows["aux_len"][0] = 5
+
+        self.reject(rows_payload([capture_frame(1)], mutate=bad_ssid),
+                    "SSID")
+        self.reject(rows_payload([capture_frame(1)], mutate=bad_aux,
+                                 aux_extra=b"nope!"), "aux")
+
+    def test_a_pickled_payload_is_rejected(self):
+        frames = [capture_frame(i) for i in range(4)]
+        self.reject(wire.pack_data(3, frames))
+        self.reject(wire.pack_data(3, ("frames", [])))
+
+    def test_pack_rows_remaps_a_foreign_kind_table(self):
+        frames = [capture_frame(i) for i in range(8)]
+        rows, aux = encode_frames(frames)
+        rows["kind"] = len(KIND_TABLE) - 1 - rows["kind"]
+        payload = wire.pack_rows(1, FrameBatch(
+            rows, aux, tuple(reversed(KIND_TABLE))))
+        assert list(wire.unpack_rows(payload)[1].iter_frames()) == frames
