@@ -39,8 +39,8 @@ from repro.net80211.ssid import Ssid
 #: apart so a Γ never mixes clusters.  "Easy" clusters pack their APs
 #: tightly (jitter << range) so every disc overlaps every other; "hard"
 #: clusters spread them wide so the raw intersection is empty and M-Loc
-#: runs its ~40-iteration feasibility bisection — the path the paper's
-#: noisy-knowledge cases hit, and where most of M-Loc's time goes.
+#: inflates the radii (exact minimax factor plus one check probe) — the
+#: path the paper's noisy-knowledge cases hit.
 CLUSTER_SIZE = 10
 CLUSTER_SPACING_M = 5000.0
 EASY_JITTER_M = 60.0
@@ -85,7 +85,7 @@ def build_gammas(k: int, batch: int, clusters: int, seed: int = 7,
     """``batch`` Γ sets of exactly ``k`` APs, spread over the clusters.
 
     Every ``round(1 / hard_fraction)``-th Γ comes from a hard cluster
-    (empty raw intersection, feasibility bisection required); the rest
+    (empty raw intersection, radius inflation required); the rest
     come from easy clusters.
     """
     rng = np.random.default_rng(seed + k)
@@ -221,8 +221,8 @@ def main(argv=None) -> int:
     parser.add_argument("--hard-fraction", type=float,
                         default=DEFAULT_HARD_FRACTION,
                         help="fraction of Γ sets with an empty raw"
-                             " intersection (triggers the feasibility"
-                             " bisection)")
+                             " intersection (triggers radius"
+                             " inflation)")
     parser.add_argument("--json", metavar="FILE",
                         help="write the sweep as JSON to FILE")
     args = parser.parse_args(argv)

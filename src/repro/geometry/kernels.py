@@ -7,7 +7,7 @@ vertex dedup, and nested-disc detection.  The scalar implementations in
 :mod:`repro.geometry.circle` / :mod:`repro.geometry.region` are the
 *reference*; these kernels compute the same quantities as array ops and
 back the fast path used by :class:`~repro.geometry.region.DiscIntersection`,
-``MLoc``'s feasibility bisection, and ``Localizer.locate_batch``.
+``MLoc``'s radius inflation, and ``Localizer.locate_batch``.
 
 Planar points ride in complex128 internally (``x + iy``): one complex
 array op replaces two float ones, which matters because the per-set
@@ -25,9 +25,11 @@ tests in ``tests/test_geometry_kernels.py`` pin agreement at 1e-9.
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import List, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -120,10 +122,10 @@ def _candidate_points(z_i: np.ndarray, delta: np.ndarray, dist: np.ndarray,
 class PairGeometry:
     """Scale-independent pairwise geometry of one disc set.
 
-    Precomputed once, reused across every radius scale M-Loc's
-    feasibility bisection probes: center separations never change when
-    radii are inflated, so each ``non_empty(scale)`` query is pure
-    array arithmetic on these buffers.
+    Precomputed once, reusable across every radius scale probed:
+    center separations never change when radii are inflated, so each
+    ``non_empty(scale)`` query is pure array arithmetic on these
+    buffers.
     """
 
     z: np.ndarray         # (n,) disc centers, complex
@@ -320,6 +322,25 @@ def batch_intersection_vertices(centers: np.ndarray, radii: np.ndarray,
     ]
 
 
+def separated_pair_mask(centers: np.ndarray, radii: np.ndarray,
+                        tol: float = 1e-9) -> np.ndarray:
+    """``(B,)`` bool — which ``k``-disc sets are provably empty.
+
+    A set is empty when two of its discs are farther apart than
+    ``r_i + r_j + 2·slack``, where ``slack = tol·max(1, max r)`` is the
+    :class:`~repro.geometry.region.DiscIntersection` containment
+    tolerance: no point lies within slack of both discs, so no vertex
+    survives and no disc is nested in all the others.  Costs ``(B, P)``
+    — no candidate × disc tensor.
+    """
+    slack = tol * np.maximum(1.0, radii.max(axis=1))
+    i_idx, j_idx = _triu_indices(radii.shape[1])
+    z = _as_complex(centers)
+    dist = np.abs(z[:, j_idx] - z[:, i_idx])
+    reach = radii[:, i_idx] + radii[:, j_idx] + 2.0 * slack[:, None]
+    return (dist > reach).any(axis=1)
+
+
 def intersection_vertices_pruned(centers: np.ndarray, radii: np.ndarray,
                                  pair_i: np.ndarray, pair_j: np.ndarray,
                                  contain_slack: float,
@@ -377,6 +398,124 @@ def nonempty_at_scale(geom: PairGeometry, scale: float,
     dist = np.abs(geom.z[:, None] - geom.z[None, :])
     nested = (dist + radii_s[:, None] <= radii_s[None, :] + slack)
     return bool(nested.all(axis=1).any())
+
+
+def minimax_scale(centers: np.ndarray, radii: np.ndarray
+                  ) -> Tuple[np.ndarray, float]:
+    """The smallest radius scale at which the discs share a point.
+
+    That scale is the weighted minimax ``s* = min_x max_i |x−c_i|/r_i``
+    and the minimizing ``x`` is the single point the scaled discs then
+    share.  The problem is LP-type: by Helly's theorem at most three
+    discs (the *basis*) determine the optimum, and the optimum of any
+    superset that the basis solution already satisfies is the same.
+
+    The solver is the incremental basis update behind Welzl's
+    move-to-front algorithm, pivoting on the most violated disc (as in
+    Gärtner's miniball): starting from disc 0 alone, while some disc's
+    ratio exceeds the current scale, re-solve the ≤ 4-disc problem
+    "basis ∪ {violator}" exactly and keep its basis.  The scale rises
+    strictly with every pivot, so no basis repeats and the loop ends.
+    There is no RNG — the same discs in the same order always give the
+    same bits.
+
+    Returns ``(point, scale)`` with ``point`` a ``(2,)`` array.  The
+    scale is the largest ratio recomputed at the returned point, so it
+    is a value the point actually attains (never below ``s*``).
+    """
+    if len(radii) == 0:
+        raise ValueError("minimax_scale requires at least one disc")
+    z = _as_complex(np.asarray(centers, dtype=np.float64))
+    weights = 1.0 / np.asarray(radii, dtype=np.float64)
+    zs = z.tolist()
+    rs = [float(r) for r in radii]
+    basis = [0]
+    point, scale = zs[0], 0.0
+    while True:
+        ratios = np.abs(z - point) * weights
+        worst = int(np.argmax(ratios))
+        if ratios[worst] <= scale * (1.0 + 1e-12):
+            break
+        new_basis, new_point, new_scale = _solve_small(
+            basis + [worst], zs, rs)
+        if new_scale <= scale:
+            break  # rounding stall: the current basis is already exact
+        basis, point, scale = new_basis, new_point, new_scale
+    return np.array([point.real, point.imag]), float(ratios[worst])
+
+
+def _solve_small(members: List[int], zs: List[complex], rs: List[float]
+                 ) -> Tuple[List[int], complex, float]:
+    """Exact minimax over at most four discs, by basis enumeration.
+
+    Every 1-, 2- and 3-subset proposes the point its basis formula
+    gives; each proposal is scored by the largest ratio it attains
+    over *all* members, and the lowest score wins.  The true optimum
+    is one of the proposals and no proposal scores below it, so the
+    winner is exact — and a numerically poor proposal (a nearly
+    collinear triple) simply loses.
+    """
+    best: Tuple[List[int], complex, float] = ([], 0j, math.inf)
+    for size in (1, 2, 3):
+        for subset in itertools.combinations(members, size):
+            point = _basis_point(subset, zs, rs)
+            if point is None:
+                continue
+            score = max(abs(point - zs[m]) / rs[m] for m in members)
+            if score < best[2]:
+                best = (list(subset), point, score)
+    return best
+
+
+def _basis_point(subset: Sequence[int], zs: List[complex],
+                 rs: List[float]) -> Optional[complex]:
+    """The point where every disc of ``subset`` is tight at the least scale.
+
+    One disc: its center.  Two: the point dividing the center segment
+    in the ratio of the radii.  Three: subtracting the squared
+    equations ``|x−c_m|² = t·r_m²`` leaves ``x`` affine in ``t = s²``;
+    substituting back gives a quadratic in ``t`` whose smallest
+    non-negative root is the first scale at which the three circles
+    meet.  ``None`` when a triple is collinear or has no common point
+    (a pair then determines its optimum).
+    """
+    if len(subset) == 1:
+        return zs[subset[0]]
+    if len(subset) == 2:
+        i, j = subset
+        return zs[i] + (zs[j] - zs[i]) * (rs[i] / (rs[i] + rs[j]))
+    i, j, k = subset
+    a_j, a_k = zs[j] - zs[i], zs[k] - zs[i]
+    cross = a_j.real * a_k.imag - a_j.imag * a_k.real
+    if abs(cross) <= 1e-12 * abs(a_j) * abs(a_k):
+        return None
+    r_i2 = rs[i] * rs[i]
+    # 2·a_m·u = |a_m|² + t·(r_i² − r_m²) for m ∈ {j, k}, u = x − c_i.
+    p_j, p_k = abs(a_j) ** 2, abs(a_k) ** 2
+    q_j, q_k = r_i2 - rs[j] * rs[j], r_i2 - rs[k] * rs[k]
+
+    def solve(rhs_j: float, rhs_k: float) -> complex:
+        # Cramer's rule on the 2x2 system with rows 2·a_j, 2·a_k.
+        det = 2.0 * cross
+        return complex((rhs_j * a_k.imag - rhs_k * a_j.imag) / det,
+                       (a_j.real * rhs_k - a_k.real * rhs_j) / det)
+
+    u0, u1 = solve(p_j, p_k), solve(q_j, q_k)
+    # |u0 + t·u1|² = t·r_i²  →  qa·t² + qb·t + qc = 0.
+    qa = abs(u1) ** 2
+    qb = 2.0 * (u0.real * u1.real + u0.imag * u1.imag) - r_i2
+    qc = abs(u0) ** 2
+    disc = qb * qb - 4.0 * qa * qc
+    if disc < 0.0 or qb == 0.0:  # qb = 0 would need r_i = 0
+        return None
+    # The numerically stable pair of roots (|half| >= |qb| > 0); equal
+    # radii make qa = 0 and leave only the finite one.
+    half = -0.5 * (qb + math.copysign(math.sqrt(disc), qb))
+    roots = [root for root in [qc / half] + ([half / qa] if qa else [])
+             if root >= 0.0]
+    if not roots:
+        return None
+    return zs[i] + u0 + min(roots) * u1
 
 
 # ----------------------------------------------------------------------

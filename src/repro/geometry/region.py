@@ -134,15 +134,18 @@ class DiscIntersection:
 
     def _build(self) -> None:
         vertices = self._compute_vertices()
-        self._vertices = vertices
-        if not vertices:
+        if len(vertices) <= 1:
+            # No vertex, or one tangency point.  A disc nested in all
+            # the others makes the region that whole disc — also when it
+            # touches a container from inside, which yields the one
+            # vertex — and Δ then counts as empty, as for strict
+            # nesting.  Otherwise the region is a single point or empty.
             self._full_disc = self._find_nested_disc()
-            self._empty = self._full_disc is None
+            if self._full_disc is not None:
+                vertices = []
+            self._empty = not vertices and self._full_disc is None
             self._arcs_cache = []
-            return
-        if len(vertices) == 1:
-            # Tangency: the region is a single point (or numerically so).
-            self._arcs_cache = []
+        self._vertices = vertices
 
     @property
     def _arcs(self) -> List[Tuple[Circle, float, float]]:

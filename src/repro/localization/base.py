@@ -211,6 +211,11 @@ def _count_batch(algorithm: str,
     if missed:
         registry.counter("repro.localization.unlocatable",
                          algorithm=algorithm).inc(missed)
+    inflated = sum(1 for estimate in results
+                   if estimate is not None and estimate.inflation_factor > 1.0)
+    if inflated:
+        registry.counter("repro.localization.inflated",
+                         algorithm=algorithm).inc(inflated)
 
 
 def known_records(database, observed: Iterable[MacAddress]) -> List[ApRecord]:

@@ -14,7 +14,8 @@ the exact area centroid of the intersection region instead (identical in
 spirit, defined whenever the region is non-empty).  Both modes share the
 documented fallback chain for empty intersections: optionally inflate
 all radii by the smallest factor that makes the region non-empty
-(bisection), else fall back to the mean of the AP locations.
+(the weighted minimax scale, computed exactly), else fall back to the
+mean of the AP locations.
 """
 
 from __future__ import annotations
@@ -42,6 +43,10 @@ from repro.net80211.mac import MacAddress
 #: Largest radius inflation tried before giving up on a non-empty region.
 _MAX_INFLATION = 16.0
 
+#: Added to the exact minimax scale so the inflated region has interior
+#: (well inside the 1e-3 tolerance of the old bisection).
+_INFLATION_MARGIN = 5e-4
+
 
 class MLoc(Localizer):
     """The paper's M-Loc algorithm.
@@ -58,8 +63,9 @@ class MLoc(Localizer):
     inflate_to_feasible:
         When the raw intersection is empty (noisy knowledge), scale all
         radii by the smallest factor in ``[1, 16]`` that yields a
-        non-empty region and estimate from that.  The reported region
-        and ``covers``/area metrics still refer to the *raw* discs.
+        non-empty region (plus a 5e-4 margin) and estimate from that.
+        The reported region and ``covers``/area metrics still refer to
+        the *raw* discs.
     """
 
     name = "m-loc"
@@ -125,7 +131,10 @@ class MLoc(Localizer):
         Disc sets of equal size are stacked into one
         :func:`repro.geometry.kernels.batch_intersection_vertices` call
         — a micro-batch of dirty devices costs one dispatch sequence
-        per distinct k instead of one per device.  Falls back to the
+        per distinct k instead of one per device.  Sets that
+        :func:`repro.geometry.kernels.separated_pair_mask` proves empty
+        skip the vertex kernel: their region is built with no vertices
+        and goes straight to the inflation fallback.  Falls back to the
         sequential reference when the kernel layer is disabled.
         """
         if not kernel_default():
@@ -147,8 +156,22 @@ class MLoc(Localizer):
             for row, index in enumerate(indices):
                 centers[row], radii[row] = kernels.discs_as_arrays(
                     disc_sets[index])
-            vertex_sets = kernels.batch_intersection_vertices(centers, radii)
-            for index, coords in zip(indices, vertex_sets):
+            # Sets with a pair too far apart to meet have no Δ; keep
+            # them out of the batched (B, 2P, k) containment tensor.
+            separated = kernels.separated_pair_mask(centers, radii)
+            meeting = []
+            for row, index in enumerate(indices):
+                if not separated[row]:
+                    meeting.append(index)
+                    continue
+                discs = disc_sets[index]
+                region = DiscIntersection(discs, precomputed_vertices=[])
+                estimates[index] = self.locate_discs(discs, region=region)
+            if not meeting:
+                continue
+            vertex_sets = kernels.batch_intersection_vertices(
+                centers[~separated], radii[~separated])
+            for index, coords in zip(meeting, vertex_sets):
                 discs = disc_sets[index]
                 region = DiscIntersection(
                     discs,
@@ -186,21 +209,29 @@ class MLoc(Localizer):
 
     @staticmethod
     def _smallest_feasible_inflation(discs: List[Circle]) -> Optional[float]:
-        """Bisect for the smallest radius scale giving a non-empty region.
+        """The smallest radius scale giving a non-empty region, + margin.
 
-        Non-emptiness is monotone in the scale factor, so bisection on
-        ``[1, 16]`` converges; returns ``None`` when even 16x fails.
+        The exact answer is the weighted minimax
+        ``s* = min_x max_i |x−c_i|/r_i``
+        (:func:`repro.geometry.kernels.minimax_scale`); the factor is
+        ``max(1, s*)`` plus :data:`_INFLATION_MARGIN`, so the inflated
+        region is a small lens rather than a single point, and scaling
+        by ``factor − 1e-3`` leaves it empty — the tolerance the old
+        bisection guaranteed.  Returns ``None`` above 16x.
 
-        The pairwise center geometry is computed once and every probed
-        scale is evaluated against it as pure array arithmetic
-        (:func:`repro.geometry.kernels.nonempty_at_scale`) — inflating
-        radii never moves the centers, so there is nothing to rebuild
-        between bisection steps.  Below ``KERNEL_MIN_DISCS`` the scalar
-        probe wins (NumPy dispatch dominates tiny pair counts), same
-        crossover as :class:`DiscIntersection`.
+        One probe confirms the factor on the region's own emptiness
+        test: :func:`repro.geometry.kernels.nonempty_at_scale` from
+        ``KERNEL_MIN_DISCS`` discs up (NumPy dispatch dominates tiny
+        pair counts below that), the scalar region check under it.
+        Only if rounding ever defeats that probe does the bisection of
+        :meth:`_bisect_inflation` run.
         """
+        centers, radii = kernels.discs_as_arrays(discs)
+        _, exact = kernels.minimax_scale(centers, radii)
+        factor = max(1.0, exact) + _INFLATION_MARGIN
+        if factor > _MAX_INFLATION:
+            return None
         if kernel_default() and len(discs) >= KERNEL_MIN_DISCS:
-            centers, radii = kernels.discs_as_arrays(discs)
             geom = kernels.pair_geometry(centers, radii)
 
             def non_empty(scale: float) -> bool:
@@ -210,7 +241,18 @@ class MLoc(Localizer):
                 scaled = [Circle(d.center, d.radius * scale) for d in discs]
                 return not DiscIntersection(scaled).is_empty
 
-        low, high = 1.0, _MAX_INFLATION
+        if non_empty(factor):
+            return factor
+        return MLoc._bisect_inflation(non_empty, factor)
+
+    @staticmethod
+    def _bisect_inflation(non_empty, low: float) -> Optional[float]:
+        """Safety net: bisect ``[low, 16]`` for the smallest feasible scale.
+
+        Non-emptiness is monotone in the scale factor, so bisection
+        converges to within 1e-3; returns ``None`` when even 16x fails.
+        """
+        high = _MAX_INFLATION
         if not non_empty(high):
             return None
         for _ in range(40):

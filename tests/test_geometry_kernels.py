@@ -7,8 +7,11 @@ plus the constructed edge cases (tangency, nested discs, empty
 intersections, concentric circles).
 """
 
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.geometry import kernels
 from repro.geometry.circle import Circle, circle_intersections
@@ -185,6 +188,134 @@ class TestFeasibilityScan:
             [Circle(Point(0.0, 0.0), 5.0)])
         geom = kernels.pair_geometry(centers, radii)
         assert kernels.nonempty_at_scale(geom, 1.0)
+
+
+@st.composite
+def weighted_discs(draw, min_k=2, max_k=72, equal_radii=False):
+    """``(centers, radii)`` of k discs; duplicated centers included."""
+    k = draw(st.integers(min_value=min_k, max_value=max_k))
+    coord = st.floats(min_value=-300.0, max_value=300.0,
+                      allow_nan=False, allow_infinity=False)
+    radius = st.floats(min_value=5.0, max_value=120.0,
+                       allow_nan=False, allow_infinity=False)
+    centers = np.array(draw(st.lists(st.tuples(coord, coord),
+                                     min_size=k, max_size=k)))
+    if equal_radii:
+        radii = np.full(k, draw(radius))
+    else:
+        radii = np.array(draw(st.lists(radius, min_size=k, max_size=k)))
+    return centers, radii
+
+
+def enclosing_radius(points):
+    """Brute-force minimum enclosing circle radius of ``(n, 2)`` points.
+
+    The optimal center is a pair midpoint or a triple circumcenter, and
+    no center encloses with less than the optimum, so the least
+    covering radius over those candidates is exact.
+    """
+    z = points[:, 0] + 1j * points[:, 1]
+    candidates = [z[:1]]
+    if len(z) > 1:
+        i, j = np.triu_indices(len(z), k=1)
+        candidates.append(0.5 * (z[i] + z[j]))
+    if len(z) > 2:
+        a, b, c = (z[list(idx)] for idx in
+                   zip(*itertools.combinations(range(len(z)), 3)))
+        b, c = b - a, c - a
+        det = 2.0 * (b.real * c.imag - b.imag * c.real)
+        ok = np.abs(det) > 1e-12 * np.abs(b) * np.abs(c)
+        bb, cc = np.abs(b) ** 2, np.abs(c) ** 2
+        ux = (c.imag * bb - b.imag * cc)[ok] / det[ok]
+        uy = (b.real * cc - c.real * bb)[ok] / det[ok]
+        candidates.append(a[ok] + ux + 1j * uy)
+    centers = np.concatenate(candidates)
+    return float(np.abs(centers[:, None] - z[None, :]).max(axis=1).min())
+
+
+def pair_bound(centers, radii):
+    z = centers[:, 0] + 1j * centers[:, 1]
+    i, j = np.triu_indices(len(radii), k=1)
+    if not len(i):
+        return 0.0
+    return float((np.abs(z[j] - z[i]) / (radii[i] + radii[j])).max())
+
+
+class TestMinimaxScale:
+    """``minimax_scale`` against closed forms and brute-force oracles."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(weighted_discs(min_k=2, max_k=2))
+    def test_two_discs_is_distance_over_radius_sum(self, discs):
+        centers, radii = discs
+        _, scale = kernels.minimax_scale(centers, radii)
+        distance = float(np.hypot(*(centers[1] - centers[0])))
+        assert scale == pytest.approx(distance / radii.sum(),
+                                      rel=1e-12, abs=1e-15)
+
+    @settings(max_examples=40, deadline=None)
+    @given(weighted_discs(min_k=1, max_k=30, equal_radii=True))
+    def test_equal_radii_is_enclosing_circle_over_radius(self, discs):
+        centers, radii = discs
+        _, scale = kernels.minimax_scale(centers, radii)
+        assert scale == pytest.approx(enclosing_radius(centers) / radii[0],
+                                      rel=1e-9, abs=1e-12)
+
+    @settings(max_examples=60, deadline=None)
+    @given(weighted_discs(), st.randoms(use_true_random=False))
+    def test_exact_bounded_and_order_free(self, discs, rand):
+        centers, radii = discs
+        point, scale = kernels.minimax_scale(centers, radii)
+        z = centers[:, 0] + 1j * centers[:, 1]
+        # The returned scale is the one the point attains ...
+        attained = float((np.abs(z - complex(*point)) / radii).max())
+        assert scale == pytest.approx(attained, rel=1e-14)
+        # ... never below the pair lower bound ...
+        assert scale >= pair_bound(centers, radii) * (1.0 - 1e-12)
+        # ... and the same for any disc order.
+        order = list(range(len(radii)))
+        rand.shuffle(order)
+        _, permuted = kernels.minimax_scale(centers[order], radii[order])
+        assert permuted == pytest.approx(scale, abs=1e-12)
+
+    @settings(max_examples=40, deadline=None)
+    @given(weighted_discs(max_k=24))
+    def test_feasible_exactly_at_the_scale(self, discs):
+        centers, radii = discs
+        _, scale = kernels.minimax_scale(centers, radii)
+        geom = kernels.pair_geometry(centers, radii)
+        assert kernels.nonempty_at_scale(geom, scale * (1.0 + 1e-9))
+        # The probe's own 1e-9·r slack hides gaps at near-zero scales.
+        if scale > 1e-2:
+            assert not kernels.nonempty_at_scale(geom, scale * (1.0 - 1e-6))
+
+    def test_coincident_centers_scale_zero(self):
+        centers = np.array([[3.0, 4.0]] * 4)
+        radii = np.array([1.0, 2.0, 3.0, 4.0])
+        point, scale = kernels.minimax_scale(centers, radii)
+        assert scale == 0.0
+        assert tuple(point) == (3.0, 4.0)
+
+    def test_collinear_discs_use_a_pair(self):
+        centers = np.array([[0.0, 0.0], [50.0, 0.0], [100.0, 0.0]])
+        radii = np.array([10.0, 30.0, 40.0])
+        point, scale = kernels.minimax_scale(centers, radii)
+        assert scale == pytest.approx(100.0 / 50.0, rel=1e-12)
+        assert point[0] == pytest.approx(20.0, rel=1e-12)
+        assert point[1] == 0.0
+
+    def test_three_disc_basis(self):
+        # An equilateral triangle: no pair determines the optimum; the
+        # circumcenter does, with the circumradius over the radius.
+        angles = np.array([0.0, 2.0, 4.0]) * np.pi / 3.0
+        centers = 60.0 * np.column_stack((np.cos(angles), np.sin(angles)))
+        point, scale = kernels.minimax_scale(centers, np.full(3, 20.0))
+        assert scale == pytest.approx(3.0, rel=1e-12)
+        assert np.allclose(point, 0.0, atol=1e-12)
+
+    def test_requires_a_disc(self):
+        with pytest.raises(ValueError):
+            kernels.minimax_scale(np.empty((0, 2)), np.empty(0))
 
 
 class TestSupportKernels:

@@ -9,7 +9,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.geometry.circle import Circle, lens_area
 from repro.geometry.point import Point
@@ -144,9 +144,34 @@ class TestManyDiscs:
             assert min_y - 1e-9 <= vertex.y <= max_y + 1e-9
 
 
+class TestInternalTangency:
+    """A disc touching its container from inside is still nested."""
+
+    @pytest.mark.parametrize("use_kernels", [False, True])
+    def test_region_is_the_inner_disc(self, use_kernels):
+        region = DiscIntersection([Circle(Point(0, 0), 1.0),
+                                   Circle(Point(0, 1), 2.0)],
+                                  use_kernels=use_kernels)
+        assert not region.is_empty
+        assert region.area == pytest.approx(math.pi)
+        assert region.centroid() == Point(0, 0)
+        # Δ counts as empty, as for strict nesting (DESIGN.md §5c).
+        assert region.vertices == []
+        assert region.vertex_centroid() is None
+
+    def test_external_tangency_stays_a_point(self):
+        region = DiscIntersection([Circle(Point(0, 0), 1.0),
+                                   Circle(Point(3, 0), 2.0)])
+        assert not region.is_empty
+        assert region.area == 0.0
+        assert region.centroid().is_close(Point(1, 0), 1e-9)
+
+
 class TestRegionProperties:
     @settings(max_examples=40, deadline=None)
     @given(st.lists(disc_strategy(), min_size=2, max_size=5))
+    # Internal tangency: one vertex, yet the region is the inner disc.
+    @example([Circle(Point(0, 0), 1.0), Circle(Point(0, 1), 2.0)])
     def test_exact_area_matches_monte_carlo(self, discs):
         region = DiscIntersection(discs)
         rng = np.random.default_rng(7)

@@ -6,9 +6,12 @@ loop produces, in the same order.  Batches run in-process; devices
 spread across cores through the sharded service, not an executor.
 """
 
+from unittest import mock
+
 import numpy as np
 import pytest
 
+from repro.geometry import kernels
 from repro.geometry.region import kernel_default, set_kernel_default
 from repro.knowledge.apdb import ApDatabase
 from repro.localization.centroid import CentroidLocalizer
@@ -96,6 +99,68 @@ class TestMLocBatch:
     def test_all_unlocatable(self, grid_db):
         gammas = [frozenset(), frozenset({MacAddress(0xDEAD)})]
         assert MLoc(grid_db).locate_batch(gammas) == [None, None]
+
+
+def assert_identical(got, want):
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        if b is None:
+            assert a is None
+            continue
+        assert a.position == b.position
+        assert a.inflation_factor == b.inflation_factor
+        assert a.region_empty == b.region_empty
+        assert a.region.vertices == b.region.vertices
+        assert a.area_m2 == b.area_m2
+
+
+class TestSeparatedPairSkip:
+    """Sets proved empty by one far pair skip the vertex kernel only."""
+
+    @staticmethod
+    def without_skip(localizer, gammas):
+        def never(centers, radii):
+            return np.zeros(len(radii), dtype=bool)
+
+        with mock.patch.object(kernels, "separated_pair_mask", never):
+            return localizer.locate_batch(gammas)
+
+    def test_identical_estimates(self, grid_db):
+        # Γ observed with the true ranges, localized with knowledge
+        # that underestimates them: many sets are empty, some provably.
+        gammas = mixed_gammas(grid_db, count=40, seed=21)
+        shrunk = ApDatabase([
+            make_record(i, r.location.x, r.location.y, r.max_range_m * 0.5)
+            for i, r in enumerate(grid_db.records_for(grid_db.bssids))])
+        for db in (grid_db, shrunk):
+            localizer = MLoc(db)
+            assert_identical(localizer.locate_batch(gammas),
+                             self.without_skip(localizer, gammas))
+
+    @pytest.mark.parametrize("step", [0, 1])
+    def test_pair_at_the_two_slack_boundary(self, step):
+        # slack = 1e-9 * 50 m; step 0 sits exactly on r_i + r_j + 2·slack
+        # (kept), step 1 one float beyond it (skipped).
+        gap = (50.0 + 40.0) + 2.0 * (1e-9 * 50.0)
+        if step:
+            gap = float(np.nextafter(gap, np.inf))
+        records = [make_record(0, 0.0, 0.0, 50.0),
+                   make_record(1, gap, 0.0, 40.0)]
+        rng = np.random.default_rng(step)
+        for index in range(2, 8):
+            x, y = rng.uniform(-20.0, 110.0, 2)
+            records.append(make_record(index, float(x), float(y),
+                                       float(rng.uniform(30.0, 50.0))))
+        db = ApDatabase(records)
+        pair = db.bssids[:2]
+        gammas = [pair, db.bssids[:5], db.bssids, db.bssids[1:]]
+        centers, radii = kernels.discs_as_arrays(
+            MLoc(db)._discs_for(pair))
+        assert kernels.separated_pair_mask(
+            centers[None], radii[None]).tolist() == [bool(step)]
+        localizer = MLoc(db)
+        assert_identical(localizer.locate_batch(gammas),
+                         self.without_skip(localizer, gammas))
 
 
 class TestBaseLocalizerBatch:

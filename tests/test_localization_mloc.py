@@ -1,13 +1,17 @@
 """M-Loc tests: the paper's pseudocode, fallbacks, and invariants."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro import obs
+from repro.geometry import kernels
 from repro.geometry.circle import Circle
 from repro.geometry.point import Point
+from repro.geometry.region import DiscIntersection
 from repro.knowledge.apdb import ApDatabase
 from repro.localization.mloc import MLoc
 
@@ -117,6 +121,91 @@ class TestEmptyIntersectionFallbacks:
         estimate = MLoc(db).locate(db.bssids)
         assert not estimate.covers(Point(50.0, 0.0))
         assert estimate.area_m2 == 0.0
+
+
+@st.composite
+def weighted_disc_sets(draw):
+    """k = 2…72 discs with independent radii, mostly not intersecting."""
+    k = draw(st.integers(min_value=2, max_value=72))
+    coord = st.floats(min_value=0.0, max_value=600.0,
+                      allow_nan=False, allow_infinity=False)
+    radius = st.floats(min_value=20.0, max_value=150.0,
+                       allow_nan=False, allow_infinity=False)
+    return [Circle(Point(draw(coord), draw(coord)), draw(radius))
+            for _ in range(k)]
+
+
+def nonempty_at(discs, scale):
+    """Both oracles agree; the scalar one only where it is cheap."""
+    centers, radii = kernels.discs_as_arrays(discs)
+    kernel = kernels.nonempty_at_scale(
+        kernels.pair_geometry(centers, radii), scale)
+    if len(discs) <= 8:
+        scaled = [Circle(d.center, d.radius * scale) for d in discs]
+        assert (not DiscIntersection(scaled,
+                                     use_kernels=False).is_empty) == kernel
+    return kernel
+
+
+def disc_pair(gap, radius):
+    return [Circle(Point(0.0, 0.0), radius), Circle(Point(gap, 0.0), radius)]
+
+
+class TestInflationFactor:
+    """The exact factor keeps the contract the bisection gave."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(weighted_disc_sets())
+    def test_factor_is_feasible_and_tight(self, discs):
+        with mock.patch.object(MLoc, "_bisect_inflation") as bisect:
+            factor = MLoc._smallest_feasible_inflation(discs)
+        # The check probe always confirms: the bisection never runs.
+        assert bisect.call_count == 0
+        centers, radii = kernels.discs_as_arrays(discs)
+        _, exact = kernels.minimax_scale(centers, radii)
+        if factor is None:
+            assert max(1.0, exact) + 5e-4 > 16.0
+            return
+        assert 1.0 < factor <= 16.0
+        assert nonempty_at(discs, factor)
+        if factor - 1e-3 >= 1.0:
+            assert not nonempty_at(discs, factor - 1e-3)
+
+    def test_factor_for_two_discs(self):
+        factor = MLoc._smallest_feasible_inflation(disc_pair(100.0, 49.0))
+        assert factor == pytest.approx(100.0 / 98.0 + 5e-4, rel=1e-12)
+
+    def test_feasible_sets_get_the_margin_only(self):
+        factor = MLoc._smallest_feasible_inflation(disc_pair(50.0, 60.0))
+        assert factor == 1.0 + 5e-4
+
+    def test_hopeless_sets_give_none(self):
+        assert MLoc._smallest_feasible_inflation(
+            disc_pair(1000.0, 10.0)) is None
+
+    def test_failed_probe_falls_back_to_bisection(self):
+        # A scale below the true one fails the check probe.
+        with mock.patch.object(kernels, "minimax_scale",
+                               return_value=(np.zeros(2), 0.5)):
+            factor = MLoc._smallest_feasible_inflation(
+                disc_pair(100.0, 49.0))
+            hopeless = MLoc._smallest_feasible_inflation(
+                disc_pair(1000.0, 10.0))
+        assert 100.0 / 98.0 <= factor < 100.0 / 98.0 + 1e-3
+        assert hopeless is None
+
+    def test_inflated_estimates_are_counted(self):
+        db = ApDatabase([make_record(0, 0.0, 0.0, 49.0),
+                         make_record(1, 100.0, 0.0, 49.0),
+                         make_record(2, 300.0, 0.0, 60.0),
+                         make_record(3, 350.0, 0.0, 60.0)])
+        registry = obs.MetricsRegistry()
+        with obs.use_registry(registry):
+            MLoc(db).locate_batch([db.bssids[:2], db.bssids[2:],
+                                   db.bssids[:2]])
+        inflated = registry.counter("repro.localization.inflated",
+                                    algorithm="m-loc")
+        assert inflated.value == 2
 
 
 class TestInvariants:
