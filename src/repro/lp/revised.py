@@ -12,15 +12,18 @@ built for that shape:
   materialized.  Row slacks make every row an equality, and variable
   bounds are handled directly by the bounded-variable simplex instead
   of being expanded into extra rows.
-* **Factorized basis** — only the ``m × m`` basis is factorized (LU via
-  LAPACK — ``scipy.linalg.lu_factor`` when scipy is importable, an
-  explicit LAPACK-computed inverse otherwise), and each pivot appends a
-  product-form eta vector instead of refactorizing.  The basis is
-  refactorized — and the basic solution recomputed to wash out drift —
-  every :data:`REFACTOR_EVERY` pivots or on a degenerate pivot element.
+* **Sparse basis factor** — the ``m × m`` basis is factorized by
+  SuperLU (``scipy.sparse.linalg.splu``) straight from its CSC column
+  slices, so no dense ``m × m`` array is ever built, and each pivot
+  appends a product-form eta vector instead of refactorizing.  The
+  basis is refactorized — and the basic solution recomputed to wash
+  out drift — every :data:`REFACTOR_EVERY` pivots or on a degenerate
+  pivot element.
 * **Dantzig pricing with Bland fallback** — steepest reduced cost
   normally, switching to Bland's least-index rule after a pivot budget
-  so degenerate instances terminate.
+  so degenerate instances terminate.  Pricing and the ratio test are
+  whole-array NumPy passes; no per-row or per-column Python loop runs
+  inside a pivot.
 * **Phase 1 without artificials** — a composite infeasibility phase:
   basic variables outside their bounds price with ±1 costs and the
   ratio test stops at the first breakpoint where an infeasible basic
@@ -46,13 +49,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro import obs
-
-try:  # scipy is optional; the solver is self-contained without it.
-    from scipy.linalg import lu_factor as _lu_factor
-    from scipy.linalg import lu_solve as _lu_solve
-except ImportError:  # pragma: no cover - exercised on scipy-free hosts
-    _lu_factor = None
-    _lu_solve = None
 
 #: Reduced-cost optimality tolerance.
 DUAL_TOL = 1e-9
@@ -121,6 +117,24 @@ class _Csc:
         start, end = self.indptr[j], self.indptr[j + 1]
         return self.indices[start:end], self.data[start:end]
 
+    def columns(self, selected: np.ndarray
+                ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """CSC ``(data, indices, indptr)`` of the chosen columns."""
+        starts = self.indptr[selected]
+        counts = self.indptr[selected + 1] - starts
+        indptr = np.zeros(len(selected) + 1, dtype=np.int64)
+        np.cumsum(counts, out=indptr[1:])
+        gather = (np.repeat(starts - indptr[:-1], counts)
+                  + np.arange(indptr[-1]))
+        return self.data[gather], self.indices[gather], indptr
+
+    def dot(self, x: np.ndarray) -> np.ndarray:
+        """``A x`` for all rows in one vectorized pass."""
+        counts = np.diff(self.indptr)
+        return np.bincount(self.indices,
+                           weights=self.data * np.repeat(x, counts),
+                           minlength=self.m)
+
     def transpose_dot(self, y: np.ndarray) -> np.ndarray:
         """``A^T y`` for all columns in one vectorized pass."""
         out = np.zeros(self.n)
@@ -184,8 +198,22 @@ class _SingularBasis(Exception):
     """Raised when the (warm) basis matrix cannot be factorized."""
 
 
+def _superlu(data: np.ndarray, indices: np.ndarray, indptr: np.ndarray,
+             m: int):
+    """SuperLU factor of the ``m × m`` CSC matrix ``(data, indices,
+    indptr)``.
+
+    ``scipy.sparse`` loads on the first factorization, not at import:
+    a process that never solves an LP pays neither its import time nor
+    its memory.
+    """
+    from scipy.sparse import csc_matrix
+    from scipy.sparse.linalg import splu
+    return splu(csc_matrix((data, indices, indptr), shape=(m, m)))
+
+
 class _BasisFactor:
-    """LU-factorized basis with product-form eta updates.
+    """Sparse LU-factorized basis with product-form eta updates.
 
     ``ftran`` solves ``B x = a`` and ``btran`` solves ``B^T y = c``.
     Each pivot appends one eta vector; the owner refactorizes when the
@@ -193,43 +221,22 @@ class _BasisFactor:
     """
 
     def __init__(self, matrix: _Csc, basis: np.ndarray):
-        m = matrix.m
-        dense = np.zeros((m, m))
-        for position, column in enumerate(basis):
-            rows, values = matrix.column(int(column))
-            dense[rows, position] = values
-        if _lu_factor is not None:
-            lu, piv = _lu_factor(dense, check_finite=False)
-            diag = np.abs(np.diag(lu))
-            scale = max(1.0, float(np.abs(dense).max())) if m else 1.0
-            if m and diag.min() <= 1e-11 * scale:
-                raise _SingularBasis
-            self._lu = (lu, piv)
-            self._inv = None
-        else:
-            try:
-                inverse = np.linalg.inv(dense)
-            except np.linalg.LinAlgError as error:
-                raise _SingularBasis from error
-            if not np.all(np.isfinite(inverse)):
-                raise _SingularBasis
-            self._lu = None
-            self._inv = inverse
+        data, indices, indptr = matrix.columns(basis)
+        try:
+            self._lu = _superlu(data, indices, indptr, matrix.m)
+        except RuntimeError as error:  # SuperLU: "exactly singular"
+            raise _SingularBasis from error
+        scale = max(1.0, float(np.abs(data).max(initial=0.0)))
+        if np.abs(self._lu.U.diagonal()).min() <= 1e-11 * scale:
+            raise _SingularBasis
         self._etas: List[Tuple[int, np.ndarray]] = []
 
     @property
     def eta_count(self) -> int:
         return len(self._etas)
 
-    def _base_solve(self, rhs: np.ndarray, transpose: bool) -> np.ndarray:
-        if self._lu is not None:
-            return _lu_solve(self._lu, rhs, trans=1 if transpose else 0,
-                             check_finite=False)
-        inverse = self._inv
-        return (inverse.T @ rhs) if transpose else (inverse @ rhs)
-
     def ftran(self, rhs: np.ndarray) -> np.ndarray:
-        x = self._base_solve(rhs, transpose=False)
+        x = self._lu.solve(rhs)
         for position, eta in self._etas:
             pivot_value = x[position]
             if pivot_value != 0.0:
@@ -241,7 +248,7 @@ class _BasisFactor:
         y = np.array(rhs, dtype=float, copy=True)
         for position, eta in reversed(self._etas):
             y[position] = float(eta @ y)
-        return self._base_solve(y, transpose=True)
+        return self._lu.solve(y, trans="T")
 
     def update(self, position: int, w: np.ndarray) -> bool:
         """Fold in a pivot replacing basis ``position`` (``w = B⁻¹ a_q``).
@@ -334,6 +341,48 @@ def solve_revised(
     return result
 
 
+def _ratio_test(delta: np.ndarray, x_b: np.ndarray, lo_b: np.ndarray,
+                hi_b: np.ndarray, basis: np.ndarray, phase: int,
+                bland: bool) -> Tuple[int, int, float]:
+    """Pick the leaving row for basic velocities ``delta``.
+
+    Returns ``(row, bound, t)``: the blocking row, the bound it lands
+    on (:data:`_AT_LOWER` / :data:`_AT_UPPER`) and the step length,
+    which is the shortest blocking step, or ``(-1, _AT_LOWER, inf)``
+    when no basic variable blocks.  A basic
+    variable moving towards a finite bound blocks when it reaches it;
+    in phase 1 one that is infeasible below (above) blocks only when
+    moving up (down), onto the bound it violates.  Among the rows within
+    :data:`FEAS_TOL` of the shortest step, the largest ``|delta|`` wins
+    (the earliest row on a tie), or the least basis index once Bland's
+    rule is active.
+    """
+    up = delta > 0.0
+    if phase == 1:
+        below = x_b < lo_b - FEAS_TOL
+        above = x_b > hi_b + FEAS_TOL
+    else:
+        below = above = np.zeros(delta.shape, dtype=bool)
+    lands_upper = above | (~below & up)
+    target = np.where(lands_upper, hi_b, lo_b)
+    # A phase-1 row outside its bounds and moving further out never
+    # blocks.
+    blocks = ((np.abs(delta) > PIVOT_TOL) & np.isfinite(target)
+              & ~(below & ~up) & ~(above & up))
+    rows = np.nonzero(blocks)[0]
+    if rows.size == 0:
+        return -1, _AT_LOWER, np.inf
+    t = np.maximum((target[rows] - x_b[rows]) / delta[rows], 0.0)
+    t_min = float(t.min())
+    near = rows[t <= t_min + FEAS_TOL]
+    if bland:
+        row = int(near[np.argmin(basis[near])])
+    else:
+        row = int(near[np.argmax(np.abs(delta[near]))])
+    bound = _AT_UPPER if lands_upper[row] else _AT_LOWER
+    return row, bound, t_min
+
+
 class _RevisedSimplex:
     """One solve's worth of revised-simplex state."""
 
@@ -365,14 +414,16 @@ class _RevisedSimplex:
 
     # -- setup ---------------------------------------------------------
 
-    def _default_status(self, column: int) -> int:
-        return _AT_LOWER if np.isfinite(self.lo[column]) else _AT_UPPER
+    def _default_status(self) -> None:
+        """Every column at its lower bound, or its upper if that is
+        the only finite one."""
+        self.status[:] = np.where(np.isfinite(self.lo), _AT_LOWER,
+                                  _AT_UPPER)
 
     def _cold_basis(self) -> None:
         self.basis = np.arange(self.n_struct, self.n_struct + self.m,
                                dtype=np.int64)
-        self.status[:] = [self._default_status(j)
-                          for j in range(self.total)]
+        self._default_status()
         self.status[self.basis] = _BASIC
 
     def _warm_basis(self, state: LpState) -> None:
@@ -400,8 +451,7 @@ class _RevisedSimplex:
                 taken.add(fallback)
                 chosen[row] = fallback
         self.basis = chosen
-        self.status[:] = [self._default_status(j)
-                          for j in range(self.total)]
+        self._default_status()
         for kind, index in state.at_upper:
             column = (index if kind == "v"
                       else self.n_struct + index if kind == "s" else -1)
@@ -423,13 +473,8 @@ class _RevisedSimplex:
         self._recompute_basics()
 
     def _recompute_basics(self) -> None:
-        residual = self.rhs.copy()
-        self._refresh_nonbasic_values()
-        nonzero = np.nonzero((self.status != _BASIC)
-                             & (self.nonbasic_value != 0.0))[0]
-        for column in nonzero:
-            rows, values = self.matrix.column(int(column))
-            residual[rows] -= values * self.nonbasic_value[column]
+        self._refresh_nonbasic_values()  # basic columns read 0 here
+        residual = self.rhs - self.matrix.dot(self.nonbasic_value)
         self.x_basic = self.factor.ftran(residual)
 
     # -- main loop -----------------------------------------------------
@@ -450,43 +495,21 @@ class _RevisedSimplex:
                 self._refactorize()
             except _SingularBasis:  # pragma: no cover - identity basis
                 return "infeasible"
-        phase = 1 if self._infeasibility() > FEAS_TOL else 2
+        phase = 1
         while self.iterations < self.max_iter:
             if phase == 1 and self._infeasibility() <= FEAS_TOL:
                 phase = 2
             entering, direction = self._price(phase)
             if entering < 0:
-                if phase == 1:
-                    return ("infeasible"
-                            if self._infeasibility() > FEAS_TOL
-                            else "optimal"
-                            if self._price(2)[0] < 0
-                            else self._continue_phase2())
-                return "optimal"
+                # Phase 1 prices only while the basis is infeasible, so
+                # no improving column there means no feasible point.
+                return "infeasible" if phase == 1 else "optimal"
             step = self._step(entering, direction, phase)
             if step == "unbounded":
                 return "unbounded"
             self.iterations += 1
             if phase == 1:
                 self.phase1_iterations += 1
-            if (self.factor.eta_count >= REFACTOR_EVERY
-                    or step == "refactor"):
-                try:
-                    self._refactorize()
-                except _SingularBasis:
-                    return "infeasible"
-        return "iteration_limit"
-
-    def _continue_phase2(self) -> str:
-        """Phase 1 hit feasibility exactly at its last pricing; resume."""
-        while self.iterations < self.max_iter:
-            entering, direction = self._price(2)
-            if entering < 0:
-                return "optimal"
-            step = self._step(entering, direction, 2)
-            if step == "unbounded":
-                return "unbounded"
-            self.iterations += 1
             if (self.factor.eta_count >= REFACTOR_EVERY
                     or step == "refactor"):
                 try:
@@ -557,53 +580,10 @@ class _RevisedSimplex:
         w = self.factor.ftran(column_dense)
         delta = -direction * w  # basic-variable velocity per unit step
 
-        lo_b = self.lo[self.basis]
-        hi_b = self.hi[self.basis]
         x_b = self.x_basic
-
-        best_t = np.inf
-        best_row = -1
-        best_bound = 0  # _AT_LOWER / _AT_UPPER the leaving var lands on
-        moving = np.nonzero(np.abs(delta) > PIVOT_TOL)[0]
-        bland = self.iterations >= self.bland_after
-        for i in moving:
-            d = delta[i]
-            value = x_b[i]
-            low, high = lo_b[i], hi_b[i]
-            if phase == 1 and value < low - FEAS_TOL:
-                # Infeasible below: blocks only when moving up onto lo.
-                if d > 0.0:
-                    t = (low - value) / d
-                    bound = _AT_LOWER
-                else:
-                    continue
-            elif phase == 1 and value > high + FEAS_TOL:
-                if d < 0.0:
-                    t = (value - high) / (-d)
-                    bound = _AT_UPPER
-                else:
-                    continue
-            elif d < 0.0:
-                if not np.isfinite(low):
-                    continue
-                t = (value - low) / (-d)
-                bound = _AT_LOWER
-            else:
-                if not np.isfinite(high):
-                    continue
-                t = (high - value) / d
-                bound = _AT_UPPER
-            t = max(t, 0.0)
-            if t < best_t - FEAS_TOL:
-                best_t, best_row, best_bound = t, int(i), bound
-            elif t < best_t + FEAS_TOL and best_row >= 0:
-                if bland:
-                    if self.basis[i] < self.basis[best_row]:
-                        best_t = min(best_t, t)
-                        best_row, best_bound = int(i), bound
-                elif abs(d) > abs(delta[best_row]):
-                    best_t = min(best_t, t)
-                    best_row, best_bound = int(i), bound
+        best_row, best_bound, best_t = _ratio_test(
+            delta, x_b, self.lo[self.basis], self.hi[self.basis],
+            self.basis, phase, bland=self.iterations >= self.bland_after)
 
         bound_span = self.hi[entering] - self.lo[entering]
         if bound_span < best_t and np.isfinite(bound_span):
@@ -614,9 +594,7 @@ class _RevisedSimplex:
                                      else _AT_LOWER)
             return "ok"
         if best_row < 0:
-            if not np.isfinite(best_t):
-                return "unbounded"
-            return "unbounded"  # pragma: no cover - defensive
+            return "unbounded"
 
         entering_start = (self.lo[entering] if direction > 0
                           else self.hi[entering])

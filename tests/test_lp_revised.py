@@ -13,7 +13,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.geometry.point import Point
+from repro.localization.radius_lp import RadiusEstimator
 from repro.lp import LpProblem, LpState, solve_revised
+from repro.lp.revised import (
+    _AT_LOWER, _AT_UPPER, FEAS_TOL, PIVOT_TOL, _BasisFactor, _build_csc,
+    _ratio_test, _SingularBasis)
+from repro.net80211.mac import MacAddress
 
 # Quantized draws: denormal-ish coefficients like 1e-7 make an instance
 # so ill-conditioned that HiGHS's own feasibility tolerance (~1e-9 on a
@@ -441,3 +447,263 @@ class TestRefactorizationParity:
         assert counters["repro.lp.revised.pivots"] == result.iterations
         assert (counters["repro.lp.revised.refactorizations"]
                 == result.refactorizations)
+
+
+def _random_sparse_matrix(rng, m, n):
+    """``[A | I]`` with 2-3 nonzeros per structural column."""
+    rows = []
+    for j in range(n):
+        picked = rng.choice(m, size=int(rng.integers(2, 4)), replace=False)
+        rows.append({int(i): float(rng.uniform(0.5, 3.0)
+                                   * rng.choice([-1.0, 1.0]))
+                     for i in picked})
+    constraints = [({}, "<=", 0.0) for _ in range(m)]
+    for j, column in enumerate(rows):
+        for i, value in column.items():
+            constraints[i][0][j] = value
+    matrix, _, _, _ = _build_csc(constraints, n)
+    return matrix
+
+
+def _dense_columns(matrix, selected):
+    data, indices, indptr = matrix.columns(selected)
+    dense = np.zeros((matrix.m, len(selected)))
+    for position in range(len(selected)):
+        span = slice(indptr[position], indptr[position + 1])
+        dense[indices[span], position] = data[span]
+    return dense
+
+
+class TestCsc:
+    def test_products_match_dense(self):
+        rng = np.random.default_rng(3)
+        matrix = _random_sparse_matrix(rng, 12, 20)
+        dense = _dense_columns(matrix, np.arange(matrix.n))
+        x = rng.normal(size=matrix.n)
+        y = rng.normal(size=matrix.m)
+        np.testing.assert_allclose(matrix.dot(x), dense @ x, atol=1e-12)
+        np.testing.assert_allclose(matrix.transpose_dot(y), dense.T @ y,
+                                   atol=1e-12)
+
+
+class TestBasisFactor:
+    """The SuperLU factor plus its eta file against dense solves."""
+
+    def _pivot_in(self, rng, matrix, basis, factor):
+        """One basis change: a random column enters at its best row."""
+        outside = np.setdiff1d(np.arange(matrix.n), basis)
+        entering = int(rng.choice(outside))
+        rows, values = matrix.column(entering)
+        column = np.zeros(matrix.m)
+        column[rows] = values
+        w = factor.ftran(column)
+        position = int(np.argmax(np.abs(w)))
+        assert factor.update(position, w)
+        basis[position] = entering
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_ftran_btran_match_dense_solve_after_eta_updates(self, seed):
+        rng = np.random.default_rng(seed)
+        m, n = 30, 45
+        matrix = _random_sparse_matrix(rng, m, n)
+        basis = np.arange(n, n + m, dtype=np.int64)
+        factor = _BasisFactor(matrix, basis)
+        for _ in range(8):  # move off the identity, then refactorize
+            self._pivot_in(rng, matrix, basis, factor)
+        factor = _BasisFactor(matrix, basis)
+        for _ in range(12):
+            self._pivot_in(rng, matrix, basis, factor)
+        assert factor.eta_count == 12
+        dense = _dense_columns(matrix, basis)
+        rhs = rng.normal(size=m)
+        np.testing.assert_allclose(factor.ftran(rhs),
+                                   np.linalg.solve(dense, rhs),
+                                   rtol=1e-9, atol=1e-9)
+        np.testing.assert_allclose(factor.btran(rhs),
+                                   np.linalg.solve(dense.T, rhs),
+                                   rtol=1e-9, atol=1e-9)
+
+    def test_singular_basis_is_rejected(self):
+        rng = np.random.default_rng(0)
+        matrix = _random_sparse_matrix(rng, 6, 4)
+        basis = np.array([0, 0, 6, 7, 8, 9], dtype=np.int64)
+        with pytest.raises(_SingularBasis):
+            _BasisFactor(matrix, basis)
+
+
+#: Warm tags naming two structural columns for a basis they cannot
+#: span.  x0 and x1 live only in row 0, so row 1 of B is empty.
+STRUCTURALLY_SINGULAR = (
+    [({0: 1.0, 1: 2.0}, "<=", 4.0), ({2: 1.0}, "<=", 3.0)],
+    LpState(row_basic=(("v", 0), ("v", 1))))
+#: x0 and x1 have proportional columns: B has no empty row or column,
+#: yet SuperLU finds it exactly singular.
+EXACTLY_SINGULAR = (
+    [({0: 1.0, 1: 2.0, 2: 1.0}, "<=", 4.0),
+     ({0: 2.0, 1: 4.0}, "<=", 9.0)],
+    LpState(row_basic=(("v", 0), ("v", 1))))
+#: Proportional up to 1e-12: SuperLU factors B, and the ``|diag(U)|``
+#: threshold must reject it.
+NEARLY_SINGULAR = (
+    [({0: 1.0, 1: 2.0, 2: 1.0}, "<=", 4.0),
+     ({0: 2.0, 1: 4.0 + 1e-12}, "<=", 9.0)],
+    LpState(row_basic=(("v", 0), ("v", 1))))
+
+
+class TestSingularWarmStart:
+    @pytest.mark.parametrize("rows, state", [
+        pytest.param(*STRUCTURALLY_SINGULAR, id="structural"),
+        pytest.param(*EXACTLY_SINGULAR, id="exact"),
+        pytest.param(*NEARLY_SINGULAR, id="near"),
+    ])
+    def test_singular_warm_basis_falls_back_to_cold(self, rows, state):
+        problem = build_problem([1.0, 1.0, 1.0], rows,
+                                [(0.0, 10.0)] * 3, maximize=True)
+        revised = problem.solve_revised(warm_start=state)
+        reference = problem.solve(solver="scipy")
+        assert revised.is_optimal and reference.is_optimal
+        assert revised.warm_started is False
+        assert revised.objective == pytest.approx(reference.objective,
+                                                  abs=1e-9)
+        assert_rows_hold(rows, revised.x)
+
+
+def scalar_ratio_test(delta, x_b, lo_b, hi_b, basis, phase, bland):
+    """The per-row ratio-test loop ``_ratio_test`` replaced, kept as
+    its reference.  Also returns every blocking row's step, so callers
+    can check that an input is tie-free."""
+    best_t = np.inf
+    best_row = -1
+    best_bound = _AT_LOWER
+    times = []
+    for i in np.nonzero(np.abs(delta) > PIVOT_TOL)[0]:
+        d = delta[i]
+        value = x_b[i]
+        low, high = lo_b[i], hi_b[i]
+        if phase == 1 and value < low - FEAS_TOL:
+            if d > 0.0:
+                t = (low - value) / d
+                bound = _AT_LOWER
+            else:
+                continue
+        elif phase == 1 and value > high + FEAS_TOL:
+            if d < 0.0:
+                t = (value - high) / (-d)
+                bound = _AT_UPPER
+            else:
+                continue
+        elif d < 0.0:
+            if not np.isfinite(low):
+                continue
+            t = (value - low) / (-d)
+            bound = _AT_LOWER
+        else:
+            if not np.isfinite(high):
+                continue
+            t = (high - value) / d
+            bound = _AT_UPPER
+        t = max(t, 0.0)
+        times.append(t)
+        if t < best_t - FEAS_TOL:
+            best_t, best_row, best_bound = t, int(i), bound
+        elif t < best_t + FEAS_TOL and best_row >= 0:
+            if bland:
+                if basis[i] < basis[best_row]:
+                    best_t = min(best_t, t)
+                    best_row, best_bound = int(i), bound
+            elif abs(d) > abs(delta[best_row]):
+                best_t = min(best_t, t)
+                best_row, best_bound = int(i), bound
+    return best_row, best_bound, best_t, times
+
+
+def _ratio_inputs(rng, m, phase):
+    """Random basic rows: some bounds infinite, phase-1 rows may sit
+    outside their bounds, feasible rows strictly inside them."""
+    lo_b = rng.uniform(-5.0, 0.0, size=m)
+    hi_b = lo_b + rng.uniform(0.5, 5.0, size=m)
+    lo_b[rng.random(m) < 0.2] = -np.inf
+    hi_b[rng.random(m) < 0.3] = np.inf
+    inner_lo = np.where(np.isfinite(lo_b), lo_b,
+                        np.minimum(hi_b, 5.0) - 10.0)
+    inner_hi = np.where(np.isfinite(hi_b), hi_b, inner_lo + 10.0)
+    x_b = rng.uniform(inner_lo + 0.01, inner_hi - 0.01)
+    if phase == 1:
+        out = rng.random(m)
+        below = (out < 0.2) & np.isfinite(lo_b)
+        above = (out > 0.8) & np.isfinite(hi_b)
+        x_b[below] = lo_b[below] - rng.uniform(0.1, 3.0, size=below.sum())
+        x_b[above] = hi_b[above] + rng.uniform(0.1, 3.0, size=above.sum())
+    delta = rng.normal(size=m)
+    delta[rng.random(m) < 0.15] = 0.0
+    basis = rng.permutation(4 * m)[:m]
+    return delta, x_b, lo_b, hi_b, basis
+
+
+class TestRatioTest:
+    @pytest.mark.parametrize("phase", [1, 2])
+    @pytest.mark.parametrize("bland", [False, True])
+    def test_matches_scalar_loop_on_tie_free_inputs(self, phase, bland):
+        rng = np.random.default_rng(1000 * phase + bland)
+        checked = 0
+        for _ in range(300):
+            inputs = _ratio_inputs(rng, int(rng.integers(1, 40)), phase)
+            row, bound, t, times = scalar_ratio_test(*inputs, phase,
+                                                     bland)
+            gaps = np.diff(np.sort(times))
+            if gaps.size and gaps.min() <= 2.0 * FEAS_TOL:
+                continue  # a near tie: the two rules may differ
+            checked += 1
+            assert _ratio_test(*inputs, phase, bland) == (row, bound, t)
+        assert checked > 250
+
+    def test_no_blocking_row(self):
+        row, bound, t = _ratio_test(
+            np.array([1.0, -1.0]), np.array([0.0, 0.0]),
+            np.array([-np.inf, -np.inf]), np.array([np.inf, np.inf]),
+            np.array([0, 1]), phase=2, bland=False)
+        assert (row, t) == (-1, np.inf)
+
+    @pytest.mark.parametrize("bland, expected", [(False, 1), (True, 0)])
+    def test_degenerate_tie(self, bland, expected):
+        # Both rows sit on the bound they move towards (t = 0): Dantzig
+        # takes the larger |delta|, Bland the smaller basis index.
+        row, bound, t = _ratio_test(
+            np.array([-1.0, 3.0]), np.array([0.0, 2.0]),
+            np.array([0.0, 0.0]), np.array([5.0, 2.0]),
+            np.array([4, 7]), phase=2, bland=bland)
+        assert (row, t) == (expected, 0.0)
+        assert bound == (_AT_LOWER, _AT_UPPER)[expected]
+
+
+class TestApRadShapedLp:
+    def test_grid_lp_matches_highs(self):
+        # The perfbench aprad-refit shape: an 8 x 8 AP grid at 100 m
+        # (jittered, so the perturbed optimum is unique), 140 m true
+        # range, r_max = 200.
+        rng = np.random.default_rng(8)
+        locations = {
+            MacAddress(r * 8 + c + 1):
+                Point(c * 100.0 + rng.uniform(-7.0, 7.0),
+                      r * 100.0 + rng.uniform(-7.0, 7.0))
+            for r in range(8) for c in range(8)}
+        coords = np.array([[p.x, p.y] for p in locations.values()])
+        macs = list(locations)
+        corpus = []
+        while len(corpus) < 300:
+            probe = rng.uniform(-40.0, 740.0, size=2)
+            inside = np.hypot(*(coords - probe).T) <= 140.0
+            if inside.any():
+                corpus.append({macs[i] for i in np.nonzero(inside)[0]})
+        estimator = RadiusEstimator(locations, r_max=200.0,
+                                    tie_break=1e-6)
+        estimator.fit(corpus)
+        assert 850 <= estimator.lp_rows <= 1000
+        problem = estimator._problem
+        revised = problem.solve(solver="revised")
+        reference = problem.solve(solver="scipy")
+        assert revised.is_optimal and reference.is_optimal
+        assert revised.objective == pytest.approx(reference.objective,
+                                                  abs=1e-6)
+        np.testing.assert_allclose(revised.x[:64], reference.x[:64],
+                                   atol=1e-6)
