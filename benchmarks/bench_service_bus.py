@@ -1,12 +1,13 @@
-"""Bus transport throughput: in-process queues vs mp queues vs TCP.
+"""Bus transport throughput: in-process queues vs TCP.
 
-The SocketBus buys network reach with framing, CRC, credits, and
-heartbeats on every message — this bench prices that overhead against
-the queue transports so the transport choice is a measured trade, not
-a guess.  Three sections:
+The SocketBus buys network reach with encoding, framing, CRC, credits,
+and heartbeats on every message — this bench prices that overhead
+against the in-process queues so the transport choice is a measured
+trade, not a guess.  Three sections:
 
 * **raw** — messages/sec through the bare Bus seam (publish →
-  endpoint.get → credit) per transport, one producer, one consumer;
+  endpoint.get → credit) per transport, one producer, one consumer,
+  each message an 8-frame ``("frames", FrameBatch)``;
 * **fleet** — ShardedEngine frames/sec over the thread vs the socket
   transport on the same synthetic stream, with an output-identity
   assertion between the two;
@@ -33,6 +34,7 @@ from pathlib import Path
 from typing import Iterator, List
 
 from repro.capture import make_capture_writer
+from repro.capture.records import FrameBatch, encode_frames
 from repro.geometry.point import Point
 from repro.knowledge.apdb import ApDatabase, ApRecord
 from repro.localization import MLoc
@@ -40,15 +42,15 @@ from repro.net80211.frames import probe_response
 from repro.net80211.mac import MacAddress
 from repro.net80211.medium import ReceivedFrame
 from repro.net80211.ssid import Ssid
-from repro.service import (FrameIngestServer, MpQueueBus, QueueBus,
-                           ShardConfig, ShardedEngine, SocketBus,
-                           stream_capture_to)
+from repro.service import (FrameIngestServer, QueueBus, ShardConfig,
+                           ShardedEngine, SocketBus, stream_capture_to)
 
 AP_GRID = 4             # 16 APs on an 80 m lattice
 AP_BASE = 0x001B63000000
 MOBILE_BASE = 0x020000000000
 MOBILE_COUNT = 24
 BUS_CAPACITY = 256
+TRANSPORTS = ("thread", "socket")
 
 
 def build_database() -> ApDatabase:
@@ -79,13 +81,12 @@ def generate_stream(frames: int) -> Iterator[ReceivedFrame]:
 def make_bus(transport: str):
     if transport == "thread":
         return QueueBus(1, capacity=BUS_CAPACITY)
-    if transport == "process":
-        return MpQueueBus(1, capacity=BUS_CAPACITY)
     return SocketBus(1, capacity=BUS_CAPACITY)
 
 
 def bench_raw(transport: str, messages: int, repeats: int) -> dict:
-    payload = ("frames", [float(i) for i in range(8)])
+    payload = ("frames", FrameBatch(*encode_frames(
+        list(generate_stream(8)))))
     best = None
     for _ in range(repeats):
         bus = make_bus(transport)
@@ -226,7 +227,7 @@ def run_bench(messages: int, frames: int, shards: int, repeats: int,
     database = build_database()
     stream = list(generate_stream(frames))
     raw = {transport: bench_raw(transport, messages, repeats)
-           for transport in ("thread", "process", "socket")}
+           for transport in TRANSPORTS}
     fleet = run_fleet_section(stream, database, shards)
     gateway = run_gateway_section(stream, database, shards, workdir)
     return {
@@ -256,11 +257,9 @@ def test_service_bus_transports(benchmark, reporter, tmp_path):
         messages=5000, frames=2000, shards=2, repeats=1,
         workdir=str(tmp_path)))
     raw = report["raw"]
-    reporter("", "=== Bus transports: queue vs mp vs TCP ===",
+    reporter("", "=== Bus transports: queue vs TCP ===",
              f"  thread msgs/s : "
              f"{raw['thread']['messages_per_sec']:12.0f}",
-             f"  process msgs/s: "
-             f"{raw['process']['messages_per_sec']:12.0f}",
              f"  socket msgs/s : "
              f"{raw['socket']['messages_per_sec']:12.0f}",
              f"  fleet identical: {report['fleet']['outputs_identical']}",
@@ -295,7 +294,7 @@ def main(argv=None) -> int:
                            args.repeats, workdir)
 
     raw = report["raw"]
-    for transport in ("thread", "process", "socket"):
+    for transport in TRANSPORTS:
         print(f"raw {transport:7s}: "
               f"{raw[transport]['messages_per_sec']:12.0f} msgs/s")
     fleet = report["fleet"]

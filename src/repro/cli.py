@@ -187,13 +187,12 @@ def main(argv: Optional[List[str]] = None) -> int:
     p_serve.add_argument("--shards", type=int, default=2,
                          help="engine shards in the fleet (default 2)")
     p_serve.add_argument("--transport",
-                         choices=("thread", "process", "socket",
-                                  "socket-process"),
+                         choices=("thread", "socket", "socket-process"),
                          default="thread",
-                         help="shard transport: in-process threads, "
-                              "one OS process per shard, or the TCP "
-                              "SocketBus (with thread or process "
-                              "workers)")
+                         help="shard transport: in-process queues with "
+                              "thread workers, or the TCP SocketBus "
+                              "with thread workers (socket) or one OS "
+                              "process per shard (socket-process)")
     p_serve.add_argument("--host", default="127.0.0.1",
                          help="HTTP bind address")
     p_serve.add_argument("--port", type=int, default=8737,

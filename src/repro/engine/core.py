@@ -61,21 +61,9 @@ from repro.sniffer.tracker import DeviceTracker, PseudonymLinker
 PathLike = Union[str, Path]
 
 #: v2 added the ``"metrics"`` registry snapshot; v3 adds the embedded
-#: ``"crc32"`` integrity field plus quarantine/failure state.  v1 and
-#: v2 checkpoints are still restorable.
+#: ``"crc32"`` integrity field plus quarantine/failure state.  Only v3
+#: restores: earlier versions carry no CRC.
 CHECKPOINT_VERSION = 3
-
-#: Counter names mirrored into the legacy ``"counters"`` checkpoint
-#: block, in its historical key order.
-_COUNTER_METRICS = (
-    ("frames_ingested", "repro.engine.frames"),
-    ("evidence_events", "repro.engine.evidence"),
-    ("probe_requests", "repro.engine.probe_requests"),
-    ("batches_flushed", "repro.engine.batches"),
-    ("estimates_emitted", "repro.engine.estimates"),
-    ("unlocatable", "repro.engine.unlocatable"),
-    ("refits", "repro.engine.refits"),
-)
 
 
 class StreamingEngine:
@@ -671,15 +659,6 @@ class StreamingEngine:
                 ]
                 for mobile in self.tracker.devices()
             },
-            # Legacy (v1) counter block, kept so external consumers of
-            # checkpoint JSON keep working; the registry snapshot below
-            # is the authoritative cumulative record.
-            "counters": dict(
-                [(field, int(self.registry.counter(metric).value))
-                 for field, metric in _COUNTER_METRICS]
-                + [("last_fit_iterations",
-                    int(self._g_fit_iterations.value))]
-            ),
             "metrics": self.registry.snapshot(),
             # Pending re-fit evidence: the localizer's own model (LP
             # basis, radii) is NOT serialized, so a restored engine
@@ -690,7 +669,6 @@ class StreamingEngine:
                 "pending": [sorted(str(ap) for ap in gamma)
                             for gamma in self._pending_refit],
             },
-            "stage_seconds": self._stage_seconds(),
             # v3 fault-tolerance state: a resumed run must not
             # re-admit devices the interrupted run already condemned.
             "quarantine": {str(mobile): reason
@@ -750,19 +728,14 @@ class StreamingEngine:
         serialized); it must be configured identically to the original
         for the resumed run to match an uninterrupted one.  Config keys
         this engine does not read, such as the process-pool settings
-        older checkpoints carry, are ignored.
+        older checkpoints carry, are ignored.  ``data`` is trusted:
+        integrity is checked where a checkpoint is read from disk
+        (:func:`load_checkpoint_data`).
         """
         version = data.get("engine_checkpoint")
-        if version not in (1, 2, CHECKPOINT_VERSION):
+        if version != CHECKPOINT_VERSION:
             raise CheckpointError(
                 f"unsupported engine checkpoint version {version!r}")
-        stored_crc = data.get("crc32")
-        if stored_crc is not None:
-            computed = checkpoint_crc(data)
-            if int(stored_crc) != computed:
-                raise CheckpointError(
-                    f"checkpoint CRC mismatch: stored {stored_crc}, "
-                    f"computed {computed} — file is corrupt")
         config = data["config"]
         engine = cls(localizer,
                      window_s=float(config["window_s"]),
@@ -788,27 +761,10 @@ class StreamingEngine:
                                                          float(point["y"])),
                                           algorithm=point["algorithm"],
                                           used_ap_count=int(point["k"])))
-        metrics = data.get("metrics")
-        if metrics is not None:
-            # v2: the registry snapshot is the cumulative record —
-            # merging it makes resumed totals (counters, histograms,
-            # buckets) exactly those of an uninterrupted run.
-            engine.registry.merge(metrics)
-        else:
-            # v1: reconstruct the core counter series from the legacy
-            # int block and seed each stage histogram with one
-            # observation carrying the accumulated wall time.
-            counters = data.get("counters", {})
-            for field, metric in _COUNTER_METRICS:
-                value = int(counters.get(field, 0))
-                if value:
-                    engine.registry.counter(metric).inc(value)
-            engine._g_fit_iterations.set(
-                int(counters.get("last_fit_iterations", 0)))
-            for stage, seconds in data.get("stage_seconds", {}).items():
-                engine.registry.timer(
-                    "repro.engine.stage.duration",
-                    stage=stage).observe(float(seconds))
+        # The registry snapshot is the cumulative record — merging it
+        # makes resumed totals (counters, histograms, buckets) exactly
+        # those of an uninterrupted run.
+        engine.registry.merge(data["metrics"])
         engine._g_devices.set(len(engine._seen))
         refit = data.get("refit", {})
         engine._events_since_refit = int(
@@ -861,11 +817,13 @@ def _validate_checkpoint(path: Path) -> dict:
         raise CheckpointError(
             f"checkpoint {path} is not a JSON object")
     version = data.get("engine_checkpoint")
-    if version not in (1, 2, CHECKPOINT_VERSION):
+    if version != CHECKPOINT_VERSION:
         raise CheckpointError(
             f"unsupported engine checkpoint version {version!r} in {path}")
     stored_crc = data.get("crc32")
-    if stored_crc is not None and int(stored_crc) != checkpoint_crc(data):
+    if stored_crc is None:
+        raise CheckpointError(f"checkpoint {path} carries no crc32")
+    if stored_crc != checkpoint_crc(data):
         raise CheckpointError(
             f"checkpoint CRC mismatch in {path} — file is corrupt")
     return data

@@ -112,22 +112,6 @@ class DiscIntersection:
                              else list(precomputed_vertices))
         self._build()
 
-    def __getstate__(self) -> dict:
-        """Pickle without the derived caches.
-
-        Estimates carry regions across process boundaries (process
-        shard transports pickle them); the arc list is recomputable from the vertices on demand and the
-        precomputed-vertex input was already consumed by ``_build``, so
-        neither belongs in the payload.  The empty arc list (set when
-        the region degenerates) is kept — it records a decision, not a
-        cache.
-        """
-        state = dict(self.__dict__)
-        if state["_arcs_cache"]:
-            state["_arcs_cache"] = None
-        state["_precomputed"] = None
-        return state
-
     # ------------------------------------------------------------------
     # Construction
     # ------------------------------------------------------------------

@@ -3,8 +3,8 @@
 The scale-out layer over :mod:`repro.engine`: devices are partitioned
 across N :class:`~repro.engine.StreamingEngine` shards by a stable hash
 of the device id (:mod:`repro.service.sharding`), frames flow through a
-pluggable :class:`Bus` — in-process queues, multiprocessing queues, or
-TCP via :class:`SocketBus` (:mod:`repro.service.socketbus`) — and one
+pluggable :class:`Bus` — in-process queues, or TCP via
+:class:`SocketBus` (:mod:`repro.service.socketbus`) — and one
 :class:`ShardedEngine` router re-exposes the single-engine surface
 — plus serving queries and a Prometheus scrape — over the fleet.
 Per-shard checkpoints and router-side retention make a shard crash
@@ -14,7 +14,7 @@ For geographically distributed capture, the ingest gateway
 with at-least-once + dedup-by-sequence delivery.
 """
 
-from repro.service.bus import (Bus, BusTimeout, MpQueueBus, QueueBus,
+from repro.service.bus import (Bus, BusTimeout, QueueBus,
                                DEFAULT_CAPACITY, empty_collect_message)
 from repro.service.core import ServiceError, ShardedEngine, TRANSPORTS
 from repro.service.gateway import (FrameIngestServer, IngestStats,
@@ -31,7 +31,7 @@ from repro.service.wire import (ConnectionLost, CrcMismatch,
 __all__ = [
     "Bus", "BusTimeout", "ConnectionLost", "CrcMismatch",
     "DEFAULT_CAPACITY", "FrameIngestServer", "HelloRejected",
-    "IngestStats", "LocalizerFactory", "MpQueueBus", "QueueBus",
+    "IngestStats", "LocalizerFactory", "QueueBus",
     "ServiceError", "ServiceServer", "ShardChannel", "ShardConfig",
     "ShardRuntime", "ShardedEngine", "SocketBus", "TRANSPORTS",
     "TruncatedFrame", "VersionMismatch", "WireError", "device_shard",

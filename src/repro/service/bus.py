@@ -2,34 +2,29 @@
 
 A :class:`Bus` owns, per shard, one *inbox* (router → shard: frame
 batches and control messages) and one *outbox* (shard → router:
-checkpoint acks and request replies).  Messages are opaque picklable
-tuples — the bus moves envelopes, the shard runtime interprets them —
-so a transport only has to provide queue semantics:
+checkpoint acks and request replies).  Messages are the typed tuples of
+:mod:`repro.service.shard` — the bus moves envelopes, the shard runtime
+interprets them — so a transport only has to provide queue semantics:
 
 * :class:`QueueBus` — in-process ``queue.Queue`` pairs; shards run as
   threads.  Zero serialization cost, shared GIL.
-* :class:`MpQueueBus` — ``multiprocessing.Queue`` pairs; shards run as
-  OS processes.  Frames pickle across, each shard gets its own
-  interpreter (and its own GIL), which is what the throughput bench
-  exercises.
-
 * :class:`~repro.service.socketbus.SocketBus` — TCP connections behind
-  the same five methods; shards can live on other machines.  Nothing
-  above the bus (the :class:`~repro.service.core.ShardedEngine`, the
-  serving layer) changes.
+  the same five methods, every message encoded by
+  :func:`repro.service.wire.pack_data`; shards run as threads, as OS
+  processes (``socket-process``), or on other machines.  Nothing above
+  the bus (the :class:`~repro.service.core.ShardedEngine`, the serving
+  layer) changes.
 
 Inboxes are bounded, so a slow shard back-pressures the router instead
 of buffering the whole capture in memory.  :meth:`Bus.reset` replaces
-one shard's endpoints with fresh queues — after a shard crash the old
-queues may hold garbage (or, for a terminated process, be corrupted
-mid-``put``), so a supervised restart never reuses them.
+one shard's endpoints with fresh ones — after a shard crash the old
+endpoints may hold garbage, so a supervised restart never reuses them.
 """
 
 from __future__ import annotations
 
-import multiprocessing
 import queue
-from typing import Any, List, Optional, Tuple
+from typing import Any, Optional, Tuple
 
 from repro import faults
 from repro.faults import DROPPED
@@ -60,7 +55,7 @@ def empty_collect_message(shard: int, timeout: Optional[float],
 
 
 class Bus:
-    """Per-shard inbox/outbox queue pairs behind one transport seam."""
+    """The transport seam: per-shard inbox/outbox pairs."""
 
     def __init__(self, shards: int, capacity: int = DEFAULT_CAPACITY):
         if shards < 1:
@@ -69,17 +64,6 @@ class Bus:
             raise ValueError(f"capacity must be >= 1, got {capacity}")
         self.shards = shards
         self.capacity = capacity
-        self._inboxes: List[Any] = [self._make_queue(capacity)
-                                    for _ in range(shards)]
-        self._outboxes: List[Any] = [self._make_queue(0)
-                                     for _ in range(shards)]
-
-    # -- transport seam ------------------------------------------------
-
-    def _make_queue(self, capacity: int):
-        raise NotImplementedError
-
-    # -- router side ---------------------------------------------------
 
     def publish(self, shard: int, message: Tuple,
                 timeout: Optional[float] = None) -> None:
@@ -93,6 +77,43 @@ class Bus:
         Fault-injection seam: ``bus.publish`` (keyed by shard index)
         may raise, delay, corrupt the message, or drop it outright.
         """
+        raise NotImplementedError
+
+    def collect(self, shard: int,
+                timeout: Optional[float] = None,
+                block: bool = True) -> Tuple:
+        """Dequeue one shard → router message.
+
+        Raises :class:`BusTimeout` when nothing arrives in time (or,
+        non-blocking, when the outbox is empty).
+
+        Fault-injection seam: ``bus.collect`` (keyed by shard index)
+        may raise or delay before the read.
+        """
+        raise NotImplementedError
+
+    def reset(self, shard: int) -> None:
+        """Replace one shard's endpoints with fresh ones (post-crash)."""
+        raise NotImplementedError
+
+    def endpoints(self, shard: int) -> Tuple[Any, Any]:
+        """The ``(inbox, outbox)`` pair a shard runtime consumes."""
+        raise NotImplementedError
+
+    def close(self) -> None:
+        """Release transport resources (no-op for in-process queues)."""
+
+
+class QueueBus(Bus):
+    """In-process transport: ``queue.Queue`` pairs, shard threads."""
+
+    def __init__(self, shards: int, capacity: int = DEFAULT_CAPACITY):
+        super().__init__(shards, capacity)
+        self._inboxes = [queue.Queue(capacity) for _ in range(shards)]
+        self._outboxes = [queue.Queue() for _ in range(shards)]
+
+    def publish(self, shard: int, message: Tuple,
+                timeout: Optional[float] = None) -> None:
         message = faults.hook("bus.publish", message, key=str(shard))
         if message is DROPPED:
             return
@@ -106,14 +127,6 @@ class Bus:
     def collect(self, shard: int,
                 timeout: Optional[float] = None,
                 block: bool = True) -> Tuple:
-        """Dequeue one shard → router message.
-
-        Raises :class:`BusTimeout` when nothing arrives in time (or,
-        non-blocking, when the outbox is empty).
-
-        Fault-injection seam: ``bus.collect`` (keyed by shard index)
-        may raise or delay before the read.
-        """
         faults.hook("bus.collect", key=str(shard))
         try:
             return self._outboxes[shard].get(block=block, timeout=timeout)
@@ -122,56 +135,8 @@ class Bus:
                 empty_collect_message(shard, timeout, block)) from None
 
     def reset(self, shard: int) -> None:
-        """Replace one shard's endpoints with fresh queues (post-crash)."""
-        self._inboxes[shard] = self._make_queue(self.capacity)
-        self._outboxes[shard] = self._make_queue(0)
-
-    # -- shard side ----------------------------------------------------
+        self._inboxes[shard] = queue.Queue(self.capacity)
+        self._outboxes[shard] = queue.Queue()
 
     def endpoints(self, shard: int) -> Tuple[Any, Any]:
-        """The ``(inbox, outbox)`` pair a shard runtime consumes.
-
-        For a process transport these are picklable and shipped to the
-        child; the parent must not read a shard's inbox once its worker
-        owns it.
-        """
         return self._inboxes[shard], self._outboxes[shard]
-
-    # -- lifecycle -----------------------------------------------------
-
-    def close(self) -> None:
-        """Release transport resources (no-op for in-process queues)."""
-
-
-class QueueBus(Bus):
-    """In-process transport: ``queue.Queue`` pairs, shard threads."""
-
-    def _make_queue(self, capacity: int):
-        return queue.Queue(maxsize=capacity)
-
-
-class MpQueueBus(Bus):
-    """Multiprocess transport: ``multiprocessing.Queue`` pairs.
-
-    Uses an explicit context so the transport is deliberate about the
-    start method rather than inheriting whatever the platform default
-    happens to be.
-    """
-
-    def __init__(self, shards: int, capacity: int = DEFAULT_CAPACITY,
-                 context: Optional[str] = None):
-        self._ctx = multiprocessing.get_context(context)
-        super().__init__(shards, capacity)
-
-    def _make_queue(self, capacity: int):
-        return self._ctx.Queue(maxsize=capacity)
-
-    def close(self) -> None:
-        for q in self._inboxes + self._outboxes:
-            # Cancel the feeder-thread join so interpreter shutdown
-            # never blocks on a queue a dead shard stopped draining.
-            try:
-                q.close()
-                q.cancel_join_thread()
-            except (OSError, ValueError):  # pragma: no cover
-                pass

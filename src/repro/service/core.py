@@ -20,8 +20,10 @@ over the fleet:
   its last checkpoint, the retained tail is replayed, and because
   ingest is deterministic the restarted shard converges to exactly the
   state the crash destroyed — invisible to the rest of the fleet.
-* **Merged reads** — ``stats()`` folds per-shard
-  :class:`~repro.engine.EngineStats` with the associative merge;
+* **Merged reads** — shards answer with JSON-native results on every
+  transport; ``stats()`` folds their :class:`~repro.engine.EngineStats`
+  with the associative merge, ``locate()`` / ``snapshot()`` rebuild
+  estimates with :func:`~repro.service.shard.decode_fix`, and
   ``metrics_snapshot()`` / ``render_prometheus()`` fold per-shard
   registry snapshots through :func:`repro.obs.merge_snapshots`.
 """
@@ -30,6 +32,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import multiprocessing
 import threading
 import uuid
 from pathlib import Path
@@ -44,8 +47,9 @@ from repro.faults import ReproError, RetryPolicy
 from repro.localization.base import LocalizationEstimate
 from repro.net80211.mac import MacAddress
 from repro.net80211.medium import ReceivedFrame
-from repro.service.bus import Bus, BusTimeout, MpQueueBus, QueueBus
-from repro.service.shard import LocalizerFactory, ShardConfig, run_shard
+from repro.service.bus import Bus, BusTimeout, QueueBus
+from repro.service.shard import (LocalizerFactory, ShardConfig, decode_fix,
+                                 run_shard)
 from repro.service.sharding import device_shard, route_batch
 from repro.service.socketbus import SocketBus
 
@@ -54,9 +58,8 @@ PathLike = Union[str, Path]
 MANIFEST_NAME = "service.manifest.json"
 MANIFEST_VERSION = 1
 
-#: Transport names and the worker flavor each runs shards as.
-TRANSPORTS = ("thread", "process", "socket", "socket-process")
-_THREAD_TRANSPORTS = ("thread", "socket")
+#: Transport names; ``socket-process`` runs each shard as an OS process.
+TRANSPORTS = ("thread", "socket", "socket-process")
 
 
 class ServiceError(ReproError):
@@ -69,7 +72,7 @@ class _ShardHandle:
     def __init__(self, index: int):
         self.index = index
         self.worker = None            # Thread or Process
-        self.crash_event = None       # thread transport only
+        self.crash_event = None       # thread workers only
         # Serializes this shard's outbox reads and request/reply pairs.
         self.lock = threading.RLock()
         # Messages published since the last acked checkpoint barrier.
@@ -98,18 +101,18 @@ class ShardedEngine:
     ----------
     localizer_factory:
         Zero-arg callable building one shard's localizer.  Each shard
-        gets its own instance; for ``transport="process"`` it must be
-        picklable (``functools.partial(make_localizer, spec,
+        gets its own instance; for ``transport="socket-process"`` it
+        must be picklable (``functools.partial(make_localizer, spec,
         database=db)`` is the canonical form).
     shards:
         Fleet width (>= 1).
     transport:
-        ``"thread"`` (QueueBus, shared process), ``"process"``
-        (MpQueueBus, one OS process per shard — real parallelism),
-        ``"socket"`` (SocketBus over TCP, shard threads in this
-        process — the single-host shape of a distributed fleet), or
-        ``"socket-process"`` (SocketBus + one OS process per shard,
-        connected over TCP exactly as remote shards would be).
+        ``"thread"`` (QueueBus, shared process), ``"socket"``
+        (SocketBus over TCP, shard threads in this process — the
+        single-host shape of a distributed fleet), or
+        ``"socket-process"`` (SocketBus + one OS process per shard —
+        real parallelism, connected over TCP exactly as remote shards
+        would be).
     config:
         Per-shard :class:`~repro.service.shard.ShardConfig`.
     checkpoint_dir:
@@ -201,8 +204,6 @@ class ShardedEngine:
         if bus is None:
             if transport == "thread":
                 bus = QueueBus(shards)
-            elif transport == "process":
-                bus = MpQueueBus(shards)
             else:
                 bus = SocketBus(shards, run_id=self.run_id,
                                 registry=self.registry)
@@ -261,20 +262,14 @@ class ShardedEngine:
         args = (handle.index, self.localizer_factory, self.config,
                 self._checkpoint_path(handle.index), resume, self.run_id,
                 inbox, outbox)
-        if self.transport in _THREAD_TRANSPORTS:
+        if self.transport == "socket-process":
+            handle.worker = multiprocessing.Process(
+                target=run_shard, args=args,
+                name=f"repro-shard-{handle.index}", daemon=True)
+        else:
             handle.crash_event = threading.Event()
             handle.worker = threading.Thread(
                 target=run_shard, args=args + (handle.crash_event,),
-                name=f"repro-shard-{handle.index}", daemon=True)
-        else:
-            ctx = getattr(self.bus, "_ctx", None)
-            process_cls = ctx.Process if ctx is not None else None
-            if process_cls is None:  # pragma: no cover - custom bus
-                import multiprocessing
-                process_cls = multiprocessing.get_context().Process
-            handle.crash_event = None
-            handle.worker = process_cls(
-                target=run_shard, args=args,
                 name=f"repro-shard-{handle.index}", daemon=True)
         handle.worker.start()
 
@@ -285,7 +280,11 @@ class ShardedEngine:
         request — triggers the supervised restart path.
         """
         handle = self._handles[index]
-        if self.transport in _THREAD_TRANSPORTS:
+        if self.transport == "socket-process":
+            if handle.worker is not None:
+                handle.worker.terminate()
+                handle.worker.join(timeout=self.worker_join_timeout_s)
+        else:
             if handle.crash_event is not None:
                 handle.crash_event.set()
             # Wake a get()-blocked runtime so the event is observed.
@@ -295,10 +294,6 @@ class ShardedEngine:
             except BusTimeout:  # pragma: no cover - full inbox
                 pass
             if handle.worker is not None:
-                handle.worker.join(timeout=self.worker_join_timeout_s)
-        else:
-            if handle.worker is not None:
-                handle.worker.terminate()
                 handle.worker.join(timeout=self.worker_join_timeout_s)
 
     def kill_connection(self, index: int) -> bool:
@@ -554,28 +549,28 @@ route_batch` picks each row's shard, and each shard's rows join its
             mobile = MacAddress.parse(mobile)
         index = device_shard(mobile, self.shards)
         if self._stopped:
-            return self._drained_fix(index, mobile)
-        return self._request(index, "locate", str(mobile))
+            record = self._drained_reports()[index]["fixes"].get(
+                str(mobile))
+        else:
+            record = self._request(index, "locate", str(mobile))
+        return None if record is None else decode_fix(record)
 
-    def _drained_fix(self, index, mobile):
+    def _drained_reports(self) -> List[dict]:
         if self._drained is None:
             raise ServiceError("service is stopped")
-        return self._drained[index]["fixes"].get(mobile)
+        return self._drained
 
     def snapshot(self) -> Dict[MacAddress,
                                Tuple[float, LocalizationEstimate]]:
         """Latest fix per device, merged across the fleet."""
         if self._stopped:
-            if self._drained is None:
-                raise ServiceError("service is stopped")
-            per_shard = [result["fixes"] for result in self._drained]
+            per_shard = [report["fixes"]
+                         for report in self._drained_reports()]
         else:
             per_shard = [self._request(index, "snapshot")
                          for index in range(self.shards)]
-        merged: Dict[MacAddress, Tuple[float, LocalizationEstimate]] = {}
-        for fixes in per_shard:
-            merged.update(fixes)
-        return merged
+        return {MacAddress.parse(mobile): decode_fix(record)
+                for fixes in per_shard for mobile, record in fixes.items()}
 
     def health(self) -> dict:
         """Per-shard liveness + lag; never raises for a dead shard."""
@@ -601,11 +596,11 @@ route_batch` picks each row's shard, and each shard's rows join its
     def stats(self) -> EngineStats:
         """Merged fleet stats (associative per-shard fold)."""
         if self._drained is not None:
-            snapshots = [result["stats"] for result in self._drained]
+            snapshots = [report["stats"] for report in self._drained]
         else:
             snapshots = [self._request(index, "stats")
                          for index in range(self.shards)]
-        return EngineStats.merge_all(snapshots)
+        return _merged_stats(snapshots)
 
     def metrics_snapshot(self) -> dict:
         """Merged registry snapshot: every shard plus the router."""
@@ -635,16 +630,16 @@ route_batch` picks each row's shard, and each shard's rows join its
     def drain(self) -> EngineStats:
         """Settle the whole fleet (pending publishes, refits, flushes).
 
-        Caches each shard's drain report — fixes, stats, metrics — so
-        the read side keeps answering after :meth:`stop`.  Returns the
-        merged stats.
+        Caches each shard's drain report — fixes, stats, metrics — as
+        it arrived, so the read side keeps answering after :meth:`stop`
+        and decodes fixes only when they are read.  Returns the merged
+        stats.
         """
         self.flush_publishes()
-        results = []
-        for index in range(self.shards):
-            results.append(self._request(index, "drain"))
-        self._drained = results
-        return EngineStats.merge_all(r["stats"] for r in results)
+        self._drained = [self._request(index, "drain")
+                         for index in range(self.shards)]
+        return _merged_stats(report["stats"]
+                             for report in self._drained)
 
     def save_checkpoints(self, timeout: Optional[float] = None) -> None:
         """Synchronous checkpoint barrier across the fleet."""
@@ -708,3 +703,9 @@ route_batch` picks each row's shard, and each shard's rows join its
 
     def __exit__(self, exc_type, exc, tb) -> None:
         self.stop()
+
+
+def _merged_stats(snapshots: Iterable[dict]) -> EngineStats:
+    """Fold shard stats replies (``dataclasses.asdict`` form)."""
+    return EngineStats.merge_all(EngineStats(**snapshot)
+                                 for snapshot in snapshots)

@@ -6,8 +6,9 @@ survive the network.  Two halves:
 
 * :class:`FrameIngestServer` — router-side listener accepting framed
   batches of capture rows (:mod:`repro.service.wire` frames,
-  CRC-covered, typed by :func:`~repro.service.wire.unpack_rows` — no
-  pickle on this port) and handing each one, as a
+  CRC-covered, decoded by :func:`~repro.service.wire.unpack_data`,
+  the shard links' codec, which here admits ``frames`` messages only)
+  and handing each one, as a
   :class:`~repro.capture.records.FrameBatch`, to an engine's
   ``ingest_batch``.
 * :func:`stream_capture_to` — collector-side client streaming any
@@ -45,7 +46,8 @@ from repro.net80211.mac import MacAddress
 from repro.net80211.medium import ReceivedFrame
 from repro.service import wire
 from repro.service.stream import (Conn, DEFAULT_RECONNECT, Inbound,
-                                  Outbound, close_socket, dial, reject)
+                                  Outbound, close_socket, dial, push_data,
+                                  reject)
 from repro.sniffer.replay import iter_capture
 
 PathLike = Union[str, Path]
@@ -171,9 +173,11 @@ Inbound`) lives for the server's lifetime: a client that reconnects —
         while True:
             ftype, payload = wire.read_frame(sock)
             if ftype == wire.DATA:
-                seq, batch = wire.unpack_rows(payload)
+                seq, message = wire.unpack_data(payload)
+                if message[0] != "frames":
+                    raise wire.WireError(f"{message[0]!r} on ingest port")
                 with self._lock:
-                    if not inbound.accept(seq, batch):
+                    if not inbound.accept(seq, message[1]):
                         # A resend of something already ingested: the
                         # dedup half of at-least-once.  Re-ack it.
                         self._c_duplicates.inc()
@@ -289,13 +293,14 @@ class _IngestSession:
             wait = False
 
     def _flush(self) -> None:
-        for seq, batch in self.out.unsent():
-            self.conn.send(wire.DATA, wire.pack_rows(seq, batch))
+        for seq, payload in self.out.unsent():
+            self.conn.send(wire.DATA, payload)
             self.out.mark_sent(seq)
             self._pump(wait=False)
 
     def send(self, frames: List[ReceivedFrame]) -> None:
-        self.out.push(FrameBatch(*encode_frames(frames)))
+        batch = FrameBatch(*encode_frames(frames))
+        push_data(self.out, ("frames", batch))
         while True:
             # A failed connect exhausts the retry budget and raises out
             # of here; a failure *after* connecting re-enters the

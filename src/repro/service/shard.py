@@ -1,12 +1,15 @@
 """One shard: a StreamingEngine driven by bus messages.
 
 :class:`ShardRuntime` is the transport-agnostic worker body.  The same
-loop runs inside a thread (:class:`~repro.service.bus.QueueBus`) or an
-OS process (:class:`~repro.service.bus.MpQueueBus`): it pulls envelopes
-off its inbox, hands each frame batch straight to its private
+loop runs inside a thread or, behind a
+:class:`~repro.service.socketbus.SocketBus`, an OS process: it pulls
+envelopes off its inbox, hands each frame batch straight to its private
 :class:`~repro.engine.StreamingEngine`'s ``ingest_batch``, and answers
 the serving-layer requests (`locate`, `health`, `stats`, `metrics`,
-`snapshot`, `drain`) on its outbox.
+`snapshot`, `drain`) on its outbox with JSON-native results on every
+transport: stats as ``dataclasses.asdict``, fixes as
+:func:`fix_record` lists the router turns back into estimates with
+:func:`decode_fix`.
 
 A shard does not reorder: its engine sees its devices' frames in the
 order a single engine fed the same stream would (DESIGN.md §8).
@@ -18,7 +21,8 @@ may trim its retention buffer.  A shard that dies is restarted from
 that file plus a replay of the retained messages, which reproduces the
 lost state exactly because engine ingest is deterministic.
 
-Message protocol (all tuples, all picklable)::
+Message protocol (tuples; :mod:`repro.service.wire` encodes them as
+capture rows or JSON arrays)::
 
     router -> shard                      shard -> router
     ("frames", FrameBatch)
@@ -30,13 +34,15 @@ Message protocol (all tuples, all picklable)::
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Any, Callable, Dict, Optional, Tuple
 
 from repro import obs
 from repro.engine import StreamingEngine, make_sink
-from repro.engine.stats import EngineStats
 from repro.faults import ReproError
+from repro.geometry.circle import Circle
+from repro.geometry.point import Point
+from repro.geometry.region import DiscIntersection
 from repro.localization.base import LocalizationEstimate, Localizer
 from repro.net80211.mac import MacAddress
 
@@ -57,12 +63,12 @@ class ShardConfig:
     checkpoint_keep: int = 1
     #: Sink spec strings built per shard via
     #: :func:`repro.engine.make_sink` ("null", "latest", ...).  Specs
-    #: only — live objects would not survive the process transport.
+    #: only — live objects would not survive a worker process.
     sink_specs: Tuple[str, ...] = ()
 
 
-#: Zero-arg callable building a fresh localizer for one shard.  For the
-#: process transport it must be picklable — ``functools.partial`` of a
+#: Zero-arg callable building a fresh localizer for one shard.  For a
+#: worker process it must be picklable — ``functools.partial`` of a
 #: module-level factory (e.g. ``make_localizer``) qualifies.
 LocalizerFactory = Callable[[], Localizer]
 
@@ -167,28 +173,27 @@ class ShardRuntime:
         if what == "health":
             return self._health()
         if what == "stats":
-            return self.engine.stats()
+            return asdict(self.engine.stats())
         if what == "metrics":
             return self.engine.metrics_snapshot()
         if what == "drain":
             return self._drain()
         raise ValueError(f"unknown request kind {what!r}")
 
-    def _locate(self, mobile: MacAddress
-                ) -> Optional[Tuple[float, LocalizationEstimate]]:
+    def _locate(self, mobile: MacAddress) -> Optional[list]:
         point = self.engine.tracker.latest(mobile)
         if point is None:
             return None
-        return point.timestamp, point.estimate
+        return fix_record(point.timestamp, point.estimate)
 
-    def _snapshot(self) -> Dict[MacAddress,
-                                Tuple[float, LocalizationEstimate]]:
+    def _snapshot(self) -> Dict[str, list]:
         tracker = self.engine.tracker
         fixes = {}
         for mobile in tracker.devices():
             point = tracker.latest(mobile)
             if point is not None:
-                fixes[mobile] = (point.timestamp, point.estimate)
+                fixes[str(mobile)] = fix_record(point.timestamp,
+                                                point.estimate)
         return fixes
 
     def _health(self) -> dict:
@@ -209,7 +214,7 @@ class ShardRuntime:
         return {
             "shard": self.shard_id,
             "emitted": emitted,
-            "stats": engine.stats(),
+            "stats": asdict(engine.stats()),
             "fixes": self._snapshot(),
             "metrics": engine.metrics_snapshot(),
         }
@@ -219,7 +224,7 @@ def run_shard(shard_id: int, factory: LocalizerFactory,
               config: ShardConfig, checkpoint_path: Optional[str],
               resume: bool, service_run_id: Optional[str],
               inbox, outbox, crash_event=None) -> None:
-    """Worker entry point (module-level, so process targets pickle).
+    """Worker entry point (module-level, so a process target pickles).
 
     A construction failure (corrupt checkpoint, factory error) is
     reported on the outbox instead of silently dying, so the router's
@@ -248,6 +253,31 @@ def run_shard(shard_id: int, factory: LocalizerFactory,
                 endpoint.close()
 
 
-# Re-exported for the stats-merging router; keeps shard.py the one
-# import the worker side needs.
-__all__ = ["ShardConfig", "ShardRuntime", "run_shard", "EngineStats"]
+def fix_record(timestamp: float, estimate: LocalizationEstimate) -> list:
+    """One fix as JSON-native values: ``[timestamp, x, y, algorithm, k,
+    region_empty, inflation, discs, vertices]``, the region as its discs
+    ``[x, y, r]`` and vertices ``[x, y]`` (``None`` without a region)."""
+    region = estimate.region
+    discs = vertices = None
+    if region is not None:
+        discs = [[float(disc.center.x), float(disc.center.y),
+                  float(disc.radius)] for disc in region.discs]
+        vertices = [[float(v.x), float(v.y)] for v in region.vertices]
+    position = estimate.position
+    return [float(timestamp), float(position.x), float(position.y),
+            estimate.algorithm, int(estimate.used_ap_count),
+            bool(estimate.region_empty), float(estimate.inflation_factor),
+            discs, vertices]
+
+
+def decode_fix(record: list) -> Tuple[float, LocalizationEstimate]:
+    """Invert :func:`fix_record`.  The region adopts the sent vertices,
+    so it is the shard's region exactly, not a recomputation."""
+    timestamp, x, y, algorithm, k, empty, inflation, discs, vertices = \
+        record
+    region = None if discs is None else DiscIntersection(
+        [Circle(Point(cx, cy), radius) for cx, cy, radius in discs],
+        precomputed_vertices=[Point(vx, vy) for vx, vy in vertices])
+    return timestamp, LocalizationEstimate(
+        position=Point(x, y), algorithm=algorithm, region=region,
+        used_ap_count=k, region_empty=empty, inflation_factor=inflation)

@@ -8,8 +8,9 @@ and the queue transports get all of that for free from
 TCP so shards can live on other machines:
 
 * **Framing** — every message is one CRC-covered frame
-  (:mod:`repro.service.wire`); a corrupt frame kills the connection,
-  never the fleet.
+  (:mod:`repro.service.wire`), encoded by the caller of ``publish`` /
+  ``put`` so an unencodable message fails there; a corrupt frame kills
+  the connection, never the fleet.
 * **Handshake** — a connecting shard opens with HELLO carrying the
   service ``run_id``, its shard index, and the endpoint *generation*
   stamped at :meth:`Bus.endpoints` time.  A cross-run peer, an
@@ -59,7 +60,7 @@ from repro.service.bus import (Bus, BusTimeout, DEFAULT_CAPACITY,
                                empty_collect_message)
 from repro.service.stream import (Conn, DEFAULT_RECONNECT, Inbound,
                                   Outbound, close_socket, counter, dial,
-                                  read_loop, reject, send_loop)
+                                  push_data, read_loop, reject, send_loop)
 
 #: Default liveness knobs: heartbeat every second, declare a peer dead
 #: after five silent seconds.  Tests shrink both.
@@ -100,8 +101,8 @@ class SocketBus(Bus):
     Parameters
     ----------
     shards, capacity:
-        As for the queue transports; ``capacity`` bounds the number of
-        published-but-unconsumed messages per shard.
+        As for :class:`~repro.service.bus.QueueBus`; ``capacity`` bounds
+        the number of published-but-unconsumed messages per shard.
     host, port:
         Listener bind address (``port=0`` picks a free port; read it
         back from :attr:`address`).
@@ -128,10 +129,7 @@ class SocketBus(Bus):
                  hello_timeout_s: float = 5.0,
                  reconnect: Optional[Dict[str, float]] = None,
                  registry: Optional[obs.MetricsRegistry] = None):
-        if shards < 1:
-            raise ValueError(f"shards must be >= 1, got {shards}")
-        if capacity < 1:
-            raise ValueError(f"capacity must be >= 1, got {capacity}")
+        super().__init__(shards, capacity)
         if heartbeat_s <= 0.0:
             raise ValueError(
                 f"heartbeat_s must be > 0, got {heartbeat_s}")
@@ -139,8 +137,6 @@ class SocketBus(Bus):
             raise ValueError(
                 f"dead_after_s ({dead_after_s}) must exceed "
                 f"heartbeat_s ({heartbeat_s})")
-        self.shards = shards
-        self.capacity = capacity
         self.run_id = run_id if run_id is not None else uuid.uuid4().hex
         self.heartbeat_s = heartbeat_s
         self.dead_after_s = dead_after_s
@@ -206,7 +202,7 @@ class SocketBus(Bus):
                     raise BusTimeout(
                         f"shard {shard} inbox full after {timeout}s")
                 link.cond.wait(remaining)
-            link.out.push(message)
+            push_data(link.out, message)
             link.cond.notify_all()
 
     def collect(self, shard: int,
@@ -449,9 +445,10 @@ class ShardChannel:
     """The shard-side endpoint: one TCP connection posing as a queue
     pair.
 
-    Picklable before first use (the process transport ships it to the
-    worker); on first :meth:`get`/:meth:`put` it connects, handshakes,
-    and starts its reader + heartbeat threads.  A lost connection is
+    Picklable before first use (a ``socket-process`` worker may receive
+    it pickled, depending on the start method); on first
+    :meth:`get`/:meth:`put` it connects, handshakes, and starts its
+    reader + heartbeat threads.  A lost connection is
     re-established under the configured :class:`~repro.faults.\
 RetryPolicy`; when the budget is exhausted — or the router rejects the
     handshake, which means this endpoint's generation is over — the
@@ -567,13 +564,13 @@ RetryPolicy`; when the budget is exhausted — or the router rejects the
         return message
 
     def put(self, message) -> None:
-        """Queue one shard→router message (the outbox side)."""
+        """Encode and queue one shard→router message (the outbox side)."""
         self._ensure_started()
         with self._cond:
             if self._closed or self._dead is not None:
                 raise wire.ConnectionLost(
                     self._dead or "channel closed")
-            self._out.push(message)
+            push_data(self._out, message)
             self._cond.notify_all()
 
     # -- connection management ----------------------------------------

@@ -11,6 +11,8 @@ drops, and both get that promise from this module:
   each until the peer's cumulative ack covers it, and on a new
   connection rewinds to the peer's received count so exactly the lost
   tail goes out again.
+* :func:`push_data` — encodes a message, in the caller, before the
+  outbound half numbers it.
 * :class:`Inbound` — the receiving half.  It delivers only the
   next-in-sequence message: a duplicate is dropped, a gap kills the
   connection so the reconnect resyncs from the cumulative counters.
@@ -123,6 +125,13 @@ class Outbound:
             self.max_sent = seq
 
 
+def push_data(out: Outbound, message: tuple) -> int:
+    """Encode ``message`` as ``out``'s next DATA payload and retain it;
+    an unencodable one raises :class:`~repro.service.wire.WireError`
+    before it is numbered, so the stream carries on without it."""
+    return out.push(wire.pack_data(out.seq + 1, message))
+
+
 class Inbound:
     """The receiving half: in-order, exactly-once delivery."""
 
@@ -217,7 +226,8 @@ def send_loop(cond: threading.Condition,
               current: Callable[[], Tuple[Optional[Conn], Outbound]],
               stopped: Callable[[], bool],
               detach: Callable[[Conn], None]) -> None:
-    """Ship unsent DATA on the current connection until ``stopped()``.
+    """Ship unsent DATA payloads on the current connection until
+    ``stopped()``.
 
     ``current()`` returns the site's live connection (or None) and its
     outbound half; it and ``stopped()`` are called holding ``cond``,
@@ -234,9 +244,9 @@ def send_loop(cond: threading.Condition,
                     break
                 cond.wait()
             batch = out.unsent()
-        for seq, message in batch:
+        for seq, payload in batch:
             try:
-                conn.send(wire.DATA, wire.pack_data(seq, message))
+                conn.send(wire.DATA, payload)
             except (ReproError, OSError):
                 detach(conn)
                 break

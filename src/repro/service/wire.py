@@ -19,9 +19,11 @@ replays whatever the broken connection
 lost.  A payload that fails to decode raises :class:`WireError` too.
 
 Frame types are deliberately few.  Control payloads are JSON objects
-of strings and ints.  Ingest DATA is typed capture rows
-(:func:`pack_rows`), so collector bytes never reach ``pickle``; only
-bus DATA between the router and its own shards carries a pickle:
+of strings and ints.  DATA has one codec on both ports
+(:func:`pack_data` / :func:`unpack_data`): a frame batch travels as
+typed capture rows and every other bus message as a JSON array whose
+shape is checked per kind, so no byte from any peer reaches an
+object deserializer:
 
 ==============  ========================================================
 ``HELLO``       first frame on every connection: JSON carrying
@@ -31,8 +33,8 @@ bus DATA between the router and its own shards carries a pickle:
 ``HELLO_OK``    JSON ``{"received": n}``: the receiver's cumulative
                 count, the resume point after a reconnect
 ``HELLO_REJECT``JSON ``{"reason": ...}``; the connection closes after it
-``DATA``        u64 BE sequence number + capture rows (ingest) or
-                a pickled bus envelope (shard links)
+``DATA``        u64 BE sequence number, a body tag, then capture rows
+                (``frames``) or a JSON message (every other kind)
 ``CREDIT``      u64 BE cumulative ack count (flow control *and*
                 retention trim in one frame)
 ``HEARTBEAT``   JSON counter dict; liveness plus ack redundancy
@@ -49,11 +51,10 @@ resend/reconnect paths without a real flaky network.
 from __future__ import annotations
 
 import json
-import pickle
 import socket
 import struct
 import zlib
-from typing import Any, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -64,8 +65,9 @@ from repro.faults import DROPPED, CaptureError
 from repro.faults.errors import ReproError
 
 MAGIC = b"MRSB"
-#: v2 made the control payloads JSON; v3 makes ingest DATA typed rows.
-WIRE_VERSION = 3
+#: v2 made the control payloads JSON, v3 ingest DATA typed rows, and v4
+#: every DATA payload typed rows or a JSON message.
+WIRE_VERSION = 4
 
 #: Upper bound on one frame's payload; a corrupt length field must not
 #: make the reader try to allocate gigabytes.
@@ -82,8 +84,10 @@ BYE = 7
 
 _HEADER = struct.Struct(">4sBBI")   # magic, version, ftype, length
 _TRAILER = struct.Struct(">I")      # crc32
-_SEQ = struct.Struct(">Q")          # u64 sequence / cumulative count
-_ROWS = struct.Struct(">QII")       # sequence, row bytes, aux bytes
+_SEQ = struct.Struct(">Q")          # u64 cumulative count
+_DATA = struct.Struct(">QB")        # sequence, body tag
+_ROWS = struct.Struct(">QBII")      # ... then row bytes, aux bytes
+_ROWS_BODY, _JSON_BODY = 0, 1
 #: Capture rows on the wire: little-endian whatever the host order.
 _ROW_DTYPE = CAPTURE_DTYPE.newbyteorder("<")
 
@@ -212,41 +216,83 @@ def send_frame(sock: socket.socket, ftype: int,
 # Typed payload helpers
 # ----------------------------------------------------------------------
 
-def pack_data(seq: int, message: Any) -> bytes:
-    """A bus DATA payload: u64 sequence number + pickled message."""
-    return _SEQ.pack(seq) + pickle.dumps(
-        message, protocol=pickle.HIGHEST_PROTOCOL)
+def _count(value) -> bool:
+    return type(value) is int and value >= 0
 
 
-def unpack_data(payload: bytes) -> Tuple[int, Any]:
-    if len(payload) < _SEQ.size:
+def _text(value) -> bool:
+    return type(value) is str
+
+
+#: The serving requests a shard answers.
+REQUESTS = ("locate", "snapshot", "health", "stats", "metrics", "drain")
+
+#: Field checks of each JSON message kind, after the kind itself;
+#: ``("frames", FrameBatch)`` travels as rows instead.
+_FIELDS = {
+    "checkpoint": (_count,),
+    "ckpt_ack": (_count,),
+    "request": (_count, REQUESTS.__contains__,
+                lambda payload: payload is None or _text(payload)),
+    "reply": (_count, lambda result: True),
+    "fatal": (_text,),
+    "stop": (),
+    "crash": (),
+}
+
+
+def _checked(message) -> tuple:
+    """``message`` as a tuple if its fields fit its kind."""
+    kind = message[0] if isinstance(message, (tuple, list)) and message \
+        else None
+    checks = _FIELDS.get(kind) if _text(kind) else None
+    if checks is None or len(message) != len(checks) + 1 or not all(
+            check(field) for check, field in zip(checks, message[1:])):
+        raise WireError(f"not a JSON bus message: {message!r:.80}")
+    return tuple(message)
+
+
+def pack_data(seq: int, message: tuple) -> bytes:
+    """A DATA payload: u64 sequence number and a body tag, then either
+    u32 row and aux byte counts, the little-endian rows in
+    :data:`~repro.capture.records.FRAME_TYPES` kind codes and the aux
+    (``("frames", FrameBatch)``), or the message as a JSON array.  A
+    message that does not fit its kind raises :class:`WireError`."""
+    if isinstance(message, tuple) and message[:1] == ("frames",):
+        if len(message) != 2 or not isinstance(message[1], FrameBatch):
+            raise WireError("a frames message carries one FrameBatch")
+        batch = concat_batches([message[1]])
+        body = batch.records.astype(_ROW_DTYPE, copy=False).tobytes()
+        return (_ROWS.pack(seq, _ROWS_BODY, len(body), len(batch.aux))
+                + body + batch.aux)
+    try:
+        text = json.dumps(_checked(message), separators=(",", ":"))
+    except (TypeError, ValueError) as error:
+        raise WireError(f"unencodable bus message: {error}") from error
+    return _DATA.pack(seq, _JSON_BODY) + text.encode("utf-8")
+
+
+def unpack_data(payload: bytes) -> Tuple[int, tuple]:
+    """Decode a DATA payload; any malformed one is a :class:`WireError`,
+    and a frames message comes back only if every row decodes."""
+    if len(payload) < _DATA.size:
         raise WireError(
             f"DATA payload of {len(payload)} bytes is too short for a "
-            f"sequence number")
-    (seq,) = _SEQ.unpack_from(payload)
-    try:
-        return seq, pickle.loads(payload[_SEQ.size:])
-    except Exception as error:  # pickle raises a zoo of types
-        raise WireError(f"undecodable DATA payload: {error}") from error
-
-
-def pack_rows(seq: int, batch: FrameBatch) -> bytes:
-    """An ingest DATA payload: u64 sequence number, u32 row and aux
-    byte counts, the little-endian rows in
-    :data:`~repro.capture.records.FRAME_TYPES` kind codes, the aux."""
-    batch = concat_batches([batch])
-    body = batch.records.astype(_ROW_DTYPE, copy=False).tobytes()
-    return _ROWS.pack(seq, len(body), len(batch.aux)) + body + batch.aux
-
-
-def unpack_rows(payload: bytes) -> Tuple[int, FrameBatch]:
-    """Decode an ingest DATA payload into a batch whose every row
-    decodes; any malformed payload is a :class:`WireError`."""
+            f"header")
+    seq, tag = _DATA.unpack_from(payload)
+    if tag == _JSON_BODY:
+        try:
+            message = json.loads(payload[_DATA.size:].decode("utf-8"))
+        except (ValueError, RecursionError) as error:
+            raise WireError(f"undecodable DATA payload: {error}") from error
+        return seq, _checked(message)
+    if tag != _ROWS_BODY:
+        raise WireError(f"unknown DATA body tag {tag}")
     if len(payload) < _ROWS.size:
         raise WireError(
             f"DATA payload of {len(payload)} bytes is too short for a "
             f"row header")
-    seq, row_bytes, aux_bytes = _ROWS.unpack_from(payload)
+    _, _, row_bytes, aux_bytes = _ROWS.unpack_from(payload)
     if _ROWS.size + row_bytes + aux_bytes != len(payload):
         raise WireError(
             f"DATA payload of {len(payload)} bytes does not hold the "
@@ -264,7 +310,7 @@ def unpack_rows(payload: bytes) -> Tuple[int, FrameBatch]:
         check_rows(rows, aux)
     except CaptureError as error:
         raise WireError(f"malformed DATA rows: {error}") from error
-    return seq, FrameBatch(rows, aux)
+    return seq, ("frames", FrameBatch(rows, aux))
 
 
 def pack_count(count: int) -> bytes:

@@ -72,13 +72,13 @@ class TestIntegrity:
         path = tmp_path / "engine.ckpt"
         engine.save_checkpoint(path)
         data = json.loads(path.read_text())
-        data["counters"]["frames_ingested"] += 1  # bit-rot stand-in
+        data["metrics"]["counters"]["repro.engine.frames"] += 1  # bit-rot
         path.write_text(json.dumps(data))
         with pytest.raises(CheckpointError, match="CRC mismatch"):
             load_checkpoint_data(path)
         # CheckpointError subclasses ValueError: legacy handlers hold.
         with pytest.raises(ValueError):
-            StreamingEngine.restore(data, MLoc(square_db))
+            StreamingEngine.load_checkpoint(path, MLoc(square_db))
 
     def test_truncated_checkpoint_raises(self, square_db, tmp_path):
         path = tmp_path / "engine.ckpt"
@@ -90,19 +90,28 @@ class TestIntegrity:
         with pytest.raises(CheckpointError, match="not found"):
             load_checkpoint_data(tmp_path / "absent.ckpt")
 
-    def test_v2_checkpoint_without_crc_still_restores(self, square_db,
-                                                      tmp_path):
+    def test_checkpoint_without_crc_is_rejected(self, square_db,
+                                                tmp_path):
         engine = run_partial(square_db,
                              build_stream(square_db, devices=2, rounds=1))
-        data = engine.checkpoint()
-        data["engine_checkpoint"] = 2
-        del data["quarantine"]
-        del data["failure_counts"]
-        path = tmp_path / "v2.ckpt"
-        path.write_text(json.dumps(data))
-        restored = StreamingEngine.load_checkpoint(path, MLoc(square_db))
-        assert restored.stats().frames_ingested == (
-            engine.stats().frames_ingested)
+        path = tmp_path / "engine.ckpt"
+        path.write_text(json.dumps(engine.checkpoint()))
+        with pytest.raises(CheckpointError, match="carries no crc32"):
+            load_checkpoint_data(path)
+
+    def test_pre_v3_checkpoints_are_rejected(self, square_db, tmp_path):
+        # v1 and v2 carry no CRC, so their restore ended with it.
+        engine = run_partial(square_db,
+                             build_stream(square_db, devices=2, rounds=1))
+        for version in (1, 2):
+            data = engine.checkpoint()
+            data["engine_checkpoint"] = version
+            path = tmp_path / f"v{version}.ckpt"
+            path.write_text(json.dumps(data))
+            with pytest.raises(CheckpointError, match="unsupported"):
+                load_checkpoint_data(path)
+            with pytest.raises(CheckpointError, match="unsupported"):
+                StreamingEngine.restore(data, MLoc(square_db))
 
 
 class TestRotation:

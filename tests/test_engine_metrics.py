@@ -161,23 +161,8 @@ class TestCheckpointCumulativeTotals:
         data = engine.checkpoint()
         assert data["engine_checkpoint"] == 3
         assert data["metrics"] == engine.metrics_snapshot()
-        # The legacy int block stays for external checkpoint consumers.
-        assert data["counters"]["frames_ingested"] == (
-            engine.stats().frames_ingested)
-
-    def test_v1_checkpoint_still_restores(self, square_db):
-        engine = StreamingEngine(MLoc(square_db), batch_size=2)
-        engine.ingest_stream(build_stream(square_db, devices=3, rounds=1))
-        engine.flush()
-        data = json.loads(json.dumps(engine.checkpoint()))
-        del data["metrics"]
-        data["engine_checkpoint"] = 1
-        restored = StreamingEngine.restore(data, MLoc(square_db))
-        stats = restored.stats()
-        assert stats.frames_ingested == engine.stats().frames_ingested
-        assert stats.estimates_emitted == engine.stats().estimates_emitted
-        for stage, seconds in engine.stats().stage_seconds.items():
-            assert stats.stage_seconds[stage] == pytest.approx(seconds)
+        # The snapshot is the only cumulative record: no legacy blocks.
+        assert "counters" not in data and "stage_seconds" not in data
 
 
 class TestSinkFactory:

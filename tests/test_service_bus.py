@@ -4,7 +4,7 @@ import threading
 
 import pytest
 
-from repro.service import Bus, BusTimeout, MpQueueBus, QueueBus
+from repro.service import Bus, BusTimeout, QueueBus
 
 
 class TestQueueBus:
@@ -74,24 +74,10 @@ class TestQueueBus:
             QueueBus(1, capacity=0)
 
 
-class TestMpQueueBus:
-    def test_roundtrip_and_close(self):
-        bus = MpQueueBus(1, capacity=4)
-        bus.publish(0, ("frames", ["payload"]))
-        inbox, outbox = bus.endpoints(0)
-        assert inbox.get(timeout=5.0) == ("frames", ["payload"])
-        outbox.put(("ckpt_ack", 7))
-        assert bus.collect(0, timeout=5.0) == ("ckpt_ack", 7)
-        bus.close()
-
-    def test_collect_timeout_raises(self):
-        bus = MpQueueBus(1)
-        with pytest.raises(BusTimeout):
-            bus.collect(0, timeout=0.01)
-        bus.close()
-
-
 class TestBusSeam:
     def test_base_bus_requires_a_transport(self):
+        bus = Bus(1)
         with pytest.raises(NotImplementedError):
-            Bus(1)
+            bus.publish(0, ("stop",))
+        with pytest.raises(NotImplementedError):
+            bus.endpoints(0)

@@ -73,6 +73,47 @@ class TestSocketEquivalence:
             assert fleet_fixes(engine) == want
 
 
+def whole_estimate(timestamp, estimate):
+    """Everything a fix carries, region geometry included."""
+    region = estimate.region
+    geometry = None if region is None else (
+        region.discs, region.vertices, region.area, region.is_empty)
+    return (timestamp, estimate.position, estimate.algorithm,
+            estimate.used_ap_count, estimate.region_empty,
+            estimate.inflation_factor, geometry)
+
+
+@pytest.mark.parametrize("transport", TRANSPORTS)
+def test_fleet_estimates_equal_the_single_engine_whole(square_db,
+                                                       transport):
+    frames = build_stream(square_db, devices=8, rounds=2)
+    single = StreamingEngine(MLoc(square_db), window_s=30.0,
+                             batch_size=32)
+    for received in frames:
+        single.ingest(received)
+    single.drain()
+    want = {mobile: whole_estimate(point.timestamp, point.estimate)
+            for mobile in single.tracker.devices()
+            for point in [single.tracker.latest(mobile)]}
+    assert any(fix[-1] is not None and fix[-1][1] for fix in
+               want.values()), "no estimate carries a region with vertices"
+    engine = fleet(square_db, transport=transport, shards=2)
+    try:
+        engine.ingest_stream(frames)
+        engine.drain()
+        live = {mobile: whole_estimate(ts, estimate)
+                for mobile, (ts, estimate) in engine.snapshot().items()}
+        assert live == want
+        device = next(iter(want))
+        assert whole_estimate(*engine.locate(device)) == want[device]
+    finally:
+        engine.stop()
+    # After stop the cached drain reports answer, decoded on read.
+    assert {mobile: whole_estimate(ts, estimate) for mobile, (ts, estimate)
+            in engine.snapshot().items()} == want
+    assert whole_estimate(*engine.locate(device)) == want[device]
+
+
 class TestSocketChaos:
     def test_connection_kill_mid_stream_is_byte_identical(self,
                                                           square_db):

@@ -255,7 +255,7 @@ class TestUndecodableData:
                 role="shard", run_id=bus.run_id, shard=0, generation=0)))
             assert wire.read_frame(raw)[0] == wire.HELLO_OK
             assert wait_until(lambda: bus.connected(0))
-            # CRC-valid framing around a payload pickle rejects.
+            # CRC-valid framing around a pickle-like payload rejects.
             wire.send_frame(raw, wire.DATA,
                             wire.pack_count(1) + b"\x80\x05 not a pickle")
             started = time.monotonic()

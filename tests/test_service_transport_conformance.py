@@ -1,11 +1,12 @@
-"""One behavioural contract, three transports.
+"""One behavioural contract, two transports.
 
-Every Bus implementation — in-process queues, multiprocessing queues,
-TCP sockets — must be interchangeable under the router: same
-back-pressure, same timeout surface, same reset-after-crash semantics.
-The parameterized half of this file pins that contract; the SocketBus
-half covers what only a network transport can do wrong (stale
-generations, severed connections, silent peers, garbage bytes).
+Every Bus implementation — in-process queues, TCP sockets — must be
+interchangeable under the router: same back-pressure, same timeout
+surface, same reset-after-crash semantics, for the typed messages the
+router and shards really exchange.  The parameterized half of this
+file pins that contract; the SocketBus half covers what only a network
+transport can do wrong (stale generations, severed connections, silent
+peers, garbage bytes, messages that cannot be encoded).
 """
 
 import pickle
@@ -16,9 +17,12 @@ import time
 import pytest
 
 from repro import obs
-from repro.service import (BusTimeout, ConnectionLost, MpQueueBus,
-                           QueueBus, ShardChannel, SocketBus)
+from repro.capture.records import FrameBatch, encode_frames
+from repro.service import (BusTimeout, ConnectionLost, QueueBus,
+                           ShardChannel, SocketBus)
 from repro.service import wire
+
+from tests.test_service_wire_fuzz import capture_frame
 
 #: Fast liveness knobs so dead-peer tests finish in well under a second.
 FAST = {"heartbeat_s": 0.05, "dead_after_s": 0.2,
@@ -35,7 +39,7 @@ def wait_until(predicate, timeout=5.0, interval=0.01):
     return predicate()
 
 
-@pytest.fixture(params=["thread", "process", "socket"])
+@pytest.fixture(params=["thread", "socket"])
 def make_bus(request):
     """A factory for one transport; closes every bus it built."""
     built = []
@@ -43,8 +47,6 @@ def make_bus(request):
     def factory(shards, capacity=4):
         if request.param == "thread":
             bus = QueueBus(shards, capacity=capacity)
-        elif request.param == "process":
-            bus = MpQueueBus(shards, capacity=capacity)
         else:
             bus = SocketBus(shards, capacity=capacity, **FAST)
         built.append(bus)
@@ -60,34 +62,42 @@ class TestBusConformance:
     def test_publish_collect_roundtrip(self, make_bus):
         bus = make_bus(2)
         inbox, outbox = bus.endpoints(1)
-        bus.publish(1, ("frames", [1, 2, 3]), timeout=5.0)
-        assert inbox.get(timeout=5.0) == ("frames", [1, 2, 3])
-        outbox.put(("reply", 0, "ok"))
-        assert bus.collect(1, timeout=5.0) == ("reply", 0, "ok")
+        frames = [capture_frame(index) for index in range(6)]
+        bus.publish(1, ("frames", FrameBatch(*encode_frames(frames))),
+                    timeout=5.0)
+        kind, batch = inbox.get(timeout=5.0)
+        assert kind == "frames" and list(batch.iter_frames()) == frames
+        bus.publish(1, ("request", 3, "locate", "02:00:00:00:00:07"),
+                    timeout=5.0)
+        assert inbox.get(timeout=5.0) == ("request", 3, "locate",
+                                          "02:00:00:00:00:07")
+        outbox.put(("reply", 3, {"shard": 1, "fixes": {}}))
+        assert bus.collect(1, timeout=5.0) == ("reply", 3, {
+            "shard": 1, "fixes": {}})
 
     def test_capacity_one_backpressures_publish(self, make_bus):
         bus = make_bus(1, capacity=1)
-        bus.publish(0, ("first",), timeout=5.0)
+        bus.publish(0, ("checkpoint", 1), timeout=5.0)
         with pytest.raises(BusTimeout):
-            bus.publish(0, ("second",), timeout=0.1)
+            bus.publish(0, ("checkpoint", 2), timeout=0.1)
 
     def test_backpressure_releases_when_consumed(self, make_bus):
         bus = make_bus(1, capacity=1)
         inbox, _ = bus.endpoints(0)
-        bus.publish(0, ("first",), timeout=5.0)
+        bus.publish(0, ("checkpoint", 1), timeout=5.0)
 
         def consume_later():
             time.sleep(0.1)
-            assert inbox.get(timeout=5.0) == ("first",)
+            assert inbox.get(timeout=5.0) == ("checkpoint", 1)
 
         consumer = threading.Thread(target=consume_later)
         consumer.start()
         try:
             # Blocked until the consumer frees (and acks) the slot.
-            bus.publish(0, ("second",), timeout=5.0)
+            bus.publish(0, ("checkpoint", 2), timeout=5.0)
         finally:
             consumer.join()
-        assert inbox.get(timeout=5.0) == ("second",)
+        assert inbox.get(timeout=5.0) == ("checkpoint", 2)
 
     def test_collect_times_out_on_a_dead_consumer(self, make_bus):
         bus = make_bus(1)
@@ -106,16 +116,16 @@ class TestBusConformance:
     def test_reset_gives_fresh_working_endpoints(self, make_bus):
         bus = make_bus(2)
         old_inbox, old_outbox = bus.endpoints(0)
-        bus.publish(0, ("stale",), timeout=5.0)
+        bus.publish(0, ("checkpoint", 1), timeout=5.0)
         bus.reset(0)
         new_inbox, new_outbox = bus.endpoints(0)
         assert new_inbox is not old_inbox
         assert new_outbox is not old_outbox
         # The post-reset slot starts clean and works end to end.
-        bus.publish(0, ("fresh",), timeout=5.0)
-        assert new_inbox.get(timeout=5.0) == ("fresh",)
-        new_outbox.put(("ready", 0))
-        assert bus.collect(0, timeout=5.0) == ("ready", 0)
+        bus.publish(0, ("stop",), timeout=5.0)
+        assert new_inbox.get(timeout=5.0) == ("stop",)
+        new_outbox.put(("ckpt_ack", 0))
+        assert bus.collect(0, timeout=5.0) == ("ckpt_ack", 0)
 
     def test_close_is_idempotent(self, make_bus):
         bus = make_bus(1)
@@ -151,7 +161,7 @@ class TestSocketBusSpecific:
         # the rejection surfaces on whichever call observes it first
         # (put, if the reject lands before it queues).
         with pytest.raises(ConnectionLost) as excinfo:
-            inbox.put(("doomed",))
+            inbox.put(("ckpt_ack", 0))
             inbox.get(timeout=5.0)
         assert "stale endpoint generation" in str(excinfo.value)
         assert self.counter(registry, "hello_rejects") >= 1
@@ -159,16 +169,16 @@ class TestSocketBusSpecific:
 
     def test_kill_connection_is_lossless(self, bus, registry):
         channel, _ = bus.endpoints(0)
-        bus.publish(0, ("one",), timeout=5.0)
-        bus.publish(0, ("two",), timeout=5.0)
-        assert channel.get(timeout=5.0) == ("one",)
+        bus.publish(0, ("checkpoint", 1), timeout=5.0)
+        bus.publish(0, ("checkpoint", 2), timeout=5.0)
+        assert channel.get(timeout=5.0) == ("checkpoint", 1)
         assert wait_until(lambda: bus.connected(0))
         assert bus.kill_connection(0)
         # The undelivered tail survives the severed connection ...
-        assert channel.get(timeout=10.0) == ("two",)
+        assert channel.get(timeout=10.0) == ("checkpoint", 2)
         # ... and the reverse direction works on the new connection.
-        channel.put(("reply", 7))
-        assert bus.collect(0, timeout=10.0) == ("reply", 7)
+        channel.put(("reply", 7, None))
+        assert bus.collect(0, timeout=10.0) == ("reply", 7, None)
         assert channel.reconnects >= 1
         assert wait_until(
             lambda: self.counter(registry, "reconnects") >= 1)
@@ -235,10 +245,10 @@ class TestSocketBusSpecific:
         assert clone.shard == 1
         assert clone.run_id == bus.run_id
         # The clone is fully functional: it connects and consumes.
-        bus.publish(1, ("shipped",), timeout=5.0)
-        assert clone.get(timeout=5.0) == ("shipped",)
-        clone.put(("pong",))
-        assert bus.collect(1, timeout=5.0) == ("pong",)
+        bus.publish(1, ("stop",), timeout=5.0)
+        assert clone.get(timeout=5.0) == ("stop",)
+        clone.put(("ckpt_ack", 3))
+        assert bus.collect(1, timeout=5.0) == ("ckpt_ack", 3)
         clone.close()
         channel.close()
 
@@ -249,13 +259,30 @@ class TestSocketBusSpecific:
         assert after.generation == before.generation + 1
 
     def test_publish_timeout_message_names_the_shard(self, bus):
-        bus.publish(0, ("a",), timeout=5.0)
-        bus.publish(0, ("b",), timeout=5.0)
-        bus.publish(0, ("c",), timeout=5.0)
-        bus.publish(0, ("d",), timeout=5.0)
+        for marker in range(4):
+            bus.publish(0, ("checkpoint", marker), timeout=5.0)
         with pytest.raises(BusTimeout) as excinfo:
-            bus.publish(0, ("e",), timeout=0.05)
+            bus.publish(0, ("checkpoint", 4), timeout=0.05)
         assert "shard 0 inbox full" in str(excinfo.value)
+
+    def test_unencodable_message_raises_in_publish(self, bus):
+        channel, _ = bus.endpoints(0)
+        for message in (("frames", [1, 2, 3]), ("reply", 1, object()),
+                        ("checkpoint", -1), ("bogus",)):
+            with pytest.raises(wire.WireError):
+                bus.publish(0, message, timeout=5.0)
+        # Nothing was numbered: the next message is the first delivered.
+        bus.publish(0, ("checkpoint", 1), timeout=5.0)
+        assert channel.get(timeout=5.0) == ("checkpoint", 1)
+        channel.close()
+
+    def test_unencodable_message_raises_in_put(self, bus):
+        channel, _ = bus.endpoints(0)
+        with pytest.raises(wire.WireError):
+            channel.put(("reply", 0, {"estimate": object()}))
+        channel.put(("ckpt_ack", 2))
+        assert bus.collect(0, timeout=5.0) == ("ckpt_ack", 2)
+        channel.close()
 
     def test_liveness_knobs_are_validated(self):
         with pytest.raises(ValueError):

@@ -3,7 +3,7 @@
 The socket transports trust :mod:`repro.service.wire` to turn every
 byte-level failure — truncation, corruption, version skew, mid-message
 disconnects — into one typed :class:`WireError` before any payload is
-unpickled.  These tests drive the codec over real socketpairs.
+decoded.  These tests drive the codec over real socketpairs.
 """
 
 import socket
@@ -118,9 +118,9 @@ class TestFraming:
 class TestPayloadHelpers:
     def test_data_roundtrip(self):
         seq, message = wire.unpack_data(
-            wire.pack_data(7, ("frames", [1, 2, 3])))
+            wire.pack_data(7, ("request", 2, "locate", "02:00:00:00:00:01")))
         assert seq == 7
-        assert message == ("frames", [1, 2, 3])
+        assert message == ("request", 2, "locate", "02:00:00:00:00:01")
 
     def test_data_too_short(self):
         with pytest.raises(wire.WireError):
@@ -157,7 +157,7 @@ class TestHello:
 
     def test_non_hello_first_frame_rejected(self, pair):
         left, right = pair
-        wire.send_frame(left, wire.DATA, wire.pack_data(1, "x"))
+        wire.send_frame(left, wire.DATA, wire.pack_data(1, ("stop",)))
         with pytest.raises(wire.WireError):
             wire.read_hello(right, timeout=5.0)
 
