@@ -199,12 +199,15 @@ def decode_row(row, aux,
 
 
 def check_rows(records: np.ndarray, aux,
-               frame_types: Sequence[FrameType] = FRAME_TYPES) -> None:
+               frame_types: Sequence[FrameType] = FRAME_TYPES,
+               rows: Optional[np.ndarray] = None) -> None:
     """Raise :class:`~repro.faults.CaptureError` unless every row decodes.
 
     A vectorized pass picks the rows that can fail :func:`decode_row` —
     a kind code or MAC out of range, an aux payload, SSID bytes outside
-    ASCII — and only those are decoded.
+    ASCII — and only those are decoded.  ``rows``, a boolean mask,
+    limits the check to the rows it selects; the error still names the
+    failing row by its index in ``records``.
     """
     wide = np.uint64(1 << 48)
     bssid = records["bssid"]
@@ -214,6 +217,8 @@ def check_rows(records: np.ndarray, aux,
                | (records["src"] >= wide) | (records["dst"] >= wide)
                | ((bssid >= wide) & (bssid != np.uint64(NO_BSSID)))
                | (ssid.reshape(len(records), 32) >= 0x80).any(axis=1))
+    if rows is not None:
+        suspect &= rows
     for index in np.nonzero(suspect)[0]:
         try:
             decode_row(records[index], aux, frame_types)

@@ -36,15 +36,17 @@ from __future__ import annotations
 
 import json
 import os
+import time
 import zlib
 from pathlib import Path
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Union
+from typing import (Callable, Dict, FrozenSet, Iterable, List, Optional,
+                    Sequence, Set, Union)
 
 import numpy as np
 
 from repro import faults, obs
 from repro.faults import CheckpointError, ReproError, RetryPolicy
-from repro.capture.records import FrameBatch, mac_from_int
+from repro.capture.records import FrameBatch, check_rows, mac_from_int
 from repro.engine.cache import GammaCache
 from repro.engine.ingest import (Evidence, GammaState, classify_rows,
                                  extract_evidence)
@@ -56,6 +58,7 @@ from repro.localization.base import LocalizationEstimate, Localizer
 from repro.net80211.frames import FrameType
 from repro.net80211.mac import MacAddress
 from repro.net80211.medium import ReceivedFrame
+from repro.net80211.ssid import Ssid
 from repro.sniffer.tracker import DeviceTracker, PseudonymLinker
 
 PathLike = Union[str, Path]
@@ -179,6 +182,9 @@ class StreamingEngine:
         # model fit, handed to localizer.partial_fit on schedule.
         self._pending_refit: List[FrozenSet[MacAddress]] = []
         self._events_since_refit = 0
+        # Stage timers and retry callbacks, bound on first use.
+        self._stage_timers: Dict[str, obs.Timer] = {}
+        self._retry_callbacks: Dict[str, Callable] = {}
 
     # ------------------------------------------------------------------
     # Ingest stage
@@ -210,62 +216,115 @@ class StreamingEngine:
         """Consume one :class:`~repro.capture.records.FrameBatch`.
 
         The columnar hot path: :func:`~repro.engine.ingest.classify_rows`
-        classifies the whole batch over its NumPy columns, and only the
-        *interesting* records — probe requests (the pseudonym linker
-        needs the full frame) and evidence-bearing frames — touch
-        Python objects at all.  Beacons, deauths, and multicast traffic
-        never materialize.
+        classifies the whole batch over its NumPy columns, and only
+        evidence rows touch Python one at a time.  Probe requests feed
+        the pseudonym linker once per distinct (source, SSID) pair,
+        straight from the columns (a row with an aux payload is decoded
+        in full); beacons, deauths and multicast traffic never
+        materialize.  The probe rows are checked to decode first, so a
+        malformed one raises :class:`~repro.faults.CaptureError` naming
+        its row and leaves the engine untouched.
 
         Exactly equivalent to calling :meth:`ingest` per record in row
         order: evidence folds into Γ one event at a time, and the
         refit-schedule and micro-batch-flush checks run after each
-        interesting record (they cannot trigger after any other kind),
-        so flush interleaving — and therefore tracks and checkpoints —
-        match the record-at-a-time path bit for bit.
+        evidence row (after any other row they find nothing due, unless
+        something was due before the batch began), so flush interleaving
+        — and therefore tracks and checkpoints — match the
+        record-at-a-time path bit for bit.  Probe rows never mark a
+        device dirty, so linking them ahead of the evidence changes no
+        flush.  The ``ingest`` stage is timed once per run of rows
+        between two flush points, not per row.
         """
         total = len(batch)
         if total == 0:
             return
-        with self._stage("ingest"):
-            probe, evidence, mobiles = classify_rows(batch)
-            bssid = batch.records["bssid"]
-            rx_ts = batch.records["rx_ts"]
-            self._c_frames.inc(total)
-            self._c_probes.inc(int(probe.sum()))
-            self._c_evidence.inc(int(evidence.sum()))
-            interesting = np.nonzero(probe | evidence)[0]
-        for index in interesting:
-            with self._stage("ingest"):
-                if probe[index]:
-                    frame = batch.frame_at(int(index)).frame
-                    self._seen.add(frame.source)
-                    self.linker.ingest(frame)
-                else:
-                    self._fold(Evidence(
-                        mobile=mac_from_int(int(mobiles[index])),
-                        ap=mac_from_int(int(bssid[index])),
-                        timestamp=float(rx_ts[index])))
+        started = time.perf_counter()
+        records = batch.records
+        probe, evidence, mobiles = classify_rows(batch)
+        check_rows(records, batch.aux, batch.frame_types, rows=probe)
+        timer = self._stage_timer("ingest")
+        self._c_frames.inc(total)
+        self._c_probes.inc(int(probe.sum()))
+        self._c_evidence.inc(int(evidence.sum()))
+        self._link_probes(batch, probe)
+        if not evidence[0] and self._settle_due():
+            # The record path settles after row 0 whatever it carries.
+            timer.observe(time.perf_counter() - started)
             self._settle()
+            started = time.perf_counter()
+        rows = np.nonzero(evidence)[0]
+        for mobile, ap, timestamp in zip(mobiles[rows].tolist(),
+                                         records["bssid"][rows].tolist(),
+                                         records["rx_ts"][rows].tolist()):
+            self._fold(Evidence(mac_from_int(mobile), mac_from_int(ap),
+                                timestamp))
+            if self._settle_due():
+                timer.observe(time.perf_counter() - started)
+                self._settle()
+                started = time.perf_counter()
         self._g_devices.set(len(self._seen))
+        timer.observe(time.perf_counter() - started)
+
+    def _link_probes(self, batch: FrameBatch, probe: np.ndarray) -> None:
+        """Feed the batch's probe requests to the linker from columns.
+
+        Each distinct (source, SSID) pair goes over once, in first-seen
+        order, which is all the linker's state depends on.  A row with
+        an aux payload (an SSID that overflowed its column) is keyed by
+        its index and decoded in full.
+        """
+        rows = np.nonzero(probe)[0]
+        if rows.size == 0:
+            return
+        records = batch.records
+        firsts = dict.fromkeys(
+            (source, ssid) if not aux_len else index
+            for index, source, ssid, aux_len in zip(
+                rows.tolist(), records["src"][rows].tolist(),
+                records["ssid"][rows].tolist(),
+                records["aux_len"][rows].tolist()))
+        for first in firsts:
+            if isinstance(first, int):
+                frame = batch.frame_at(first).frame
+                source, ssid = frame.source, frame.ssid
+            else:
+                source = mac_from_int(first[0])
+                ssid = Ssid(first[1].decode("utf-8"))
+            self._seen.add(source)
+            self.linker.observe(source, ssid)
 
     def _fold(self, evidence: Evidence) -> None:
         """Fold one evidence event into Γ, the dirty set and the refit
-        queue."""
+        queue.
+
+        The Γ state returns the same frozenset while a device's Γ is
+        unchanged, so a device whose Γ is still the one it was last
+        localized with costs an identity test, not a set comparison.
+        """
         mobile = evidence.mobile
         self._seen.add(mobile)
         gamma = self.gamma_state.observe(evidence)
-        if (mobile not in self._quarantine
-                and gamma != self._last_located.get(mobile)):
+        last = self._last_located.get(mobile)
+        if (gamma is not last and gamma != last
+                and mobile not in self._quarantine):
             self.scheduler.mark_dirty(mobile)
         if self.refit_every > 0:
             if gamma:
                 self._pending_refit.append(gamma)
             self._events_since_refit += 1
 
+    def _refit_due(self) -> bool:
+        return (self.refit_every > 0
+                and self._events_since_refit >= self.refit_every)
+
+    def _settle_due(self) -> bool:
+        """Whether :meth:`_settle` has a re-fit or a flush to run."""
+        return self.scheduler.ready or self._refit_due()
+
     def _settle(self) -> None:
         """Run a due re-fit, then flush every full micro-batch."""
-        if (self.refit_every > 0
-                and self._events_since_refit >= self.refit_every):
+        if self._refit_due():
             self._refit()
         while self.scheduler.ready:
             self._flush_batch()
@@ -478,13 +537,18 @@ class StreamingEngine:
             self._last_located[mobile] = gamma
 
     def _count_retry(self, site: str):
-        """An ``on_retry`` callback counting into the engine registry."""
-        counter = self.registry.counter("repro.engine.retries", site=site)
+        """The ``on_retry`` callback counting ``site``'s retries into the
+        engine registry, bound on first use."""
+        on_retry = self._retry_callbacks.get(site)
+        if on_retry is None:
+            counter = self.registry.counter("repro.engine.retries",
+                                            site=site)
 
-        def on_retry(attempt: int, error: BaseException,
-                     delay: float) -> None:
-            counter.inc()
+            def on_retry(attempt: int, error: BaseException,
+                         delay: float) -> None:
+                counter.inc()
 
+            self._retry_callbacks[site] = on_retry
         return on_retry
 
     def quarantined(self) -> Dict[MacAddress, str]:
@@ -541,14 +605,20 @@ class StreamingEngine:
             # keep the track monotonic rather than raising mid-stream.
             timestamp = latest.timestamp
         self.tracker.record(mobile, timestamp, estimate)
+        if not self.sinks:
+            return
+        # The fault seam's key is formatted only when an injector is
+        # armed to match on it.
+        key = (str(mobile) if faults.active_injector() is not None
+               else None)
+        on_retry = self._count_retry("sink.emit")
         for sink in self.sinks:
             def attempt(sink=sink):
-                faults.hook("sink.emit", key=str(mobile))
+                faults.hook("sink.emit", key=key)
                 sink.emit(mobile, timestamp, estimate)
 
             try:
-                self.retry.call(
-                    attempt, on_retry=self._count_retry("sink.emit"))
+                self.retry.call(attempt, on_retry=on_retry)
             except Exception as error:
                 # A sink is an observer, never the pipeline: drop the
                 # emission, count it, keep streaming.  The tracker above
@@ -565,10 +635,19 @@ class StreamingEngine:
     # Observability
     # ------------------------------------------------------------------
 
+    def _stage_timer(self, name: str) -> obs.Timer:
+        """One stage's timer, bound on first use (lazy per-stage series:
+        a stage that never runs never appears in a snapshot)."""
+        timer = self._stage_timers.get(name)
+        if timer is None:
+            timer = self.registry.timer("repro.engine.stage.duration",
+                                        stage=name)
+            self._stage_timers[name] = timer
+        return timer
+
     def _stage(self, name: str):
-        """Timing context for one pipeline stage (lazy per-stage series)."""
-        return self.registry.timer("repro.engine.stage.duration",
-                                   stage=name).time()
+        """Timing context for one pipeline stage."""
+        return self._stage_timer(name).time()
 
     def _stage_seconds(self) -> Dict[str, float]:
         """Accumulated seconds per stage, from the registry series."""

@@ -107,50 +107,104 @@ def classify_rows(batch: FrameBatch
     return row_class == _PROBE, evidence, mobiles
 
 
+class _DeviceGamma:
+    """One device's Γ state.
+
+    ``by_ap`` holds the newest evidence time per AP (insertion order is
+    first-heard order, which the checkpoint preserves), ``frontier``
+    the newest over all APs, and ``gamma`` the cached in-window set.
+    ``floor`` is a lower bound on the oldest in-window time: while the
+    horizon stays at or below it, no member can have left the window.
+    """
+
+    __slots__ = ("by_ap", "frontier", "gamma", "floor")
+
+    def __init__(self, by_ap: Dict[MacAddress, float], window_s: float):
+        self.by_ap = by_ap
+        self.frontier = max(by_ap.values())
+        horizon = self.frontier - window_s
+        self.gamma = frozenset(ap for ap, ts in by_ap.items()
+                               if ts >= horizon)
+        self.floor = min(by_ap[ap] for ap in self.gamma)
+
+    def expire(self, horizon: float) -> None:
+        """Drop the members older than ``horizon``; re-tighten ``floor``.
+
+        Only members are scanned: an AP outside Γ is older than an
+        earlier horizon, and the horizon never moves back.
+        """
+        by_ap = self.by_ap
+        gone = []
+        floor = float("inf")
+        for ap in self.gamma:
+            ts = by_ap[ap]
+            if ts < horizon:
+                gone.append(ap)
+            elif ts < floor:
+                floor = ts
+        if gone:
+            self.gamma = self.gamma.difference(gone)
+        self.floor = floor
+
+
 class GammaState:
     """Per-device sliding-window Γ sets, updated one event at a time.
 
     Memory is O(devices x APs-per-device): only the newest timestamp
-    per (mobile, AP) pair is retained.
+    per (mobile, AP) pair is retained.  Each device's Γ is kept as a
+    cached frozenset and changed only by the event that changes it, so
+    :meth:`gamma` is O(1) and returns the *same object* for as long as
+    Γ is unchanged; an event costs O(1) unless the window's horizon
+    passes the oldest member's time bound, when it costs O(|Γ|).
     """
 
     def __init__(self, window_s: float = 30.0):
         if window_s <= 0.0:
             raise ValueError(f"window must be > 0 s, got {window_s}")
         self.window_s = window_s
-        # mobile -> ap -> latest evidence time
-        self._latest_by_ap: Dict[MacAddress, Dict[MacAddress, float]] = {}
-        # mobile -> newest evidence time over all APs
-        self._frontier: Dict[MacAddress, float] = {}
+        self._devices: Dict[MacAddress, _DeviceGamma] = {}
 
     def observe(self, evidence: Evidence) -> FrozenSet[MacAddress]:
         """Fold one evidence event in; return the device's current Γ."""
-        by_ap = self._latest_by_ap.setdefault(evidence.mobile, {})
-        previous = by_ap.get(evidence.ap)
-        if previous is None or evidence.timestamp > previous:
-            by_ap[evidence.ap] = evidence.timestamp
-        frontier = self._frontier.get(evidence.mobile)
-        if frontier is None or evidence.timestamp > frontier:
-            self._frontier[evidence.mobile] = evidence.timestamp
-        return self.gamma(evidence.mobile)
+        ap, ts = evidence.ap, evidence.timestamp
+        device = self._devices.get(evidence.mobile)
+        if device is None:
+            device = _DeviceGamma({ap: ts}, self.window_s)
+            self._devices[evidence.mobile] = device
+            return device.gamma
+        by_ap = device.by_ap
+        previous = by_ap.get(ap)
+        if previous is not None and ts <= previous:
+            # Not newer than this pair's time, so not past the frontier
+            # either: nothing moves.
+            return device.gamma
+        by_ap[ap] = ts
+        if ts > device.frontier:
+            device.frontier = ts
+            if device.floor < ts - self.window_s:
+                device.expire(ts - self.window_s)
+        if (ap not in device.gamma
+                and ts >= device.frontier - self.window_s):
+            device.gamma = device.gamma.union((ap,))
+            if ts < device.floor:
+                device.floor = ts
+        return device.gamma
 
     def gamma(self, mobile: MacAddress) -> FrozenSet[MacAddress]:
         """APs heard within ``window_s`` of the device's newest evidence."""
-        by_ap = self._latest_by_ap.get(mobile)
-        if not by_ap:
-            return frozenset()
-        horizon = self._frontier[mobile] - self.window_s
-        return frozenset(ap for ap, ts in by_ap.items() if ts >= horizon)
+        device = self._devices.get(mobile)
+        return device.gamma if device is not None else frozenset()
 
     def last_seen(self, mobile: MacAddress) -> Optional[float]:
         """The newest evidence time for a device (None if never seen)."""
-        return self._frontier.get(mobile)
+        device = self._devices.get(mobile)
+        return device.frontier if device is not None else None
 
     def devices(self):
-        return list(self._latest_by_ap.keys())
+        return list(self._devices.keys())
 
     def __len__(self) -> int:
-        return len(self._latest_by_ap)
+        return len(self._devices)
 
     # ------------------------------------------------------------------
     # Checkpointing
@@ -161,8 +215,9 @@ class GammaState:
         return {
             "window_s": self.window_s,
             "events": {
-                str(mobile): {str(ap): ts for ap, ts in by_ap.items()}
-                for mobile, by_ap in self._latest_by_ap.items()
+                str(mobile): {str(ap): ts
+                              for ap, ts in device.by_ap.items()}
+                for mobile, device in self._devices.items()
             },
         }
 
@@ -170,9 +225,8 @@ class GammaState:
     def from_dict(cls, data: dict) -> "GammaState":
         state = cls(window_s=float(data["window_s"]))
         for mobile_text, by_ap in data.get("events", {}).items():
-            mobile = MacAddress.parse(mobile_text)
             parsed = {MacAddress.parse(ap): float(ts)
                       for ap, ts in by_ap.items()}
-            state._latest_by_ap[mobile] = parsed
-            state._frontier[mobile] = max(parsed.values())
+            state._devices[MacAddress.parse(mobile_text)] = _DeviceGamma(
+                parsed, state.window_s)
         return state

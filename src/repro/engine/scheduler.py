@@ -10,6 +10,7 @@ reproducible, which the checkpoint/restore round-trip relies on.
 
 from __future__ import annotations
 
+import itertools
 from typing import Dict, List, Optional
 
 from repro.net80211.mac import MacAddress
@@ -50,10 +51,9 @@ class MicroBatchScheduler:
     def next_batch(self, limit: Optional[int] = None) -> List[MacAddress]:
         """Remove and return up to ``limit`` (default batch_size) devices."""
         take = self.batch_size if limit is None else limit
-        batch: List[MacAddress] = []
-        for mobile in list(self._dirty.keys())[:take]:
+        batch = list(itertools.islice(self._dirty, take))
+        for mobile in batch:
             del self._dirty[mobile]
-            batch.append(mobile)
         return batch
 
     # ------------------------------------------------------------------

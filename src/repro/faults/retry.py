@@ -93,13 +93,15 @@ class RetryPolicy:
         backoff sleep (attempt numbering starts at 1 for the failed
         attempt).  The final failure re-raises the original exception.
         """
-        schedule = self.delays()
+        schedule = None  # built on the first failure, not per call
         for attempt in range(1, self.max_attempts + 1):
             try:
                 return fn()
             except self.retryable as error:
                 if attempt >= self.max_attempts:
                     raise
+                if schedule is None:
+                    schedule = self.delays()
                 delay = schedule[attempt - 1]
                 if on_retry is not None:
                     on_retry(attempt, error, delay)

@@ -163,8 +163,9 @@ class RadiusEstimator:
             [self.locations[b].as_tuple() for b in self._bssids],
             dtype=np.float64).reshape(len(self._bssids), 2)
         #: All index pairs closer than 2*r_max, from the spatial grid —
-        #: the only pairs whose constraints can ever bind.  Locations
-        #: are immutable, so this is computed once.
+        #: the only pairs whose constraints can ever bind, as arrays
+        #: ``(i, j, distance)``.  Locations are immutable, so this is
+        #: computed once.
         self._range_pairs = self._pairs_in_range()
 
         # Streaming evidence state.
@@ -257,15 +258,14 @@ class RadiusEstimator:
             absorbed += 1
         return absorbed
 
-    def _pairs_in_range(self) -> List[Tuple[int, int, float]]:
+    def _pairs_in_range(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Index pairs with ``d < 2*r_max``, sorted by (i, j)."""
         if len(self._bssids) < 2:
-            return []
+            empty = np.zeros(0, dtype=np.int64)
+            return empty, empty, np.zeros(0)
         cutoff = 2.0 * self.r_max
         grid = SpatialGrid(self._coords, cell_size=cutoff)
-        pair_i, pair_j, dist = grid.pairs_within(cutoff, strict=True)
-        return [(int(i), int(j), float(d))
-                for i, j, d in zip(pair_i, pair_j, dist)]
+        return grid.pairs_within(cutoff, strict=True)
 
     def _pair_distance(self, i: int, j: int) -> float:
         delta = self._coords[i] - self._coords[j]
@@ -286,7 +286,8 @@ class RadiusEstimator:
         need = self.min_evidence
         co = self._co_pairs
         candidates: Dict[int, List[Tuple[float, int]]] = {}
-        for i, j, distance in self._range_pairs:
+        for i, j, distance in zip(*(column.tolist()
+                                    for column in self._range_pairs)):
             if counts.get(i, 0) < need or counts.get(j, 0) < need:
                 continue
             if (i, j) in co:
@@ -341,7 +342,7 @@ class RadiusEstimator:
 
     def _add_sep_row(self, problem: LpProblem, i: int, j: int,
                      distance: float) -> None:
-        slack = problem.add_variable(f"s_{i}_{j}", low=0.0, up=None)
+        slack = problem.add_variable(low=0.0, up=None)
         self._slack_vars.append(slack)
         problem.set_objective_coefficient(slack, -_SLACK_PENALTY)
         self._sep_rows[(i, j)] = problem.num_constraints
@@ -354,9 +355,8 @@ class RadiusEstimator:
         """Cold assembly of the full LP from the current evidence."""
         problem = LpProblem(maximize=True)
         self._radius_vars = [
-            problem.add_variable(f"r_{bssid}", low=self.r_min,
-                                 up=self.r_max)
-            for bssid in self._bssids
+            problem.add_variable(low=self.r_min, up=self.r_max)
+            for _ in self._bssids
         ]
         problem.set_objective({
             v: self._objective_coefficient(v) for v in self._radius_vars})

@@ -16,16 +16,16 @@ cross-check the test suite pins it against).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from array import array
+from dataclasses import dataclass
+from typing import Dict, Optional
 
 import numpy as np
 
 from repro import faults
 from repro.faults import InfeasibleError, SolverError, UnboundedError
-from repro.lp.revised import LpState, RevisedResult, solve_revised
-
-_SENSES = ("<=", ">=", "==")
+from repro.lp.revised import (SENSES, LpRows, LpState, RevisedResult,
+                              solve_rows)
 
 
 @dataclass
@@ -61,66 +61,68 @@ def _check_result(result: LpResult, raise_on_failure: bool) -> LpResult:
                       status=result.status)
 
 
-@dataclass
-class _Constraint:
-    coefficients: Dict[int, float]
-    sense: str
-    rhs: float
-    name: str = ""
-
-
-@dataclass
 class LpProblem:
-    """A linear program assembled incrementally."""
+    """A linear program assembled incrementally.
 
-    maximize: bool = False
-    _names: List[str] = field(default_factory=list)
-    _bounds: List[Tuple[float, Optional[float]]] = field(default_factory=list)
-    _constraints: List[_Constraint] = field(default_factory=list)
-    _objective: Dict[int, float] = field(default_factory=dict)
+    Everything lives in flat typed arrays that grow by appending: per
+    variable its bounds and objective coefficient, per row the
+    :class:`~repro.lp.revised.LpRows` entries.  A fitted AP-Rad model
+    keeps its LP resident for warm re-fits, so this is what it holds.
+    """
+
+    def __init__(self, maximize: bool = False):
+        self.maximize = maximize
+        self._low = array("d")
+        self._up = array("d")  # inf: unbounded above
+        self._cost = array("d")
+        self._rows = LpRows()
 
     @property
     def num_variables(self) -> int:
-        return len(self._names)
+        return len(self._low)
 
     @property
     def num_constraints(self) -> int:
-        return len(self._constraints)
+        return len(self._rows)
 
     def add_variable(self, name: str = "", low: float = 0.0,
                      up: Optional[float] = None) -> int:
-        """Add a variable and return its index."""
+        """Add a variable and return its index (``name`` only labels a
+        bounds error; it is not kept)."""
         if up is not None and up < low:
             raise ValueError(
                 f"variable {name!r}: upper bound {up} < lower bound {low}")
-        index = len(self._names)
-        self._names.append(name or f"x{index}")
-        self._bounds.append((low, up))
+        index = len(self._low)
+        self._low.append(low)
+        self._up.append(np.inf if up is None else up)
+        self._cost.append(0.0)
         return index
+
+    def _check_indices(self, coefficients: Dict[int, float]) -> None:
+        for index in coefficients:
+            if not 0 <= index < len(self._low):
+                raise IndexError(f"unknown variable index {index}")
 
     def add_constraint(self, coefficients: Dict[int, float], sense: str,
                        rhs: float, name: str = "") -> None:
-        """Add ``sum(coef_i * x_i) <sense> rhs``."""
-        if sense not in _SENSES:
-            raise ValueError(f"sense must be one of {_SENSES}, got {sense!r}")
-        for index in coefficients:
-            if not 0 <= index < len(self._names):
-                raise IndexError(f"unknown variable index {index}")
-        self._constraints.append(
-            _Constraint(dict(coefficients), sense, float(rhs), name))
+        """Add ``sum(coef_i * x_i) <sense> rhs`` (``name`` is not kept)."""
+        if sense not in SENSES:
+            raise ValueError(f"sense must be one of {SENSES}, got {sense!r}")
+        self._check_indices(coefficients)
+        self._rows.append(coefficients, sense, float(rhs))
 
     def set_objective(self, coefficients: Dict[int, float]) -> None:
         """Set the (sparse) objective vector."""
-        for index in coefficients:
-            if not 0 <= index < len(self._names):
-                raise IndexError(f"unknown variable index {index}")
-        self._objective = dict(coefficients)
+        self._check_indices(coefficients)
+        self._cost = array("d", [0.0]) * len(self._cost)
+        for index, value in coefficients.items():
+            self._cost[index] = value
 
     def set_objective_coefficient(self, index: int, value: float) -> None:
         """Set a single objective coefficient in place."""
-        if not 0 <= index < len(self._names):
+        if not 0 <= index < len(self._low):
             raise IndexError(f"unknown variable index {index}")
-        self._objective[index] = float(value)
+        self._cost[index] = float(value)
 
     def set_constraint_rhs(self, index: int, rhs: float) -> None:
         """Retune an existing constraint's right-hand side in place.
@@ -130,9 +132,9 @@ class LpProblem:
         ``solve(solver="revised", warm_start=...)`` only repairs the
         rows whose rhs actually moved.
         """
-        if not 0 <= index < len(self._constraints):
+        if not 0 <= index < len(self._rows):
             raise IndexError(f"unknown constraint index {index}")
-        self._constraints[index].rhs = float(rhs)
+        self._rows.rhs[index] = float(rhs)
 
     def solve(self, solver: str = "revised", max_iter: int = 20000,
               warm_start: Optional[LpState] = None,
@@ -166,69 +168,44 @@ class LpProblem:
         result (warm-start state, phase-1/refactorization counters).
         """
         faults.hook("lp.solve")
-        n = len(self._names)
-        cost = np.zeros(n)
-        for index, value in self._objective.items():
-            cost[index] = value
-        constraints = [(c.coefficients, c.sense, c.rhs)
-                       for c in self._constraints]
-        lower = np.array([low for low, _ in self._bounds]) \
-            if n else np.zeros(0)
-        upper = [up for _, up in self._bounds]
         return _check_result(
-            solve_revised(cost, constraints, lower, upper,
-                          maximize=self.maximize,
-                          warm_start=warm_start, max_iter=max_iter),
+            solve_rows(np.array(self._cost), self._rows,
+                       np.array(self._low), np.array(self._up),
+                       maximize=self.maximize,
+                       warm_start=warm_start, max_iter=max_iter),
             raise_on_failure)
 
     def _solve_scipy(self) -> LpResult:
         from scipy.optimize import linprog
         from scipy.sparse import csr_matrix
 
-        n = len(self._names)
-        cost = np.zeros(n)
-        for index, value in self._objective.items():
-            cost[index] = value
-
+        n = len(self._low)
+        cost = np.array(self._cost)
+        start, col, val, sense, rhs = self._rows.arrays()
         # Sparse triplet assembly: AP-Rad instances have thousands of
-        # rows with only 2-3 nonzeros each.
-        ub_rows: List[int] = []
-        ub_cols: List[int] = []
-        ub_data: List[float] = []
-        b_ub: List[float] = []
-        eq_rows: List[int] = []
-        eq_cols: List[int] = []
-        eq_data: List[float] = []
-        b_eq: List[float] = []
-        for constraint in self._constraints:
-            if constraint.sense == "==":
-                row_index = len(b_eq)
-                for col, value in constraint.coefficients.items():
-                    eq_rows.append(row_index)
-                    eq_cols.append(col)
-                    eq_data.append(value)
-                b_eq.append(constraint.rhs)
-            else:
-                sign = 1.0 if constraint.sense == "<=" else -1.0
-                row_index = len(b_ub)
-                for col, value in constraint.coefficients.items():
-                    ub_rows.append(row_index)
-                    ub_cols.append(col)
-                    ub_data.append(sign * value)
-                b_ub.append(sign * constraint.rhs)
+        # rows with only 2-3 nonzeros each.  ">=" rows enter A_ub
+        # negated.
+        row = np.repeat(np.arange(len(rhs)), np.diff(start))
+        sign = np.where(sense == 1, -1.0, 1.0)
+        equality = sense == 2
 
-        a_ub = (csr_matrix((ub_data, (ub_rows, ub_cols)),
-                           shape=(len(b_ub), n)) if b_ub else None)
-        a_eq = (csr_matrix((eq_data, (eq_rows, eq_cols)),
-                           shape=(len(b_eq), n)) if b_eq else None)
+        def block(selected: np.ndarray):
+            if not selected.any():
+                return None, None
+            renumber = np.cumsum(selected) - 1
+            entries = selected[row]
+            matrix = csr_matrix(
+                ((sign[row] * val)[entries],
+                 (renumber[row][entries], col[entries])),
+                shape=(int(selected.sum()), n))
+            return matrix, (sign * rhs)[selected]
+
+        a_ub, b_ub = block(~equality)
+        a_eq, b_eq = block(equality)
         obj_sign = -1.0 if self.maximize else 1.0
         outcome = linprog(
-            obj_sign * cost,
-            A_ub=a_ub,
-            b_ub=np.array(b_ub) if b_ub else None,
-            A_eq=a_eq,
-            b_eq=np.array(b_eq) if b_eq else None,
-            bounds=self._bounds,
+            obj_sign * cost, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq,
+            bounds=list(zip(self._low, self._up)),
             method="highs",
         )
         if outcome.status == 0:

@@ -31,10 +31,10 @@ built for that shape:
   runs for the *delta*, not the problem size, which is what makes
   incremental AP-Rad re-fits cheap.
 * **Warm starts** — :class:`LpState` records the optimal basis in
-  solver-independent tags (``("v", var)`` / ``("s", row)``), so a
-  caller can append rows/columns to a problem and restart from the
-  previous optimum; unknown or clashing tags degrade gracefully to
-  that row's slack.
+  solver-independent column codes (variable ``j`` or row ``k``'s
+  slack), so a caller can append rows/columns to a problem and
+  restart from the previous optimum; unknown or clashing codes
+  degrade gracefully to that row's slack.
 
 The solver accepts LPs with finite lower bounds and optional upper
 bounds, and is pinned against ``scipy.optimize.linprog`` by the
@@ -43,6 +43,7 @@ property tests in ``tests/test_lp_revised.py``.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -64,22 +65,89 @@ _AT_LOWER = 1
 _AT_UPPER = 2
 
 
-@dataclass(frozen=True)
+def slack_code(row: int) -> int:
+    """The :class:`LpState` code of row ``row``'s slack column."""
+    return -1 - row
+
+
+@dataclass(frozen=True, eq=False)
 class LpState:
     """A warm-start snapshot in solver-independent coordinates.
 
-    ``row_basic[i]`` tags the column basic in row ``i`` — ``("v", j)``
-    for structural variable ``j`` or ``("s", k)`` for row ``k``'s
-    slack.  ``at_upper`` lists the nonbasic tags resting at their upper
-    bound (everything else defaults to its lower bound, or the upper
-    one when the lower is infinite).  Tags that no longer resolve in a
-    grown problem fall back to the row's own slack, so a state taken
-    before rows/columns were appended remains a valid (if partially
-    cold) starting point.
+    ``row_basic[i]`` codes the column basic in row ``i``: ``j >= 0``
+    for structural variable ``j``, :func:`slack_code` ``(k) = -1 - k``
+    for row ``k``'s slack.  ``at_upper`` codes the nonbasic columns
+    resting at their upper bound (everything else defaults to its
+    lower bound, or the upper one when the lower is infinite).  Codes
+    that no longer resolve in a grown problem fall back to the row's
+    own slack, so a state taken before rows/columns were appended
+    remains a valid (if partially cold) starting point.  Both are int
+    arrays: a fitted model keeps its last state resident.
     """
 
-    row_basic: Tuple[Tuple[str, int], ...]
-    at_upper: Tuple[Tuple[str, int], ...] = ()
+    row_basic: np.ndarray
+    at_upper: np.ndarray = field(
+        default_factory=lambda: np.zeros(0, dtype=np.int64))
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "row_basic",
+                           np.asarray(self.row_basic, dtype=np.int64))
+        object.__setattr__(self, "at_upper",
+                           np.asarray(self.at_upper, dtype=np.int64))
+
+
+#: :class:`LpRows` sense codes, in order.
+SENSES = ("<=", ">=", "==")
+
+
+class LpRows:
+    """Constraint rows in flat typed arrays that grow by appending.
+
+    Row ``i``'s coefficients are ``col``/``val`` entries
+    ``start[i]:start[i + 1]`` (COO order: rows ascending, each row's
+    entries in insertion order); ``sense[i]`` indexes :data:`SENSES`.
+    """
+
+    __slots__ = ("start", "col", "val", "sense", "rhs")
+
+    def __init__(self):
+        self.start = array("q", [0])
+        self.col = array("q")
+        self.val = array("d")
+        self.sense = array("b")
+        self.rhs = array("d")
+
+    def __len__(self) -> int:
+        return len(self.rhs)
+
+    def append(self, coefficients: Dict[int, float], sense: str,
+               rhs: float) -> None:
+        """Add ``sum(coef_j * x_j) <sense> rhs``."""
+        if sense not in SENSES:
+            raise ValueError(f"unknown constraint sense {sense!r}")
+        self.col.extend(coefficients.keys())
+        self.val.extend(coefficients.values())
+        self.start.append(len(self.col))
+        self.sense.append(SENSES.index(sense))
+        self.rhs.append(rhs)
+
+    @classmethod
+    def of(cls, constraints: Sequence[Tuple[Dict[int, float], str, float]]
+           ) -> "LpRows":
+        """Rows from ``(coefficients, sense, rhs)`` triples."""
+        rows = cls()
+        for coefficients, sense, rhs in constraints:
+            rows.append(coefficients, sense, rhs)
+        return rows
+
+    def arrays(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray,
+                              np.ndarray, np.ndarray]:
+        """``(start, col, val, sense, rhs)`` as NumPy arrays (copies)."""
+        return (np.array(self.start, dtype=np.int64),
+                np.array(self.col, dtype=np.int64),
+                np.array(self.val, dtype=float),
+                np.array(self.sense, dtype=np.int8),
+                np.array(self.rhs, dtype=float))
 
 
 @dataclass
@@ -148,48 +216,31 @@ class _Csc:
         return out
 
 
-def _build_csc(constraints: Sequence[Tuple[Dict[int, float], str, float]],
-               n: int) -> Tuple[_Csc, np.ndarray, np.ndarray, np.ndarray]:
+def _build_csc(rows: LpRows, n: int
+               ) -> Tuple[_Csc, np.ndarray, np.ndarray, np.ndarray]:
     """Assemble ``[A | I]`` in CSC plus rhs and slack bound arrays.
 
     Row ``i``'s slack column is ``n + i`` with coefficient ``+1``;
     its bounds encode the sense: ``<=`` → ``[0, ∞)``, ``>=`` →
-    ``(-∞, 0]``, ``==`` → ``[0, 0]``.
+    ``(-∞, 0]``, ``==`` → ``[0, 0]``.  Zero coefficients are dropped;
+    each column lists its rows in ascending order.
     """
-    m = len(constraints)
-    per_column: List[List[Tuple[int, float]]] = [[] for _ in range(n)]
-    rhs = np.zeros(m)
-    slack_lower = np.zeros(m)
-    slack_upper = np.zeros(m)
-    for i, (coefficients, sense, value) in enumerate(constraints):
-        rhs[i] = value
-        for j, coef in coefficients.items():
-            if coef != 0.0:
-                per_column[j].append((i, coef))
-        if sense == "<=":
-            slack_lower[i], slack_upper[i] = 0.0, np.inf
-        elif sense == ">=":
-            slack_lower[i], slack_upper[i] = -np.inf, 0.0
-        elif sense == "==":
-            slack_lower[i], slack_upper[i] = 0.0, 0.0
-        else:
-            raise ValueError(f"unknown constraint sense {sense!r}")
+    start, col, val, sense, rhs = rows.arrays()
+    m = len(rhs)
+    row = np.repeat(np.arange(m, dtype=np.int64), np.diff(start))
+    keep = val != 0.0
+    row, col, val = row[keep], col[keep], val[keep]
+    # A stable sort by column keeps each column's rows ascending.
+    order = np.argsort(col, kind="stable")
     total = n + m
     indptr = np.zeros(total + 1, dtype=np.int64)
-    for j in range(n):
-        indptr[j + 1] = indptr[j] + len(per_column[j])
+    np.cumsum(np.bincount(col, minlength=n), out=indptr[1:n + 1])
     nnz_structural = int(indptr[n])
     indptr[n + 1:] = nnz_structural + np.arange(1, m + 1)
-    indices = np.empty(nnz_structural + m, dtype=np.int64)
-    data = np.empty(nnz_structural + m)
-    cursor = 0
-    for j in range(n):
-        for row, coef in per_column[j]:
-            indices[cursor] = row
-            data[cursor] = coef
-            cursor += 1
-    indices[nnz_structural:] = np.arange(m)
-    data[nnz_structural:] = 1.0
+    indices = np.concatenate([row[order], np.arange(m, dtype=np.int64)])
+    data = np.concatenate([val[order], np.ones(m)])
+    slack_lower = np.where(sense == 1, -np.inf, 0.0)
+    slack_upper = np.where(sense == 0, np.inf, 0.0)
     return (_Csc(m, total, indptr, indices, data), rhs,
             slack_lower, slack_upper)
 
@@ -284,11 +335,30 @@ def solve_revised(
     ``warm_start`` is an :class:`LpState` from a previous solve of this
     (possibly since-grown) problem.
     """
+    return solve_rows(
+        cost, LpRows.of(constraints), lower,
+        [np.inf if bound is None else float(bound) for bound in upper],
+        maximize=maximize, warm_start=warm_start, max_iter=max_iter,
+        bland_after=bland_after)
+
+
+def solve_rows(
+    cost: np.ndarray,
+    rows: LpRows,
+    lower: np.ndarray,
+    upper: np.ndarray,
+    maximize: bool = False,
+    warm_start: Optional[LpState] = None,
+    max_iter: int = 20000,
+    bland_after: Optional[int] = None,
+) -> RevisedResult:
+    """:func:`solve_revised` over :class:`LpRows`, with ``upper`` as
+    floats (``inf`` = unbounded above)."""
     c_struct = np.asarray(cost, dtype=float)
     n = c_struct.shape[0]
     if maximize:
         c_struct = -c_struct
-    matrix, rhs, slack_lower, slack_upper = _build_csc(constraints, n)
+    matrix, rhs, slack_lower, slack_upper = _build_csc(rows, n)
     m = matrix.m
     total = matrix.n
 
@@ -298,9 +368,7 @@ def solve_revised(
     if not np.all(np.isfinite(lo[:n])):
         raise ValueError(
             "lower bounds must be finite (shift variables if needed)")
-    for j in range(n):
-        bound = upper[j]
-        hi[j] = np.inf if bound is None else float(bound)
+    hi[:n] = np.asarray(upper, dtype=float)
     lo[n:] = slack_lower
     hi[n:] = slack_upper
     if np.any(hi < lo - FEAS_TOL):
@@ -429,14 +497,15 @@ class _RevisedSimplex:
     def _warm_basis(self, state: LpState) -> None:
         taken = set()
         chosen = np.full(self.m, -1, dtype=np.int64)
+        codes = state.row_basic.tolist()
         for row in range(self.m):
             column = -1
-            if row < len(state.row_basic):
-                kind, index = state.row_basic[row]
-                if kind == "v" and 0 <= index < self.n_struct:
-                    column = index
-                elif kind == "s" and 0 <= index < self.m:
-                    column = self.n_struct + index
+            if row < len(codes):
+                code = codes[row]
+                if 0 <= code < self.n_struct:
+                    column = code
+                elif 0 <= slack_code(code) < self.m:
+                    column = self.n_struct + slack_code(code)
             if column < 0 or column in taken:
                 column = self.n_struct + row
             if column in taken:  # foreign slack claim clashed
@@ -452,9 +521,9 @@ class _RevisedSimplex:
                 chosen[row] = fallback
         self.basis = chosen
         self._default_status()
-        for kind, index in state.at_upper:
-            column = (index if kind == "v"
-                      else self.n_struct + index if kind == "s" else -1)
+        for code in state.at_upper.tolist():
+            column = (code if code >= 0
+                      else self.n_struct + slack_code(code))
             if (0 <= column < self.total
                     and column not in taken
                     and np.isfinite(self.hi[column])):
@@ -624,19 +693,10 @@ class _RevisedSimplex:
         return x
 
     def export_state(self) -> LpState:
-        row_basic = []
-        for column in self.basis:
-            column = int(column)
-            if column < self.n_struct:
-                row_basic.append(("v", column))
-            else:
-                row_basic.append(("s", column - self.n_struct))
-        at_upper = []
-        for column in np.nonzero(self.status == _AT_UPPER)[0]:
-            column = int(column)
-            if column < self.n_struct:
-                at_upper.append(("v", column))
-            else:
-                at_upper.append(("s", column - self.n_struct))
-        return LpState(row_basic=tuple(row_basic),
-                       at_upper=tuple(at_upper))
+        def codes(columns: np.ndarray) -> np.ndarray:
+            return np.where(columns < self.n_struct, columns,
+                            slack_code(columns - self.n_struct))
+
+        return LpState(
+            row_basic=codes(self.basis),
+            at_upper=codes(np.nonzero(self.status == _AT_UPPER)[0]))

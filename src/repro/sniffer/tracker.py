@@ -160,13 +160,20 @@ class PseudonymLinker:
 
     def ingest(self, frame: Dot11Frame) -> None:
         """Record one probe request (other frame types are ignored)."""
-        if frame.frame_type is not FrameType.PROBE_REQUEST:
-            return
-        if frame.source not in self._ssids_by_mac:
-            self._macs_seen.append(frame.source)
-            self._ssids_by_mac[frame.source]  # create entry
-        if not frame.ssid.is_wildcard:
-            self._ssids_by_mac[frame.source].add(frame.ssid)
+        if frame.frame_type is FrameType.PROBE_REQUEST:
+            self.observe(frame.source, frame.ssid)
+
+    def observe(self, source: MacAddress, ssid: Ssid) -> None:
+        """Record one probe request's (source MAC, SSID) pair.
+
+        Repeating a pair changes nothing, so a batch may hand over each
+        distinct pair once, in first-seen order.
+        """
+        if source not in self._ssids_by_mac:
+            self._macs_seen.append(source)
+            self._ssids_by_mac[source]  # create entry
+        if not ssid.is_wildcard:
+            self._ssids_by_mac[source].add(ssid)
 
     def fingerprint_of(self, mac: MacAddress) -> Optional[str]:
         """The SSID-set fingerprint for a MAC (None if nothing leaked)."""

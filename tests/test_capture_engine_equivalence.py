@@ -15,7 +15,8 @@ import pytest
 from repro.capture import (FrameBatch, convert_capture, encode_frames,
                            make_capture_writer)
 from repro.faults import CaptureError
-from repro.engine import StreamingEngine, load_checkpoint_data, make_sink
+from repro.engine import (GammaState, StreamingEngine, load_checkpoint_data,
+                          make_sink)
 from repro.geometry.point import Point
 from repro.knowledge.apdb import ApDatabase, ApRecord
 from repro.localization import MLoc
@@ -29,6 +30,7 @@ from repro.net80211.frames import (
 from repro.net80211.mac import BROADCAST_MAC, MacAddress
 from repro.net80211.medium import ReceivedFrame
 from repro.net80211.ssid import Ssid
+from repro.obs import MetricsRegistry
 from repro.service import (FrameIngestServer, ShardConfig, ShardedEngine,
                            stream_capture_to)
 from repro.sniffer.replay import iter_capture, iter_capture_batches
@@ -193,6 +195,115 @@ class TestShardedEngine:
             assert engine.drain().frames_ingested == 0
         finally:
             engine.stop()
+
+
+def linker_state(engine):
+    """What the pseudonym linker learned: groups and per-MAC prints."""
+    linker = engine.linker
+    return (linker.linked_groups(),
+            [linker.fingerprint_of(mobile_mac(i)) for i in range(7)])
+
+
+def batches_of(frames, size):
+    return [FrameBatch(*encode_frames(frames[start:start + size]))
+            for start in range(0, len(frames), size)]
+
+
+class TestSingleEngineBatchPath:
+    """``ingest_batch`` on one engine against the record path."""
+
+    def test_shuffled_stream_matches_record_path(self):
+        frames = shuffled_within_windows(generate_records())
+        probes = [index for index, received in enumerate(frames)
+                  if received.frame.frame_type is FrameType.PROBE_REQUEST]
+        # Wildcard and per-device SSIDs, and one that only the aux blob
+        # can hold (a trailing NUL).
+        for index, ssid in zip(probes, ["cafe\x00", "", "home", "lab"]):
+            frame = frames[index].frame
+            frames[index] = ReceivedFrame(
+                probe_request(frame.source, 6, frame.timestamp,
+                              ssid=Ssid(ssid)),
+                -60.0, 20.0, 6, frames[index].rx_timestamp)
+        record = fresh_engine()
+        record.run(iter(frames))
+        batched = fresh_engine()
+        batched.run_batches(batches_of(frames, 37))
+        assert stripped_checkpoint(record) == stripped_checkpoint(batched)
+        assert record.sinks[0].fixes.keys() == batched.sinks[0].fixes.keys()
+        for mobile, (ts, estimate) in record.sinks[0].fixes.items():
+            assert batched.sinks[0].fixes[mobile][0] == ts
+            assert batched.sinks[0].fixes[mobile][1].position == \
+                estimate.position
+        assert linker_state(record) == linker_state(batched)
+
+    def test_flush_due_before_the_batch_runs_first(self):
+        # A restored engine whose dirty set is already a full batch: the
+        # record path flushes it after the first frame, a beacon, before
+        # the evidence that follows changes any Γ.
+        frames = generate_records()
+        head = fresh_engine()
+        head.ingest_stream(frames[:299])
+        data = json.loads(json.dumps(head.checkpoint()))
+        assert data["dirty"]
+        data["config"]["batch_size"] = 1
+        tail = [frames[299]] + frames[301:]
+        assert frames[299].frame.frame_type is FrameType.BEACON
+        assert frames[301].frame.frame_type is FrameType.PROBE_RESPONSE
+
+        def restored():
+            return StreamingEngine.restore(
+                json.loads(json.dumps(data)), MLoc(build_database()),
+                sinks=[make_sink("latest")])
+
+        record, batched = restored(), restored()
+        record.ingest_stream(tail)
+        batched.ingest_batch(FrameBatch(*encode_frames(tail)))
+        assert stripped_checkpoint(record) == stripped_checkpoint(batched)
+
+    def test_malformed_probe_row_leaves_the_engine_untouched(self,
+                                                             captures):
+        rows, aux = encode_frames(captures["records"][:8])
+        assert captures["records"][5].frame.frame_type is \
+            FrameType.PROBE_REQUEST
+        rows["ssid"][5] = b"\xff"
+        engine = fresh_engine()
+        before = json.dumps(engine.checkpoint(), sort_keys=True)
+        with pytest.raises(CaptureError, match="record 5"):
+            engine.ingest_batch(FrameBatch(rows, aux))
+        assert json.dumps(engine.checkpoint(), sort_keys=True) == before
+        assert engine.stats().frames_ingested == 0
+
+    def test_gamma_observed_once_per_evidence_event(self, monkeypatch):
+        observe = GammaState.observe
+        calls = []
+
+        def counted(self, evidence):
+            calls.append(evidence)
+            return observe(self, evidence)
+
+        monkeypatch.setattr(GammaState, "observe", counted)
+        engine = fresh_engine()
+        engine.run_batches(batches_of(generate_records(), 128))
+        assert len(calls) == engine.stats().evidence_events > 0
+
+    @pytest.mark.parametrize("rows", [64, 1024])
+    def test_metric_lookups_do_not_scale_with_rows(self, monkeypatch,
+                                                   rows):
+        lookup = MetricsRegistry._lookup
+        calls = []
+
+        def counted(self, *args, **kwargs):
+            calls.append(args[1])
+            return lookup(self, *args, **kwargs)
+
+        # One batch that flushes nothing: every lookup is ingest's own.
+        engine = StreamingEngine(MLoc(build_database()),
+                                 batch_size=10_000)
+        batch = FrameBatch(*encode_frames(generate_records(rows)))
+        monkeypatch.setattr(MetricsRegistry, "_lookup", counted)
+        engine.ingest_batch(batch)
+        assert engine.stats().frames_ingested == rows
+        assert calls == ["repro.engine.stage.duration"]
 
 
 def shuffled_within_windows(records, window=8, seed=3):

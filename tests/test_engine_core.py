@@ -1,6 +1,9 @@
 """Streaming-engine tests: ingest, scheduling, memoization, sinks."""
 
+import json
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.engine import (
     CallbackSink,
@@ -109,6 +112,69 @@ class TestGammaState:
     def test_rejects_bad_window(self):
         with pytest.raises(ValueError):
             GammaState(window_s=0.0)
+
+    def test_unchanged_gamma_is_the_same_object(self):
+        state = GammaState(window_s=10.0)
+        a, b = MacAddress(1), MacAddress(2)
+        mobile = station(0)
+        state.observe(Evidence(mobile, a, 0.0))
+        gamma = state.observe(Evidence(mobile, b, 1.0))
+        # A newer time for a member, a late duplicate, and a frontier
+        # step that expires nothing all leave Γ (and the object) alone.
+        assert state.observe(Evidence(mobile, a, 2.0)) is gamma
+        assert state.observe(Evidence(mobile, b, 0.5)) is gamma
+        assert state.observe(Evidence(mobile, a, 11.0)) is gamma
+        assert state.gamma(mobile) is gamma
+        assert state.observe(Evidence(mobile, a, 11.5)) == {a}
+
+
+#: Few devices, APs and quarter-second stamps, so that out-of-order,
+#: duplicate, equal-time and exactly-on-the-window-edge events are all
+#: common.
+WINDOW_S = 2.5
+EVENTS = st.lists(st.tuples(st.integers(0, 2), st.integers(0, 5),
+                            st.integers(0, 60).map(lambda k: k * 0.25)),
+                  max_size=80)
+
+
+def reference_gamma(by_ap, window_s):
+    """Γ from scratch: APs within the window of the newest evidence."""
+    if not by_ap:
+        return frozenset()
+    frontier = max(by_ap.values())
+    return frozenset(ap for ap, ts in by_ap.items()
+                     if ts >= frontier - window_s)
+
+
+class TestGammaStateDifferential:
+    @settings(max_examples=300, deadline=None)
+    @given(events=EVENTS, restore_at=st.integers(0, 80))
+    def test_matches_from_scratch_reference(self, events, restore_at):
+        state = GammaState(window_s=WINDOW_S)
+        reference = {}
+        last = {}
+        for step, (device, ap_index, ts) in enumerate(events):
+            if step == restore_at:
+                state = GammaState.from_dict(
+                    json.loads(json.dumps(state.to_dict())))
+                last = {}
+            mobile, ap = station(device), MacAddress(ap_index + 1)
+            by_ap = reference.setdefault(mobile, {})
+            if ap not in by_ap or ts > by_ap[ap]:
+                by_ap[ap] = ts
+            gamma = state.observe(Evidence(mobile, ap, ts))
+            want = reference_gamma(by_ap, WINDOW_S)
+            assert gamma == want
+            if mobile in last and last[mobile] == want:
+                assert gamma is last[mobile]
+            last[mobile] = gamma
+            for other, other_by_ap in reference.items():
+                assert state.gamma(other) == reference_gamma(other_by_ap,
+                                                             WINDOW_S)
+                assert state.last_seen(other) == max(other_by_ap.values())
+        assert state.to_dict()["events"] == {
+            str(mobile): {str(ap): ts for ap, ts in by_ap.items()}
+            for mobile, by_ap in reference.items()}
 
 
 class TestScheduler:

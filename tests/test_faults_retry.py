@@ -48,6 +48,28 @@ class TestCall:
         assert len(attempts) == 3
         assert sleeps == pytest.approx([0.1, 0.2])
 
+    def test_schedule_is_built_only_after_a_failure(self, monkeypatch):
+        built = []
+        delays = RetryPolicy.delays
+        monkeypatch.setattr(RetryPolicy, "delays",
+                            lambda self: built.append(1) or delays(self))
+        sleeps = []
+        policy = RetryPolicy(max_attempts=3, base_delay=0.1, jitter=0.3,
+                             seed=5, sleep=sleeps.append)
+        assert policy.call(lambda: "ok") == "ok"
+        assert built == []
+        failures = iter([ReproError("once"), ReproError("twice")])
+
+        def flaky():
+            error = next(failures, None)
+            if error is not None:
+                raise error
+            return "ok"
+
+        assert policy.call(flaky) == "ok"
+        assert built == [1]
+        assert sleeps == delays(policy)
+
     def test_final_failure_reraises_original(self):
         policy = RetryPolicy(max_attempts=2, base_delay=0.0,
                              sleep=lambda s: None)

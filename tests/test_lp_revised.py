@@ -17,8 +17,8 @@ from repro.geometry.point import Point
 from repro.localization.radius_lp import RadiusEstimator
 from repro.lp import LpProblem, LpState, solve_revised
 from repro.lp.revised import (
-    _AT_LOWER, _AT_UPPER, FEAS_TOL, PIVOT_TOL, _BasisFactor, _build_csc,
-    _ratio_test, _SingularBasis)
+    _AT_LOWER, _AT_UPPER, FEAS_TOL, PIVOT_TOL, LpRows, _BasisFactor,
+    _build_csc, _ratio_test, _SingularBasis)
 from repro.net80211.mac import MacAddress
 
 # Quantized draws: denormal-ish coefficients like 1e-7 make an instance
@@ -360,7 +360,7 @@ class TestWarmStart:
     def test_stale_state_degrades_gracefully(self):
         # A state referencing variables the problem no longer has must
         # fall back to a cold-ish start, not crash or return garbage.
-        stale = LpState(row_basic=(("v", 99),), at_upper=(("v", 42),))
+        stale = LpState(row_basic=(99,), at_upper=(42,))
         result = solve_revised(
             [1.0, 1.0], [({0: 1.0, 1: 1.0}, "<=", 4.0)],
             lower=[0.0, 0.0], upper=[None, None], maximize=True,
@@ -461,7 +461,7 @@ def _random_sparse_matrix(rng, m, n):
     for j, column in enumerate(rows):
         for i, value in column.items():
             constraints[i][0][j] = value
-    matrix, _, _, _ = _build_csc(constraints, n)
+    matrix, _, _, _ = _build_csc(LpRows.of(constraints), n)
     return matrix
 
 
@@ -531,23 +531,23 @@ class TestBasisFactor:
             _BasisFactor(matrix, basis)
 
 
-#: Warm tags naming two structural columns for a basis they cannot
+#: Warm codes naming two structural columns for a basis they cannot
 #: span.  x0 and x1 live only in row 0, so row 1 of B is empty.
 STRUCTURALLY_SINGULAR = (
     [({0: 1.0, 1: 2.0}, "<=", 4.0), ({2: 1.0}, "<=", 3.0)],
-    LpState(row_basic=(("v", 0), ("v", 1))))
+    LpState(row_basic=(0, 1)))
 #: x0 and x1 have proportional columns: B has no empty row or column,
 #: yet SuperLU finds it exactly singular.
 EXACTLY_SINGULAR = (
     [({0: 1.0, 1: 2.0, 2: 1.0}, "<=", 4.0),
      ({0: 2.0, 1: 4.0}, "<=", 9.0)],
-    LpState(row_basic=(("v", 0), ("v", 1))))
+    LpState(row_basic=(0, 1)))
 #: Proportional up to 1e-12: SuperLU factors B, and the ``|diag(U)|``
 #: threshold must reject it.
 NEARLY_SINGULAR = (
     [({0: 1.0, 1: 2.0, 2: 1.0}, "<=", 4.0),
      ({0: 2.0, 1: 4.0 + 1e-12}, "<=", 9.0)],
-    LpState(row_basic=(("v", 0), ("v", 1))))
+    LpState(row_basic=(0, 1)))
 
 
 class TestSingularWarmStart:
