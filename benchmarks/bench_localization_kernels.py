@@ -1,16 +1,17 @@
-"""Localization kernel throughput: scalar vs vectorized.
+"""Localization kernel throughput: one Γ at a time vs one batch.
 
 The M-Loc hot loop is pairwise circle intersection + containment
-filtering.  This bench times two implementations of the same batch of
-Γ-set localizations:
+filtering, computed by the NumPy kernels of ``repro.geometry.kernels``.
+This bench times the same Γ-set localizations two ways:
 
-* ``scalar`` — the reference per-pair Python path
-  (``set_kernel_default(False)``, sequential ``locate`` calls);
-* ``kernel`` — the batched NumPy kernels behind ``locate_batch``.
+* ``sequential`` — one ``locate`` call per Γ (a batch of one each);
+* ``batch`` — one ``locate_batch`` call, which stacks the disc sets of
+  equal k into a single kernel dispatch sequence.
 
-Sweeps k (discs per Γ) × batch size, reporting disc sets/sec per
-implementation.  Run standalone for the JSON report (the tier-1 smoke
-test does)::
+Both must return identical estimates, and the bench checks that they
+do.  Sweeps k (discs per Γ) × batch size, reporting disc sets/sec per
+way.  Run standalone for the JSON report (the tier-1 smoke test
+does)::
 
     PYTHONPATH=src python benchmarks/bench_localization_kernels.py \
         --ks 3,6,10 --batches 1,64,1024 --json out.json
@@ -29,7 +30,6 @@ from typing import FrozenSet, List
 import numpy as np
 
 from repro.geometry.point import Point
-from repro.geometry.region import set_kernel_default
 from repro.knowledge.apdb import ApDatabase, ApRecord
 from repro.localization import MLoc
 from repro.net80211.mac import MacAddress
@@ -114,29 +114,40 @@ def _time_sets_per_sec(run, batch: int, repeats: int) -> float:
     return best
 
 
+def assert_identical(sequential, batched) -> None:
+    """Sequential ``locate`` and ``locate_batch`` agree bit for bit."""
+    if len(sequential) != len(batched):
+        raise AssertionError("locate_batch lost or added estimates")
+    for one, many in zip(sequential, batched):
+        if (one.position != many.position
+                or one.inflation_factor != many.inflation_factor
+                or one.region.vertices != many.region.vertices):
+            raise AssertionError(
+                "locate and locate_batch disagree: "
+                f"{one.position} vs {many.position}")
+
+
 def run_cell(localizer: MLoc, gammas: List[FrozenSet[MacAddress]],
              repeats: int) -> dict:
-    """Time both implementations over one (k, batch) workload."""
+    """Time both ways over one (k, batch) workload."""
     batch = len(gammas)
+    assert_identical([localizer.locate(gamma) for gamma in gammas],
+                     localizer.locate_batch(gammas))
 
-    def scalar():
-        previous = set_kernel_default(False)
-        try:
-            for gamma in gammas:
-                localizer.locate(gamma)
-        finally:
-            set_kernel_default(previous)
+    def sequential():
+        for gamma in gammas:
+            localizer.locate(gamma)
 
-    def kernel():
+    def batched():
         localizer.locate_batch(gammas)
 
-    scalar_rate = _time_sets_per_sec(scalar, batch, repeats)
-    kernel_rate = _time_sets_per_sec(kernel, batch, repeats)
+    sequential_rate = _time_sets_per_sec(sequential, batch, repeats)
+    batch_rate = _time_sets_per_sec(batched, batch, repeats)
     return {
-        "scalar_sets_per_sec": scalar_rate,
-        "kernel_sets_per_sec": kernel_rate,
-        "kernel_speedup": (kernel_rate / scalar_rate
-                           if scalar_rate > 0.0 else 0.0),
+        "sequential_sets_per_sec": sequential_rate,
+        "batch_sets_per_sec": batch_rate,
+        "batch_speedup": (batch_rate / sequential_rate
+                          if sequential_rate > 0.0 else 0.0),
     }
 
 
@@ -169,7 +180,7 @@ def run_sweep(ks, batches, repeats: int = 3, clusters: int = 64,
         "acceptance": {
             "k": acceptance["k"],
             "batch": acceptance["batch"],
-            "kernel_speedup": acceptance["kernel_speedup"],
+            "batch_speedup": acceptance["batch_speedup"],
         },
     }
 
@@ -187,13 +198,13 @@ def test_localization_kernel_speedup(benchmark, reporter):
 
     report = run_sweep(ks=(10,), batches=(256,), repeats=2, clusters=16)
     cell = report["results"][0]
-    reporter("", "=== Localization kernels: scalar vs vectorized ===",
-             f"  k=10 batch=256 scalar : "
-             f"{cell['scalar_sets_per_sec']:10.0f} sets/s",
-             f"  k=10 batch=256 kernel : "
-             f"{cell['kernel_sets_per_sec']:10.0f} sets/s "
-             f"({cell['kernel_speedup']:.1f}x)")
-    assert cell["kernel_speedup"] > 1.0
+    reporter("", "=== Localization kernels: sequential vs batch ===",
+             f"  k=10 batch=256 sequential : "
+             f"{cell['sequential_sets_per_sec']:10.0f} sets/s",
+             f"  k=10 batch=256 batch      : "
+             f"{cell['batch_sets_per_sec']:10.0f} sets/s "
+             f"({cell['batch_speedup']:.1f}x)")
+    assert cell["batch_speedup"] > 1.0
     reporter("Batched complex128 kernels amortize NumPy dispatch over"
              " the whole micro-batch.")
 
@@ -208,7 +219,7 @@ def _int_list(text: str):
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
-        description="Localization throughput: scalar vs kernel")
+        description="Localization throughput: sequential vs batch")
     parser.add_argument("--ks", type=_int_list, default=DEFAULT_KS,
                         help="comma-separated discs-per-Γ sizes")
     parser.add_argument("--batches", type=_int_list,
@@ -230,17 +241,17 @@ def main(argv=None) -> int:
     report = run_sweep(args.ks, args.batches, repeats=args.repeats,
                        clusters=args.clusters,
                        hard_fraction=args.hard_fraction)
-    print(f"{'k':>3} {'batch':>6} {'scalar/s':>10} {'kernel/s':>10} "
-          f"{'kx':>6}")
+    print(f"{'k':>3} {'batch':>6} {'seq/s':>10} {'batch/s':>10} "
+          f"{'bx':>6}")
     for cell in report["results"]:
         print(f"{cell['k']:>3} {cell['batch']:>6} "
-              f"{cell['scalar_sets_per_sec']:>10.0f} "
-              f"{cell['kernel_sets_per_sec']:>10.0f} "
-              f"{cell['kernel_speedup']:>5.1f}x")
+              f"{cell['sequential_sets_per_sec']:>10.0f} "
+              f"{cell['batch_sets_per_sec']:>10.0f} "
+              f"{cell['batch_speedup']:>5.1f}x")
     acceptance = report["acceptance"]
     print(f"acceptance cell k={acceptance['k']} "
           f"batch={acceptance['batch']}: "
-          f"kernel speedup {acceptance['kernel_speedup']:.2f}x")
+          f"batch speedup {acceptance['batch_speedup']:.2f}x")
     if args.json:
         with open(args.json, "w", encoding="utf-8") as handle:
             json.dump(report, handle, indent=2)

@@ -919,6 +919,10 @@ def _cmd_serve(args) -> int:
                                      strict=not args.lenient,
                                      format=args.format))
                     stats = engine.drain()
+                    if args.checkpoint_dir is not None:
+                        # Barriers ride on publishes: the tail after the
+                        # last one would otherwise stay uncheckpointed.
+                        engine.save_checkpoints()
                 except OSError as error:
                     engine.stop()
                     return _fail(

@@ -54,7 +54,8 @@ from repro.engine.scheduler import MicroBatchScheduler
 from repro.engine.sinks import EngineSink
 from repro.engine.stats import EngineStats
 from repro.geometry.point import Point
-from repro.localization.base import LocalizationEstimate, Localizer
+from repro.localization.base import (LocalizationEstimate, Localizer,
+                                     decode_fix, fix_record)
 from repro.net80211.frames import FrameType
 from repro.net80211.mac import MacAddress
 from repro.net80211.medium import ReceivedFrame
@@ -65,7 +66,9 @@ PathLike = Union[str, Path]
 
 #: v2 added the ``"metrics"`` registry snapshot; v3 adds the embedded
 #: ``"crc32"`` integrity field plus quarantine/failure state.  Only v3
-#: restores: earlier versions carry no CRC.
+#: restores: earlier versions carry no CRC.  A v3 checkpoint may carry
+#: ``"latest"`` (each device's newest fix in full); one without it
+#: restores positional fixes only.
 CHECKPOINT_VERSION = 3
 
 
@@ -704,10 +707,17 @@ class StreamingEngine:
         """Serialize resumable state (Γ sets, dirty set, tracks) to
         JSON-compatible types.
 
-        Estimate *regions* are not persisted — a restored track carries
-        positional fixes (position, algorithm, k) only.  The pseudonym
-        linker is rebuilt from the live stream after restore.
+        Each device's newest fix is persisted in full under
+        ``"latest"`` (:func:`~repro.localization.base.fix_record`:
+        region, inflation, emptiness), so a restored engine serves
+        exactly the fixes it served before; older track points carry
+        position, algorithm and k only.  The pseudonym linker is
+        rebuilt from the live stream after restore.
         """
+        latest = {}
+        for mobile in self.tracker.devices():
+            point = self.tracker.latest(mobile)
+            latest[str(mobile)] = fix_record(point.timestamp, point.estimate)
         return {
             "engine_checkpoint": CHECKPOINT_VERSION,
             "config": {
@@ -738,6 +748,7 @@ class StreamingEngine:
                 ]
                 for mobile in self.tracker.devices()
             },
+            "latest": latest,
             "metrics": self.registry.snapshot(),
             # Pending re-fit evidence: the localizer's own model (LP
             # basis, radii) is NOT serialized, so a restored engine
@@ -831,15 +842,17 @@ class StreamingEngine:
             for mobile, gamma in data.get("last_located", {}).items()
         }
         engine._seen = {MacAddress.parse(m) for m in data.get("seen", [])}
+        latest = data.get("latest", {})
         for mobile_text, points in data.get("tracks", {}).items():
             mobile = MacAddress.parse(mobile_text)
-            for point in points:
-                engine.tracker.record(mobile, float(point["ts"]),
-                                      LocalizationEstimate(
-                                          position=Point(float(point["x"]),
-                                                         float(point["y"])),
-                                          algorithm=point["algorithm"],
-                                          used_ap_count=int(point["k"])))
+            estimates = [LocalizationEstimate(
+                position=Point(float(point["x"]), float(point["y"])),
+                algorithm=point["algorithm"],
+                used_ap_count=int(point["k"])) for point in points]
+            if mobile_text in latest and estimates:
+                estimates[-1] = decode_fix(latest[mobile_text])[1]
+            for point, estimate in zip(points, estimates):
+                engine.tracker.record(mobile, float(point["ts"]), estimate)
         # The registry snapshot is the cumulative record — merging it
         # makes resumed totals (counters, histograms, buckets) exactly
         # those of an uninterrupted run.

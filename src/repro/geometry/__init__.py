@@ -12,9 +12,9 @@ an AP's maximum coverage area).  This package provides:
   the paper's vertex set Δ and vertex centroid, and Monte-Carlo
   estimators used for validation,
 * polygon helpers (shoelace area / centroid),
-* vectorized NumPy kernels (:mod:`repro.geometry.kernels`) backing the
-  fast path of :class:`DiscIntersection` and the batch localizers; the
-  scalar code above is the reference implementation.
+* the NumPy kernels (:mod:`repro.geometry.kernels`) that compute Δ,
+  nested discs and the inflation probe for :class:`DiscIntersection`
+  and the batch localizers alike, at every disc count.
 
 All coordinates are planar (meters in a local ENU tangent plane; see
 :mod:`repro.geo`).
@@ -27,11 +27,7 @@ from repro.geometry.circle import (
     lens_area,
 )
 from repro.geometry.polygon import polygon_area, polygon_centroid
-from repro.geometry.region import (
-    DiscIntersection,
-    kernel_default,
-    set_kernel_default,
-)
+from repro.geometry.region import DiscIntersection
 from repro.geometry import kernels
 from repro.geometry.grid import SpatialGrid
 
@@ -45,6 +41,4 @@ __all__ = [
     "polygon_centroid",
     "DiscIntersection",
     "kernels",
-    "kernel_default",
-    "set_kernel_default",
 ]

@@ -1,13 +1,13 @@
-"""Vectorized NumPy kernels for the disc-intersection hot path.
+"""NumPy kernels for the disc intersection, the program's only path.
 
 The paper's localization core (M-Loc pseudocode, Theorems 2/3) reduces
 to dense small-matrix arithmetic: all pairwise circle-intersection
 points of a disc set, an all-candidates × all-discs containment mask,
-vertex dedup, and nested-disc detection.  The scalar implementations in
-:mod:`repro.geometry.circle` / :mod:`repro.geometry.region` are the
-*reference*; these kernels compute the same quantities as array ops and
-back the fast path used by :class:`~repro.geometry.region.DiscIntersection`,
-``MLoc``'s radius inflation, and ``Localizer.locate_batch``.
+vertex dedup, and nested-disc detection.  These kernels compute every
+one of them, at every disc count, for
+:class:`~repro.geometry.region.DiscIntersection`, ``MLoc``'s radius
+inflation and ``Localizer.locate_batch`` alike — a single Γ is a batch
+of one, so single and batched answers are the same bits.
 
 Planar points ride in complex128 internally (``x + iy``): one complex
 array op replaces two float ones, which matters because the per-set
@@ -17,10 +17,11 @@ kernel (:func:`batch_intersection_vertices`) stacks *many* disc sets of
 equal ``k`` into ``(B, …)`` arrays so a whole micro-batch amortizes one
 dispatch sequence.
 
-Every kernel mirrors its scalar counterpart's arithmetic exactly (same
-operation order, same tolerance comparisons, same candidate emission
-order), so the two paths agree to floating-point noise — the property
-tests in ``tests/test_geometry_kernels.py`` pin agreement at 1e-9.
+The kernels follow the per-pair arithmetic of
+:func:`repro.geometry.circle.circle_intersections` (same operation
+order, same tolerance comparisons, same candidate emission order); the
+property tests in ``tests/test_geometry_kernels.py`` pin them at 1e-9
+to per-pair scalar reference loops kept in ``tests/helpers.py``.
 """
 
 from __future__ import annotations
@@ -58,12 +59,6 @@ def discs_as_arrays(discs: Sequence[Circle]) -> Tuple[np.ndarray, np.ndarray]:
     return centers, radii
 
 
-def points_as_array(points: Sequence[Point]) -> np.ndarray:
-    """Pack points into the ``(m, 2)`` layout the kernels consume."""
-    return np.array([(p.x, p.y) for p in points],
-                    dtype=np.float64).reshape(len(points), 2)
-
-
 def array_as_points(coords: np.ndarray) -> List[Point]:
     """Unpack an ``(m, 2)`` coordinate array into :class:`Point` objects."""
     return [Point(float(x), float(y)) for x, y in coords]
@@ -98,7 +93,7 @@ def _candidate_points(z_i: np.ndarray, delta: np.ndarray, dist: np.ndarray,
     ``(B, P)`` batched).  Returns ``(…, 2)`` complex candidate points
     and a matching validity mask: disjoint / nested / concentric pairs
     contribute nothing, tangent pairs one point (slot 0), crossing
-    pairs two — the same emission rule as the scalar reference.
+    pairs two — the same emission rule as :func:`circle_intersections`.
     """
     separated = dist > tol
     crossing = (separated
@@ -110,7 +105,7 @@ def _candidate_points(z_i: np.ndarray, delta: np.ndarray, dist: np.ndarray,
     tangent = half <= tol * np.maximum(1.0, r_i + r_j)
     unit = delta / safe
     foot = z_i + along * unit
-    # i·unit·half has components (-u_y·h, u_x·h) — the scalar offset.
+    # i·unit·half has components (-u_y·h, u_x·h) — the chord offset.
     offset = 1j * unit * half
     candidates = np.stack((foot + offset, foot - offset), axis=-1)
     candidates[..., 0] = np.where(tangent, foot, candidates[..., 0])
@@ -140,9 +135,9 @@ class PairGeometry:
 def pair_geometry(centers: np.ndarray, radii: np.ndarray) -> PairGeometry:
     """Precompute the upper-triangle pair deltas of a disc set.
 
-    Pairs are ordered lexicographically (``i < j``), matching the
-    scalar ``for i: for j in range(i+1, n)`` loop so downstream dedup
-    keeps the same representative points.
+    Pairs are ordered lexicographically (``i < j``), the pseudocode's
+    ``for i: for j in range(i+1, n)`` loop, so downstream dedup keeps
+    the first representative point of each tangency cluster.
     """
     z = _as_complex(centers)
     i_idx, j_idx = _triu_indices(len(radii))
@@ -153,46 +148,22 @@ def pair_geometry(centers: np.ndarray, radii: np.ndarray) -> PairGeometry:
                         delta=delta, dist=np.abs(delta))
 
 
-def pairwise_intersection_candidates(geom: PairGeometry,
-                                     scale: float = 1.0,
-                                     tol: float = INTERSECT_TOL
-                                     ) -> np.ndarray:
-    """All pairwise circle-intersection points of the disc set, ``(m, 2)``.
-
-    Emission order matches the scalar pair loop (pair-major, then
-    ``foot + offset`` before ``foot - offset``).
-    """
-    if geom.dist.size == 0:
-        return np.empty((0, 2), dtype=np.float64)
-    candidates, valid = _candidate_points(
-        geom.z_i, geom.delta, geom.dist,
-        geom.r_i * scale, geom.r_j * scale, tol)
-    return _as_coords(candidates.reshape(-1)[valid.reshape(-1)])
-
-
 # ----------------------------------------------------------------------
 # Containment / nesting
 # ----------------------------------------------------------------------
 
-def contains_mask(points: np.ndarray, centers: np.ndarray,
-                  radii: np.ndarray, slack: float = 0.0) -> np.ndarray:
-    """The all-candidates × all-discs containment mask, ``(m, n)`` bool.
-
-    Entry ``[p, d]`` is True when point ``p`` lies in disc ``d``'s
-    closed disc with ``slack`` meters of tolerance — the vectorized
-    twin of :meth:`Circle.contains`.
-    """
-    w = _as_complex(points)[:, None] - _as_complex(centers)[None, :]
-    reach = radii + slack
-    return w.real ** 2 + w.imag ** 2 <= reach * reach
-
-
 def contains_all(points: np.ndarray, centers: np.ndarray,
                  radii: np.ndarray, slack: float = 0.0) -> np.ndarray:
-    """``(m,)`` bool — which points lie inside *every* disc."""
+    """``(m,)`` bool — which points lie inside *every* disc.
+
+    One all-points × all-discs mask: point ``p`` is inside disc ``d``
+    when it lies in the closed disc with ``slack`` meters of tolerance,
+    as in :meth:`Circle.contains`.
+    """
     if points.size == 0:
         return np.empty(0, dtype=bool)
-    return contains_mask(points, centers, radii, slack).all(axis=1)
+    return _contains_all_complex(_as_complex(points),
+                                 _as_complex(centers), radii, slack)
 
 
 def _contains_all_complex(candidates: np.ndarray, z: np.ndarray,
@@ -219,17 +190,13 @@ def nested_disc_mask(centers: np.ndarray, radii: np.ndarray,
 # Vertex dedup
 # ----------------------------------------------------------------------
 
-def dedupe_rows(points: np.ndarray, tol: float) -> np.ndarray:
-    """Merge rows closer than ``tol`` in Chebyshev distance, keep-first.
-
-    Same greedy semantics as the scalar ``_dedupe_points`` (a point is
-    dropped when within ``tol`` of an already-*kept* point), so chains
-    of near-duplicates resolve identically.
-    """
-    return _as_coords(_dedupe_complex(_as_complex(points), tol))
-
-
 def _dedupe_complex(z: np.ndarray, tol: float) -> np.ndarray:
+    """Merge points within ``tol`` in Chebyshev distance, keep-first.
+
+    A point is dropped when it is within ``tol`` of an already *kept*
+    point, so a chain of near-duplicates ``a~b~c`` with ``a!~c`` keeps
+    ``a`` and ``c``.
+    """
     count = len(z)
     if count <= 1:
         return z
@@ -252,35 +219,16 @@ def _dedupe_complex(z: np.ndarray, tol: float) -> np.ndarray:
 
 
 # ----------------------------------------------------------------------
-# Composed per-set and batched vertex kernels
+# Vertex kernels
 # ----------------------------------------------------------------------
-
-def intersection_vertices(centers: np.ndarray, radii: np.ndarray,
-                          contain_slack: float,
-                          dedupe_tol: float) -> np.ndarray:
-    """The paper's Δ as an ``(m, 2)`` array.
-
-    Composes the kernels exactly as M-Loc's pseudocode does: pairwise
-    intersection candidates → keep those inside every disc → merge
-    tangency duplicates.
-    """
-    z = _as_complex(centers)
-    i_idx, j_idx = _triu_indices(len(radii))
-    z_i = z[i_idx]
-    delta = z[j_idx] - z_i
-    candidates, valid = _candidate_points(
-        z_i, delta, np.abs(delta), radii[i_idx], radii[j_idx],
-        INTERSECT_TOL)
-    flat = candidates.reshape(-1)[valid.reshape(-1)]
-    if flat.size == 0:
-        return np.empty((0, 2), dtype=np.float64)
-    surviving = flat[_contains_all_complex(flat, z, radii, contain_slack)]
-    return _as_coords(_dedupe_complex(surviving, dedupe_tol))
-
 
 def batch_intersection_vertices(centers: np.ndarray, radii: np.ndarray,
                                 tol: float = 1e-9) -> List[np.ndarray]:
     """Δ for a whole batch of ``k``-disc sets in one dispatch sequence.
+
+    The one Δ kernel: :class:`~repro.geometry.region.DiscIntersection`
+    runs it on a batch of one, ``MLoc.locate_batch`` on every disc set
+    of equal ``k`` at once, and the two agree bit for bit.
 
     Parameters
     ----------
@@ -299,10 +247,10 @@ def batch_intersection_vertices(centers: np.ndarray, radii: np.ndarray,
     gather/dedup (a few vertices each) runs in Python.
     """
     batch, k = radii.shape
-    z = _as_complex(centers)                              # (B, k)
-    slack = tol * np.maximum(1.0, radii.max(axis=1))      # (B,)
     if k < 2:
         return [np.empty((0, 2), dtype=np.float64)] * batch
+    z = _as_complex(centers)                              # (B, k)
+    slack = tol * np.maximum(1.0, radii.max(axis=1))      # (B,)
     i_idx, j_idx = _triu_indices(k)
     z_i = z[:, i_idx]                                     # (B, P)
     delta = z[:, j_idx] - z_i
@@ -350,7 +298,7 @@ def intersection_vertices_pruned(centers: np.ndarray, radii: np.ndarray,
     The caller supplies the ``i < j`` pairs worth intersecting —
     typically from :class:`repro.geometry.grid.SpatialGrid` restricted
     to pairs within ``r_i + r_j`` — and this computes exactly the
-    vertex set :func:`intersection_vertices` would: pairs farther
+    vertex set :func:`batch_intersection_vertices` would: pairs farther
     apart than the radius sum emit no candidates in the full kernel
     either, so pruning them changes nothing but the cost.  Pairs must
     be in lexicographic ``(i, j)`` order for the keep-first dedup to
@@ -487,11 +435,13 @@ def _basis_point(subset: Sequence[int], zs: List[complex],
     i, j, k = subset
     a_j, a_k = zs[j] - zs[i], zs[k] - zs[i]
     cross = a_j.real * a_k.imag - a_j.imag * a_k.real
-    if abs(cross) <= 1e-12 * abs(a_j) * abs(a_k):
+    # 2·a_m·u = |a_m|² + t·(r_i² − r_m²) for m ∈ {j, k}, u = x − c_i.
+    p_j, p_k = _squared_norm(a_j), _squared_norm(a_k)
+    # Degenerate against the longer side: a side of denormal length
+    # beside a long one must not pass, or Cramer's rule overflows.
+    if abs(cross) <= 1e-12 * max(p_j, p_k):
         return None
     r_i2 = rs[i] * rs[i]
-    # 2·a_m·u = |a_m|² + t·(r_i² − r_m²) for m ∈ {j, k}, u = x − c_i.
-    p_j, p_k = abs(a_j) ** 2, abs(a_k) ** 2
     q_j, q_k = r_i2 - rs[j] * rs[j], r_i2 - rs[k] * rs[k]
 
     def solve(rhs_j: float, rhs_k: float) -> complex:
@@ -502,9 +452,11 @@ def _basis_point(subset: Sequence[int], zs: List[complex],
 
     u0, u1 = solve(p_j, p_k), solve(q_j, q_k)
     # |u0 + t·u1|² = t·r_i²  →  qa·t² + qb·t + qc = 0.
-    qa = abs(u1) ** 2
+    qa = _squared_norm(u1)
+    if not math.isfinite(qa):
+        return None  # a triangle far smaller than its radii: use pairs
     qb = 2.0 * (u0.real * u1.real + u0.imag * u1.imag) - r_i2
-    qc = abs(u0) ** 2
+    qc = _squared_norm(u0)
     disc = qb * qb - 4.0 * qa * qc
     if disc < 0.0 or qb == 0.0:  # qb = 0 would need r_i = 0
         return None
@@ -518,16 +470,7 @@ def _basis_point(subset: Sequence[int], zs: List[complex],
     return zs[i] + u0 + min(roots) * u1
 
 
-# ----------------------------------------------------------------------
-# Distance matrices
-# ----------------------------------------------------------------------
-
-def pairwise_distance_matrix(coords: np.ndarray) -> np.ndarray:
-    """Full ``(n, n)`` Euclidean distance matrix of planar coordinates.
-
-    One shot of array math replacing O(n²) scalar ``distance_to``
-    calls; shared by AP-Rad's separated-pair scan and its constraint
-    assembly.
-    """
-    z = _as_complex(coords)
-    return np.abs(z[:, None] - z[None, :])
+def _squared_norm(value: complex) -> float:
+    """``|value|²``, ``inf`` past the float range (``** 2`` would raise)."""
+    norm = abs(value)
+    return norm * norm

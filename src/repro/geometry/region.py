@@ -13,6 +13,11 @@ exactly:
 * Monte-Carlo estimators used for validation in the test suite and
   the Theorem 2/3 benches.
 
+Δ, nested-disc detection and the Monte-Carlo containment masks come
+from the NumPy kernels of :mod:`repro.geometry.kernels` at every disc
+count; a region built alone and one built from M-Loc's batched Δ hold
+the same bits.
+
 The intersection of discs is convex (an intersection of convex sets), so
 its boundary vertices can be ordered by angle around any interior point
 and each boundary edge is a single circular arc traversed
@@ -27,35 +32,11 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.geometry import kernels
-from repro.geometry.circle import Circle, circle_intersections
+from repro.geometry.circle import Circle
 from repro.geometry.point import Point, mean_point
 from repro.geometry.polygon import polygon_area, polygon_centroid
 
 TWO_PI = 2.0 * math.pi
-
-#: Process-wide default for the NumPy kernel fast path.  The scalar
-#: code is the reference implementation; benches and property tests
-#: flip this (or pass ``use_kernels`` explicitly) to compare the two.
-_KERNEL_DEFAULT = True
-
-#: Below this disc count the scalar loops beat NumPy dispatch overhead
-#: (measured crossover is between k=4 and k=5), so the *default* path
-#: only engages the kernels from here up.  An explicit
-#: ``use_kernels=True`` forces them at any size.
-KERNEL_MIN_DISCS = 5
-
-
-def set_kernel_default(enabled: bool) -> bool:
-    """Set the process-wide kernel fast-path default; returns the old one."""
-    global _KERNEL_DEFAULT
-    previous = _KERNEL_DEFAULT
-    _KERNEL_DEFAULT = bool(enabled)
-    return previous
-
-
-def kernel_default() -> bool:
-    """Whether new regions use the NumPy kernels by default."""
-    return _KERNEL_DEFAULT
 
 
 class DiscIntersection:
@@ -71,36 +52,21 @@ class DiscIntersection:
         membership tests allow a ``tol`` slack, which keeps the exact
         circle-intersection points (that sit on two boundaries) inside
         the region despite floating-point rounding.
-    use_kernels:
-        Compute the vertex set (and nested-disc detection) with the
-        vectorized kernels of :mod:`repro.geometry.kernels` instead of
-        the scalar reference loops.  ``None`` defers to the module
-        default (see :func:`set_kernel_default`), which only engages
-        the kernels from :data:`KERNEL_MIN_DISCS` discs up.  Both paths
-        agree to floating-point noise; the scalar path remains the
-        reference.
     precomputed_vertices:
-        Internal hook for the batched kernel
-        (:func:`repro.geometry.kernels.batch_intersection_vertices`):
-        a Δ that was already computed for this disc set, adopted
-        instead of being recomputed.  Everything else (nested-disc
-        detection, arcs, area) proceeds normally.
+        A Δ that was already computed for this disc set (by
+        :func:`repro.geometry.kernels.batch_intersection_vertices` over
+        a whole batch, or decoded from a shard's fix), adopted instead
+        of being recomputed.  Everything else (nested-disc detection,
+        arcs, area) proceeds normally.
     """
 
     def __init__(self, discs: Sequence[Circle], tol: float = 1e-9,
-                 use_kernels: Optional[bool] = None,
                  precomputed_vertices: Optional[Sequence[Point]] = None):
         if not discs:
             raise ValueError("DiscIntersection requires at least one disc")
         self.discs: List[Circle] = list(discs)
         max_radius = max(disc.radius for disc in self.discs)
         self._tol = tol * max(1.0, max_radius)
-        if use_kernels is None:
-            self._use_kernels = (_KERNEL_DEFAULT
-                                 and len(self.discs) >= KERNEL_MIN_DISCS)
-        else:
-            self._use_kernels = bool(use_kernels)
-        self._vertices: Optional[List[Point]] = None
         # Boundary arcs as (circle, start_angle, sweep); computed on
         # first use — the M-Loc vertex-centroid hot path never needs
         # them, only area / exact-centroid queries do.
@@ -108,16 +74,20 @@ class DiscIntersection:
         # When the region is exactly one disc nested inside all others.
         self._full_disc: Optional[Circle] = None
         self._empty = False
-        self._precomputed = (None if precomputed_vertices is None
-                             else list(precomputed_vertices))
-        self._build()
+        if precomputed_vertices is None:
+            # Δ is the batch kernel on a batch of one: the same bits
+            # M-Loc's batched path computes for this disc set.
+            centers, radii = kernels.discs_as_arrays(self.discs)
+            (coords,) = kernels.batch_intersection_vertices(
+                centers[None], radii[None], tol)
+            precomputed_vertices = kernels.array_as_points(coords)
+        self._build(list(precomputed_vertices))
 
     # ------------------------------------------------------------------
     # Construction
     # ------------------------------------------------------------------
 
-    def _build(self) -> None:
-        vertices = self._compute_vertices()
+    def _build(self, vertices: List[Point]) -> None:
         if len(vertices) <= 1:
             # No vertex, or one tangency point.  A disc nested in all
             # the others makes the region that whole disc — also when it
@@ -134,57 +104,26 @@ class DiscIntersection:
     @property
     def _arcs(self) -> List[Tuple[Circle, float, float]]:
         if self._arcs_cache is None:
-            self._arcs_cache = self._compute_arcs(self._vertices or [])
+            self._arcs_cache = self._compute_arcs(self._vertices)
         return self._arcs_cache
-
-    def _compute_vertices(self) -> List[Point]:
-        """All pairwise intersection points inside every disc (Δ)."""
-        if self._precomputed is not None:
-            return self._precomputed
-        if self._use_kernels and len(self.discs) > 1:
-            return self._compute_vertices_kernel()
-        return self._compute_vertices_scalar()
-
-    def _compute_vertices_scalar(self) -> List[Point]:
-        """Reference implementation: per-pair loops over Python floats."""
-        candidates: List[Point] = []
-        count = len(self.discs)
-        for i in range(count):
-            for j in range(i + 1, count):
-                for point in circle_intersections(self.discs[i],
-                                                  self.discs[j]):
-                    if self._contains_with_tol(point):
-                        candidates.append(point)
-        return _dedupe_points(candidates, self._tol * 10.0)
-
-    def _compute_vertices_kernel(self) -> List[Point]:
-        """Fast path: one shot of array ops via the geometry kernels."""
-        centers, radii = kernels.discs_as_arrays(self.discs)
-        vertices = kernels.intersection_vertices(
-            centers, radii, contain_slack=self._tol,
-            dedupe_tol=self._tol * 10.0)
-        return kernels.array_as_points(vertices)
 
     def _contains_with_tol(self, point: Point) -> bool:
         return all(disc.contains(point, self._tol) for disc in self.discs)
 
     def _find_nested_disc(self) -> Optional[Circle]:
-        """Disc contained in all others, if any (region = that disc)."""
-        if self._use_kernels and len(self.discs) > 1:
-            centers, radii = kernels.discs_as_arrays(self.discs)
-            nested = np.nonzero(
-                kernels.nested_disc_mask(centers, radii, self._tol))[0]
-            if nested.size == 0:
-                return None
-            # Same pick as the scalar stable sort: smallest radius,
-            # earliest original position on ties.
-            best = min(nested, key=lambda idx: (radii[idx], idx))
-            return self.discs[int(best)]
-        for candidate in sorted(self.discs, key=lambda d: d.radius):
-            if all(other.contains_circle(candidate, self._tol)
-                   for other in self.discs):
-                return candidate
-        return None
+        """Disc contained in all others, if any (region = that disc).
+
+        The smallest nested disc wins, the earliest one on ties.
+        """
+        if len(self.discs) == 1:
+            return self.discs[0]
+        centers, radii = kernels.discs_as_arrays(self.discs)
+        nested = np.nonzero(
+            kernels.nested_disc_mask(centers, radii, self._tol))[0]
+        if nested.size == 0:
+            return None
+        best = min(nested, key=lambda idx: (radii[idx], idx))
+        return self.discs[int(best)]
 
     def _compute_arcs(
         self, vertices: List[Point]
@@ -247,7 +186,7 @@ class DiscIntersection:
     @property
     def vertices(self) -> List[Point]:
         """The paper's Δ: pairwise intersection points inside all discs."""
-        return list(self._vertices or [])
+        return list(self._vertices)
 
     def vertex_centroid(self) -> Optional[Point]:
         """``AVG(Δ)`` — the location estimate of the paper's M-Loc.
@@ -271,12 +210,12 @@ class DiscIntersection:
             return 0.0
         if self._full_disc is not None:
             return self._full_disc.area
-        vertices = self._vertices or []
+        vertices = self._vertices
         if len(vertices) < 2:
             return 0.0
         ordered = self._ordered_vertices()
         total = abs(polygon_area(ordered))
-        for circle, _, sweep in self._arcs or []:
+        for circle, _, sweep in self._arcs:
             total += _segment_area(circle.radius, sweep)
         return total
 
@@ -290,7 +229,7 @@ class DiscIntersection:
             return None
         if self._full_disc is not None:
             return self._full_disc.center
-        vertices = self._vertices or []
+        vertices = self._vertices
         if len(vertices) == 1:
             return vertices[0]
         ordered = self._ordered_vertices()
@@ -303,7 +242,7 @@ class DiscIntersection:
             weighted_x += core.x * poly_area
             weighted_y += core.y * poly_area
             total_area += poly_area
-        for circle, start_angle, sweep in self._arcs or []:
+        for circle, start_angle, sweep in self._arcs:
             seg_area = _segment_area(circle.radius, sweep)
             if seg_area <= 0.0:
                 continue
@@ -317,7 +256,7 @@ class DiscIntersection:
         return Point(weighted_x / total_area, weighted_y / total_area)
 
     def _ordered_vertices(self) -> List[Point]:
-        vertices = self._vertices or []
+        vertices = self._vertices
         if len(vertices) < 3:
             return list(vertices)
         interior = mean_point(vertices)
@@ -401,11 +340,3 @@ def _segment_centroid(circle: Circle, start_angle: float,
     return Point(circle.center.x + distance * math.cos(mid_angle),
                  circle.center.y + distance * math.sin(mid_angle))
 
-
-def _dedupe_points(points: List[Point], tol: float) -> List[Point]:
-    """Merge points closer than ``tol`` (tangency duplicates)."""
-    unique: List[Point] = []
-    for point in points:
-        if not any(point.is_close(existing, tol) for existing in unique):
-            unique.append(point)
-    return unique

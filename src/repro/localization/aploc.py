@@ -261,14 +261,20 @@ class APLoc(Localizer):
 
     def locate(self, observed: Iterable[MacAddress]
                ) -> Optional[LocalizationEstimate]:
+        return self._locate_batch_local([list(observed)])[0]
+
+    def _locate_batch_local(self, gammas: List[List[MacAddress]]
+                            ) -> List[Optional[LocalizationEstimate]]:
+        """The whole batch through the inner AP-Rad's M-Loc."""
         if self._aprad is None:
             raise RuntimeError(
                 "APLoc.locate called before fit(); run fit() with the "
                 "attack-phase observations first")
-        estimate = self._aprad.locate(observed)
-        if estimate is not None:
-            estimate.algorithm = self.name
-        return estimate
+        estimates = self._aprad._locate_batch_local(gammas)
+        for estimate in estimates:
+            if estimate is not None:
+                estimate.algorithm = self.name
+        return estimates
 
     def fit_and_locate_all(
         self, observations: Sequence[Iterable[MacAddress]]

@@ -135,11 +135,17 @@ class APRad(Localizer):
 
     def locate(self, observed: Iterable[MacAddress]
                ) -> Optional[LocalizationEstimate]:
+        return self._locate_batch_local([list(observed)])[0]
+
+    def _locate_batch_local(self, gammas: List[List[MacAddress]]
+                            ) -> List[Optional[LocalizationEstimate]]:
+        """The whole batch through the fitted M-Loc's batched kernels."""
         self._require_fit()
-        estimate = self._mloc.locate(observed)
-        if estimate is not None:
-            estimate.algorithm = self.name
-        return estimate
+        estimates = self._mloc._locate_batch_local(gammas)
+        for estimate in estimates:
+            if estimate is not None:
+                estimate.algorithm = self.name
+        return estimates
 
     def fit_and_locate_all(
         self, observations: Sequence[Iterable[MacAddress]]

@@ -4,11 +4,12 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass
-from typing import Iterable, List, Optional
+from typing import Iterable, List, Optional, Tuple
 
 import numpy as np
 
 from repro import obs
+from repro.geometry.circle import Circle
 from repro.geometry.point import Point
 from repro.geometry.region import DiscIntersection
 from repro.knowledge.apdb import ApRecord
@@ -96,6 +97,37 @@ class LocalizationEstimate:
         if not distances:
             return 0.0
         return float(np.quantile(distances, fraction))
+
+
+def fix_record(timestamp: float, estimate: LocalizationEstimate) -> list:
+    """One fix as JSON-native values: ``[timestamp, x, y, algorithm, k,
+    region_empty, inflation, discs, vertices]``, the region as its discs
+    ``[x, y, r]`` and vertices ``[x, y]`` (``None`` without a region)."""
+    region = estimate.region
+    discs = vertices = None
+    if region is not None:
+        discs = [[float(disc.center.x), float(disc.center.y),
+                  float(disc.radius)] for disc in region.discs]
+        vertices = [[float(v.x), float(v.y)] for v in region.vertices]
+    position = estimate.position
+    return [float(timestamp), float(position.x), float(position.y),
+            estimate.algorithm, int(estimate.used_ap_count),
+            bool(estimate.region_empty), float(estimate.inflation_factor),
+            discs, vertices]
+
+
+def decode_fix(record: list) -> Tuple[float, LocalizationEstimate]:
+    """Invert :func:`fix_record`.  The region adopts the recorded
+    vertices, so it is the encoded region exactly, not a recomputation.
+    Shard replies and engine checkpoints both carry fixes this way."""
+    timestamp, x, y, algorithm, k, empty, inflation, discs, vertices = \
+        record
+    region = None if discs is None else DiscIntersection(
+        [Circle(Point(cx, cy), radius) for cx, cy, radius in discs],
+        precomputed_vertices=[Point(vx, vy) for vx, vy in vertices])
+    return timestamp, LocalizationEstimate(
+        position=Point(x, y), algorithm=algorithm, region=region,
+        used_ap_count=k, region_empty=empty, inflation_factor=inflation)
 
 
 class Localizer(abc.ABC):

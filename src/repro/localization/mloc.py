@@ -27,11 +27,7 @@ import numpy as np
 from repro.geometry import kernels
 from repro.geometry.circle import Circle
 from repro.geometry.point import Point, mean_point
-from repro.geometry.region import (
-    KERNEL_MIN_DISCS,
-    DiscIntersection,
-    kernel_default,
-)
+from repro.geometry.region import DiscIntersection
 from repro.knowledge.apdb import ApDatabase
 from repro.localization.base import (
     LocalizationEstimate,
@@ -82,10 +78,8 @@ class MLoc(Localizer):
 
     def locate(self, observed: Iterable[MacAddress]
                ) -> Optional[LocalizationEstimate]:
-        discs = self._discs_for(observed)
-        if not discs:
-            return None
-        return self.locate_discs(discs)
+        # A batch of one, so locate and locate_batch are the same bits.
+        return self._locate_batch_local([list(observed)])[0]
 
     def _discs_for(self, observed: Iterable[MacAddress]) -> List[Circle]:
         discs: List[Circle] = []
@@ -126,7 +120,7 @@ class MLoc(Localizer):
 
     def _locate_batch_local(self, gammas: List[List[MacAddress]]
                             ) -> List[Optional[LocalizationEstimate]]:
-        """Vectorized batch localization through the geometry kernels.
+        """Batch localization through the geometry kernels.
 
         Disc sets of equal size are stacked into one
         :func:`repro.geometry.kernels.batch_intersection_vertices` call
@@ -134,11 +128,9 @@ class MLoc(Localizer):
         per distinct k instead of one per device.  Sets that
         :func:`repro.geometry.kernels.separated_pair_mask` proves empty
         skip the vertex kernel: their region is built with no vertices
-        and goes straight to the inflation fallback.  Falls back to the
-        sequential reference when the kernel layer is disabled.
+        and goes straight to the inflation fallback.  :meth:`locate` is
+        this on a batch of one.
         """
-        if not kernel_default():
-            return [self.locate(gamma) for gamma in gammas]
         disc_sets = [self._discs_for(gamma) for gamma in gammas]
         estimates: List[Optional[LocalizationEstimate]] = [None] * len(gammas)
         by_size: Dict[int, List[int]] = {}
@@ -220,26 +212,20 @@ class MLoc(Localizer):
         bisection guaranteed.  Returns ``None`` above 16x.
 
         One probe confirms the factor on the region's own emptiness
-        test: :func:`repro.geometry.kernels.nonempty_at_scale` from
-        ``KERNEL_MIN_DISCS`` discs up (NumPy dispatch dominates tiny
-        pair counts below that), the scalar region check under it.
-        Only if rounding ever defeats that probe does the bisection of
-        :meth:`_bisect_inflation` run.
+        test, :func:`repro.geometry.kernels.nonempty_at_scale` (looked
+        up on the module at call time, so a wrapper installed there
+        sees every probe).  Only if rounding ever defeats that probe
+        does the bisection of :meth:`_bisect_inflation` run.
         """
         centers, radii = kernels.discs_as_arrays(discs)
         _, exact = kernels.minimax_scale(centers, radii)
         factor = max(1.0, exact) + _INFLATION_MARGIN
         if factor > _MAX_INFLATION:
             return None
-        if kernel_default() and len(discs) >= KERNEL_MIN_DISCS:
-            geom = kernels.pair_geometry(centers, radii)
+        geom = kernels.pair_geometry(centers, radii)
 
-            def non_empty(scale: float) -> bool:
-                return kernels.nonempty_at_scale(geom, scale)
-        else:
-            def non_empty(scale: float) -> bool:
-                scaled = [Circle(d.center, d.radius * scale) for d in discs]
-                return not DiscIntersection(scaled).is_empty
+        def non_empty(scale: float) -> bool:
+            return kernels.nonempty_at_scale(geom, scale)
 
         if non_empty(factor):
             return factor

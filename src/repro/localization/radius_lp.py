@@ -43,6 +43,7 @@ rebuild once they outnumber the live ones.
 from __future__ import annotations
 
 import time
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
@@ -243,19 +244,21 @@ class RadiusEstimator:
         self._lp_state = None
 
     def _absorb(self, observations: Sequence[Iterable[MacAddress]]) -> int:
+        # A refit window repeats the same few Γ many times over: index,
+        # sort and pair each distinct Γ once, then add its multiplicity.
         absorbed = 0
         index_of = self._index_of
-        for observed in observations:
+        for observed, times in Counter(map(frozenset, observations)).items():
             indices = sorted({index_of[b] for b in observed
                               if b in index_of})
             if not indices:
                 continue  # no known AP in this Γ: zero evidence
             for i in indices:
-                self._counts[i] = self._counts.get(i, 0) + 1
+                self._counts[i] = self._counts.get(i, 0) + times
             for a_pos in range(len(indices)):
                 for b_pos in range(a_pos + 1, len(indices)):
                     self._co_pairs.add((indices[a_pos], indices[b_pos]))
-            absorbed += 1
+            absorbed += times
         return absorbed
 
     def _pairs_in_range(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:

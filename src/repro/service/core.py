@@ -23,7 +23,7 @@ over the fleet:
 * **Merged reads** — shards answer with JSON-native results on every
   transport; ``stats()`` folds their :class:`~repro.engine.EngineStats`
   with the associative merge, ``locate()`` / ``snapshot()`` rebuild
-  estimates with :func:`~repro.service.shard.decode_fix`, and
+  estimates with :func:`~repro.localization.base.decode_fix`, and
   ``metrics_snapshot()`` / ``render_prometheus()`` fold per-shard
   registry snapshots through :func:`repro.obs.merge_snapshots`.
 """
@@ -44,12 +44,11 @@ from repro.capture.records import (FrameBatch, check_rows, concat_batches,
 from repro.engine.core import load_checkpoint_data
 from repro.engine.stats import EngineStats
 from repro.faults import ReproError, RetryPolicy
-from repro.localization.base import LocalizationEstimate
+from repro.localization.base import LocalizationEstimate, decode_fix
 from repro.net80211.mac import MacAddress
 from repro.net80211.medium import ReceivedFrame
 from repro.service.bus import Bus, BusTimeout, QueueBus
-from repro.service.shard import (LocalizerFactory, ShardConfig, decode_fix,
-                                 run_shard)
+from repro.service.shard import LocalizerFactory, ShardConfig, run_shard
 from repro.service.sharding import device_shard, route_batch
 from repro.service.socketbus import SocketBus
 
@@ -642,7 +641,13 @@ route_batch` picks each row's shard, and each shard's rows join its
                              for report in self._drained)
 
     def save_checkpoints(self, timeout: Optional[float] = None) -> None:
-        """Synchronous checkpoint barrier across the fleet."""
+        """Synchronous checkpoint barrier across the fleet.
+
+        Returns once every shard's checkpoint covers every frame
+        published to it: a barrier already in flight covers only the
+        frames before it, so its ack is followed by a fresh barrier
+        while frames stay retained.
+        """
         if self.checkpoint_dir is None:
             raise ServiceError(
                 "save_checkpoints requires a checkpoint_dir")
@@ -663,6 +668,9 @@ route_batch` picks each row's shard, and each shard's rows join its
                             f"shard {handle.index} did not ack its "
                             f"checkpoint within {deadline}s") from None
                     self._handle_message(handle, message)
+                    if (handle.inflight_checkpoint is None
+                            and handle.retention):
+                        self._send_barrier(handle)
 
     def _publish_pending_locked(self, handle: _ShardHandle) -> None:
         """Publish pending rows as one message (caller holds the lock)."""

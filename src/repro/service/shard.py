@@ -8,8 +8,8 @@ envelopes off its inbox, hands each frame batch straight to its private
 the serving-layer requests (`locate`, `health`, `stats`, `metrics`,
 `snapshot`, `drain`) on its outbox with JSON-native results on every
 transport: stats as ``dataclasses.asdict``, fixes as
-:func:`fix_record` lists the router turns back into estimates with
-:func:`decode_fix`.
+:func:`~repro.localization.base.fix_record` lists the router turns
+back into estimates with :func:`~repro.localization.base.decode_fix`.
 
 A shard does not reorder: its engine sees its devices' frames in the
 order a single engine fed the same stream would (DESIGN.md §8).
@@ -40,10 +40,7 @@ from typing import Any, Callable, Dict, Optional, Tuple
 from repro import obs
 from repro.engine import StreamingEngine, make_sink
 from repro.faults import ReproError
-from repro.geometry.circle import Circle
-from repro.geometry.point import Point
-from repro.geometry.region import DiscIntersection
-from repro.localization.base import LocalizationEstimate, Localizer
+from repro.localization.base import Localizer, fix_record
 from repro.net80211.mac import MacAddress
 
 
@@ -251,33 +248,3 @@ def run_shard(shard_id: int, factory: LocalizerFactory,
         for endpoint in {id(inbox): inbox, id(outbox): outbox}.values():
             if isinstance(endpoint, ShardChannel):
                 endpoint.close()
-
-
-def fix_record(timestamp: float, estimate: LocalizationEstimate) -> list:
-    """One fix as JSON-native values: ``[timestamp, x, y, algorithm, k,
-    region_empty, inflation, discs, vertices]``, the region as its discs
-    ``[x, y, r]`` and vertices ``[x, y]`` (``None`` without a region)."""
-    region = estimate.region
-    discs = vertices = None
-    if region is not None:
-        discs = [[float(disc.center.x), float(disc.center.y),
-                  float(disc.radius)] for disc in region.discs]
-        vertices = [[float(v.x), float(v.y)] for v in region.vertices]
-    position = estimate.position
-    return [float(timestamp), float(position.x), float(position.y),
-            estimate.algorithm, int(estimate.used_ap_count),
-            bool(estimate.region_empty), float(estimate.inflation_factor),
-            discs, vertices]
-
-
-def decode_fix(record: list) -> Tuple[float, LocalizationEstimate]:
-    """Invert :func:`fix_record`.  The region adopts the sent vertices,
-    so it is the shard's region exactly, not a recomputation."""
-    timestamp, x, y, algorithm, k, empty, inflation, discs, vertices = \
-        record
-    region = None if discs is None else DiscIntersection(
-        [Circle(Point(cx, cy), radius) for cx, cy, radius in discs],
-        precomputed_vertices=[Point(vx, vy) for vx, vy in vertices])
-    return timestamp, LocalizationEstimate(
-        position=Point(x, y), algorithm=algorithm, region=region,
-        used_ap_count=k, region_empty=empty, inflation_factor=inflation)

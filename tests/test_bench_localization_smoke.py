@@ -1,8 +1,8 @@
 """Tier-1 smoke for the localization kernel bench (tiny configuration).
 
-Catches regressions in the acceptance property — the batched NumPy
-kernels must beat the scalar reference on the k=10 workload — without
-the full sweep.  Runs the bench script the same way an operator would,
+Catches regressions in the acceptance property — one ``locate_batch``
+call must beat sequential ``locate`` calls on the k=10 workload, with
+identical estimates (the bench checks that) — without the full sweep.  Runs the bench script the same way an operator would,
 as a standalone process.
 """
 
@@ -35,10 +35,10 @@ def test_bench_localization_kernels_smoke(tmp_path):
     assert report["config"]["ks"] == [10]
     (cell,) = report["results"]
     assert cell["k"] == 10 and cell["batch"] == 128
-    # Both implementations ran and produced real throughput.
-    assert cell["scalar_sets_per_sec"] > 0.0
-    assert cell["kernel_sets_per_sec"] > 0.0
-    # The acceptance property (loose bound — the full sweep is the
-    # authoritative ≥3x check; the smoke just guards the direction).
-    assert cell["kernel_speedup"] > 1.0
-    assert report["acceptance"]["kernel_speedup"] == cell["kernel_speedup"]
+    # Both ways ran and produced real throughput.
+    assert cell["sequential_sets_per_sec"] > 0.0
+    assert cell["batch_sets_per_sec"] > 0.0
+    # The acceptance property (loose bound: the smoke just guards the
+    # direction).
+    assert cell["batch_speedup"] > 1.0
+    assert report["acceptance"]["batch_speedup"] == cell["batch_speedup"]

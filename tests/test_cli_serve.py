@@ -94,6 +94,46 @@ class TestServeCommand:
             thread.join(timeout=30.0)
         assert result.get("code") == 0
 
+    def test_ingest_ends_with_a_checkpoint_barrier(self, sim_capture,
+                                                   capsys, tmp_path):
+        # Barriers ride on publishes, and none is sent while another
+        # is in flight: slow checkpoint writes leave the tail of the
+        # capture retained (and unsaved) unless ingest ends with one.
+        _, capture_path, wigle_path = sim_capture
+        ckpt = tmp_path / "ckpt"
+        result = {}
+
+        def run_cli():
+            result["code"] = main(
+                ["serve", str(capture_path),
+                 "--wigle", str(wigle_path),
+                 "--shards", "2", "--port", "0",
+                 "--checkpoint-dir", str(ckpt),
+                 "--checkpoint-every", "10", "--publish-batch", "8",
+                 "--inject", "engine.checkpoint:delay=0.2,times=2",
+                 "--serve-seconds", "3"])
+
+        thread = threading.Thread(target=run_cli, daemon=True)
+        try:
+            thread.start()
+            out = ""
+            for _ in range(150):
+                out += capsys.readouterr().out
+                if "Ingest complete:" in out:
+                    break
+                thread.join(timeout=0.1)
+            assert "Ingest complete:" in out
+            base = out.split("on ")[1].split()[0]
+            with urllib.request.urlopen(base + "/health",
+                                        timeout=10) as reply:
+                shards = json.loads(reply.read())["shards"]
+            assert [s["retained_frames"] for s in shards] == [0, 0]
+            assert {"shard-000.ckpt.json", "shard-001.ckpt.json"} <= {
+                path.name for path in ckpt.iterdir()}
+        finally:
+            thread.join(timeout=30.0)
+        assert result.get("code") == 0
+
     def test_missing_wigle_fails_cleanly(self, sim_capture, capsys):
         _, capture_path, _ = sim_capture
         code = main(["serve", str(capture_path),

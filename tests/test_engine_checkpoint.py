@@ -5,11 +5,15 @@ import json
 import pytest
 
 from repro.engine import StreamingEngine, checkpoint_crc
+from repro.knowledge.apdb import ApDatabase
 from repro.localization import MLoc
+from repro.localization.base import fix_record
 from repro.net80211.frames import probe_request, probe_response
 from repro.net80211.mac import MacAddress
 from repro.net80211.medium import ReceivedFrame
 from repro.net80211.ssid import Ssid
+
+from tests.helpers import make_record
 
 
 def station(index):
@@ -102,16 +106,45 @@ def test_restore_rejects_unknown_version(square_db):
 
 
 def test_restored_tracks_carry_positions_not_regions(square_db):
+    # A checkpoint without "latest" (as written before it existed)
+    # restores positional fixes only.
     frames = build_stream(square_db, devices=2, rounds=1)
     engine = StreamingEngine(MLoc(square_db), batch_size=2)
     engine.ingest_stream(frames)
     engine.flush()
-    restored = StreamingEngine.restore(engine.checkpoint(),
-                                       MLoc(square_db))
+    data = engine.checkpoint()
+    del data["latest"]
+    restored = StreamingEngine.restore(data, MLoc(square_db))
     for mobile in restored.tracker.devices():
         for point in restored.tracker.track_of(mobile):
             assert point.estimate.region is None
             assert point.estimate.algorithm == "m-loc"
+
+
+@pytest.mark.parametrize("scale", [1.0, 0.55])
+def test_restored_latest_fix_is_the_served_fix(square_db, scale):
+    # Ranges shrunk by 0.55 leave the raw intersections empty, so the
+    # fixes are inflated.  Either way the latest fix must survive
+    # restore whole — region, vertices, area, inflation — as /locate
+    # serves it.
+    db = ApDatabase(make_record(i, r.location.x, r.location.y,
+                                r.max_range_m * scale)
+                    for i, r in enumerate(square_db))
+    engine = StreamingEngine(MLoc(db), batch_size=2)
+    engine.run(iter(build_stream(db, devices=3, rounds=2)))
+    restored = StreamingEngine.restore(
+        json.loads(json.dumps(engine.checkpoint())), MLoc(db))
+    assert restored.tracker.devices() == engine.tracker.devices()
+    for mobile in engine.tracker.devices():
+        want = engine.tracker.latest(mobile)
+        got = restored.tracker.latest(mobile)
+        assert (fix_record(got.timestamp, got.estimate)
+                == fix_record(want.timestamp, want.estimate))
+        assert got.estimate.area_m2 == want.estimate.area_m2
+        assert (want.estimate.inflation_factor > 1.0) == (scale < 1.0)
+        # Older points stay positional.
+        for point in restored.tracker.track_of(mobile)[:-1]:
+            assert point.estimate.region is None
 
 
 class TestLegacyWorkerConfig:

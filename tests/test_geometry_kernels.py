@@ -1,25 +1,31 @@
-"""Vectorized geometry kernels agree with the scalar reference.
+"""The geometry kernels agree with the scalar reference loops.
 
-The scalar ``DiscIntersection`` / ``circle_intersections`` code is the
-reference implementation; the NumPy kernels are the fast path.  These
-property tests pin their agreement to 1e-9 over randomized disc sets
-plus the constructed edge cases (tangency, nested discs, empty
-intersections, concentric circles).
+The program computes Δ, nested discs and the inflation probe only with
+the NumPy kernels.  The per-pair scalar loops of M-Loc's pseudocode
+(``circle_intersections`` plus the reference helpers in
+``tests.helpers``) are the reference: these property tests pin the
+kernels to them at 1e-9 over randomized disc sets plus the constructed
+edge cases (tangency, nested discs, empty intersections, concentric
+circles).
 """
 
 import itertools
+import math
+import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.geometry import kernels
 from repro.geometry.circle import Circle, circle_intersections
 from repro.geometry.point import Point
-from repro.geometry.region import (
-    DiscIntersection,
-    kernel_default,
-    set_kernel_default,
+from repro.geometry.region import DiscIntersection
+
+from tests.helpers import (
+    reference_is_empty,
+    reference_nested_disc,
+    reference_vertices,
 )
 
 TOL = 1e-9
@@ -37,9 +43,13 @@ def random_disc_set(rng, k, spread=60.0, r_low=40.0, r_high=140.0):
 
 
 def assert_regions_agree(discs):
-    scalar = DiscIntersection(discs, use_kernels=False)
-    fast = DiscIntersection(discs, use_kernels=True)
-    assert fast.is_empty == scalar.is_empty
+    """The kernel-built region against one built from the reference Δ."""
+    fast = DiscIntersection(discs)
+    raw = reference_vertices(discs)
+    scalar = DiscIntersection(discs, precomputed_vertices=raw)
+    assert fast.is_empty == reference_is_empty(discs)
+    if len(raw) <= 1:
+        assert fast._full_disc == reference_nested_disc(discs)
     assert len(fast.vertices) == len(scalar.vertices)
     for got, want in zip(fast.vertices, scalar.vertices):
         assert got.is_close(want, TOL)
@@ -68,13 +78,13 @@ class TestVertexAgreement:
                        float(rng.uniform(5.0, 40.0)))
                 for i in range(4)
             ]
-            region = DiscIntersection(discs, use_kernels=True)
+            region = DiscIntersection(discs)
             assert region.is_empty
             assert_regions_agree(discs)
 
     def test_externally_tangent_pair(self):
         discs = [Circle(Point(0.0, 0.0), 1.0), Circle(Point(3.0, 0.0), 2.0)]
-        region = DiscIntersection(discs, use_kernels=True)
+        region = DiscIntersection(discs)
         assert len(region.vertices) == 1
         assert region.vertices[0].is_close(Point(1.0, 0.0), TOL)
         assert_regions_agree(discs)
@@ -87,12 +97,11 @@ class TestVertexAgreement:
         discs = [Circle(Point(0.0, 0.0), 50.0),
                  Circle(Point(5.0, 0.0), 10.0),
                  Circle(Point(4.0, 1.0), 20.0)]
-        scalar = DiscIntersection(discs, use_kernels=False)
-        fast = DiscIntersection(discs, use_kernels=True)
+        fast = DiscIntersection(discs)
         assert not fast.is_empty
         assert fast.vertices == []
-        assert fast._full_disc == scalar._full_disc
-        assert fast.area == pytest.approx(scalar.area, rel=1e-12)
+        assert fast._full_disc == reference_nested_disc(discs) == discs[1]
+        assert fast.area == pytest.approx(discs[1].area, rel=1e-12)
 
     def test_concentric_circles(self):
         discs = [Circle(Point(1.0, 2.0), 10.0), Circle(Point(1.0, 2.0), 4.0)]
@@ -107,8 +116,20 @@ class TestVertexAgreement:
         assert_regions_agree(discs)
 
 
+def pair_vertices(pairs):
+    """Δ of each two-disc set, from one batched kernel call."""
+    centers = np.array([[(d.center.x, d.center.y) for d in pair]
+                        for pair in pairs])
+    radii = np.array([[d.radius for d in pair] for pair in pairs])
+    return kernels.batch_intersection_vertices(centers, radii)
+
+
 class TestPairwiseCandidates:
-    """Kernel candidate generation vs scalar circle_intersections."""
+    """Kernel Δ of a disc pair vs scalar circle_intersections.
+
+    Both intersection points of a pair lie on both circles, so a pair's
+    Δ is exactly its candidate list.
+    """
 
     @pytest.mark.parametrize("pair", [
         (Circle(Point(0.0, 0.0), 10.0), Circle(Point(12.0, 5.0), 8.0)),
@@ -119,9 +140,7 @@ class TestPairwiseCandidates:
     ])
     def test_matches_scalar_pairwise(self, pair):
         scalar = circle_intersections(*pair)
-        centers, radii = kernels.discs_as_arrays(pair)
-        geom = kernels.pair_geometry(centers, radii)
-        got = kernels.pairwise_intersection_candidates(geom)
+        (got,) = pair_vertices([pair])
         assert len(got) == len(scalar)
         for row, want in zip(got, scalar):
             assert abs(row[0] - want.x) <= TOL
@@ -129,15 +148,14 @@ class TestPairwiseCandidates:
 
     def test_randomized_pairs(self):
         rng = np.random.default_rng(42)
-        for _ in range(200):
-            a = Circle(Point(*map(float, rng.uniform(-50, 50, 2))),
-                       float(rng.uniform(1.0, 80.0)))
-            b = Circle(Point(*map(float, rng.uniform(-50, 50, 2))),
-                       float(rng.uniform(1.0, 80.0)))
+        pairs = [
+            [Circle(Point(*map(float, rng.uniform(-50, 50, 2))),
+                    float(rng.uniform(1.0, 80.0)))
+             for _ in range(2)]
+            for _ in range(200)
+        ]
+        for (a, b), got in zip(pairs, pair_vertices(pairs)):
             scalar = circle_intersections(a, b)
-            centers, radii = kernels.discs_as_arrays([a, b])
-            got = kernels.pairwise_intersection_candidates(
-                kernels.pair_geometry(centers, radii))
             assert len(got) == len(scalar)
             for row, want in zip(got, scalar):
                 assert abs(row[0] - want.x) <= TOL
@@ -155,7 +173,7 @@ class TestBatchKernel:
         vertex_sets = kernels.batch_intersection_vertices(centers, radii)
         assert len(vertex_sets) == len(disc_sets)
         for discs, coords in zip(disc_sets, vertex_sets):
-            want = DiscIntersection(discs, use_kernels=False).vertices
+            want = reference_vertices(discs)
             assert len(coords) == len(want)
             for row, vertex in zip(coords, want):
                 assert abs(row[0] - vertex.x) <= TOL
@@ -179,8 +197,7 @@ class TestFeasibilityScan:
             geom = kernels.pair_geometry(centers, radii)
             for scale in (1.0, 1.7, 3.0, 16.0):
                 scaled = [Circle(d.center, d.radius * scale) for d in discs]
-                want = not DiscIntersection(scaled,
-                                            use_kernels=False).is_empty
+                want = not reference_is_empty(scaled)
                 assert kernels.nonempty_at_scale(geom, scale) == want
 
     def test_single_disc_always_nonempty(self):
@@ -241,6 +258,12 @@ def pair_bound(centers, radii):
     return float((np.abs(z[j] - z[i]) / (radii[i] + radii[j])).max())
 
 
+#: Two coincident centers, one a denormal distance above them and one a
+#: meter away: a set Hypothesis once drew for the order-free test.
+DENORMAL_SIDE_CENTERS = np.array([[0.0, 0.0], [0.0, 0.0],
+                                  [0.0, 2.66e-186], [1.0, 0.0]])
+
+
 class TestMinimaxScale:
     """``minimax_scale`` against closed forms and brute-force oracles."""
 
@@ -263,6 +286,8 @@ class TestMinimaxScale:
 
     @settings(max_examples=60, deadline=None)
     @given(weighted_discs(), st.randoms(use_true_random=False))
+    @example(discs=(DENORMAL_SIDE_CENTERS, np.array([6.0, 6.0, 5.0, 5.0])),
+             rand=random.Random(0))
     def test_exact_bounded_and_order_free(self, discs, rand):
         centers, radii = discs
         point, scale = kernels.minimax_scale(centers, radii)
@@ -288,6 +313,23 @@ class TestMinimaxScale:
         # The probe's own 1e-9·r slack hides gaps at near-zero scales.
         if scale > 1e-2:
             assert not kernels.nonempty_at_scale(geom, scale * (1.0 - 1e-6))
+
+    @pytest.mark.parametrize("radii", list(itertools.product((5.0, 6.0),
+                                                             repeat=4)))
+    def test_denormal_side_in_every_order(self, radii):
+        # A triple with one side of denormal length beside a unit side
+        # is degenerate; taken as a basis it overflowed Cramer's rule.
+        radii = np.array(radii)
+        scales = set()
+        for order in itertools.permutations(range(4)):
+            order = list(order)
+            point, scale = kernels.minimax_scale(
+                DENORMAL_SIDE_CENTERS[order], radii[order])
+            assert np.isfinite(point).all()
+            scales.add(scale)
+        assert max(scales) - min(scales) <= 1e-12
+        assert min(scales) >= pair_bound(DENORMAL_SIDE_CENTERS, radii) \
+            * (1.0 - 1e-12)
 
     def test_coincident_centers_scale_zero(self):
         centers = np.array([[3.0, 4.0]] * 4)
@@ -318,60 +360,49 @@ class TestMinimaxScale:
             kernels.minimax_scale(np.empty((0, 2)), np.empty(0))
 
 
+def circle_through(p, q, toward, radius=1.0):
+    """The circle of ``radius`` through ``p`` and ``q`` whose center
+    lies on ``toward``'s side of the chord ``pq``."""
+    mid = 0.5 * (p + q)
+    normal = 1j * (q - p) / abs(q - p)
+    if ((toward - mid) * normal.conjugate()).real < 0.0:
+        normal = -normal
+    center = mid + normal * math.sqrt(radius ** 2 - abs(q - p) ** 2 / 4.0)
+    return Circle(Point(center.real, center.imag), radius)
+
+
 class TestSupportKernels:
-    def test_contains_mask_matches_circle_contains(self):
+    def test_contains_all_matches_circle_contains(self):
         rng = np.random.default_rng(11)
         discs = random_disc_set(rng, 5)
-        points = [Point(*map(float, rng.uniform(-150, 150, 2)))
-                  for _ in range(64)]
+        coords = rng.uniform(-150, 150, (64, 2))
         centers, radii = kernels.discs_as_arrays(discs)
-        mask = kernels.contains_mask(kernels.points_as_array(points),
-                                     centers, radii, slack=0.0)
-        for p_idx, point in enumerate(points):
-            for d_idx, disc in enumerate(discs):
-                assert mask[p_idx, d_idx] == disc.contains(point, tol=0.0)
+        inside = kernels.contains_all(coords, centers, radii, slack=0.0)
+        for p_idx, point in enumerate(kernels.array_as_points(coords)):
+            assert inside[p_idx] == all(disc.contains(point, tol=0.0)
+                                        for disc in discs)
 
     def test_dedupe_keep_first_chain_semantics(self):
-        # a~b and b~c but a!~c: the scalar greedy keeps a and c.
-        points = np.array([[0.0, 0.0], [0.9, 0.0], [1.8, 0.0]])
-        got = kernels.dedupe_rows(points, tol=1.0)
-        assert got.shape == (2, 2)
-        assert got[0].tolist() == [0.0, 0.0]
-        assert got[1].tolist() == [1.8, 0.0]
-
-    def test_pairwise_distance_matrix(self):
-        rng = np.random.default_rng(5)
-        points = [Point(*map(float, rng.uniform(-100, 100, 2)))
-                  for _ in range(12)]
-        coords = kernels.points_as_array(points)
-        matrix = kernels.pairwise_distance_matrix(coords)
-        for i, a in enumerate(points):
-            for j, b in enumerate(points):
-                assert matrix[i, j] == pytest.approx(a.distance_to(b),
-                                                     abs=TOL)
+        # Unit discs put three Δ candidates a, b, c (pairs (0,1), (0,2),
+        # (1,2), in that emission order) within the 1e-8 merge distance
+        # as a chain: a~b and b~c but a!~c.  Keep-first drops only b.
+        a, b, c = 0j, 0.9e-8 + 0j, 1.8e-8 + 0.9e-8j
+        discs = [circle_through(a, b, toward=c),
+                 circle_through(a, c, toward=b),
+                 circle_through(b, c, toward=a)]
+        region = DiscIntersection(discs)
+        want = reference_vertices(discs)
+        assert len(region.vertices) == len(want) == 2
+        assert region.vertices[0].is_close(Point(0.0, 0.0), 1e-12)
+        assert region.vertices[1].is_close(Point(1.8e-8, 0.9e-8), 1e-12)
+        for got, ref in zip(region.vertices, want):
+            assert got.is_close(ref, TOL)
 
     def test_round_trip_point_packing(self):
-        points = [Point(1.5, -2.25), Point(0.0, 3.0)]
-        back = kernels.array_as_points(kernels.points_as_array(points))
-        assert back == points
-
-
-class TestKernelDefaultToggle:
-    def test_toggle_round_trips(self):
-        original = kernel_default()
-        try:
-            previous = set_kernel_default(False)
-            assert previous == original
-            assert kernel_default() is False
-            discs = [Circle(Point(0.0, 0.0), 10.0)] * 6
-            assert DiscIntersection(discs)._use_kernels is False
-        finally:
-            set_kernel_default(original)
-
-    def test_small_sets_default_to_scalar(self):
-        discs = [Circle(Point(float(i), 0.0), 10.0) for i in range(3)]
-        assert DiscIntersection(discs)._use_kernels is False
-        assert DiscIntersection(discs, use_kernels=True)._use_kernels is True
+        discs = [Circle(Point(1.5, -2.25), 1.0), Circle(Point(0.0, 3.0), 2.0)]
+        centers, radii = kernels.discs_as_arrays(discs)
+        assert kernels.array_as_points(centers) == [d.center for d in discs]
+        assert radii.tolist() == [1.0, 2.0]
 
 
 class TestMonteCarloVectorized:

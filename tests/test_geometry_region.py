@@ -147,11 +147,14 @@ class TestManyDiscs:
 class TestInternalTangency:
     """A disc touching its container from inside is still nested."""
 
-    @pytest.mark.parametrize("use_kernels", [False, True])
-    def test_region_is_the_inner_disc(self, use_kernels):
-        region = DiscIntersection([Circle(Point(0, 0), 1.0),
-                                   Circle(Point(0, 1), 2.0)],
-                                  use_kernels=use_kernels)
+    @pytest.mark.parametrize("precomputed", [False, True])
+    def test_region_is_the_inner_disc(self, precomputed):
+        # precomputed: the one-vertex Δ is handed in, as M-Loc's batch
+        # path and the shard decoder do, instead of computed here.
+        discs = [Circle(Point(0, 0), 1.0), Circle(Point(0, 1), 2.0)]
+        region = DiscIntersection(
+            discs, precomputed_vertices=[Point(0, -1)] if precomputed
+            else None)
         assert not region.is_empty
         assert region.area == pytest.approx(math.pi)
         assert region.centroid() == Point(0, 0)

@@ -12,7 +12,6 @@ import numpy as np
 import pytest
 
 from repro.geometry import kernels
-from repro.geometry.region import kernel_default, set_kernel_default
 from repro.knowledge.apdb import ApDatabase
 from repro.localization.centroid import CentroidLocalizer
 from repro.localization.mloc import MLoc
@@ -74,18 +73,6 @@ class TestMLocBatch:
         sequential = [localizer.locate(g) for g in gammas]
         batched = localizer.locate_batch(gammas)
         assert_estimates_match(batched, sequential)
-
-    def test_matches_with_kernels_disabled(self, grid_db):
-        localizer = MLoc(grid_db)
-        gammas = mixed_gammas(grid_db, count=12, seed=5)
-        original = set_kernel_default(False)
-        try:
-            scalar_batch = localizer.locate_batch(gammas)
-        finally:
-            set_kernel_default(original)
-        assert kernel_default() == original
-        kernel_batch = localizer.locate_batch(gammas)
-        assert_estimates_match(kernel_batch, scalar_batch)
 
     def test_vertex_mode_batch(self, grid_db):
         localizer = MLoc(grid_db, mode="vertex")

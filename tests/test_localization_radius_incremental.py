@@ -143,6 +143,39 @@ class TestIncrementalEquivalence:
                                                     abs=1e-9)
 
 
+class TestEvidenceAbsorption:
+    def test_repeated_gammas_count_once_per_occurrence(self):
+        # A refit window holds the same few Γ many times over, plus Γ
+        # with unknown APs and Γ with none known.
+        locations = grid_locations(4)
+        distinct = disc_corpus(locations, 45.0, 12, seed=8)
+        distinct.append({mac(999)})
+        distinct.append(set(distinct[0]) | {mac(998)})
+        rng = np.random.default_rng(1)
+        corpus = [list(distinct[i])
+                  for i in rng.integers(0, len(distinct), 400)]
+
+        estimator = make_estimator(locations)
+        absorbed = estimator.ingest(corpus)
+
+        index_of = estimator._index_of
+        counts, co_pairs, known = {}, set(), 0
+        for observed in corpus:
+            indices = sorted({index_of[b] for b in observed
+                              if b in index_of})
+            if not indices:
+                continue
+            known += 1
+            for i in indices:
+                counts[i] = counts.get(i, 0) + 1
+            co_pairs.update((a, b) for n, a in enumerate(indices)
+                            for b in indices[n + 1:])
+        assert absorbed == known
+        assert estimator._counts == counts
+        assert list(estimator._counts) == list(counts)
+        assert estimator._co_pairs == co_pairs
+
+
 class TestMetadata:
     def test_estimate_reports_solver_work(self):
         locations = grid_locations(3)

@@ -10,6 +10,7 @@ import functools
 import pytest
 
 from repro.engine import StreamingEngine
+from repro.faults import FaultInjector, FaultSpec, use_injector
 from repro.localization import MLoc
 from repro.net80211.frames import probe_response
 from repro.net80211.mac import MacAddress
@@ -216,6 +217,23 @@ class TestCheckpointResume:
             assert fleet_fixes(second) == want
         finally:
             second.stop()
+
+    def test_save_covers_frames_behind_an_inflight_barrier(
+            self, square_db, tmp_path):
+        # Slow checkpoint writes keep a periodic barrier in flight while
+        # later frames publish; the explicit save must cover those too.
+        injector = FaultInjector([FaultSpec("engine.checkpoint",
+                                            mode="delay", delay_s=0.2)])
+        with use_injector(injector, all_threads=True):
+            engine = fleet(square_db, checkpoint_dir=tmp_path / "fleet",
+                           checkpoint_every=10)
+            try:
+                engine.ingest_stream(build_stream(square_db))
+                engine.save_checkpoints()
+                assert [shard["retained_frames"] for shard in
+                        engine.health()["shards"]] == [0, 0, 0]
+            finally:
+                engine.stop()
 
     def test_resume_rejects_width_mismatch(self, square_db, tmp_path):
         ckpt = tmp_path / "fleet"
