@@ -31,6 +31,7 @@ from repro.faults.injector import (
     FaultInjector,
     FaultSpec,
     active_injector,
+    armed,
     hook,
     parse_fault_spec,
     use_injector,
@@ -50,6 +51,7 @@ __all__ = [
     "parse_fault_spec",
     "use_injector",
     "active_injector",
+    "armed",
     "hook",
     "DROPPED",
     "ERROR_TYPES",

@@ -255,6 +255,10 @@ class FaultInjector:
     def total_fired(self) -> int:
         return sum(self._fires)
 
+    def arms(self, site: str) -> bool:
+        """Whether any spec's pattern matches ``site``."""
+        return any(fnmatchcase(site, spec.site) for spec in self.specs)
+
     def _eligible(self, index: int, spec: FaultSpec, site: str,
                   key: Optional[str]) -> bool:
         if not fnmatchcase(site, spec.site):
@@ -338,6 +342,17 @@ def use_injector(injector: FaultInjector,
         yield injector
     finally:
         _tls.injector = previous
+
+
+def armed(site: str) -> bool:
+    """Whether the injector active on this thread has a spec for ``site``.
+
+    A caller with a fast path that skips a site's hooks (the ingest
+    client's row slices skip ``capture.record``) takes the hooked path
+    whenever the site is armed, so chaos runs keep their fault points.
+    """
+    injector = active_injector()
+    return injector is not None and injector.arms(site)
 
 
 def hook(site: str, value=None, key: Optional[str] = None):

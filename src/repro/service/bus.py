@@ -30,9 +30,13 @@ from repro import faults
 from repro.faults import DROPPED
 
 #: Default inbox bound, in *messages* (a message is a frame batch or a
-#: control record), giving bounded memory with enough slack that the
-#: router rarely blocks.
-DEFAULT_CAPACITY = 256
+#: control record; at the router's default ``publish_batch`` of 64 that
+#: is about 256 frames per shard).  Once nothing upstream throttles the
+#: router it runs this far ahead of a shard, so the bound is also the
+#: ceiling on fix lag and on in-flight memory.  4 is the smallest bound
+#: that cost no measured throughput (DESIGN.md §8, "Flow control
+#: bounds fix lag", has the sweep).
+DEFAULT_CAPACITY = 4
 
 
 class BusTimeout(Exception):
@@ -100,6 +104,11 @@ class Bus:
         """The ``(inbox, outbox)`` pair a shard runtime consumes."""
         raise NotImplementedError
 
+    def inbox_depth(self, shard: int) -> int:
+        """Messages published to a shard and not yet consumed (at most
+        ``capacity``): how far the router runs ahead of it."""
+        raise NotImplementedError
+
     def close(self) -> None:
         """Release transport resources (no-op for in-process queues)."""
 
@@ -140,3 +149,6 @@ class QueueBus(Bus):
 
     def endpoints(self, shard: int) -> Tuple[Any, Any]:
         return self._inboxes[shard], self._outboxes[shard]
+
+    def inbox_depth(self, shard: int) -> int:
+        return self._inboxes[shard].qsize()

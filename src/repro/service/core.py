@@ -200,6 +200,9 @@ class ShardedEngine:
             "repro.service.shard.restarts")
         self._c_barriers = self.registry.counter(
             "repro.service.checkpoint.barriers")
+        self._g_inbox = [self.registry.gauge(
+            "repro.service.bus.inbox_depth", shard=index)
+            for index in range(shards)]
         if bus is None:
             if transport == "thread":
                 bus = QueueBus(shards)
@@ -290,8 +293,8 @@ class ShardedEngine:
             try:
                 self.bus.publish(index, ("crash",),
                                  timeout=self.publish_timeout_s)
-            except BusTimeout:  # pragma: no cover - full inbox
-                pass
+            except BusTimeout:
+                pass  # full inbox: the runtime sees the event next get()
             if handle.worker is not None:
                 handle.worker.join(timeout=self.worker_join_timeout_s)
 
@@ -586,6 +589,7 @@ route_batch` picks each row's shard, and each shard's rows join its
                 report = {"shard": handle.index, "alive": False}
             report["restarts"] = handle.restarts
             report["retained_frames"] = handle.retained_frames()
+            report["inbox_depth"] = self._inbox_depth(handle.index)
             reports.append(report)
         return {
             "healthy": all(r.get("alive") for r in reports),
@@ -608,8 +612,16 @@ route_batch` picks each row's shard, and each shard's rows join its
         else:
             snapshots = [self._request(index, "metrics")
                          for index in range(self.shards)]
+        for index in range(self.shards):
+            self._inbox_depth(index)
         merged = obs.merge_snapshots(snapshots + [self.registry.snapshot()])
         return merged.snapshot()
+
+    def _inbox_depth(self, index: int) -> int:
+        """Read one shard's inbox depth into its gauge."""
+        depth = self.bus.inbox_depth(index)
+        self._g_inbox[index].set(depth)
+        return depth
 
     def render_prometheus(self) -> str:
         """One Prometheus text exposition for the whole fleet."""

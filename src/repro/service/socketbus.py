@@ -247,6 +247,12 @@ class SocketBus(Bus):
             reconnect=self.reconnect)
         return channel, channel
 
+    def inbox_depth(self, shard: int) -> int:
+        """Published messages the shard has not acked as consumed."""
+        link = self._links[shard]
+        with link.cond:
+            return link.out.seq - link.out.acked
+
     def close(self) -> None:
         if self._closed:
             return

@@ -6,16 +6,22 @@ fleet width, including after killing and restarting shards mid-run.
 """
 
 import functools
+import json
+import threading
 
 import pytest
 
+from repro import obs
+from repro.capture.records import FrameBatch, encode_frames
 from repro.engine import StreamingEngine
+from repro.engine.sinks import EngineSink
 from repro.faults import FaultInjector, FaultSpec, use_injector
 from repro.localization import MLoc
 from repro.net80211.frames import probe_response
 from repro.net80211.mac import MacAddress
 from repro.net80211.medium import ReceivedFrame
 from repro.service import (
+    QueueBus,
     ServiceError,
     ShardConfig,
     ShardedEngine,
@@ -52,6 +58,18 @@ def single_engine_fixes(square_db, frames):
     return {mobile: (point.timestamp, point.estimate.position)
             for mobile in engine.tracker.devices()
             for point in [engine.tracker.latest(mobile)]}
+
+
+class GateSink(EngineSink):
+    """Holds the shard's thread in its first emit until released."""
+
+    def __init__(self):
+        self.entered = threading.Event()
+        self.release = threading.Event()
+
+    def emit(self, mobile, timestamp, estimate):
+        self.entered.set()
+        self.release.wait(10.0)
 
 
 def fleet(square_db, **kwargs):
@@ -176,6 +194,55 @@ class TestRecovery:
                 == [1, 1, 1]
         finally:
             engine.stop()
+
+    def test_kill_with_a_full_inbox(self, square_db):
+        # The shard is held inside a sink while the one message its
+        # inbox can take waits behind it, so the kill's ("crash",)
+        # publish finds the inbox full.  The runtime still dies at its
+        # next get, and the supervised restart replays retention to
+        # the same snapshot an unkilled fleet serves.
+        frames = build_stream(square_db, devices=6, rounds=3)
+
+        def run(kill):
+            gate = GateSink()
+            engine = fleet(square_db, shards=1, bus=QueueBus(1, capacity=1),
+                           publish_timeout_s=0.1,
+                           config=ShardConfig(window_s=30.0, batch_size=1,
+                                              sink_specs=(gate,)))
+            try:
+                engine.ingest_batch(FrameBatch(*encode_frames(frames[:8])))
+                if kill:
+                    assert gate.entered.wait(10.0)
+                engine.ingest_batch(FrameBatch(*encode_frames(frames[8:16])))
+                if kill:
+                    assert engine.bus.inbox_depth(0) == 1
+                    threading.Timer(0.3, gate.release.set).start()
+                    engine.kill_shard(0)
+                    assert not engine._handles[0].alive()
+                else:
+                    gate.release.set()
+                engine.ingest_stream(frames[16:])
+                engine.drain()
+                snapshot = engine._request(0, "snapshot")
+                assert engine._handles[0].restarts == int(kill)
+                return json.dumps(snapshot, sort_keys=True)
+            finally:
+                gate.release.set()
+                engine.stop()
+
+        assert run(kill=True) == run(kill=False)
+
+    def test_health_and_metrics_report_inbox_depth(self, square_db):
+        with fleet(square_db) as engine:
+            engine.run(iter(build_stream(square_db, devices=4, rounds=1)))
+            shards = engine.health()["shards"]
+            assert [shard["inbox_depth"] for shard in shards] == [0, 0, 0]
+            gauges = {obs.parse_key(key): value for key, value in
+                      engine.metrics_snapshot()["gauges"].items()}
+            assert {labels: value for (name, labels), value
+                    in gauges.items()
+                    if name == "repro.service.bus.inbox_depth"} == {
+                (("shard", str(index)),): 0.0 for index in range(3)}
 
     def test_restart_refuses_a_live_shard(self, square_db):
         engine = fleet(square_db)

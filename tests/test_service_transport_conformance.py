@@ -99,6 +99,20 @@ class TestBusConformance:
             consumer.join()
         assert inbox.get(timeout=5.0) == ("checkpoint", 2)
 
+    def test_inbox_depth_counts_unconsumed_messages(self, make_bus):
+        bus = make_bus(2, capacity=4)
+        inbox, _ = bus.endpoints(0)
+        assert bus.inbox_depth(0) == 0
+        for marker in range(3):
+            bus.publish(0, ("checkpoint", marker), timeout=5.0)
+        assert (bus.inbox_depth(0), bus.inbox_depth(1)) == (3, 0)
+        assert inbox.get(timeout=5.0) == ("checkpoint", 0)
+        # Over TCP the router learns of the consumption from the
+        # shard's CREDIT, a moment later.
+        assert wait_until(lambda: bus.inbox_depth(0) == 2)
+        bus.reset(0)
+        assert bus.inbox_depth(0) == 0
+
     def test_collect_times_out_on_a_dead_consumer(self, make_bus):
         bus = make_bus(1)
         with pytest.raises(BusTimeout) as excinfo:
