@@ -2,12 +2,14 @@
 
 The ingest hot path for every downstream consumer is capture replay.
 This bench writes one synthetic campus capture (mixed probe/response/
-data/beacon traffic with device locality) in *both* registered formats
+data/beacon traffic with device locality) in *both* capture formats
 and measures:
 
 * **sequential** — records/sec through ``iter_capture`` (JSONL vs
   columnar, the record-at-a-time seam) and through
-  ``iter_capture_batches`` (the zero-copy columnar batch seam);
+  ``iter_capture_batches`` over the columnar capture (the batch seam:
+  one order-and-decode check, then owned row slices, no per-record
+  decode);
 * **selective** — one device's records only, where the columnar
   reader's per-block bloom filters skip whole blocks
   (``repro.capture.blocks_skipped``) and JSONL must decode everything;

@@ -1,7 +1,7 @@
-"""Capture I/O: the codec registry and the columnar capture store.
+"""Capture I/O: format dispatch and the columnar capture store.
 
 This package is the single public surface for reading and writing
-capture files.  The two built-in codecs are ``"jsonl"`` (the legacy
+capture files.  The two formats are ``"jsonl"`` (the legacy
 line-per-record format, append-friendly and lenient) and
 ``"columnar"`` (memory-mapped NumPy blocks with a time index and
 per-block device bloom filters — the ingest hot path).
@@ -24,19 +24,16 @@ from repro.capture.columnar import (ColumnarReader, ColumnarWriter,
                                     sniff_columnar)
 from repro.capture.compact import compact_captures, convert_capture
 from repro.capture.jsonl import (FORMAT_VERSION, JsonlReader, JsonlWriter,
-                                 frame_from_dict, frame_to_dict, sniff_jsonl)
+                                 frame_from_dict, frame_to_dict)
 from repro.capture.records import (CAPTURE_DTYPE, FRAME_TYPES, NO_BSSID,
                                    FrameBatch, check_rows, concat_batches,
                                    decode_row, encode_frames, mac_from_int)
-from repro.capture.registry import (CaptureCodec, capture_info, codec_names,
-                                    get_codec, make_capture_writer,
-                                    open_capture, register_codec,
-                                    sniff_format)
+from repro.capture.formats import (capture_info, make_capture_writer,
+                                   open_capture, sniff_format)
 
 __all__ = [
     "BloomFilter",
     "CAPTURE_DTYPE",
-    "CaptureCodec",
     "ColumnarReader",
     "ColumnarWriter",
     "FORMAT_VERSION",
@@ -47,7 +44,6 @@ __all__ = [
     "NO_BSSID",
     "capture_info",
     "check_rows",
-    "codec_names",
     "compact_captures",
     "concat_batches",
     "convert_capture",
@@ -55,12 +51,9 @@ __all__ = [
     "encode_frames",
     "frame_from_dict",
     "frame_to_dict",
-    "get_codec",
     "mac_from_int",
     "make_capture_writer",
     "open_capture",
-    "register_codec",
     "sniff_columnar",
     "sniff_format",
-    "sniff_jsonl",
 ]

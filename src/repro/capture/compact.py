@@ -22,7 +22,7 @@ from typing import List, Sequence, Union
 import numpy as np
 
 from repro.capture.records import FrameBatch, concat_batches
-from repro.capture.registry import make_capture_writer, open_capture
+from repro.capture.formats import make_capture_writer, open_capture
 
 PathLike = Union[str, Path]
 

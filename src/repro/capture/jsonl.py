@@ -1,8 +1,8 @@
 """The JSONL capture codec: the original line-per-record format.
 
 This is the tcpdump stand-in the repo has carried since the seed — one
-JSON object per line, append-friendly, greppable — now living behind
-the :mod:`repro.capture` codec registry as the compatibility format.
+JSON object per line, append-friendly, greppable — now one of the two
+formats :mod:`repro.capture` reads and writes, the compatibility one.
 The columnar codec (:mod:`repro.capture.columnar`) is the ingest hot
 path; JSONL stays the durable interchange format and the lenient
 parser of week-long field captures.
@@ -26,9 +26,11 @@ PathLike = Union[str, Path]
 
 FORMAT_VERSION = 1
 
-#: Records per :meth:`JsonlReader.iter_batches` batch when the caller
-#: does not say — sized so the encode cost amortizes without holding a
-#: large slice of the capture in memory.
+#: Records per batch when the caller does not say
+#: (:meth:`JsonlReader.iter_batches`,
+#: :func:`~repro.sniffer.replay.iter_capture_batches`) — sized so the
+#: encode cost amortizes without holding a large slice of the capture
+#: in memory.
 DEFAULT_BATCH_RECORDS = 8192
 
 
@@ -174,37 +176,29 @@ class JsonlReader:
                     continue
                 yield received
 
-    def iter_batches(self, batch_records: Optional[int] = None,
-                     device: Optional[Union[MacAddress, str]] = None,
-                     start_ts: Optional[float] = None,
-                     end_ts: Optional[float] = None
+    def iter_batches(self, batch_records: int = DEFAULT_BATCH_RECORDS
                      ) -> Iterator[FrameBatch]:
         """Decode the capture into :class:`FrameBatch` chunks.
 
         JSONL is row-at-a-time on disk, so this still pays the
-        per-record JSON decode — it exists so every codec presents the
-        same batch-replay surface, letting the engine's columnar ingest
-        run over either format.
+        per-record JSON decode; it gives the compactor one batch
+        surface over both codecs.  A strict error arrives after the
+        records decoded before it, as from :meth:`__iter__`.
         """
-        if batch_records is None:
-            batch_records = DEFAULT_BATCH_RECORDS
         if batch_records < 1:
             raise ValueError(
                 f"batch_records must be >= 1, got {batch_records}")
-        extra = _normalize_device(device)
         pending = []
-        for received in self:
-            ts = received.rx_timestamp
-            if start_ts is not None and ts < start_ts:
-                continue
-            if end_ts is not None and ts > end_ts:
-                continue
-            if extra is not None and not _mentions_device(received, extra):
-                continue
-            pending.append(received)
-            if len(pending) >= batch_records:
+        try:
+            for received in self:
+                pending.append(received)
+                if len(pending) >= batch_records:
+                    yield FrameBatch(*encode_frames(pending))
+                    pending = []
+        except CaptureError:
+            if pending:
                 yield FrameBatch(*encode_frames(pending))
-                pending = []
+            raise
         if pending:
             yield FrameBatch(*encode_frames(pending))
 
@@ -258,9 +252,3 @@ def _mentions_device(received: ReceivedFrame, device: MacAddress) -> bool:
     return (frame.source == device or frame.destination == device
             or frame.bssid == device)
 
-
-def sniff_jsonl(path: PathLike) -> bool:
-    """True when the file plausibly starts with a JSON object line."""
-    with open(path, "rb") as handle:
-        head = handle.read(64)
-    return head.lstrip()[:1] == b"{"

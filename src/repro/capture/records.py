@@ -15,7 +15,7 @@ The whole columnar store rests on a fixed NumPy structured dtype —
   ``S32`` storage would truncate) — overflows into a per-block *aux*
   blob of JSON, addressed by ``aux_off``/``aux_len``.
 
-:class:`FrameBatch` is the unit of batch replay: a (possibly
+:class:`FrameBatch` is the unit of batched ingest: a (possibly
 memory-mapped, zero-copy) slice of rows plus its aux blob, decodable
 per record on demand — the engine's vectorized ingest reads the columns
 directly and only materializes :class:`Dot11Frame` objects for the few

@@ -81,19 +81,14 @@ def main(argv: Optional[List[str]] = None) -> int:
         "engine",
         help="streaming localization engine over a capture file")
     p_engine.add_argument("capture", nargs="?", default=None,
-                          help="capture file (any registered format)")
+                          help="capture file (JSONL or columnar)")
     p_engine.add_argument("--capture", dest="capture_flag", metavar="FILE",
                           default=None,
                           help="capture file (alternative to the "
                                "positional argument)")
     p_engine.add_argument("--format", default=None,
-                          help="capture codec name (default: sniff the "
-                               "file; 'jsonl' or 'columnar' built in)")
-    p_engine.add_argument("--batch-replay", action="store_true",
-                          help="feed the engine whole capture batches "
-                               "(zero-copy for columnar captures) "
-                               "instead of one frame at a time; assumes "
-                               "a time-sorted capture")
+                          help="capture format, 'jsonl' or 'columnar' "
+                               "(default: sniff the file)")
     p_engine.add_argument("--device", metavar="MAC", default=None,
                           help="replay only records mentioning this "
                                "device (columnar captures skip whole "
@@ -170,14 +165,14 @@ def main(argv: Optional[List[str]] = None) -> int:
         "serve",
         help="sharded tracking service over a capture file")
     p_serve.add_argument("capture", nargs="?", default=None,
-                         help="capture file (any registered format)")
+                         help="capture file (JSONL or columnar)")
     p_serve.add_argument("--capture", dest="capture_flag", metavar="FILE",
                          default=None,
                          help="capture file (alternative to the "
                               "positional argument)")
     p_serve.add_argument("--format", default=None,
-                         help="capture codec name (default: sniff the "
-                              "file)")
+                         help="capture format, 'jsonl' or 'columnar' "
+                              "(default: sniff the file)")
     p_serve.add_argument("--wigle", required=True,
                          help="WiGLE-style CSV with AP knowledge")
     p_serve.add_argument("--lat", type=float, default=42.6555,
@@ -252,13 +247,13 @@ def main(argv: Optional[List[str]] = None) -> int:
         help="stream a capture file to a serving fleet's ingest "
              "gateway")
     p_ingest.add_argument("capture",
-                          help="capture file (any registered format)")
+                          help="capture file (JSONL or columnar)")
     p_ingest.add_argument("--connect", required=True, metavar="HOST:PORT",
                           help="ingest gateway address (a 'serve "
                                "--ingest-port' listener)")
     p_ingest.add_argument("--format", default=None,
-                          help="capture codec name (default: sniff the "
-                               "file)")
+                          help="capture format, 'jsonl' or 'columnar' "
+                               "(default: sniff the file)")
     p_ingest.add_argument("--batch-records", type=int, default=128,
                           help="frames per wire batch (default 128)")
     p_ingest.add_argument("--window", type=int, default=8,
@@ -281,7 +276,8 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     def _columnar_options(cap_parser):
         cap_parser.add_argument("--format", default="columnar",
-                                help="output codec (default columnar)")
+                                help="output format, 'columnar' or "
+                                     "'jsonl' (default columnar)")
         cap_parser.add_argument("--block-records", type=int, default=65536,
                                 help="rows per columnar block")
         cap_parser.add_argument("--bloom-bits", type=int, default=32768,
@@ -317,7 +313,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         "info", help="summary, block, and bloom statistics")
     p_cap_info.add_argument("path", help="capture file")
     p_cap_info.add_argument("--format", default=None,
-                            help="codec name (default: sniff the file)")
+                            help="capture format, 'jsonl' or 'columnar' "
+                                 "(default: sniff the file)")
     p_cap_info.add_argument("--json", action="store_true",
                             help="emit machine-readable JSON")
 
@@ -669,7 +666,7 @@ def _cmd_engine(args) -> int:
     from repro.knowledge.wigle import import_wigle_csv
     from repro.localization import make_localizer
     from repro.net80211.mac import MacAddress
-    from repro.sniffer.replay import iter_capture, iter_capture_batches
+    from repro.sniffer.replay import iter_capture_batches
 
     capture_path = _resolve_capture(args)
     if capture_path is None:
@@ -762,20 +759,13 @@ def _cmd_engine(args) -> int:
     recorder = obs.SpanRecorder() if args.trace else None
 
     def run_engine():
-        if args.batch_replay:
-            stream = iter_capture_batches(
-                capture_path, strict=not args.lenient,
-                device=device, format=args.format)
-            run = lambda: engine.run_batches(stream)  # noqa: E731
-        else:
-            stream = iter_capture(
-                capture_path, strict=not args.lenient,
-                device=device, format=args.format)
-            run = lambda: engine.run(stream)  # noqa: E731
+        batches = iter_capture_batches(
+            capture_path, strict=not args.lenient, device=device,
+            format=args.format)
         if injector is not None:
             with use_injector(injector):
-                return run()
-        return run()
+                return engine.run_batches(batches)
+        return engine.run_batches(batches)
 
     try:
         if recorder is not None:
@@ -842,7 +832,7 @@ def _cmd_serve(args) -> int:
         ShardConfig,
         ShardedEngine,
     )
-    from repro.sniffer.replay import iter_capture
+    from repro.sniffer.replay import iter_capture_batches
 
     capture_path = _resolve_capture(args)
     if capture_path is None and args.ingest_port is None:
@@ -914,10 +904,9 @@ def _cmd_serve(args) -> int:
                 print(f"Ingest gateway on {ghost}:{gport}", flush=True)
             if capture_path is not None:
                 try:
-                    engine.ingest_stream(
-                        iter_capture(capture_path,
-                                     strict=not args.lenient,
-                                     format=args.format))
+                    engine.ingest_batches(iter_capture_batches(
+                        capture_path, batch_records=args.publish_batch,
+                        strict=not args.lenient, format=args.format))
                     stats = engine.drain()
                     if args.checkpoint_dir is not None:
                         # Barriers ride on publishes: the tail after the

@@ -356,9 +356,10 @@ class StreamingEngine:
     def run_batches(self, stream: Iterable[FrameBatch]) -> EngineStats:
         """:meth:`run`, fed by :class:`FrameBatch` slices.
 
-        Pair with :func:`repro.sniffer.replay.iter_capture_batches` for
-        the zero-copy columnar replay path; results match :meth:`run`
-        over the same records in the same order.
+        Fed by :func:`repro.sniffer.replay.iter_capture_batches`, it
+        ends where :meth:`run` over
+        :func:`~repro.sniffer.replay.iter_capture` of the same capture
+        ends: the batches hold the same records in the same order.
         """
         with obs.use_registry(self.registry), obs.trace("engine.run"):
             self.ingest_batches(stream)

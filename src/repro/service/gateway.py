@@ -11,15 +11,11 @@ survive the network.  Two halves:
   and handing each one, as a
   :class:`~repro.capture.records.FrameBatch`, to an engine's
   ``ingest_batch``.
-* :func:`stream_capture_to` — collector-side client streaming any
-  :mod:`repro.capture` codec (legacy JSONL or columnar) to a gateway
-  address in :func:`repro.sniffer.replay.iter_capture` order.  A
-  columnar capture whose rows all decode and are time-ordered (the
-  reorder buffer is then the identity) goes out as its own row slices,
-  undecoded; any other capture goes through ``iter_capture`` record by
-  record.  The choice is made once per capture, before anything is
-  sent, and both paths put the same bytes under the same sequence
-  numbers.
+* :func:`stream_capture_to` — collector-side client streaming a
+  capture (legacy JSONL or columnar) to a gateway address as
+  :func:`repro.sniffer.replay.iter_capture_batches` cuts it:
+  :func:`~repro.sniffer.replay.iter_capture` order, and a columnar
+  capture's own row slices, undecoded, when that order is the file's.
 
 Delivery is one :mod:`repro.service.stream` per ``client_id``: the
 client's :class:`~repro.service.stream.Outbound` numbers its batches,
@@ -41,22 +37,17 @@ import threading
 import uuid
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, Iterator, List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Tuple, Union
 
-import numpy as np
-
-from repro import faults, obs
-from repro.capture import ColumnarReader, open_capture
-from repro.capture.records import (FrameBatch, check_rows, concat_batches,
-                                   encode_frames)
-from repro.faults import CaptureError, ReproError, RetryPolicy
+from repro import obs
+from repro.capture.records import FrameBatch
+from repro.faults import ReproError, RetryPolicy
 from repro.net80211.mac import MacAddress
-from repro.net80211.medium import ReceivedFrame
 from repro.service import wire
 from repro.service.stream import (Conn, DEFAULT_RECONNECT, Inbound,
                                   Outbound, close_socket, dial, push_data,
                                   reject)
-from repro.sniffer.replay import iter_capture
+from repro.sniffer.replay import iter_capture_batches
 
 PathLike = Union[str, Path]
 
@@ -339,125 +330,6 @@ class _IngestSession:
         self.drop()
 
 
-def _encoded_rows(runs: List[FrameBatch]) -> FrameBatch:
-    """``runs`` as one batch, byte for byte what ``encode_frames``
-    writes for their rows decoded.
-
-    A row with no aux payload that decodes (``check_rows``) re-encodes
-    to itself once its kind code is in :data:`FRAME_TYPES` and its
-    unused ``aux_off`` is 0, which :func:`concat_batches` sees to.  The
-    rare aux-bearing rows are re-encoded outright: their JSON need not
-    be in the canonical form the encoder writes.
-    """
-    batch = concat_batches(runs)
-    overflow = np.nonzero(batch.records["aux_len"] > 0)[0]
-    if len(overflow):
-        rows, aux = encode_frames([batch.frame_at(index)
-                                   for index in overflow])
-        batch.records[overflow] = rows
-        batch = FrameBatch(batch.records, aux)
-    return batch
-
-
-def _rows_as_replayed(reader: ColumnarReader, size: int,
-                      reorder_buffer: int) -> bool:
-    """Whether :func:`iter_capture` would yield ``reader``'s rows as
-    they lie: every row decodes and, unless ``reorder_buffer`` is 0,
-    ``rx_ts`` never decreases (the reorder buffer is then the identity;
-    equal stamps keep arrival order, and a NaN fails every comparison).
-
-    Slices of ``size`` rows keep the checks' temporaries small whatever
-    the block size.  The pass runs under a scratch registry so the
-    reader's block counters count the send, not this look.
-    """
-    last = -np.inf
-    with obs.use_registry(obs.MetricsRegistry()):
-        for batch in reader.iter_batches(batch_records=size):
-            ts = batch.records["rx_ts"]
-            if reorder_buffer and not (ts[0] >= last
-                                       and bool((ts[1:] >= ts[:-1]).all())):
-                return False
-            try:
-                check_rows(batch.records, batch.aux, batch.frame_types)
-            except CaptureError:
-                return False
-            last = ts[-1]
-    return True
-
-
-def _row_batches(blocks: Iterator[FrameBatch], size: int
-                 ) -> Iterator[FrameBatch]:
-    """``blocks``' rows cut every ``size`` rows across block
-    boundaries, as :func:`iter_capture` records would be cut."""
-    runs: List[FrameBatch] = []
-    count = 0
-    for block in blocks:
-        start = 0
-        while start < len(block):
-            stop = min(len(block), start + size - count)
-            runs.append(FrameBatch(block.records[start:stop], block.aux,
-                                   block.frame_types))
-            count += stop - start
-            start = stop
-            if count == size:
-                yield _encoded_rows(runs)
-                runs, count = [], 0
-    if runs:
-        yield _encoded_rows(runs)
-
-
-def _capture_batches(path: PathLike, size: int, reorder_buffer: int,
-                     strict: bool, device, format: Optional[str]
-                     ) -> Iterator[FrameBatch]:
-    """The capture in :func:`iter_capture` order, cut every ``size``
-    records, each batch the rows ``encode_frames`` writes for it.
-
-    Decided once per capture: a columnar capture whose rows all decode
-    in replay order goes out as its own row slices; anything else —
-    JSONL, an armed ``capture.record`` fault spec, a columnar capture
-    with a late or malformed row — goes through ``iter_capture`` from
-    the first record, the columnar case counted per batch under
-    ``repro.ingest.client.fallbacks``.
-    """
-    registry = obs.current_registry()
-    fallbacks = registry.counter("repro.ingest.client.fallbacks")
-    reader = None
-    if not faults.armed("capture.record"):
-        reader = open_capture(path, format=format, strict=strict,
-                              device=device)
-    columnar = isinstance(reader, ColumnarReader)
-    if columnar:
-        with reader:
-            if _rows_as_replayed(reader, size, reorder_buffer):
-                frames = registry.counter("repro.sniffer.replay.frames")
-                for batch in _row_batches(reader.iter_batches(), size):
-                    frames.inc(len(batch))
-                    yield batch
-                return
-    for batch in _record_batches(path, size, reorder_buffer, strict,
-                                 device, format):
-        if columnar:
-            fallbacks.inc()
-        yield batch
-
-
-def _record_batches(path: PathLike, size: int, reorder_buffer: int,
-                    strict: bool, device, format: Optional[str]
-                    ) -> Iterator[FrameBatch]:
-    """The record path: :func:`iter_capture` cut every ``size``
-    records, each batch encoded by ``encode_frames``."""
-    chunk: List[ReceivedFrame] = []
-    for received in iter_capture(path, reorder_buffer=reorder_buffer,
-                                 strict=strict, device=device,
-                                 format=format):
-        chunk.append(received)
-        if len(chunk) == size:
-            yield FrameBatch(*encode_frames(chunk))
-            chunk = []
-    if chunk:
-        yield FrameBatch(*encode_frames(chunk))
-
-
 def stream_capture_to(path: PathLike, address: Tuple[str, int],
                       batch_records: int = 128,
                       window: int = 8,
@@ -471,15 +343,11 @@ def stream_capture_to(path: PathLike, address: Tuple[str, int],
                       ack_timeout_s: float = 30.0) -> IngestStats:
     """Stream a capture file to a :class:`FrameIngestServer`.
 
-    The capture goes out in :func:`~repro.sniffer.replay.iter_capture`
-    order (the usual reorder buffer), in ``batch_records``-sized
-    numbered batches of capture rows, at most ``window`` of them
-    unacked at a time.  When that order is the file's own — a columnar
-    capture whose rows all decode and are time-ordered — the batches
-    are the file's row slices, sent without decoding a record; any
-    other capture replays record by record (a columnar one counted per
-    batch under ``repro.ingest.client.fallbacks``).  Both paths put the
-    same bytes under the same sequence numbers.
+    The capture goes out as :func:`~repro.sniffer.replay.\
+iter_capture_batches` cuts it — :func:`~repro.sniffer.replay.\
+iter_capture` order, ``batch_records`` records per numbered batch, the
+    file's own row slices when that order is the file's — with at most
+    ``window`` batches unacked at a time.
 
     A dropped connection triggers a supervised reconnect that resumes
     from the server's acked count — nothing is lost, nothing is
@@ -487,14 +355,11 @@ def stream_capture_to(path: PathLike, address: Tuple[str, int],
     names the delivery stream; reusing one against the same server
     resumes it.  Default: a fresh UUID (one-shot stream).
     """
-    if batch_records < 1:
-        raise ValueError(
-            f"batch_records must be >= 1, got {batch_records}")
     if window < 1:
         raise ValueError(f"window must be >= 1, got {window}")
-    if reorder_buffer < 0:
-        raise ValueError(
-            f"reorder_buffer must be >= 0, got {reorder_buffer}")
+    batches = iter_capture_batches(
+        path, batch_records=batch_records, reorder_buffer=reorder_buffer,
+        strict=strict, device=device, format=format)
     session = _IngestSession(
         address=tuple(address),
         client_id=client_id if client_id is not None else uuid.uuid4().hex,
@@ -503,8 +368,7 @@ def stream_capture_to(path: PathLike, address: Tuple[str, int],
         connect_timeout_s=connect_timeout_s,
         ack_timeout_s=ack_timeout_s)
     frames = 0
-    for batch in _capture_batches(path, batch_records, reorder_buffer,
-                                  strict, device, format):
+    for batch in batches:
         session.send(batch)
         frames += len(batch)
     session.finish()

@@ -3,30 +3,34 @@
 The paper's pipeline separates capture from analysis ("The extracted
 information is then stored in a database.  ... the adversary uses our
 proposed M-Loc and AP-Rad algorithm ...").  Replay rebuilds the
-observation database from a capture file (any format the
-:mod:`repro.capture` codec registry knows — legacy JSONL or the
-columnar block store) so localization can run long after the antenna
-came down — the tcpdump-then-analyze workflow of the feasibility
-study.
+observation database from a capture file (legacy JSONL or the columnar
+block store, sniffed by :func:`repro.capture.open_capture`) so
+localization can run long after the antenna came down — the
+tcpdump-then-analyze workflow of the feasibility study.
 
-Two replay surfaces:
+One replay order, two shapes:
 
 * :func:`iter_capture` — record-at-a-time :class:`ReceivedFrame`
   iteration through a reorder buffer, for consumers built on
-  ``StreamingEngine.ingest``;
-* :func:`iter_capture_batches` — whole :class:`FrameBatch` slices
-  (zero-copy for columnar captures), for the vectorized
-  ``StreamingEngine.ingest_batch`` hot path.
+  ``StreamingEngine.ingest``; it is the oracle;
+* :func:`iter_capture_batches` — the same records in the same order,
+  as :class:`FrameBatch` row slices, for the vectorized
+  ``ingest_batch`` path and the network ingest client.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, Iterator, Optional, Set, Union
+from typing import Dict, Iterator, List, Optional, Set, Union
+
+import numpy as np
 
 from repro import faults, obs
-from repro.capture import FrameBatch, open_capture
+from repro.capture import (ColumnarReader, FrameBatch, check_rows,
+                           concat_batches, encode_frames, open_capture)
+from repro.capture.jsonl import DEFAULT_BATCH_RECORDS
 from repro.engine.reorder import ReorderBuffer
 from repro.faults import DROPPED, CaptureError
 from repro.localization.base import LocalizationEstimate, Localizer
@@ -101,40 +105,135 @@ def iter_capture(path: PathLike,
 
 
 def iter_capture_batches(path: PathLike,
-                         batch_records: Optional[int] = None,
+                         batch_records: int = DEFAULT_BATCH_RECORDS,
+                         reorder_buffer: int = 256,
                          strict: bool = True,
                          device: Optional[Union[MacAddress, str]] = None,
-                         format: Optional[str] = None,
-                         start_ts: Optional[float] = None,
-                         end_ts: Optional[float] = None
+                         format: Optional[str] = None
                          ) -> Iterator[FrameBatch]:
-    """Yield a capture as :class:`FrameBatch` slices, block order.
+    """:func:`iter_capture`'s records, in its order, as batches.
 
-    The batch counterpart of :func:`iter_capture`, feeding
-    ``StreamingEngine.ingest_batch``: columnar captures hand out
-    zero-copy views of the memory-mapped file; JSONL captures decode
-    into batches so both formats drive the same engine path.  No
-    reorder buffer runs here — batch replay assumes a sorted (written
-    in order, or compacted) capture; unsorted columnar blocks are
-    sorted per block on read.  The per-record fault-injection seam
-    (``capture.record``) also does not apply on this path.
+    The capture is cut every ``batch_records`` records, and each batch
+    holds the rows ``encode_frames`` writes for its records, so an
+    engine fed by ``ingest_batch`` ends where :func:`iter_capture` into
+    ``ingest`` ends.  The other arguments mean what they mean there.
 
-    ``device``/``start_ts``/``end_ts`` push down into the codec, where
-    the columnar reader's bloom filters and time index skip whole
-    blocks.
+    The path is decided once per capture, before the first batch: a
+    columnar capture whose rows all decode in replay order goes out as
+    its own row slices, without decoding a record; anything else —
+    JSONL, an armed ``capture.record`` fault spec, a columnar capture
+    with a late or malformed row — goes through :func:`iter_capture`
+    from the first record, the columnar case counted per batch under
+    ``repro.ingest.client.fallbacks``.  Arguments are checked here, not
+    at the first batch.
     """
+    if batch_records < 1:
+        raise ValueError(
+            f"batch_records must be >= 1, got {batch_records}")
+    if reorder_buffer < 0:
+        raise ValueError(
+            f"reorder_buffer must be >= 0, got {reorder_buffer}")
+    return _batches(path, batch_records, reorder_buffer, strict, device,
+                    format)
+
+
+def _batches(path: PathLike, size: int, reorder_buffer: int,
+             strict: bool, device, format: Optional[str]
+             ) -> Iterator[FrameBatch]:
+    # Counters and the fault check resolve at the first batch, as in
+    # iter_capture: the registry and injector routed then are the ones
+    # the replay reports to.
     registry = obs.current_registry()
-    frames = registry.counter("repro.sniffer.replay.frames")
-    reader = open_capture(path, format=format, strict=strict)
-    iter_batches = getattr(reader, "iter_batches", None)
-    if iter_batches is None:
-        raise CaptureError(
-            f"capture codec {getattr(reader, 'format', '?')!r} has no "
-            "batch replay support")
-    for batch in iter_batches(batch_records=batch_records, device=device,
-                              start_ts=start_ts, end_ts=end_ts):
-        frames.inc(len(batch))
-        yield batch
+    reader = None
+    if not faults.armed("capture.record"):
+        reader = open_capture(path, format=format, strict=strict,
+                              device=device)
+    columnar = isinstance(reader, ColumnarReader)
+    if columnar:
+        with reader:
+            if _rows_as_replayed(reader, size, reorder_buffer):
+                frames = registry.counter("repro.sniffer.replay.frames")
+                for batch in _row_slices(reader.iter_batches(), size):
+                    frames.inc(len(batch))
+                    yield batch
+                return
+        fallbacks = registry.counter("repro.ingest.client.fallbacks")
+    records = iter_capture(path, reorder_buffer=reorder_buffer,
+                           strict=strict, device=device, format=format)
+    while True:
+        chunk = list(itertools.islice(records, size))
+        if not chunk:
+            return
+        if columnar:
+            fallbacks.inc()
+        yield FrameBatch(*encode_frames(chunk))
+
+
+def _rows_as_replayed(reader: ColumnarReader, size: int,
+                      reorder_buffer: int) -> bool:
+    """Whether :func:`iter_capture` would yield ``reader``'s rows as
+    they lie: every row decodes and, unless ``reorder_buffer`` is 0,
+    ``rx_ts`` never decreases (the reorder buffer is then the identity;
+    equal stamps keep arrival order, and a NaN fails every comparison).
+
+    Slices of ``size`` rows keep the checks' temporaries small whatever
+    the block size.  The pass runs under a scratch registry so the
+    reader's block counters count the replay, not this look.
+    """
+    last = -np.inf
+    with obs.use_registry(obs.MetricsRegistry()):
+        for batch in reader.iter_batches(batch_records=size):
+            ts = batch.records["rx_ts"]
+            if reorder_buffer and not (ts[0] >= last
+                                       and bool((ts[1:] >= ts[:-1]).all())):
+                return False
+            try:
+                check_rows(batch.records, batch.aux, batch.frame_types)
+            except CaptureError:
+                return False
+            last = ts[-1]
+    return True
+
+
+def _row_slices(blocks: Iterator[FrameBatch], size: int
+                ) -> Iterator[FrameBatch]:
+    """``blocks``' rows cut every ``size`` rows across block
+    boundaries, as :func:`iter_capture` records would be cut."""
+    runs: List[FrameBatch] = []
+    count = 0
+    for block in blocks:
+        start = 0
+        while start < len(block):
+            stop = min(len(block), start + size - count)
+            runs.append(FrameBatch(block.records[start:stop], block.aux,
+                                   block.frame_types))
+            count += stop - start
+            start = stop
+            if count == size:
+                yield _encoded_rows(runs)
+                runs, count = [], 0
+    if runs:
+        yield _encoded_rows(runs)
+
+
+def _encoded_rows(runs: List[FrameBatch]) -> FrameBatch:
+    """``runs`` as one batch, byte for byte what ``encode_frames``
+    writes for their rows decoded.
+
+    A row with no aux payload that decodes (``check_rows``) re-encodes
+    to itself once its kind code is in :data:`~repro.capture.FRAME_TYPES` and its
+    unused ``aux_off`` is 0, which :func:`concat_batches` sees to.  The
+    rare aux-bearing rows are re-encoded outright: their JSON need not
+    be in the canonical form the encoder writes.
+    """
+    batch = concat_batches(runs)
+    overflow = np.nonzero(batch.records["aux_len"] > 0)[0]
+    if len(overflow):
+        rows, aux = encode_frames([batch.frame_at(index)
+                                   for index in overflow])
+        batch.records[overflow] = rows
+        batch = FrameBatch(batch.records, aux)
+    return batch
 
 
 @dataclass

@@ -103,10 +103,9 @@ def run_records(path):
     return engine
 
 
-def run_batched(path, batch_records=None):
+def run_batched(path, **options):
     engine = fresh_engine()
-    engine.run_batches(iter_capture_batches(path,
-                                            batch_records=batch_records))
+    engine.run_batches(iter_capture_batches(path, **options))
     return engine
 
 
@@ -304,6 +303,71 @@ class TestSingleEngineBatchPath:
         engine.ingest_batch(batch)
         assert engine.stats().frames_ingested == rows
         assert calls == ["repro.engine.stage.duration"]
+
+
+def swapped_nearby(records, swaps=46, reach=40, seed=5):
+    """``records`` with ``swaps`` pairs swapped, each pair fewer than
+    ``reach`` positions apart: the local disorder of a capture merged
+    from several cards, well inside ``iter_capture``'s reorder buffer.
+    """
+    rng = random.Random(seed)
+    swapped = list(records)
+    for _ in range(swaps):
+        first = rng.randrange(len(swapped) - reach)
+        second = first + rng.randrange(1, reach)
+        swapped[first], swapped[second] = swapped[second], swapped[first]
+    return swapped
+
+
+def tracks_of(engine):
+    return {str(mobile): [(point.timestamp, point.estimate.position)
+                          for point in engine.tracker.track_of(mobile)]
+            for mobile in engine.tracker.devices()}
+
+
+def fixes_of(engine):
+    return {str(mobile): (ts, estimate.position)
+            for mobile, (ts, estimate) in engine.sinks[0].fixes.items()}
+
+
+class TestOutOfOrderCapture:
+    """A capture locally out of order, within the reorder buffer: batch
+    replay feeds the engine what the record path feeds it, whichever
+    format holds the capture and however it is cut."""
+
+    @pytest.fixture(scope="class")
+    def swapped(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("swapped")
+        records = swapped_nearby(generate_records())
+        stamps = [received.rx_timestamp for received in records]
+        assert stamps != sorted(stamps)
+        paths = {"jsonl": root / "swapped.jsonl",
+                 "columnar": root / "swapped.cap"}
+        write_capture(paths["jsonl"], "jsonl", records)
+        write_capture(paths["columnar"], "columnar", records,
+                      block_records=64)
+        return paths
+
+    @staticmethod
+    def engine():
+        # One flush per Γ change within a short window: every frame's
+        # position in the stream shows in the tracks.
+        return StreamingEngine(MLoc(build_database()), window_s=2.0,
+                               batch_size=1, sinks=[make_sink("latest")])
+
+    @pytest.mark.parametrize("batch_records", [1, 37, 1024])
+    @pytest.mark.parametrize("fmt", ["jsonl", "columnar"])
+    def test_batch_replay_matches_record_replay(self, swapped, fmt,
+                                                batch_records):
+        record = self.engine()
+        record.run(iter_capture(swapped[fmt]))
+        batched = self.engine()
+        batched.run_batches(iter_capture_batches(
+            swapped[fmt], batch_records=batch_records))
+        assert stripped_checkpoint(batched) == stripped_checkpoint(record)
+        assert fixes_of(batched) == fixes_of(record)
+        assert tracks_of(batched) == tracks_of(record)
+        assert linker_state(batched) == linker_state(record)
 
 
 def shuffled_within_windows(records, window=8, seed=3):

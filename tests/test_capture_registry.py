@@ -1,24 +1,19 @@
-"""Codec registry: sniffing, open/make dispatch, custom codecs, shims."""
+"""Capture format dispatch: sniffing, open/make dispatch, errors."""
 
 
 import pytest
 
 from repro.capture import (
-    CaptureCodec,
     ColumnarReader,
     ColumnarWriter,
     JsonlReader,
     JsonlWriter,
     capture_info,
-    codec_names,
-    get_codec,
     make_capture_writer,
     open_capture,
-    register_codec,
     sniff_format,
 )
 from repro.capture.records import CaptureError
-from repro.capture.registry import FALLBACK_FORMAT, _CODECS
 from repro.net80211.frames import probe_request
 from repro.net80211.mac import MacAddress
 from repro.net80211.medium import ReceivedFrame
@@ -45,9 +40,6 @@ def write(path, fmt, records):
 
 
 class TestSniffing:
-    def test_builtin_codecs_registered(self):
-        assert {"jsonl", "columnar"} <= set(codec_names())
-
     def test_sniff_both_formats(self, tmp_path):
         records = make_records(5)
         jsonl, columnar = tmp_path / "a.jsonl", tmp_path / "b.cap"
@@ -57,10 +49,10 @@ class TestSniffing:
         assert sniff_format(columnar) == "columnar"
 
     def test_garbage_falls_back_to_jsonl(self, tmp_path):
-        """Unrecognized bytes sniff as the lenient fallback codec."""
+        """Unrecognized bytes sniff as the lenient JSONL reader."""
         path = tmp_path / "garbage.bin"
         path.write_bytes(b"not a capture at all\n")
-        assert sniff_format(path) == FALLBACK_FORMAT
+        assert sniff_format(path) == "jsonl"
 
     def test_missing_file_raises_oserror(self, tmp_path):
         with pytest.raises(OSError):
@@ -89,8 +81,9 @@ class TestOpenCapture:
     def test_unknown_format_rejected(self, tmp_path):
         path = tmp_path / "a.jsonl"
         write(path, "jsonl", make_records(1))
-        with pytest.raises(ValueError, match="unknown capture format"):
-            open_capture(path, format="pcapng")
+        for name in ("pcapng", "nope"):
+            with pytest.raises(ValueError, match="unknown capture format"):
+                open_capture(path, format=name)
         with pytest.raises(ValueError, match="unknown capture format"):
             make_capture_writer(tmp_path / "b", format="pcapng")
 
@@ -133,64 +126,15 @@ class TestMakeWriter:
 
 
 class TestCustomCodec:
-    def test_register_and_roundtrip(self, tmp_path):
-        """A third-party codec plugs into sniff/open/write dispatch."""
+    """Only the two built-in formats exist; any other name is refused."""
 
-        class ListReader:
-            def __init__(self, path, strict=True, **options):
-                self._records = _STORE[str(path)]
-
-            def __iter__(self):
-                return iter(self._records)
-
-        class ListWriter:
-            format = "memlist"
-
-            def __init__(self, path, **options):
-                self._path, self._records = str(path), []
-
-            def write(self, received):
-                self._records.append(received)
-
-            def close(self):
-                _STORE[self._path] = self._records
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                self.close()
-
-        _STORE = {}
-        marker = b"MEMLIST0"
-        codec = CaptureCodec(
-            name="memlist",
-            sniff=lambda path: open(path, "rb").read(8) == marker,
-            reader=ListReader,
-            writer=ListWriter,
-            description="in-memory list codec (test)")
-        try:
-            register_codec(codec)
-            assert "memlist" in codec_names()
-            assert get_codec("memlist") is codec
-            with pytest.raises(ValueError):
-                register_codec(codec)  # duplicate without replace
-            register_codec(codec, replace=True)
-
-            path = tmp_path / "cap.memlist"
-            records = make_records(3)
-            with make_capture_writer(path, format="memlist") as writer:
-                for record in records:
-                    writer.write(record)
-            path.write_bytes(marker)  # sniffable stand-in on disk
-            assert sniff_format(path) == "memlist"
-            assert list(open_capture(path)) == records
-        finally:
-            _CODECS.pop("memlist", None)
-
-    def test_get_codec_unknown(self):
+    def test_get_codec_unknown(self, tmp_path):
+        path = tmp_path / "a.jsonl"
+        write(path, "jsonl", make_records(1))
+        with pytest.raises(ValueError, match="known: columnar, jsonl"):
+            open_capture(path, format="nope")
         with pytest.raises(ValueError, match="unknown capture format"):
-            get_codec("nope")
+            capture_info(path, format="nope")
 
 
 class TestErrorTaxonomy:

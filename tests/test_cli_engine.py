@@ -6,10 +6,18 @@ import pytest
 
 from repro.capture import make_capture_writer
 from repro.cli import main
+from repro.engine import StreamingEngine, make_sink
 from repro.geo.enu import LocalTangentPlane
 from repro.geo.wgs84 import GeodeticCoordinate
-from repro.knowledge.wigle import export_wigle_csv
+from repro.knowledge.wigle import export_wigle_csv, import_wigle_csv
+from repro.localization import make_localizer
 from repro.sim import build_attack_scenario
+from repro.sniffer.replay import iter_capture
+
+from tests.test_capture_engine_equivalence import (build_database,
+                                                    generate_records,
+                                                    swapped_nearby,
+                                                    write_capture)
 
 ORIGIN = GeodeticCoordinate(42.6555, -71.3262)
 
@@ -267,25 +275,43 @@ class TestColumnarCaptureCLI:
         assert code == 0
         assert "EngineStats:" in capsys.readouterr().out
 
-    def test_engine_batch_replay_matches_record_replay(
-            self, sim_capture, columnar_capture, capsys):
-        scenario, _, wigle_path = sim_capture
-        assert main(["engine", str(columnar_capture),
-                     "--wigle", str(wigle_path)]) == 0
-        record_out = capsys.readouterr().out
-        assert main(["engine", str(columnar_capture),
-                     "--wigle", str(wigle_path), "--batch-replay"]) == 0
-        batch_out = capsys.readouterr().out
-        assert str(scenario.victim.mac) in batch_out
+    @pytest.mark.parametrize("fmt", ["jsonl", "columnar"])
+    def test_swapped_capture_prints_record_fixes(self, tmp_path, capsys,
+                                                 fmt):
+        """A capture locally out of order: the command prints the fixes
+        and tracks of ``StreamingEngine.run`` over ``iter_capture``."""
+        capture = tmp_path / f"swapped.{fmt}"
+        options = {"block_records": 64} if fmt == "columnar" else {}
+        write_capture(capture, fmt, swapped_nearby(generate_records()),
+                      **options)
+        plane = LocalTangentPlane(ORIGIN)
+        wigle = tmp_path / "wigle.csv"
+        export_wigle_csv(build_database(), wigle, plane)
+        oracle = StreamingEngine(
+            make_localizer("m-loc", database=import_wigle_csv(wigle, plane),
+                           fallback_range_m=150.0),
+            window_s=2.0, batch_size=1, sinks=[make_sink("latest")])
+        oracle.run(iter_capture(capture))
+        want = []
+        for mobile, (timestamp, estimate) in sorted(
+                oracle.sinks[0].fixes.items(), key=lambda item: str(item[0])):
+            coordinate = plane.from_point(estimate.position)
+            want.append(f"  {mobile}  -> ({coordinate.latitude_deg:.6f}, "
+                        f"{coordinate.longitude_deg:.6f})  "
+                        f"at t={timestamp:.1f}s  "
+                        f"[{estimate.used_ap_count} APs]")
+        for mobile in oracle.tracker.devices():
+            want.append(f"  track {mobile}: " + " -> ".join(
+                f"({p.estimate.position.x:.0f},{p.estimate.position.y:.0f})"
+                f"@{p.timestamp:.0f}s"
+                for p in oracle.tracker.track_of(mobile)))
+        assert len(want) == 14
 
-        def stat(text, name):
-            match = re.search(rf"{name}\s*:\s*(\d+)", text)
-            assert match, text
-            return int(match.group(1))
-
-        for name in ("frames ingested", "estimates emitted",
-                     "evidence events", "devices seen"):
-            assert stat(record_out, name) == stat(batch_out, name)
+        assert main(["engine", str(capture), "--wigle", str(wigle),
+                     "--window", "2", "--batch", "1", "--tracks"]) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert [line for line in out if " -> (" in line
+                or line.startswith("  track ")] == want
 
     def test_engine_rejects_capture_given_twice(self, sim_capture,
                                                 columnar_capture, capsys):

@@ -23,6 +23,7 @@ from repro.net80211.mac import BROADCAST_MAC, MacAddress
 from repro.net80211.medium import ReceivedFrame
 from repro.net80211.ssid import Ssid
 from repro.service import FrameIngestServer, gateway, wire
+from repro.sniffer import replay
 from repro.sniffer.replay import iter_capture
 
 AP = MacAddress.parse("00:15:6d:44:55:66")
@@ -81,7 +82,7 @@ def client(server, monkeypatch):
     """
     pushed = []
     calls = []
-    real_push, real_iter = gateway.push_data, gateway.iter_capture
+    real_push, real_iter = gateway.push_data, replay.iter_capture
 
     def recording_push(out, message):
         pushed.append((out.seq + 1, wire.pack_data(out.seq + 1, message)))
@@ -92,7 +93,7 @@ def client(server, monkeypatch):
         return real_iter(*args, **kwargs)
 
     monkeypatch.setattr(gateway, "push_data", recording_push)
-    monkeypatch.setattr(gateway, "iter_capture", spying_iter)
+    monkeypatch.setattr(replay, "iter_capture", spying_iter)
 
     def run(path, **options):
         del pushed[:], calls[:]

@@ -10,6 +10,7 @@ from repro.capture import (
     make_capture_writer,
     open_capture,
 )
+from repro.faults import CaptureError
 from repro.net80211.frames import (
     FrameType,
     beacon,
@@ -88,3 +89,29 @@ class TestCaptureFile:
                                        6, 1.0))
         path.write_text(path.read_text() + "\n\n")
         assert len(list(open_capture(path))) == 1
+
+    def test_batches_before_a_strict_error_hold_every_decoded_record(
+            self, tmp_path):
+        path = tmp_path / "capture.jsonl"
+        frame = sample_frames()[0]
+        with make_capture_writer(path, format="jsonl") as writer:
+            for index in range(100):
+                writer.write(ReceivedFrame(frame, -70.0, 20.0, 6,
+                                           float(index)))
+        lines = path.read_text().splitlines()
+        lines[51] = "garbage"  # line 52: records 1-50 precede it
+        path.write_text("\n".join(lines) + "\n")
+
+        def read(items):
+            got = []
+            with pytest.raises(CaptureError, match=":52: malformed"):
+                for item in items:
+                    got.append(item)
+            return got
+
+        records = read(open_capture(path))
+        batches = read(open_capture(path).iter_batches(batch_records=32))
+        assert len(records) == 50
+        assert [len(batch) for batch in batches] == [32, 18]
+        assert [received for batch in batches
+                for received in batch.iter_frames()] == records
