@@ -296,11 +296,6 @@ class FrameBatch:
         return self.iter_frames()
 
     @property
-    def rx_timestamps(self) -> np.ndarray:
-        """The ``rx_ts`` column (a view, no copy)."""
-        return self.records["rx_ts"]
-
-    @property
     def t_min(self) -> float:
         return float(self.records["rx_ts"].min())
 

@@ -44,7 +44,3 @@ class SilentPeriodPolicy:
     def is_silent(self, now: float) -> bool:
         """True while the device must hold radio silence."""
         return now < self._silent_until
-
-    @property
-    def silent_until(self) -> float:
-        return self._silent_until

@@ -12,7 +12,6 @@ memoization invariant.
 from repro.engine.cache import GammaCache
 from repro.engine.core import (
     StreamingEngine,
-    checkpoint_crc,
     load_checkpoint_data,
 )
 from repro.engine.ingest import Evidence, GammaState, extract_evidence
@@ -33,7 +32,6 @@ from repro.engine.stats import EngineStats
 
 __all__ = [
     "StreamingEngine",
-    "checkpoint_crc",
     "load_checkpoint_data",
     "GammaCache",
     "GammaState",

@@ -17,9 +17,9 @@ Design points (see DESIGN.md "Streaming engine"):
 
 * **Incremental Γ** — one bounded update per frame; no replaying of
   history.
-* **Dirty-set scheduling** — a device is re-localized only when its
-  streaming Γ differs from the Γ it was last localized with; estimates
-  for an unchanged neighborhood would be identical anyway.
+* **Dirty-set scheduling** — a device is re-localized only when an
+  event changes its streaming Γ; estimates for an unchanged
+  neighborhood would be identical anyway.
 * **Γ-set memoization** — localization is a pure function of
   (localizer identity, Γ); devices sharing an AP neighborhood share one
   disc intersection.  Mutating the AP knowledge base invalidates the
@@ -55,7 +55,7 @@ from repro.engine.sinks import EngineSink
 from repro.engine.stats import EngineStats
 from repro.geometry.point import Point
 from repro.localization.base import (LocalizationEstimate, Localizer,
-                                     decode_fix, fix_record)
+                                     decode_fix, fix_record, point_record)
 from repro.net80211.frames import FrameType
 from repro.net80211.mac import MacAddress
 from repro.net80211.medium import ReceivedFrame
@@ -64,12 +64,10 @@ from repro.sniffer.tracker import DeviceTracker, PseudonymLinker
 
 PathLike = Union[str, Path]
 
-#: v2 added the ``"metrics"`` registry snapshot; v3 adds the embedded
-#: ``"crc32"`` integrity field plus quarantine/failure state.  Only v3
-#: restores: earlier versions carry no CRC.  A v3 checkpoint may carry
-#: ``"latest"`` (each device's newest fix in full); one without it
-#: restores positional fixes only.
-CHECKPOINT_VERSION = 3
+#: v4 is one JSON payload behind a first line holding the decimal CRC32
+#: of the payload bytes; it keeps each track's newest fix only under
+#: ``"latest"``.  Only v4 restores.
+CHECKPOINT_VERSION = 4
 
 
 class StreamingEngine:
@@ -173,8 +171,6 @@ class StreamingEngine:
             for event in ("hit", "miss", "eviction", "invalidation"):
                 self.registry.counter(f"repro.engine.cache.{event}")
             self.registry.gauge("repro.engine.cache.entries")
-        # Γ each device was last localized with (dirty = differs now).
-        self._last_located: Dict[MacAddress, FrozenSet[MacAddress]] = {}
         self._seen: Set[MacAddress] = set()
         # Consecutive localization failures per device; at
         # ``quarantine_after`` the device moves to the quarantine map
@@ -301,16 +297,16 @@ class StreamingEngine:
         """Fold one evidence event into Γ, the dirty set and the refit
         queue.
 
-        The Γ state returns the same frozenset while a device's Γ is
-        unchanged, so a device whose Γ is still the one it was last
-        localized with costs an identity test, not a set comparison.
+        The Γ state hands back a new frozenset exactly when the event
+        changes a device's Γ, so an identity test marks the device dirty:
+        a device neither dirty nor quarantined was last localized with
+        the Γ it holds now.
         """
         mobile = evidence.mobile
         self._seen.add(mobile)
+        before = self.gamma_state.gamma(mobile)
         gamma = self.gamma_state.observe(evidence)
-        last = self._last_located.get(mobile)
-        if (gamma is not last and gamma != last
-                and mobile not in self._quarantine):
+        if gamma is not before and mobile not in self._quarantine:
             self.scheduler.mark_dirty(mobile)
         if self.refit_every > 0:
             if gamma:
@@ -345,13 +341,7 @@ class StreamingEngine:
         below — the capture reader, the LP solver inside a re-fit, the
         spatial grid — reports into this engine.
         """
-        with obs.use_registry(self.registry), obs.trace("engine.run"):
-            self.ingest_stream(stream)
-            self.drain()
-            for sink in self.sinks:
-                sink.close()
-            self.close()
-        return self.stats()
+        return self._run(self.ingest_stream, stream)
 
     def run_batches(self, stream: Iterable[FrameBatch]) -> EngineStats:
         """:meth:`run`, fed by :class:`FrameBatch` slices.
@@ -361,8 +351,12 @@ class StreamingEngine:
         :func:`~repro.sniffer.replay.iter_capture` of the same capture
         ends: the batches hold the same records in the same order.
         """
+        return self._run(self.ingest_batches, stream)
+
+    def _run(self, ingest: Callable[[Iterable], None],
+             stream: Iterable) -> EngineStats:
         with obs.use_registry(self.registry), obs.trace("engine.run"):
-            self.ingest_batches(stream)
+            ingest(stream)
             self.drain()
             for sink in self.sinks:
                 sink.close()
@@ -453,8 +447,6 @@ class StreamingEngine:
             # Model not fitted yet (refit_every engines start cold):
             # nothing can be located.  The batch still clears — the
             # first fit marks every Γ-holding device dirty again.
-            for mobile, gamma in zip(batch, gammas):
-                self._last_located[mobile] = gamma
             return 0
         with obs.use_registry(self.registry), \
                 obs.trace("engine.flush", batch=len(batch)), \
@@ -463,9 +455,13 @@ class StreamingEngine:
                 estimates = self._locate_with_retry(gammas)
             except ReproError as error:
                 return self._flush_degraded(batch, gammas, error)
+            except BaseException:
+                # Back in the dirty set: the next flush localizes them.
+                for mobile in batch:
+                    self.scheduler.mark_dirty(mobile)
+                raise
             emitted = 0
-            for mobile, gamma, estimate in zip(batch, gammas, estimates):
-                self._last_located[mobile] = gamma
+            for mobile, estimate in zip(batch, estimates):
                 self._failures.pop(mobile, None)
                 if estimate is None:
                     self._c_unlocatable.inc()
@@ -500,16 +496,19 @@ class StreamingEngine:
         self.registry.counter("repro.engine.flush.degraded",
                               error=type(error).__name__).inc()
         emitted = 0
-        for mobile, gamma in zip(batch, gammas):
+        for index, (mobile, gamma) in enumerate(zip(batch, gammas)):
             try:
                 faults.hook("engine.localize", key=str(mobile))
                 with self._stage("localize"):
                     estimate = self.localizer.locate(gamma)
             except ReproError as device_error:
-                self._record_failure(mobile, gamma, device_error)
+                self._record_failure(mobile, device_error)
                 continue
+            except BaseException:
+                for mobile in batch[index:]:
+                    self.scheduler.mark_dirty(mobile)
+                raise
             self._failures.pop(mobile, None)
-            self._last_located[mobile] = gamma
             if estimate is None:
                 self._c_unlocatable.inc()
                 continue
@@ -520,7 +519,6 @@ class StreamingEngine:
         return emitted
 
     def _record_failure(self, mobile: MacAddress,
-                        gamma: FrozenSet[MacAddress],
                         error: BaseException) -> None:
         count = self._failures.get(mobile, 0) + 1
         self._failures[mobile] = count
@@ -530,15 +528,13 @@ class StreamingEngine:
             self._failures.pop(mobile, None)
             self._quarantine[mobile] = f"{type(error).__name__}: {error}"
             self.registry.counter("repro.engine.quarantined").inc()
-            self._last_located[mobile] = gamma
         elif self.quarantine_after:
             # Bounded re-dispatch: the flush drain loop keeps retrying
             # this device until it answers or quarantines.
             self.scheduler.mark_dirty(mobile)
-        else:
-            # Quarantine disabled: retry only when Γ changes again, so
-            # a permanently failing device cannot spin the drain loop.
-            self._last_located[mobile] = gamma
+        # With quarantine disabled the device is not re-queued: it waits
+        # for its next Γ change, so a permanently failing device cannot
+        # spin the drain loop.
 
     def _count_retry(self, site: str):
         """The ``on_retry`` callback counting ``site``'s retries into the
@@ -708,17 +704,22 @@ class StreamingEngine:
         """Serialize resumable state (Γ sets, dirty set, tracks) to
         JSON-compatible types.
 
-        Each device's newest fix is persisted in full under
-        ``"latest"`` (:func:`~repro.localization.base.fix_record`:
-        region, inflation, emptiness), so a restored engine serves
-        exactly the fixes it served before; older track points carry
-        position, algorithm and k only.  The pseudonym linker is
+        Each device's newest fix is held in full under ``"latest"``
+        (:func:`~repro.localization.base.fix_record`: region, inflation,
+        emptiness), so a restored engine serves exactly the fixes it
+        served before.  ``"tracks"`` holds every tracked device's older
+        points as :func:`~repro.localization.base.point_record` — the
+        first five fields of a fix record.  The pseudonym linker is
         rebuilt from the live stream after restore.
         """
+        tracks = {}
         latest = {}
         for mobile in self.tracker.devices():
-            point = self.tracker.latest(mobile)
-            latest[str(mobile)] = fix_record(point.timestamp, point.estimate)
+            *older, head = self.tracker.track_of(mobile)
+            tracks[str(mobile)] = [point_record(point.timestamp,
+                                                point.estimate)
+                                   for point in older]
+            latest[str(mobile)] = fix_record(head.timestamp, head.estimate)
         return {
             "engine_checkpoint": CHECKPOINT_VERSION,
             "config": {
@@ -731,24 +732,8 @@ class StreamingEngine:
             },
             "gamma": self.gamma_state.to_dict(),
             "dirty": self.scheduler.to_list(),
-            "last_located": {
-                str(mobile): sorted(str(ap) for ap in gamma)
-                for mobile, gamma in self._last_located.items()
-            },
             "seen": sorted(str(mobile) for mobile in self._seen),
-            "tracks": {
-                str(mobile): [
-                    {
-                        "ts": point.timestamp,
-                        "x": point.estimate.position.x,
-                        "y": point.estimate.position.y,
-                        "algorithm": point.estimate.algorithm,
-                        "k": point.estimate.used_ap_count,
-                    }
-                    for point in self.tracker.track_of(mobile)
-                ]
-                for mobile in self.tracker.devices()
-            },
+            "tracks": tracks,
             "latest": latest,
             "metrics": self.registry.snapshot(),
             # Pending re-fit evidence: the localizer's own model (LP
@@ -760,8 +745,8 @@ class StreamingEngine:
                 "pending": [sorted(str(ap) for ap in gamma)
                             for gamma in self._pending_refit],
             },
-            # v3 fault-tolerance state: a resumed run must not
-            # re-admit devices the interrupted run already condemned.
+            # Fault-tolerance state: a resumed run must not re-admit
+            # devices the interrupted run already condemned.
             "quarantine": {str(mobile): reason
                            for mobile, reason in self._quarantine.items()},
             "failure_counts": {str(mobile): count
@@ -770,10 +755,11 @@ class StreamingEngine:
 
     def save_checkpoint(self, path: PathLike, keep: int = 1,
                         extra: Optional[dict] = None) -> None:
-        """Durably write a v3 checkpoint to ``path``.
+        """Durably write a v4 checkpoint to ``path``.
 
-        The payload (with an embedded CRC32 over its canonical JSON)
-        lands in a temp file first, is fsync'd, and replaces ``path``
+        The file is the decimal CRC32 of the JSON payload's bytes on a
+        first line, then those bytes: the payload is serialized once.
+        It lands in a temp file first, is fsync'd, and replaces ``path``
         atomically — a crash at any instant leaves either the old
         checkpoint or the new one, never a torn file.  With
         ``keep > 1``, previous generations rotate logrotate-style to
@@ -791,11 +777,12 @@ class StreamingEngine:
         payload = self.checkpoint()
         if extra is not None:
             payload["extra"] = extra
-        payload["crc32"] = checkpoint_crc(payload)
+        body = json.dumps(payload).encode("utf-8")
         path = Path(path)
         tmp = path.with_name(path.name + ".tmp")
-        with open(tmp, "w", encoding="utf-8") as handle:
-            handle.write(json.dumps(payload))
+        with open(tmp, "wb") as handle:
+            handle.write(b"%d\n" % zlib.crc32(body))
+            handle.write(body)
             handle.flush()
             os.fsync(handle.fileno())
         # The crash-mid-checkpoint injection site: a fault here proves
@@ -817,11 +804,10 @@ class StreamingEngine:
 
         The caller supplies the localizer (algorithm state is not
         serialized); it must be configured identically to the original
-        for the resumed run to match an uninterrupted one.  Config keys
-        this engine does not read, such as the process-pool settings
-        older checkpoints carry, are ignored.  ``data`` is trusted:
-        integrity is checked where a checkpoint is read from disk
-        (:func:`load_checkpoint_data`).
+        for the resumed run to match an uninterrupted one.  Only a v4
+        payload restores, and every key it holds is read.  ``data`` is
+        trusted: integrity is checked where a checkpoint is read from
+        disk (:func:`load_checkpoint_data`).
         """
         version = data.get("engine_checkpoint")
         if version != CHECKPOINT_VERSION:
@@ -833,46 +819,37 @@ class StreamingEngine:
                      batch_size=int(config["batch_size"]),
                      cache_size=int(config["cache_size"]),
                      sinks=sinks,
-                     refit_every=int(config.get("refit_every", 0)),
-                     quarantine_after=int(config.get("quarantine_after", 3)))
+                     refit_every=int(config["refit_every"]),
+                     quarantine_after=int(config["quarantine_after"]))
         engine.gamma_state = GammaState.from_dict(data["gamma"])
-        engine.scheduler.restore(data.get("dirty", []))
-        engine._last_located = {
-            MacAddress.parse(mobile): frozenset(
-                MacAddress.parse(ap) for ap in gamma)
-            for mobile, gamma in data.get("last_located", {}).items()
-        }
-        engine._seen = {MacAddress.parse(m) for m in data.get("seen", [])}
-        latest = data.get("latest", {})
-        for mobile_text, points in data.get("tracks", {}).items():
+        engine.scheduler.restore(data["dirty"])
+        engine._seen = {MacAddress.parse(m) for m in data["seen"]}
+        tracks = data["tracks"]
+        for mobile_text, head in data["latest"].items():
             mobile = MacAddress.parse(mobile_text)
-            estimates = [LocalizationEstimate(
-                position=Point(float(point["x"]), float(point["y"])),
-                algorithm=point["algorithm"],
-                used_ap_count=int(point["k"])) for point in points]
-            if mobile_text in latest and estimates:
-                estimates[-1] = decode_fix(latest[mobile_text])[1]
-            for point, estimate in zip(points, estimates):
-                engine.tracker.record(mobile, float(point["ts"]), estimate)
+            for timestamp, x, y, algorithm, k in tracks[mobile_text]:
+                engine.tracker.record(mobile, timestamp, LocalizationEstimate(
+                    position=Point(x, y), algorithm=algorithm,
+                    used_ap_count=k))
+            engine.tracker.record(mobile, *decode_fix(head))
         # The registry snapshot is the cumulative record — merging it
         # makes resumed totals (counters, histograms, buckets) exactly
         # those of an uninterrupted run.
         engine.registry.merge(data["metrics"])
         engine._g_devices.set(len(engine._seen))
-        refit = data.get("refit", {})
-        engine._events_since_refit = int(
-            refit.get("events_since_refit", 0))
+        refit = data["refit"]
+        engine._events_since_refit = int(refit["events_since_refit"])
         engine._pending_refit = [
             frozenset(MacAddress.parse(ap) for ap in gamma)
-            for gamma in refit.get("pending", [])
+            for gamma in refit["pending"]
         ]
         engine._quarantine = {
             MacAddress.parse(mobile): str(reason)
-            for mobile, reason in data.get("quarantine", {}).items()
+            for mobile, reason in data["quarantine"].items()
         }
         engine._failures = {
             MacAddress.parse(mobile): int(count)
-            for mobile, count in data.get("failure_counts", {}).items()
+            for mobile, count in data["failure_counts"].items()
         }
         return engine
 
@@ -891,19 +868,22 @@ class StreamingEngine:
         return cls.restore(data, localizer, sinks=sinks)
 
 
-def checkpoint_crc(payload: dict) -> int:
-    """CRC32 over the canonical JSON of everything but ``"crc32"``."""
-    canonical = json.dumps(
-        {key: value for key, value in payload.items() if key != "crc32"},
-        sort_keys=True)
-    return zlib.crc32(canonical.encode("utf-8"))
-
-
 def _validate_checkpoint(path: Path) -> dict:
-    """Parse + integrity-check one checkpoint file, raising on any flaw."""
+    """Integrity-check then parse one checkpoint file, raising on any
+    flaw: the CRC header is checked on the raw bytes."""
     try:
-        data = json.loads(path.read_text(encoding="utf-8"))
-    except (OSError, ValueError) as error:
+        header, newline, body = path.read_bytes().partition(b"\n")
+    except OSError as error:
+        raise CheckpointError(
+            f"unreadable checkpoint {path}: {error}") from error
+    if not newline or not header.isdigit():
+        raise CheckpointError(f"checkpoint {path} carries no crc32 header")
+    if int(header) != zlib.crc32(body):
+        raise CheckpointError(
+            f"checkpoint CRC mismatch in {path} — file is corrupt")
+    try:
+        data = json.loads(body)
+    except ValueError as error:
         raise CheckpointError(
             f"unreadable checkpoint {path}: {error}") from error
     if not isinstance(data, dict):
@@ -913,12 +893,6 @@ def _validate_checkpoint(path: Path) -> dict:
     if version != CHECKPOINT_VERSION:
         raise CheckpointError(
             f"unsupported engine checkpoint version {version!r} in {path}")
-    stored_crc = data.get("crc32")
-    if stored_crc is None:
-        raise CheckpointError(f"checkpoint {path} carries no crc32")
-    if stored_crc != checkpoint_crc(data):
-        raise CheckpointError(
-            f"checkpoint CRC mismatch in {path} — file is corrupt")
     return data
 
 

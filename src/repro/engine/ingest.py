@@ -224,7 +224,7 @@ class GammaState:
     @classmethod
     def from_dict(cls, data: dict) -> "GammaState":
         state = cls(window_s=float(data["window_s"]))
-        for mobile_text, by_ap in data.get("events", {}).items():
+        for mobile_text, by_ap in data["events"].items():
             parsed = {MacAddress.parse(ap): float(ts)
                       for ap, ts in by_ap.items()}
             state._devices[MacAddress.parse(mobile_text)] = _DeviceGamma(

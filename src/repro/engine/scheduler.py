@@ -1,8 +1,8 @@
 """Dirty-set scheduling: which devices need re-localization, and when.
 
 The engine never re-localizes on a timer.  A device enters the dirty
-set when its streaming Γ differs from the Γ it was last localized with,
-and leaves it when a micro-batch drains it.  Draining in insertion
+set when an event changes its streaming Γ, and leaves it when a
+micro-batch drains it.  Draining in insertion
 order keeps latency fair (first-dirtied, first-served) and — because
 the order is a pure function of the frame sequence — keeps engine runs
 reproducible, which the checkpoint/restore round-trip relies on.

@@ -84,9 +84,6 @@ class RadiusEstimate:
     #: Constraint rows in the LP at solve time (including inert rows).
     lp_rows: int = 0
 
-    def radius_of(self, bssid: MacAddress) -> float:
-        return self.radii[bssid]
-
 
 class RadiusEstimator:
     """Estimates every AP's maximum transmission distance by LP.

@@ -25,7 +25,8 @@ over the fleet:
   with the associative merge, ``locate()`` / ``snapshot()`` rebuild
   estimates with :func:`~repro.localization.base.decode_fix`, and
   ``metrics_snapshot()`` / ``render_prometheus()`` fold per-shard
-  registry snapshots through :func:`repro.obs.merge_snapshots`.
+  registry snapshots through :func:`repro.obs.merge_snapshots`, each
+  shard's gauges labelled ``shard=<index>``.
 """
 
 from __future__ import annotations
@@ -115,7 +116,7 @@ class ShardedEngine:
     config:
         Per-shard :class:`~repro.service.shard.ShardConfig`.
     checkpoint_dir:
-        Directory for per-shard checkpoint-v3 files plus the fleet
+        Directory for per-shard checkpoint-v4 files plus the fleet
         manifest.  ``None`` disables durable checkpoints; restarts then
         replay the full retention (which is never trimmed).
     checkpoint_every:
@@ -614,7 +615,10 @@ route_batch` picks each row's shard, and each shard's rows join its
                          for index in range(self.shards)]
         for index in range(self.shards):
             self._inbox_depth(index)
-        merged = obs.merge_snapshots(snapshots + [self.registry.snapshot()])
+        merged = obs.merge_snapshots(
+            [_shard_gauges(snapshot, index)
+             for index, snapshot in enumerate(snapshots)]
+            + [self.registry.snapshot()])
         return merged.snapshot()
 
     def _inbox_depth(self, index: int) -> int:
@@ -729,3 +733,14 @@ def _merged_stats(snapshots: Iterable[dict]) -> EngineStats:
     """Fold shard stats replies (``dataclasses.asdict`` form)."""
     return EngineStats.merge_all(EngineStats(**snapshot)
                                  for snapshot in snapshots)
+
+
+def _shard_gauges(snapshot: dict, index: int) -> dict:
+    """``snapshot`` with each gauge that no ``shard`` label names
+    labelled ``shard=<index>``: a merge keeps a gauge's last value, so
+    every shard's gauge must be its own series."""
+    labelled = obs.MetricsRegistry()
+    for key, value in snapshot["gauges"].items():
+        name, labels = obs.parse_key(key)
+        labelled.gauge(name, **{"shard": index, **dict(labels)}).set(value)
+    return {**snapshot, "gauges": labelled.snapshot()["gauges"]}

@@ -124,7 +124,7 @@ def iter_capture_batches(path: PathLike,
     JSONL, an armed ``capture.record`` fault spec, a columnar capture
     with a late or malformed row — goes through :func:`iter_capture`
     from the first record, the columnar case counted per batch under
-    ``repro.ingest.client.fallbacks``.  Arguments are checked here, not
+    ``repro.sniffer.replay.fallbacks``.  Arguments are checked here, not
     at the first batch.
     """
     if batch_records < 1:
@@ -157,7 +157,7 @@ def _batches(path: PathLike, size: int, reorder_buffer: int,
                     frames.inc(len(batch))
                     yield batch
                 return
-        fallbacks = registry.counter("repro.ingest.client.fallbacks")
+        fallbacks = registry.counter("repro.sniffer.replay.fallbacks")
     records = iter_capture(path, reorder_buffer=reorder_buffer,
                            strict=strict, device=device, format=format)
     while True:

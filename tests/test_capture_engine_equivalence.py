@@ -383,11 +383,11 @@ def shuffled_within_windows(records, window=8, seed=3):
 
 def per_device_state(checkpoints):
     """The per-device parts of engine checkpoints, merged."""
-    state = {"tracks": {}, "gamma": {}, "last_located": {}}
+    state = {"tracks": {}, "latest": {}, "gamma": {}}
     for data in checkpoints:
         state["tracks"].update(data["tracks"])
+        state["latest"].update(data["latest"])
         state["gamma"].update(data["gamma"]["events"])
-        state["last_located"].update(data["last_located"])
     return state
 
 

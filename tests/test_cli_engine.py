@@ -1,5 +1,6 @@
 """`marauder engine` CLI tests: end-to-end run, resume, clean failures."""
 
+import json
 import re
 
 import pytest
@@ -258,8 +259,6 @@ class TestColumnarCaptureCLI:
         assert "bloom" in out
 
     def test_capture_info_json(self, columnar_capture, capsys):
-        import json
-
         assert main(["capture", "info", str(columnar_capture),
                      "--json"]) == 0
         info = json.loads(capsys.readouterr().out)
@@ -307,11 +306,19 @@ class TestColumnarCaptureCLI:
                 for p in oracle.tracker.track_of(mobile)))
         assert len(want) == 14
 
+        metrics = tmp_path / "metrics.json"
         assert main(["engine", str(capture), "--wigle", str(wigle),
-                     "--window", "2", "--batch", "1", "--tracks"]) == 0
+                     "--window", "2", "--batch", "1", "--tracks",
+                     "--metrics-json", str(metrics)]) == 0
         out = capsys.readouterr().out.splitlines()
         assert [line for line in out if " -> (" in line
                 or line.startswith("  track ")] == want
+        # The swapped columnar capture replays through iter_capture, and
+        # the replay counts that under its own name: no client ran.
+        counters = json.loads(metrics.read_text())["counters"]
+        assert "repro.ingest.client.fallbacks" not in counters
+        assert (counters.get("repro.sniffer.replay.fallbacks", 0) > 0) == (
+            fmt == "columnar")
 
     def test_engine_rejects_capture_given_twice(self, sim_capture,
                                                 columnar_capture, capsys):

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from repro.engine import StreamingEngine, checkpoint_crc
+from repro.engine import StreamingEngine
 from repro.knowledge.apdb import ApDatabase
 from repro.localization import MLoc
 from repro.localization.base import fix_record
@@ -105,22 +105,6 @@ def test_restore_rejects_unknown_version(square_db):
                                 MLoc(square_db))
 
 
-def test_restored_tracks_carry_positions_not_regions(square_db):
-    # A checkpoint without "latest" (as written before it existed)
-    # restores positional fixes only.
-    frames = build_stream(square_db, devices=2, rounds=1)
-    engine = StreamingEngine(MLoc(square_db), batch_size=2)
-    engine.ingest_stream(frames)
-    engine.flush()
-    data = engine.checkpoint()
-    del data["latest"]
-    restored = StreamingEngine.restore(data, MLoc(square_db))
-    for mobile in restored.tracker.devices():
-        for point in restored.tracker.track_of(mobile):
-            assert point.estimate.region is None
-            assert point.estimate.algorithm == "m-loc"
-
-
 @pytest.mark.parametrize("scale", [1.0, 0.55])
 def test_restored_latest_fix_is_the_served_fix(square_db, scale):
     # Ranges shrunk by 0.55 leave the raw intersections empty, so the
@@ -145,34 +129,3 @@ def test_restored_latest_fix_is_the_served_fix(square_db, scale):
         # Older points stay positional.
         for point in restored.tracker.track_of(mobile)[:-1]:
             assert point.estimate.region is None
-
-
-class TestLegacyWorkerConfig:
-    """Checkpoints written while the engine had a process pool."""
-
-    @pytest.mark.parametrize("cut", [5, 37, 73])
-    def test_v3_checkpoint_with_worker_keys_restores(self, square_db,
-                                                     tmp_path, cut):
-        frames = build_stream(square_db)
-        uninterrupted = StreamingEngine(MLoc(square_db), window_s=30.0,
-                                        batch_size=3)
-        uninterrupted.run(iter(frames))
-
-        first = StreamingEngine(MLoc(square_db), window_s=30.0,
-                                batch_size=3)
-        first.ingest_stream(frames[:cut])
-        data = first.checkpoint()
-        assert data["engine_checkpoint"] == 3
-        data["config"].update({"workers": 4, "worker_timeout_s": 30.0})
-        data["crc32"] = checkpoint_crc(data)
-        path = tmp_path / "legacy.ckpt.json"
-        path.write_text(json.dumps(data))
-
-        resumed = StreamingEngine.load_checkpoint(path, MLoc(square_db))
-        resumed.ingest_stream(frames[cut:])
-        resumed.flush()
-
-        assert final_tracks(resumed) == final_tracks(uninterrupted)
-        assert (resumed.stats().estimates_emitted
-                == uninterrupted.stats().estimates_emitted)
-        assert "workers" not in resumed.checkpoint()["config"]

@@ -1,10 +1,11 @@
 """Durable checkpoints: atomicity, CRC integrity, rotation, fallback."""
 
 import json
+import zlib
 
 import pytest
 
-from repro.engine import StreamingEngine, checkpoint_crc, load_checkpoint_data
+from repro.engine import StreamingEngine, load_checkpoint_data
 from repro.faults import (
     CheckpointError,
     FaultInjector,
@@ -14,6 +15,12 @@ from repro.faults import (
 from repro.localization import MLoc
 
 from tests.test_engine_checkpoint import build_stream, final_tracks
+
+
+def framed(data):
+    """``data`` as a checkpoint file: a CRC32 header line, then JSON."""
+    body = json.dumps(data).encode("utf-8")
+    return b"%d\n" % zlib.crc32(body) + body
 
 
 def run_partial(square_db, frames):
@@ -32,13 +39,17 @@ class TestAtomicSave:
         assert list(tmp_path.iterdir()) == [path]
 
     def test_payload_carries_valid_crc(self, square_db, tmp_path):
+        # The header line is the CRC32 of exactly the bytes after it.
         engine = run_partial(square_db,
                              build_stream(square_db, devices=2, rounds=1))
         path = tmp_path / "engine.ckpt"
         engine.save_checkpoint(path)
-        data = json.loads(path.read_text())
-        assert data["engine_checkpoint"] == 3
-        assert data["crc32"] == checkpoint_crc(data)
+        header, newline, body = path.read_bytes().partition(b"\n")
+        assert newline and int(header) == zlib.crc32(body)
+        data = json.loads(body)
+        assert data["engine_checkpoint"] == 4
+        assert "crc32" not in data
+        assert data == json.loads(json.dumps(engine.checkpoint()))
 
     def test_crash_mid_checkpoint_preserves_previous(self, square_db,
                                                      tmp_path):
@@ -71,9 +82,9 @@ class TestIntegrity:
                              build_stream(square_db, devices=2, rounds=1))
         path = tmp_path / "engine.ckpt"
         engine.save_checkpoint(path)
-        data = json.loads(path.read_text())
-        data["metrics"]["counters"]["repro.engine.frames"] += 1  # bit-rot
-        path.write_text(json.dumps(data))
+        raw = bytearray(path.read_bytes())
+        raw[-2] ^= 0x01  # bit-rot inside the body
+        path.write_bytes(bytes(raw))
         with pytest.raises(CheckpointError, match="CRC mismatch"):
             load_checkpoint_data(path)
         # CheckpointError subclasses ValueError: legacy handlers hold.
@@ -99,19 +110,48 @@ class TestIntegrity:
         with pytest.raises(CheckpointError, match="carries no crc32"):
             load_checkpoint_data(path)
 
+    def test_file_without_header_line_is_rejected(self, square_db,
+                                                 tmp_path):
+        # Pretty-printed JSON has lines, but the first is no CRC.
+        engine = run_partial(square_db,
+                             build_stream(square_db, devices=2, rounds=1))
+        path = tmp_path / "engine.ckpt"
+        path.write_text(json.dumps(engine.checkpoint(), indent=1))
+        with pytest.raises(CheckpointError, match="carries no crc32"):
+            load_checkpoint_data(path)
+
     def test_pre_v3_checkpoints_are_rejected(self, square_db, tmp_path):
-        # v1 and v2 carry no CRC, so their restore ended with it.
+        # Even behind a valid CRC header, another version never restores.
         engine = run_partial(square_db,
                              build_stream(square_db, devices=2, rounds=1))
         for version in (1, 2):
             data = engine.checkpoint()
             data["engine_checkpoint"] = version
             path = tmp_path / f"v{version}.ckpt"
-            path.write_text(json.dumps(data))
+            path.write_bytes(framed(data))
             with pytest.raises(CheckpointError, match="unsupported"):
                 load_checkpoint_data(path)
             with pytest.raises(CheckpointError, match="unsupported"):
                 StreamingEngine.restore(data, MLoc(square_db))
+
+    def test_v3_checkpoint_is_rejected(self, square_db, tmp_path):
+        # v3: one JSON object with an embedded "crc32" field over its
+        # key-sorted JSON, no header line.
+        engine = run_partial(square_db,
+                             build_stream(square_db, devices=2, rounds=1))
+        data = engine.checkpoint()
+        data["engine_checkpoint"] = 3
+        data["crc32"] = zlib.crc32(
+            json.dumps(data, sort_keys=True).encode("utf-8"))
+        path = tmp_path / "v3.ckpt"
+        path.write_text(json.dumps(data))
+        with pytest.raises(CheckpointError, match="carries no crc32"):
+            load_checkpoint_data(path)
+        path.write_bytes(framed(data))
+        with pytest.raises(CheckpointError, match="unsupported"):
+            load_checkpoint_data(path)
+        with pytest.raises(CheckpointError, match="unsupported"):
+            StreamingEngine.restore(data, MLoc(square_db))
 
 
 class TestRotation:

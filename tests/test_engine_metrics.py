@@ -159,7 +159,7 @@ class TestCheckpointCumulativeTotals:
         engine = StreamingEngine(MLoc(square_db), batch_size=2)
         engine.ingest_stream(build_stream(square_db, devices=3, rounds=1))
         data = engine.checkpoint()
-        assert data["engine_checkpoint"] == 3
+        assert data["engine_checkpoint"] == 4
         assert data["metrics"] == engine.metrics_snapshot()
         # The snapshot is the only cumulative record: no legacy blocks.
         assert "counters" not in data and "stage_seconds" not in data

@@ -150,17 +150,3 @@ class TestCheckpoint:
         assert resumed._events_since_refit == engine._events_since_refit
         assert resumed._pending_refit == engine._pending_refit
         assert resumed.stats().refits == engine.stats().refits
-
-    def test_old_checkpoints_still_restore(self, square_db):
-        # A checkpoint written before re-fit scheduling existed has
-        # neither the config key nor the refit block.
-        engine = StreamingEngine(MLoc(square_db), window_s=30.0,
-                                 batch_size=4)
-        engine.ingest_stream(evidence_stream(square_db)[:5])
-        data = engine.checkpoint()
-        data["config"].pop("refit_every", None)
-        data.pop("refit", None)
-        resumed = StreamingEngine.restore(json.loads(json.dumps(data)),
-                                          MLoc(square_db))
-        assert resumed.refit_every == 0
-        assert resumed.stats().refits == 0

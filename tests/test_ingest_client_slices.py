@@ -161,7 +161,7 @@ class TestSlicePath:
         assert_same(got, oracle(path, batch_records=16))
         pushed, _, registry, record_path = got
         assert not record_path
-        assert count(registry, "repro.ingest.client.fallbacks") == 0
+        assert count(registry, "repro.sniffer.replay.fallbacks") == 0
         assert len(pushed) == (230 + 15) // 16
         # The order check reads the blocks too, but counts nowhere.
         assert count(registry, "repro.capture.blocks_read") == 5
@@ -176,7 +176,7 @@ class TestSlicePath:
         got = client(path, batch_records=8, reorder_buffer=4)
         assert_same(got, oracle(path, batch_records=8, reorder_buffer=4))
         assert not got[3]
-        assert count(got[2], "repro.ingest.client.fallbacks") == 0
+        assert count(got[2], "repro.sniffer.replay.fallbacks") == 0
 
     def test_aux_bearing_rows(self, tmp_path, client):
         frames = records(60)
@@ -188,7 +188,7 @@ class TestSlicePath:
         path = write_columnar(tmp_path / "c.cap", frames, block_records=20)
         got = client(path, batch_records=16)
         assert_same(got, oracle(path, batch_records=16))
-        assert count(got[2], "repro.ingest.client.fallbacks") == 0
+        assert count(got[2], "repro.sniffer.replay.fallbacks") == 0
 
     def test_aux_json_the_encoder_would_not_write(self, tmp_path, client):
         # Spacing, and an empty elements map that decodes to no
@@ -206,7 +206,7 @@ class TestSlicePath:
             writer.write_rows(rows, aux)
         got = client(path, batch_records=16)
         assert_same(got, oracle(path, batch_records=16))
-        assert count(got[2], "repro.ingest.client.fallbacks") == 0
+        assert count(got[2], "repro.sniffer.replay.fallbacks") == 0
 
     def test_device_filter(self, tmp_path, client):
         # The reader's own device filter hands both paths the same rows:
@@ -224,7 +224,7 @@ class TestSlicePath:
         path = write_columnar(tmp_path / "c.cap", frames, block_records=30)
         got = client(path, batch_records=16, reorder_buffer=0)
         assert_same(got, oracle(path, batch_records=16, reorder_buffer=0))
-        assert count(got[2], "repro.ingest.client.fallbacks") == 0
+        assert count(got[2], "repro.sniffer.replay.fallbacks") == 0
 
 
 class TestFallback:
@@ -242,7 +242,7 @@ class TestFallback:
         want = oracle(path, batch_records=16, reorder_buffer=16)
         assert_same(got, want)
         assert got[3]
-        assert count(got[2], "repro.ingest.client.fallbacks") == 19
+        assert count(got[2], "repro.sniffer.replay.fallbacks") == 19
         streamed = [received for seq, payload in got[0]
                     for received in wire.unpack_data(payload)[1][1]]
         in_order = [r.rx_timestamp for r in streamed] == sorted(
@@ -260,7 +260,7 @@ class TestFallback:
         assert want[1] is not None and "unknown frame-type code" in want[1]
         assert want[0]  # batches went out before the error
         assert_same(got, want)
-        assert count(got[2], "repro.ingest.client.fallbacks") == len(
+        assert count(got[2], "repro.sniffer.replay.fallbacks") == len(
             want[0])
 
     def test_malformed_row_lenient(self, tmp_path, client):
@@ -275,7 +275,7 @@ class TestFallback:
         assert count(want[2], "repro.sniffer.replay.skipped") == 2
         assert_same(got, want)
         # Every batch of the 198 rows that decode took the record path.
-        assert count(got[2], "repro.ingest.client.fallbacks") == 13
+        assert count(got[2], "repro.sniffer.replay.fallbacks") == 13
 
 
 class TestRecordPath:
@@ -289,7 +289,7 @@ class TestRecordPath:
         got = client(path, batch_records=16)
         assert_same(got, oracle(path, batch_records=16))
         assert got[3]
-        assert count(got[2], "repro.ingest.client.fallbacks") == 0
+        assert count(got[2], "repro.sniffer.replay.fallbacks") == 0
 
     def test_armed_capture_record_fault(self, tmp_path, client):
         path = write_columnar(tmp_path / "c.cap", records(120),

@@ -244,6 +244,27 @@ class TestRecovery:
                     if name == "repro.service.bus.inbox_depth"} == {
                 (("shard", str(index)),): 0.0 for index in range(3)}
 
+    def test_shard_gauges_sum_to_fleet_stats(self, square_db):
+        # Each shard's engine gauges are their own series, so summed
+        # over ``shard`` they give the merged stats, not one shard's.
+        with fleet(square_db, shards=2) as engine:
+            engine.ingest_stream(build_stream(square_db))
+            stats = engine.drain()
+            gauges = {obs.parse_key(key): value for key, value in
+                      engine.metrics_snapshot()["gauges"].items()}
+
+        def by_shard(metric):
+            return {dict(labels)["shard"]: value
+                    for (name, labels), value in gauges.items()
+                    if name == metric}
+
+        seen = by_shard("repro.engine.devices.seen")
+        assert sorted(seen) == ["0", "1"]
+        assert sum(seen.values()) == stats.devices_seen == 12
+        entries = by_shard("repro.engine.cache.entries")
+        assert sorted(entries) == ["0", "1"]
+        assert sum(entries.values()) == stats.cache_entries
+
     def test_restart_refuses_a_live_shard(self, square_db):
         engine = fleet(square_db)
         try:
