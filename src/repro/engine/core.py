@@ -428,10 +428,12 @@ class StreamingEngine:
         self._g_fit_iterations.set(int(
             getattr(estimate, "solver_iterations", 0)))
         # New radii can move every estimate: every device with a live Γ
-        # goes back through localization.  The memo cache keys on
+        # goes back through localization, except a quarantined one,
+        # which is never rescheduled.  The memo cache keys on
         # localizer.cache_key(), which the re-fit bumped.
         for mobile in self.gamma_state.devices():
-            if self.gamma_state.gamma(mobile):
+            if (self.gamma_state.gamma(mobile)
+                    and mobile not in self._quarantine):
                 self.scheduler.mark_dirty(mobile)
 
     def _localizer_ready(self) -> bool:

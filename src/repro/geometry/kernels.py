@@ -17,6 +17,13 @@ kernel (:func:`batch_intersection_vertices`) stacks *many* disc sets of
 equal ``k`` into ``(B, …)`` arrays so a whole micro-batch amortizes one
 dispatch sequence.
 
+Containment has one kernel, :func:`_inside_all`.  M-Loc's inflation
+probe and inflated Δ give it a *screen* — the ≤ 3 discs tight at the
+minimax point, carried by :class:`PairGeometry` — so candidates meet
+those discs first and only the survivors meet all ``k``.  Containment
+is a per-(candidate, disc) conjunction with the same arithmetic either
+way, so any screen yields the same bits; it changes only the cost.
+
 The kernels follow the per-pair arithmetic of
 :func:`repro.geometry.circle.circle_intersections` (same operation
 order, same tolerance comparisons, same candidate emission order); the
@@ -130,22 +137,39 @@ class PairGeometry:
     r_j: np.ndarray       # (P,)
     delta: np.ndarray     # (P,) center_j - center_i, complex
     dist: np.ndarray      # (P,) center separation
+    #: Disc indices every candidate is tested against first (see
+    #: :func:`_inside_all`); ``None`` tests all discs at once.
+    screen: Optional[np.ndarray] = None
 
 
-def pair_geometry(centers: np.ndarray, radii: np.ndarray) -> PairGeometry:
+def pair_geometry(centers: np.ndarray, radii: np.ndarray,
+                  focus: Optional[np.ndarray] = None) -> PairGeometry:
     """Precompute the upper-triangle pair deltas of a disc set.
 
     Pairs are ordered lexicographically (``i < j``), the pseudocode's
     ``for i: for j in range(i+1, n)`` loop, so downstream dedup keeps
     the first representative point of each tangency cluster.
+
+    ``focus`` is a point where the scaled discs are about to meet —
+    M-Loc passes the minimax point ``x*`` of :func:`minimax_scale`.
+    The three discs with the largest ``|focus−c_i|/r_i`` (the ones
+    tight there) become the containment screen: scaled just past
+    ``s*`` their intersection is a small lens around ``x*``, so they
+    reject nearly every pairwise candidate before the rest are read.
+    With three discs or fewer the screen would hold them all, and none
+    is set.
     """
     z = _as_complex(centers)
     i_idx, j_idx = _triu_indices(len(radii))
     z_i = z[i_idx]
     delta = z[j_idx] - z_i
+    screen = None
+    if focus is not None and len(radii) > 3:
+        ratios = np.abs(z - complex(focus[0], focus[1])) / radii
+        screen = np.argsort(ratios)[-3:]
     return PairGeometry(z=z, radii=radii, z_i=z_i,
                         r_i=radii[i_idx], r_j=radii[j_idx],
-                        delta=delta, dist=np.abs(delta))
+                        delta=delta, dist=np.abs(delta), screen=screen)
 
 
 # ----------------------------------------------------------------------
@@ -162,15 +186,39 @@ def contains_all(points: np.ndarray, centers: np.ndarray,
     """
     if points.size == 0:
         return np.empty(0, dtype=bool)
-    return _contains_all_complex(_as_complex(points),
-                                 _as_complex(centers), radii, slack)
+    return _inside_all(_as_complex(points), _as_complex(centers),
+                       radii + slack)
 
 
-def _contains_all_complex(candidates: np.ndarray, z: np.ndarray,
-                          radii: np.ndarray, slack: float) -> np.ndarray:
-    w = candidates[:, None] - z[None, :]
-    reach = radii + slack
-    return (w.real ** 2 + w.imag ** 2 <= reach * reach).all(axis=1)
+def _inside_all(candidates: np.ndarray, z: np.ndarray, reach: np.ndarray,
+                screen: Optional[np.ndarray] = None) -> np.ndarray:
+    """``(…, m)`` bool — which candidates lie within ``reach`` of every
+    center: the one containment kernel.
+
+    Candidate ``c`` is inside disc ``d`` when
+    ``|c − z_d|² <= reach_d²``.  Leading axes broadcast, so a
+    ``(B, m)`` batch against ``(B, k)`` discs is one mask.
+
+    ``screen`` (1-D candidates only) names discs to test first; only
+    the candidates inside all of them are then tested against every
+    disc.  The mask is the same bits for any screen — empty, partial,
+    or all discs — because containment is a per-(candidate, disc)
+    conjunction computed with the same arithmetic either way: a
+    candidate the screen rejects fails a disc it would fail in the
+    full mask too, and a survivor gets the full row.  Only the cost
+    depends on the screen.
+    """
+    if screen is not None and len(screen) < len(z):
+        inside = _inside_all(candidates, z[screen], reach[screen])
+        survivors = np.flatnonzero(inside)
+        inside[survivors] = _inside_all(candidates[survivors], z, reach)
+        return inside
+    # Discs on the second-to-last axis: the reduction then runs across
+    # whole candidate rows instead of over a short inner axis per
+    # candidate, which costs ~10x at k = 3.
+    w = candidates[..., None, :] - z[..., :, None]
+    limit = reach * reach
+    return (w.real ** 2 + w.imag ** 2 <= limit[..., :, None]).all(axis=-2)
 
 
 def nested_disc_mask(centers: np.ndarray, radii: np.ndarray,
@@ -257,11 +305,9 @@ def batch_intersection_vertices(centers: np.ndarray, radii: np.ndarray,
     candidates, valid = _candidate_points(
         z_i, delta, np.abs(delta),
         radii[:, i_idx], radii[:, j_idx], INTERSECT_TOL)  # (B, P, 2)
-    # Candidates × discs containment, one (B, 2P, k) mask for the batch.
+    # Candidates × discs containment, one (B, k, 2P) mask for the batch.
     flat = candidates.reshape(batch, -1)                  # (B, 2P)
-    w = flat[:, :, None] - z[:, None, :]
-    reach = radii[:, None, :] + slack[:, None, None]
-    inside_all = (w.real ** 2 + w.imag ** 2 <= reach * reach).all(axis=2)
+    inside_all = _inside_all(flat, z, radii + slack[:, None])
     keep = valid.reshape(batch, -1) & inside_all          # (B, 2P)
     dedupe_tol = slack * 10.0
     return [
@@ -315,13 +361,33 @@ def intersection_vertices_pruned(centers: np.ndarray, radii: np.ndarray,
     flat = candidates.reshape(-1)[valid.reshape(-1)]
     if flat.size == 0:
         return np.empty((0, 2), dtype=np.float64)
-    surviving = flat[_contains_all_complex(flat, z, radii, contain_slack)]
+    surviving = flat[_inside_all(flat, z, radii + contain_slack)]
     return _as_coords(_dedupe_complex(surviving, dedupe_tol))
 
 
 # ----------------------------------------------------------------------
 # Feasibility scan (M-Loc radius inflation)
 # ----------------------------------------------------------------------
+
+def _surviving_candidates(geom: PairGeometry, scale: float,
+                          slack: float) -> np.ndarray:
+    """The pairwise candidates at ``scale`` inside every scaled disc,
+    complex, in emission order (screened by ``geom.screen``)."""
+    if not geom.dist.size:
+        return np.empty(0, dtype=np.complex128)
+    candidates, valid = _candidate_points(
+        geom.z_i, geom.delta, geom.dist,
+        geom.r_i * scale, geom.r_j * scale, INTERSECT_TOL)
+    flat = candidates.reshape(-1)[valid.reshape(-1)]
+    return flat[_inside_all(flat, geom.z, geom.radii * scale + slack,
+                            geom.screen)]
+
+
+def _scaled_slack(geom: PairGeometry, scale: float, base_tol: float
+                  ) -> float:
+    """The region's containment slack for the discs scaled by ``scale``."""
+    return base_tol * max(1.0, float((geom.radii * scale).max()))
+
 
 def nonempty_at_scale(geom: PairGeometry, scale: float,
                       base_tol: float = 1e-9) -> bool:
@@ -331,21 +397,31 @@ def nonempty_at_scale(geom: PairGeometry, scale: float,
     scaled discs and reading ``is_empty``: non-empty when any pairwise
     candidate survives containment *or* some disc is nested in all
     others (which covers ``k = 1``).  ``base_tol`` reproduces the
-    region's radius-scaled tolerance.
+    region's radius-scaled tolerance.  ``geom.screen`` only changes the
+    cost of the containment test, never its answer.
     """
+    slack = _scaled_slack(geom, scale, base_tol)
+    if _surviving_candidates(geom, scale, slack).size:
+        return True
     radii_s = geom.radii * scale
-    slack = base_tol * max(1.0, float(radii_s.max()))
-    if geom.dist.size:
-        candidates, valid = _candidate_points(
-            geom.z_i, geom.delta, geom.dist,
-            geom.r_i * scale, geom.r_j * scale, INTERSECT_TOL)
-        flat = candidates.reshape(-1)[valid.reshape(-1)]
-        if flat.size and bool(_contains_all_complex(
-                flat, geom.z, radii_s, slack).any()):
-            return True
     dist = np.abs(geom.z[:, None] - geom.z[None, :])
     nested = (dist + radii_s[:, None] <= radii_s[None, :] + slack)
     return bool(nested.all(axis=1).any())
+
+
+def vertices_at_scale(geom: PairGeometry, scale: float) -> np.ndarray:
+    """Δ of the disc set with every radius scaled, as ``(m, 2)`` coords.
+
+    The same bits :func:`batch_intersection_vertices` gives on the
+    scaled discs at its default tolerance (same candidate arithmetic,
+    slack, containment and keep-first dedup), computed from the
+    probe's :class:`PairGeometry` — so M-Loc's inflated region reuses
+    its screen instead of rebuilding the whole candidates × discs
+    tensor.
+    """
+    slack = _scaled_slack(geom, scale, 1e-9)
+    surviving = _surviving_candidates(geom, scale, slack)
+    return _as_coords(_dedupe_complex(surviving, slack * 10.0))
 
 
 def minimax_scale(centers: np.ndarray, radii: np.ndarray

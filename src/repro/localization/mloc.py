@@ -15,12 +15,15 @@ spirit, defined whenever the region is non-empty).  Both modes share the
 documented fallback chain for empty intersections: optionally inflate
 all radii by the smallest factor that makes the region non-empty
 (the weighted minimax scale, computed exactly), else fall back to the
-mean of the AP locations.
+mean of the AP locations.  The inflated set's probe and Δ test the
+pairwise candidates against the ≤ 3 discs tight at the minimax point
+first, and only the survivors against every disc: the same bits as
+the full candidates × discs test, at a fraction of its cost.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
@@ -149,7 +152,7 @@ class MLoc(Localizer):
                 centers[row], radii[row] = kernels.discs_as_arrays(
                     disc_sets[index])
             # Sets with a pair too far apart to meet have no Δ; keep
-            # them out of the batched (B, 2P, k) containment tensor.
+            # them out of the batched (B, k, 2P) containment tensor.
             separated = kernels.separated_pair_mask(centers, radii)
             meeting = []
             for row, index in enumerate(indices):
@@ -185,22 +188,34 @@ class MLoc(Localizer):
         return region.centroid()
 
     def _fallback(self, discs: List[Circle]) -> tuple:
-        """Empty raw intersection: inflate radii or take the AP mean."""
+        """Empty raw intersection: inflate radii or take the AP mean.
+
+        The inflated region's Δ comes from the probe's
+        :class:`~repro.geometry.kernels.PairGeometry` and its screen
+        (:func:`repro.geometry.kernels.vertices_at_scale`): the bits
+        ``DiscIntersection(inflated)`` would compute, without a second
+        full candidates × discs tensor.
+        """
         centers = [disc.center for disc in discs]
         if not self.inflate_to_feasible:
             return mean_point(centers), 1.0
-        factor = self._smallest_feasible_inflation(discs)
-        if factor is None:
+        inflation = self._smallest_feasible_inflation(discs)
+        if inflation is None:
             return mean_point(centers), _MAX_INFLATION
+        factor, geom = inflation
         inflated = [Circle(d.center, d.radius * factor) for d in discs]
-        region = DiscIntersection(inflated)
+        region = DiscIntersection(
+            inflated, precomputed_vertices=kernels.array_as_points(
+                kernels.vertices_at_scale(geom, factor)))
         position = self._estimate_from_region(region)
         if position is None:
             position = mean_point(centers)
         return position, factor
 
     @staticmethod
-    def _smallest_feasible_inflation(discs: List[Circle]) -> Optional[float]:
+    def _smallest_feasible_inflation(
+            discs: List[Circle]
+    ) -> Optional[Tuple[float, kernels.PairGeometry]]:
         """The smallest radius scale giving a non-empty region, + margin.
 
         The exact answer is the weighted minimax
@@ -209,27 +224,34 @@ class MLoc(Localizer):
         ``max(1, s*)`` plus :data:`_INFLATION_MARGIN`, so the inflated
         region is a small lens rather than a single point, and scaling
         by ``factor − 1e-3`` leaves it empty — the tolerance the old
-        bisection guaranteed.  Returns ``None`` above 16x.
+        bisection guaranteed.  Returns ``None`` above 16x, else the
+        factor and the probe's pair geometry.
 
         One probe confirms the factor on the region's own emptiness
         test, :func:`repro.geometry.kernels.nonempty_at_scale` (looked
         up on the module at call time, so a wrapper installed there
-        sees every probe).  Only if rounding ever defeats that probe
-        does the bisection of :meth:`_bisect_inflation` run.
+        sees every probe).  Its geometry is focused on the minimax
+        point ``x*``: candidates meet the ≤ 3 discs tight there first,
+        and only their survivors meet all ``k`` discs — the same answer
+        for any screen, at a fraction of the full ``k × 2P`` cost.
+        Only if rounding ever defeats that probe does the bisection of
+        :meth:`_bisect_inflation` run.
         """
         centers, radii = kernels.discs_as_arrays(discs)
-        _, exact = kernels.minimax_scale(centers, radii)
+        point, exact = kernels.minimax_scale(centers, radii)
         factor = max(1.0, exact) + _INFLATION_MARGIN
         if factor > _MAX_INFLATION:
             return None
-        geom = kernels.pair_geometry(centers, radii)
+        geom = kernels.pair_geometry(centers, radii, focus=point)
 
         def non_empty(scale: float) -> bool:
             return kernels.nonempty_at_scale(geom, scale)
 
-        if non_empty(factor):
-            return factor
-        return MLoc._bisect_inflation(non_empty, factor)
+        if not non_empty(factor):
+            factor = MLoc._bisect_inflation(non_empty, factor)
+            if factor is None:
+                return None
+        return factor, geom
 
     @staticmethod
     def _bisect_inflation(non_empty, low: float) -> Optional[float]:

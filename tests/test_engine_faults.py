@@ -167,3 +167,32 @@ class TestRefitSupervision:
         assert sum(int(inst.value) for inst in failures) > 0
         # Never fitted, so nothing localizable — but the stream drained.
         assert stats.frames_ingested > 0
+
+
+class TestQuarantineAcrossRefits:
+    def test_refit_does_not_reschedule_quarantined_devices(self, square_db):
+        # Quarantined means never rescheduled: a re-fit re-localizes
+        # every device with a live Γ except the quarantined ones.
+        poison = station(1)
+        injector = FaultInjector([
+            FaultSpec("engine.flush", mode="raise"),
+            FaultSpec("engine.localize", mode="raise",
+                      error="SolverError", match=str(poison)),
+        ])
+        localizer = make_localizer("ap-rad:r_max=150,solver=revised",
+                                   database=square_db)
+        sink = RecordingSink()
+        engine = StreamingEngine(localizer, batch_size=3, refit_every=8,
+                                 sinks=[sink], retry=fast_retry(2),
+                                 quarantine_after=1)
+        with use_injector(injector):
+            stats = engine.run(
+                iter(build_stream(square_db, devices=4, rounds=4)))
+        assert stats.refits > 1
+        quarantined = engine.registry.counter("repro.engine.quarantined")
+        assert int(quarantined.value) == 1
+        assert stats.quarantined == 1
+        assert list(engine.quarantined()) == [poison]
+        assert poison not in {mobile for mobile, _ in sink.emitted}
+        assert {station(d) for d in (0, 2, 3)} <= {
+            mobile for mobile, _ in sink.emitted}

@@ -9,6 +9,7 @@ edge cases (tangency, nested discs, empty intersections, concentric
 circles).
 """
 
+import dataclasses
 import itertools
 import math
 import random
@@ -358,6 +359,103 @@ class TestMinimaxScale:
     def test_requires_a_disc(self):
         with pytest.raises(ValueError):
             kernels.minimax_scale(np.empty((0, 2)), np.empty(0))
+
+
+@st.composite
+def awkward_disc_sets(draw):
+    """k = 1…80 discs with the degenerate shapes mixed in: equal-radius
+    lattices, concentric, nested and tangent discs."""
+    k = draw(st.integers(min_value=1, max_value=80))
+    coord = st.floats(min_value=-400.0, max_value=400.0,
+                      allow_nan=False, allow_infinity=False)
+    radius = st.floats(min_value=5.0, max_value=150.0,
+                       allow_nan=False, allow_infinity=False)
+    if draw(st.booleans()):
+        # An equal-radius lattice, like M-Loc's large Γ sets.
+        spacing = draw(st.floats(min_value=20.0, max_value=150.0))
+        width = draw(st.integers(min_value=1, max_value=10))
+        centers = [((n % width) * spacing, (n // width) * spacing)
+                   for n in range(k)]
+        radii = [draw(radius)] * k
+    else:
+        centers = draw(st.lists(st.tuples(coord, coord),
+                                min_size=k, max_size=k))
+        radii = draw(st.lists(radius, min_size=k, max_size=k))
+    for n in range(1, k):
+        kind = draw(st.sampled_from(["free", "concentric", "nested",
+                                     "outer-tangent", "inner-tangent"]))
+        if kind == "free":
+            continue
+        m = draw(st.integers(min_value=0, max_value=n - 1))
+        (cx, cy), r = centers[m], radii[m]
+        angle = draw(st.floats(min_value=0.0, max_value=2.0 * math.pi))
+        if kind == "concentric":
+            centers[n] = (cx, cy)
+        elif kind == "nested":
+            radii[n] = r * draw(st.floats(min_value=0.05, max_value=0.9))
+            gap = (r - radii[n]) * draw(st.floats(min_value=0.0,
+                                                  max_value=1.0))
+            centers[n] = (cx + gap * math.cos(angle),
+                          cy + gap * math.sin(angle))
+        else:
+            gap = (r + radii[n] if kind == "outer-tangent"
+                   else abs(r - radii[n]))
+            centers[n] = (cx + gap * math.cos(angle),
+                          cy + gap * math.sin(angle))
+    return np.array(centers, dtype=np.float64), np.array(radii)
+
+
+@st.composite
+def screens(draw, k):
+    """An arbitrary screen over ``k`` discs: empty, partial or all."""
+    chosen = draw(st.lists(st.integers(min_value=0, max_value=k - 1),
+                           unique=True, max_size=k))
+    return np.array(chosen, dtype=np.intp)
+
+
+class TestContainmentScreen:
+    """A screen changes the cost of containment, never a bit of it."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(awkward_disc_sets(), st.floats(min_value=0.25, max_value=16.0),
+           st.data())
+    def test_any_screen_gives_the_same_bits(self, discs, scale, data):
+        centers, radii = discs
+        full = kernels.pair_geometry(centers, radii)
+        point, _ = kernels.minimax_scale(centers, radii)
+        focused = kernels.pair_geometry(centers, radii, focus=point)
+        arbitrary = dataclasses.replace(
+            full, screen=data.draw(screens(len(radii))))
+        # The inflated Δ the region constructor would compute.
+        (want,) = kernels.batch_intersection_vertices(
+            centers[None], (radii * scale)[None])
+        probe = kernels.nonempty_at_scale(full, scale)
+        for geom in (full, focused, arbitrary):
+            assert kernels.nonempty_at_scale(geom, scale) == probe
+            got = kernels.vertices_at_scale(geom, scale)
+            assert got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+
+    @settings(max_examples=80, deadline=None)
+    @given(awkward_disc_sets(), st.floats(min_value=0.25, max_value=16.0),
+           st.data())
+    def test_screened_mask_equals_full_mask(self, discs, scale, data):
+        centers, radii = discs
+        geom = kernels.pair_geometry(centers, radii)
+        candidates, valid = kernels._candidate_points(
+            geom.z_i, geom.delta, geom.dist, geom.r_i * scale,
+            geom.r_j * scale, kernels.INTERSECT_TOL)
+        flat = candidates.reshape(-1)[valid.reshape(-1)]
+        # The candidates plus points scattered over the discs' box.
+        scatter = data.draw(st.lists(st.complex_numbers(
+            max_magnitude=2000.0, allow_nan=False, allow_infinity=False),
+            max_size=40))
+        points = np.concatenate((flat, np.array(scatter, dtype=complex)))
+        reach = radii * scale + 1e-9 * max(1.0, float(radii.max() * scale))
+        full = kernels._inside_all(points, geom.z, reach)
+        screen = data.draw(screens(len(radii)))
+        screened = kernels._inside_all(points, geom.z, reach, screen)
+        assert np.array_equal(screened, full)
 
 
 def circle_through(p, q, toward, radius=1.0):

@@ -145,6 +145,12 @@ def nonempty_at(discs, scale):
     return kernel
 
 
+def inflation_factor(discs):
+    """MLoc's inflation factor for ``discs`` (``None`` when hopeless)."""
+    inflation = MLoc._smallest_feasible_inflation(discs)
+    return None if inflation is None else inflation[0]
+
+
 def disc_pair(gap, radius):
     return [Circle(Point(0.0, 0.0), radius), Circle(Point(gap, 0.0), radius)]
 
@@ -156,7 +162,7 @@ class TestInflationFactor:
     @given(weighted_disc_sets())
     def test_factor_is_feasible_and_tight(self, discs):
         with mock.patch.object(MLoc, "_bisect_inflation") as bisect:
-            factor = MLoc._smallest_feasible_inflation(discs)
+            factor = inflation_factor(discs)
         # The check probe always confirms: the bisection never runs.
         assert bisect.call_count == 0
         centers, radii = kernels.discs_as_arrays(discs)
@@ -170,24 +176,24 @@ class TestInflationFactor:
             assert not nonempty_at(discs, factor - 1e-3)
 
     def test_factor_for_two_discs(self):
-        factor = MLoc._smallest_feasible_inflation(disc_pair(100.0, 49.0))
+        factor = inflation_factor(disc_pair(100.0, 49.0))
         assert factor == pytest.approx(100.0 / 98.0 + 5e-4, rel=1e-12)
 
     def test_feasible_sets_get_the_margin_only(self):
-        factor = MLoc._smallest_feasible_inflation(disc_pair(50.0, 60.0))
+        factor = inflation_factor(disc_pair(50.0, 60.0))
         assert factor == 1.0 + 5e-4
 
     def test_hopeless_sets_give_none(self):
-        assert MLoc._smallest_feasible_inflation(
+        assert inflation_factor(
             disc_pair(1000.0, 10.0)) is None
 
     def test_failed_probe_falls_back_to_bisection(self):
         # A scale below the true one fails the check probe.
         with mock.patch.object(kernels, "minimax_scale",
                                return_value=(np.zeros(2), 0.5)):
-            factor = MLoc._smallest_feasible_inflation(
+            factor = inflation_factor(
                 disc_pair(100.0, 49.0))
-            hopeless = MLoc._smallest_feasible_inflation(
+            hopeless = inflation_factor(
                 disc_pair(1000.0, 10.0))
         assert 100.0 / 98.0 <= factor < 100.0 / 98.0 + 1e-3
         assert hopeless is None

@@ -15,6 +15,7 @@ import pytest
 from repro.engine import StreamingEngine
 from repro.faults import FaultInjector, FaultSpec, RetryPolicy, use_injector
 from repro.geometry import kernels
+from repro.geometry.point import mean_point
 from repro.knowledge.apdb import ApDatabase
 from repro.localization import MLoc
 from repro.localization.aprad import APRad
@@ -99,15 +100,88 @@ class TestLocateIsBatchOfOne:
         assert_same_bits(localizer.locate_batch(gammas), estimates)
 
 
+def lattice_db(width=9, height=8, spacing=100.0, radius=40.0):
+    """A ``width × height`` AP lattice whose ranges are too short to
+    meet: the shape of the large Γ sets M-Loc inflates (72 APs)."""
+    return ApDatabase(
+        make_record(index, (index % width) * spacing,
+                    (index // width) * spacing, radius)
+        for index in range(width * height))
+
+
 def test_probe_runs_through_the_module_at_every_k():
-    # Two discs 300 m apart with ranges far below that: empty, inflated.
-    db = ApDatabase([make_record(0, 0.0, 0.0, 60.0),
-                     make_record(1, 300.0, 0.0, 60.0)])
+    # Every Γ is empty and inflated: two discs 300 m apart, and lattice
+    # corners of k = 3, 4, 9 and 72 APs.  Each costs exactly one probe.
+    pair = ApDatabase([make_record(0, 0.0, 0.0, 60.0),
+                       make_record(1, 300.0, 0.0, 60.0)])
+    lattice = lattice_db()
+    cases = [(pair, pair.bssids)] + [
+        (lattice, lattice.bssids[:k]) for k in (3, 4, 9, 72)]
+    for db, gamma in cases:
+        with mock.patch.object(kernels, "nonempty_at_scale",
+                               wraps=kernels.nonempty_at_scale) as probe:
+            estimate = MLoc(db).locate(gamma)
+        assert estimate.inflation_factor > 1.0
+        assert probe.call_count == 1
+    gammas = [gamma for db, gamma in cases[1:]]
     with mock.patch.object(kernels, "nonempty_at_scale",
                            wraps=kernels.nonempty_at_scale) as probe:
-        estimate = MLoc(db).locate(db.bssids)
-    assert estimate.inflation_factor > 1.0
-    assert probe.call_count >= 1
+        MLoc(lattice).locate_batch(gammas)
+    assert probe.call_count == len(gammas)
+
+
+def full_tensor_vertices(discs, scale):
+    """Δ of ``discs`` with radii scaled, every containment test on the
+    whole ``(2P, k)`` candidates × discs tensor (no screen)."""
+    centers, radii = kernels.discs_as_arrays(discs)
+    z = centers[:, 0] + 1j * centers[:, 1]
+    i, j = np.triu_indices(len(radii), k=1)
+    scaled = radii * scale
+    candidates, valid = kernels._candidate_points(
+        z[i], z[j] - z[i], np.abs(z[j] - z[i]), scaled[i], scaled[j],
+        kernels.INTERSECT_TOL)
+    flat = candidates.reshape(-1)
+    slack = 1e-9 * max(1.0, float(scaled.max()))
+    w = flat[:, None] - z[None, :]
+    reach = scaled + slack
+    inside = (w.real ** 2 + w.imag ** 2 <= reach * reach).all(axis=1)
+    kept = kernels._dedupe_complex(flat[valid.reshape(-1) & inside],
+                                   slack * 10.0)
+    return kernels._as_coords(kept)
+
+
+def test_large_gamma_matches_the_full_tensor():
+    db = lattice_db()
+    gamma = db.bssids
+    assert len(gamma) == 72
+    discs = MLoc(db)._discs_for(gamma)
+    centers, radii = kernels.discs_as_arrays(discs)
+    _, exact = kernels.minimax_scale(centers, radii)
+    factor = max(1.0, exact) + 5e-4
+    raw = full_tensor_vertices(discs, 1.0)
+    inflated = full_tensor_vertices(discs, factor)
+    assert raw.size == 0 and len(inflated) >= 2
+    position = mean_point(kernels.array_as_points(inflated))
+
+    seen = []
+
+    def recording(geom, scale):
+        coords = vertices_at_scale(geom, scale)
+        seen.append(coords)
+        return coords
+
+    vertices_at_scale = kernels.vertices_at_scale
+    with mock.patch.object(kernels, "vertices_at_scale", recording):
+        single = MLoc(db).locate(gamma)
+        (batched,) = MLoc(db).locate_batch([gamma])
+    for estimate, coords in zip((single, batched), seen):
+        assert estimate.region_empty
+        assert estimate.region.vertices == kernels.array_as_points(raw)
+        assert estimate.inflation_factor == factor
+        assert estimate.position == position
+        # The inflated region's Δ, bit for bit.
+        assert coords.tobytes() == inflated.tobytes()
+    assert len(seen) == 2
 
 
 def device_stream(db, gammas):
