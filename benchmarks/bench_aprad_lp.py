@@ -12,7 +12,10 @@ revised-simplex engine:
 
 Sweeps AP count.  Every cell cross-checks that both paths land on the
 same radii (to 1e-6, with a tie-break making the LP optimum unique);
-standalone, the script exits 1 when any cell disagrees.  Run
+standalone, the script exits 1 when any cell disagrees.  Each cell also
+reports the cold fit's pivots and its phase-1 pivots, read from the
+solver's ``repro.lp.revised.*`` counters (the cold fit starts from a
+feasible basis, so phase 1 should read 0).  Run
 standalone for the JSON report (the tier-1 smoke test does)::
 
     PYTHONPATH=src python benchmarks/bench_aprad_lp.py \
@@ -31,6 +34,7 @@ from typing import Dict, FrozenSet, List
 
 import numpy as np
 
+from repro import obs
 from repro.geometry.point import Point
 from repro.localization.radius_lp import RadiusEstimator
 from repro.net80211.mac import MacAddress
@@ -106,8 +110,12 @@ def run_cell(ap_count: int, observations: int, repeats: int) -> dict:
     initial, delta = corpus[:-delta_size], corpus[-delta_size:]
 
     cold_est = make_estimator(locations)
-    # The untimed first fit also loads the solver's lazy imports.
-    cold = cold_est.fit(corpus)
+    # The untimed first fit also loads the solver's lazy imports; its
+    # own registry isolates its pivot counts.
+    registry = obs.MetricsRegistry()
+    with obs.use_registry(registry):
+        cold = cold_est.fit(corpus)
+    counters = registry.snapshot()["counters"]
     cold_seconds = _best_seconds(lambda: cold_est.fit(corpus), repeats)
 
     # The streaming measurement: the estimator has already absorbed the
@@ -134,7 +142,9 @@ def run_cell(ap_count: int, observations: int, repeats: int) -> dict:
                                 if warm_seconds > 0.0 else 0.0),
         "warm_started": bool(warm.warm_started),
         "warm_iterations": warm.solver_iterations,
-        "cold_iterations": cold.solver_iterations,
+        "cold_pivots": int(counters["repro.lp.revised.pivots"]),
+        "cold_phase1_pivots": int(
+            counters["repro.lp.revised.phase1_pivots"]),
         "max_radius_diff_m": float(max_diff),
         "radii_agree": bool(max_diff <= 1e-6),
     }
@@ -221,10 +231,11 @@ def main(argv=None) -> int:
 
     report = run_sweep(args.aps, args.observations,
                        repeats=args.repeats)
-    print(f"{'aps':>5} {'rows':>6} {'cold ms':>9} {'incr ms':>8} "
-          f"{'ix':>6} {'agree':>6}")
+    print(f"{'aps':>5} {'rows':>6} {'pivots':>7} {'phase1':>7} "
+          f"{'cold ms':>9} {'incr ms':>8} {'ix':>6} {'agree':>6}")
     for cell in report["results"]:
         print(f"{cell['aps']:>5} {cell['lp_rows']:>6} "
+              f"{cell['cold_pivots']:>7} {cell['cold_phase1_pivots']:>7} "
               f"{cell['cold_seconds'] * 1e3:>9.1f} "
               f"{cell['incremental_seconds'] * 1e3:>8.1f} "
               f"{cell['incremental_vs_cold']:>5.1f}x "

@@ -98,7 +98,9 @@ def lens_area(a: Circle, b: Circle) -> float:
     r1, r2 = a.radius, b.radius
     if distance >= r1 + r2:
         return 0.0
-    if distance <= abs(r1 - r2):
+    # Centers closer than ``2 * distance * r`` can resolve (a subnormal
+    # distance) are concentric for the lens formula's denominators.
+    if distance <= abs(r1 - r2) or 2.0 * distance * min(r1, r2) == 0.0:
         smaller = min(r1, r2)
         return math.pi * smaller * smaller
     # General lens: two circular segments, one from each circle.

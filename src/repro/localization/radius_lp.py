@@ -38,13 +38,27 @@ and with ``solver="revised"`` the solve warm-starts from the previous
 optimal basis, so re-fit cost scales with the evidence delta rather
 than the corpus size.  Inert rows are garbage-collected by a full
 rebuild once they outnumber the live ones.
+
+Every cold solve (a ``fit``, or the rebuild after compaction) starts
+the revised simplex from a basis that is feasible by construction:
+every radius rests at ``r_max``, each separated row's penalty slack is
+basic in its row, and every co-observed row keeps its own row slack.
+A co-observed row's rhs is at most ``2 * r_max`` and a separated
+pair lies strictly inside ``2 * r_max``, so every basic value is in
+bounds and phase 1 has no work; the solve goes straight to phase 2.
+The estimator keeps its row bookkeeping in flat arrays: variable ``i``
+is AP ``i``'s radius, the variables after the radii are the penalty
+slacks in row order, and per slack it stores the packed pair, the row
+and a live flag.
 """
 
 from __future__ import annotations
 
 import time
+from array import array
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import combinations
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
@@ -54,7 +68,7 @@ from repro.faults import InfeasibleError, SolverError, UnboundedError
 from repro.geometry.grid import SpatialGrid
 from repro.geometry.point import Point
 from repro.lp.problem import LpProblem
-from repro.lp.revised import LpState
+from repro.lp.revised import LpState, slack_code
 from repro.net80211.mac import MacAddress
 
 #: Objective weight penalizing slack on never-co-observed constraints.
@@ -169,13 +183,17 @@ class RadiusEstimator:
         # Streaming evidence state.
         self._counts: Dict[int, int] = {}
         self._co_pairs: Set[Tuple[int, int]] = set()
+        # Co-observed pairs that have no ">=" row in the LP yet.
+        self._new_co_pairs: Set[Tuple[int, int]] = set()
         # Persistent LP state (solver="revised" incremental path).
+        # Variable i < len(bssids) is AP i's radius; variable
+        # len(bssids) + k is the penalty slack of the k-th separated
+        # row, whose pair (packed as i * len(bssids) + j), row index and
+        # live flag (0 once inerted) sit at position k of these arrays.
         self._problem: Optional[LpProblem] = None
-        self._radius_vars: List[int] = []
-        self._slack_vars: List[int] = []
-        self._co_rows: Set[Tuple[int, int]] = set()
-        self._sep_rows: Dict[Tuple[int, int], int] = {}
-        self._inert_rows = 0
+        self._sep_key = array("q")
+        self._sep_row = array("q")
+        self._sep_live = array("b")
         self._lp_state: Optional[LpState] = None
 
     # ------------------------------------------------------------------
@@ -228,7 +246,7 @@ class RadiusEstimator:
     @property
     def inert_rows(self) -> int:
         """Rows neutralized by a separated→co-observed transition."""
-        return self._inert_rows
+        return self._sep_live.count(0)
 
     # ------------------------------------------------------------------
     # Evidence accounting
@@ -237,6 +255,7 @@ class RadiusEstimator:
     def _reset_evidence(self) -> None:
         self._counts = {}
         self._co_pairs = set()
+        self._new_co_pairs = set()
         self._problem = None
         self._lp_state = None
 
@@ -252,9 +271,10 @@ class RadiusEstimator:
                 continue  # no known AP in this Γ: zero evidence
             for i in indices:
                 self._counts[i] = self._counts.get(i, 0) + times
-            for a_pos in range(len(indices)):
-                for b_pos in range(a_pos + 1, len(indices)):
-                    self._co_pairs.add((indices[a_pos], indices[b_pos]))
+            fresh = set(combinations(indices, 2)).difference(
+                self._co_pairs)
+            self._co_pairs.update(fresh)
+            self._new_co_pairs.update(fresh)
             absorbed += times
         return absorbed
 
@@ -334,39 +354,39 @@ class RadiusEstimator:
         return 1.0 + self.tie_break * (var_index + 1
                                        + self._tie_jitter[var_index])
 
-    def _add_co_row(self, problem: LpProblem, i: int, j: int) -> None:
-        problem.add_constraint(
-            {self._radius_vars[i]: 1.0, self._radius_vars[j]: 1.0},
-            ">=", self._co_rhs(self._pair_distance(i, j)))
-        self._co_rows.add((i, j))
+    def _add_co_rows(self, problem: LpProblem,
+                     pairs: Set[Tuple[int, int]]) -> None:
+        """Append a ">=" row per pair, in sorted order; after this every
+        co-observed pair has its row."""
+        for i, j in sorted(pairs):
+            problem.add_constraint(
+                {i: 1.0, j: 1.0}, ">=",
+                self._co_rhs(self._pair_distance(i, j)))
+        self._new_co_pairs = set()
 
     def _add_sep_row(self, problem: LpProblem, i: int, j: int,
                      distance: float) -> None:
         slack = problem.add_variable(low=0.0, up=None)
-        self._slack_vars.append(slack)
         problem.set_objective_coefficient(slack, -_SLACK_PENALTY)
-        self._sep_rows[(i, j)] = problem.num_constraints
-        problem.add_constraint(
-            {self._radius_vars[i]: 1.0, self._radius_vars[j]: 1.0,
-             slack: -1.0},
-            "<=", self._sep_rhs(distance))
+        self._sep_key.append(i * len(self._bssids) + j)
+        self._sep_row.append(problem.num_constraints)
+        self._sep_live.append(1)
+        problem.add_constraint({i: 1.0, j: 1.0, slack: -1.0},
+                               "<=", self._sep_rhs(distance))
 
     def _rebuild_problem(self) -> None:
         """Cold assembly of the full LP from the current evidence."""
         problem = LpProblem(maximize=True)
-        self._radius_vars = [
+        for _ in self._bssids:
             problem.add_variable(low=self.r_min, up=self.r_max)
-            for _ in self._bssids
-        ]
         problem.set_objective({
-            v: self._objective_coefficient(v) for v in self._radius_vars})
-        self._slack_vars = []
-        self._co_rows = set()
-        self._sep_rows = {}
-        self._inert_rows = 0
+            v: self._objective_coefficient(v)
+            for v in range(len(self._bssids))})
+        self._sep_key = array("q")
+        self._sep_row = array("q")
+        self._sep_live = array("b")
         self._lp_state = None
-        for i, j in sorted(self._co_pairs):
-            self._add_co_row(problem, i, j)
+        self._add_co_rows(problem, self._co_pairs)
         for i, j, distance in self._desired_separated():
             self._add_sep_row(problem, i, j, distance)
         self._problem = problem
@@ -375,32 +395,55 @@ class RadiusEstimator:
         """Mutate the persistent LP to match the current evidence."""
         problem = self._problem
         assert problem is not None
-        desired = {(i, j): d for i, j, d in self._desired_separated()}
+        desired = self._desired_separated()
+        n = len(self._bssids)
+        wanted = {i * n + j for i, j, _ in desired}
         # Separated rows invalidated by new evidence (the pair became
         # co-observed, or the neighbor cap now prefers a closer
         # partner): retune the rhs so the row can never bind.
-        for pair in list(self._sep_rows):
-            if pair not in desired:
-                problem.set_constraint_rhs(self._sep_rows.pop(pair),
+        live = set()
+        for k, key in enumerate(self._sep_key):
+            if not self._sep_live[k]:
+                continue
+            if key in wanted:
+                live.add(key)
+            else:
+                problem.set_constraint_rhs(self._sep_row[k],
                                            self._inert_rhs())
-                self._inert_rows += 1
+                self._sep_live[k] = 0
         # Newly desired separated rows (APs crossed min_evidence, or a
         # previously inerted pair is wanted again) append fresh rows.
-        for (i, j), distance in desired.items():
-            if (i, j) not in self._sep_rows:
+        for i, j, distance in desired:
+            if i * n + j not in live:
                 self._add_sep_row(problem, i, j, distance)
         # New co-observations append hard ">=" rows.
-        for i, j in sorted(self._co_pairs - self._co_rows):
-            self._add_co_row(problem, i, j)
+        self._add_co_rows(problem, self._new_co_pairs)
 
     def _needs_compaction(self) -> bool:
-        live = len(self._co_rows) + len(self._sep_rows)
-        return (self._inert_rows > _COMPACT_THRESHOLD
-                and self._inert_rows > live)
+        inert = self._sep_live.count(0)
+        live = len(self._co_pairs) + self._sep_live.count(1)
+        return inert > _COMPACT_THRESHOLD and inert > live
 
     # ------------------------------------------------------------------
     # Solving
     # ------------------------------------------------------------------
+
+    def _feasible_start(self, problem: LpProblem) -> LpState:
+        """A basis that is primal feasible by construction.
+
+        Every radius rests at ``r_max``; each separated row's penalty
+        slack is basic in that row and every other row keeps its own
+        slack.  Co-observed rows then read ``2*r_max >= rhs`` (their
+        rhs is clamped to ``2*r_max``), and a separated row's slack
+        takes ``2*r_max - rhs >= 0`` (its pair lies strictly inside
+        ``2*r_max``; an inert row's rhs is ``2*r_max``).  The basis is
+        a signed identity, so phase 1 has nothing to do.
+        """
+        n = len(self._bssids)
+        row_basic = slack_code(np.arange(problem.num_constraints))
+        row_basic[np.array(self._sep_row, dtype=np.int64)] = np.arange(
+            n, problem.num_variables)
+        return LpState(row_basic=row_basic, at_upper=np.arange(n))
 
     def _solve(self, warm: bool) -> RadiusEstimate:
         problem = self._problem
@@ -408,9 +451,10 @@ class RadiusEstimator:
         started = time.perf_counter()
         if self.solver == "revised":
             result = problem.solve_revised(
-                warm_start=self._lp_state if warm else None)
+                warm_start=self._lp_state if warm
+                else self._feasible_start(problem))
             self._lp_state = result.state
-            warm_started = result.warm_started
+            warm_started = warm and result.warm_started
         else:
             result = problem.solve(solver=self.solver)
             warm_started = False
@@ -430,7 +474,7 @@ class RadiusEstimator:
                        * self.overestimate_factor)
             for bssid in self._bssids
         }
-        total_slack = float(sum(result.x[v] for v in self._slack_vars))
+        total_slack = float(sum(result.x[len(self._bssids):].tolist()))
         registry = obs.current_registry()
         registry.timer(
             "repro.localization.radius_fit.duration").observe(elapsed)
@@ -438,8 +482,8 @@ class RadiusEstimator:
                          warm=str(bool(warm_started)).lower()).inc()
         return RadiusEstimate(
             radii=radii,
-            co_observed_pairs=len(self._co_rows),
-            separated_pairs=len(self._sep_rows),
+            co_observed_pairs=len(self._co_pairs),
+            separated_pairs=self._sep_live.count(1),
             total_slack=total_slack,
             solver_iterations=int(getattr(result, "iterations", 0)),
             refactorizations=int(getattr(result, "refactorizations", 0)),

@@ -387,6 +387,8 @@ def solve_rows(
     # them.
     registry = obs.current_registry()
     registry.counter("repro.lp.revised.pivots").inc(solver.iterations)
+    registry.counter("repro.lp.revised.phase1_pivots").inc(
+        solver.phase1_iterations)
     registry.counter("repro.lp.revised.refactorizations").inc(
         solver.refactorizations)
     result = RevisedResult(

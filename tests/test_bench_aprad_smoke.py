@@ -39,6 +39,9 @@ def test_bench_aprad_lp_smoke(tmp_path):
     assert cell["cold_seconds"] > 0.0
     assert cell["incremental_seconds"] > 0.0
     assert cell["warm_started"]
+    # The cold fit starts from a feasible basis: no phase-1 pivots.
+    assert cell["cold_pivots"] > 0
+    assert cell["cold_phase1_pivots"] == 0
     # The correctness property is exact at any scale: the warm and
     # cold paths must agree on the radii.
     assert cell["radii_agree"], cell["max_radius_diff_m"]

@@ -28,13 +28,23 @@ def station(index):
     return MacAddress(0x020000000000 + index)
 
 
-def build_stream(square_db, devices=8, rounds=3):
+def build_stream(square_db, devices=8, rounds=3, split=False):
+    """Probe traffic from ``devices`` stations over ``rounds`` rounds.
+
+    With ``split`` each station hears only one side of the square
+    (even stations APs 0-1, odd ones APs 2-3), so the cross pairs are
+    never observed together.
+    """
     frames = []
     t = 0.0
     records = list(square_db)
     for round_index in range(rounds):
         for d in range(devices):
-            heard = records if round_index % 2 == 0 else records[:-1]
+            if split:
+                heard = records[:2] if d % 2 == 0 else records[2:]
+            else:
+                heard = (records if round_index % 2 == 0
+                         else records[:-1])
             frames.append(ReceivedFrame(
                 probe_request(station(d), 6, t, ssid=Ssid("home")),
                 rssi_dbm=-70.0, snr_db=20.0, rx_channel=6,
@@ -102,17 +112,21 @@ class TestEngineRegistry:
         assert first.registry is not second.registry
 
     def test_revised_lp_metrics_flow_through_refit(self, square_db):
+        # Cross pairs never observed together sit inside 2*r_max, so
+        # their "<" rows bind and the cold solve must pivot away from
+        # its all-radii-at-r_max start.
         localizer = make_localizer("ap-rad:r_max=150,solver=revised",
                                    database=square_db)
         engine = StreamingEngine(localizer, window_s=30.0, batch_size=3,
                                  refit_every=20)
-        stats = engine.run(iter(build_stream(square_db)))
+        stats = engine.run(iter(build_stream(square_db, split=True)))
         assert stats.refits > 0
         counters = engine.metrics_snapshot()["counters"]
         assert counters["repro.engine.refits"] == stats.refits
         assert "repro.lp.revised.pivots" in counters
         assert "repro.lp.revised.refactorizations" in counters
         assert counters["repro.lp.revised.pivots"] > 0
+        assert counters["repro.lp.revised.phase1_pivots"] == 0
         # The re-fit wall time landed in the fit stage series.
         assert stats.stage_seconds.get("fit", 0.0) > 0.0
 

@@ -3,7 +3,7 @@
 import math
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from repro.geometry.circle import Circle, circle_intersections, lens_area
 from repro.geometry.point import Point
@@ -123,6 +123,7 @@ class TestLensArea:
         assert lens_area(a, b) == pytest.approx(lens_area(b, a))
 
     @given(coord, coord, radius, coord, coord, radius)
+    @example(0.0, 5e-324, 0.25, 0.0, 0.0, 0.25)  # subnormal center offset
     def test_bounds(self, ax, ay, ar, bx, by, br):
         a = Circle(Point(ax, ay), ar)
         b = Circle(Point(bx, by), br)

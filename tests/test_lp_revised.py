@@ -440,11 +440,17 @@ class TestRefactorizationParity:
     def test_pivot_metrics_land_in_routed_registry(self):
         from repro import obs
 
+        problem = self._problem()
+        # Infeasible at the all-slack start, so phase 1 pivots.
+        problem.add_constraint({0: 1.0, 1: 1.0}, ">=", 3.0)
         registry = obs.MetricsRegistry()
         with obs.use_registry(registry):
-            result = self._problem().solve(solver="revised")
+            result = problem.solve(solver="revised")
         counters = registry.snapshot()["counters"]
         assert counters["repro.lp.revised.pivots"] == result.iterations
+        assert result.phase1_iterations > 0
+        assert (counters["repro.lp.revised.phase1_pivots"]
+                == result.phase1_iterations)
         assert (counters["repro.lp.revised.refactorizations"]
                 == result.refactorizations)
 
