@@ -145,8 +145,8 @@ def main(argv: Optional[List[str]] = None) -> int:
                           help="quarantine a device after N consecutive "
                                "localization failures (0 disables)")
     p_engine.add_argument("--tracks", action="store_true",
-                          help="print every device's track, not just "
-                               "the latest fixes")
+                          help="also print the tracks of the fixes this "
+                               "run emits (after --resume, its own only)")
     p_engine.add_argument("--localizer", metavar="SPEC",
                           help="localizer spec, e.g. 'm-loc', "
                                "'ap-rad:r_max=200,solver=revised', or a "
@@ -738,11 +738,13 @@ def _cmd_engine(args) -> int:
     except ValueError as error:
         return _fail(str(error))
     cache_size = 0 if args.no_cache else args.cache_size
-    fixes = make_sink("latest")
+    # Fix lines come from engine.tracker; --tracks from this run's sink.
+    tracks = make_sink("tracker")
+    sinks = [tracks] if args.tracks else []
     if checkpoint_data is not None:
         try:
             engine = StreamingEngine.restore(
-                checkpoint_data, localizer, sinks=[fixes])
+                checkpoint_data, localizer, sinks=sinks)
         except (ValueError, KeyError, TypeError) as error:
             return _fail(f"corrupt checkpoint {args.resume!r}: {error}")
         print(f"Resumed from {args.resume} "
@@ -751,7 +753,7 @@ def _cmd_engine(args) -> int:
         try:
             engine = StreamingEngine(localizer, window_s=args.window,
                                      batch_size=args.batch,
-                                     cache_size=cache_size, sinks=[fixes],
+                                     cache_size=cache_size, sinks=sinks,
                                      refit_every=refit_every,
                                      quarantine_after=args.quarantine_after)
         except ValueError as error:
@@ -778,15 +780,16 @@ def _cmd_engine(args) -> int:
     except (ValueError, KeyError) as error:
         return _fail(f"corrupt capture {capture_path!r}: {error}")
 
-    for mobile, (timestamp, estimate) in sorted(
-            fixes.fixes.items(), key=lambda item: str(item[0])):
-        coordinate = plane.from_point(estimate.position)
+    for mobile in engine.tracker.devices():
+        point = engine.tracker.latest(mobile)
+        coordinate = plane.from_point(point.estimate.position)
         print(f"  {mobile}  -> ({coordinate.latitude_deg:.6f}, "
               f"{coordinate.longitude_deg:.6f})  "
-              f"at t={timestamp:.1f}s  [{estimate.used_ap_count} APs]")
+              f"at t={point.timestamp:.1f}s  "
+              f"[{point.estimate.used_ap_count} APs]")
     if args.tracks:
-        for mobile in engine.tracker.devices():
-            track = engine.tracker.track_of(mobile)
+        for mobile in tracks.tracker.devices():
+            track = tracks.tracker.track_of(mobile)
             print(f"  track {mobile}: "
                   + " -> ".join(f"({p.estimate.position.x:.0f},"
                                 f"{p.estimate.position.y:.0f})@{p.timestamp:.0f}s"

@@ -27,9 +27,10 @@ Design points (see DESIGN.md "Streaming engine"):
   localizer whose ``cache_key()`` changes, as AP-Rad's does on re-fit).
 * **Micro-batching** — dirty devices drain in configurable batches, so
   ingest latency and localization cost can be traded off explicitly.
-* **Checkpoint/restore** — Γ sets, the dirty set, and all tracks
-  serialize to JSON; an interrupted run restored from a checkpoint
-  finishes with exactly the tracks of an uninterrupted one.
+* **Checkpoint/restore** — Γ sets, the dirty set and each device's
+  newest fix (the engine keeps no history: tracks are a
+  :class:`~repro.engine.TrackerSink`'s job) serialize to JSON; a
+  restored run emits exactly what an uninterrupted one emits next.
 """
 
 from __future__ import annotations
@@ -51,23 +52,22 @@ from repro.engine.cache import GammaCache
 from repro.engine.ingest import (Evidence, GammaState, classify_rows,
                                  extract_evidence)
 from repro.engine.scheduler import MicroBatchScheduler
-from repro.engine.sinks import EngineSink
+from repro.engine.sinks import EngineSink, LatestFixSink
 from repro.engine.stats import EngineStats
-from repro.geometry.point import Point
 from repro.localization.base import (LocalizationEstimate, Localizer,
-                                     decode_fix, fix_record, point_record)
+                                     decode_fix, fix_record)
 from repro.net80211.frames import FrameType
 from repro.net80211.mac import MacAddress
 from repro.net80211.medium import ReceivedFrame
 from repro.net80211.ssid import Ssid
-from repro.sniffer.tracker import DeviceTracker, PseudonymLinker
+from repro.sniffer.tracker import PseudonymLinker
 
 PathLike = Union[str, Path]
 
-#: v4 is one JSON payload behind a first line holding the decimal CRC32
-#: of the payload bytes; it keeps each track's newest fix only under
-#: ``"latest"``.  Only v4 restores.
-CHECKPOINT_VERSION = 4
+#: v5: one JSON payload behind a first line holding the decimal CRC32 of
+#: its bytes; newest fixes only, counters and gauges only, so two runs
+#: over one stream write the same bytes.  Only v5 restores.
+CHECKPOINT_VERSION = 5
 
 
 class StreamingEngine:
@@ -86,7 +86,8 @@ class StreamingEngine:
     cache_size:
         Capacity of the Γ-set memoization cache; ``0`` disables it.
     sinks:
-        Extra :class:`EngineSink` consumers beside the built-in tracker.
+        :class:`EngineSink` consumers of every fix; attach a
+        :class:`~repro.engine.TrackerSink` for whole tracks.
     refit_every:
         Re-fit the localizer's model every N evidence events (``0``
         disables).  Each Γ change is accumulated as a pending
@@ -146,7 +147,8 @@ class StreamingEngine:
         self.scheduler = MicroBatchScheduler(batch_size=batch_size)
         self.cache: Optional[GammaCache] = (
             GammaCache(cache_size) if cache_size > 0 else None)
-        self.tracker = DeviceTracker()
+        # The head table: each device's newest fix (checkpoint "latest").
+        self.tracker = LatestFixSink()
         self.linker = PseudonymLinker()
         self.sinks: List[EngineSink] = list(sinks)
         self.registry = (registry if registry is not None
@@ -229,7 +231,7 @@ class StreamingEngine:
         refit-schedule and micro-batch-flush checks run after each
         evidence row (after any other row they find nothing due, unless
         something was due before the batch began), so flush interleaving
-        — and therefore tracks and checkpoints — match the
+        — and therefore emitted fixes and checkpoints — match the
         record-at-a-time path bit for bit.  Probe rows never mark a
         device dirty, so linking them ahead of the evidence changes no
         flush.  The ``ingest`` stage is timed once per run of rows
@@ -603,10 +605,10 @@ class StreamingEngine:
         self._c_estimates.inc()
         latest = self.tracker.latest(mobile)
         if latest is not None and timestamp < latest.timestamp:
-            # A late, out-of-order burst for an already-tracked device:
-            # keep the track monotonic rather than raising mid-stream.
+            # A late, out-of-order burst for an already-located device:
+            # keep its fixes monotonic rather than raising mid-stream.
             timestamp = latest.timestamp
-        self.tracker.record(mobile, timestamp, estimate)
+        self.tracker.emit(mobile, timestamp, estimate)
         if not self.sinks:
             return
         # The fault seam's key is formatted only when an injector is
@@ -623,8 +625,8 @@ class StreamingEngine:
                 self.retry.call(attempt, on_retry=on_retry)
             except Exception as error:
                 # A sink is an observer, never the pipeline: drop the
-                # emission, count it, keep streaming.  The tracker above
-                # already holds the authoritative fix.
+                # emission, count it, keep streaming.  The head table
+                # above already holds the authoritative fix.
                 self.registry.counter("repro.engine.sink.failures",
                                       error=type(error).__name__).inc()
 
@@ -703,25 +705,22 @@ class StreamingEngine:
     # ------------------------------------------------------------------
 
     def checkpoint(self) -> dict:
-        """Serialize resumable state (Γ sets, dirty set, tracks) to
-        JSON-compatible types.
+        """Serialize resumable state (Γ sets, dirty set, newest fixes)
+        to JSON-compatible types.
 
         Each device's newest fix is held in full under ``"latest"``
         (:func:`~repro.localization.base.fix_record`: region, inflation,
         emptiness), so a restored engine serves exactly the fixes it
-        served before.  ``"tracks"`` holds every tracked device's older
-        points as :func:`~repro.localization.base.point_record` — the
-        first five fields of a fix record.  The pseudonym linker is
-        rebuilt from the live stream after restore.
+        served before; older fixes are not kept.  ``"metrics"`` holds
+        counters and gauges only: timers measure wall time, so a resumed
+        engine's start from zero.  The pseudonym linker is rebuilt from
+        the live stream after restore.
         """
-        tracks = {}
         latest = {}
         for mobile in self.tracker.devices():
-            *older, head = self.tracker.track_of(mobile)
-            tracks[str(mobile)] = [point_record(point.timestamp,
-                                                point.estimate)
-                                   for point in older]
+            head = self.tracker.latest(mobile)
             latest[str(mobile)] = fix_record(head.timestamp, head.estimate)
+        metrics = self.registry.snapshot()
         return {
             "engine_checkpoint": CHECKPOINT_VERSION,
             "config": {
@@ -735,9 +734,9 @@ class StreamingEngine:
             "gamma": self.gamma_state.to_dict(),
             "dirty": self.scheduler.to_list(),
             "seen": sorted(str(mobile) for mobile in self._seen),
-            "tracks": tracks,
             "latest": latest,
-            "metrics": self.registry.snapshot(),
+            "metrics": {"counters": metrics["counters"],
+                        "gauges": metrics["gauges"]},
             # Pending re-fit evidence: the localizer's own model (LP
             # basis, radii) is NOT serialized, so a restored engine
             # must be given a localizer refitted from the same corpus
@@ -757,7 +756,7 @@ class StreamingEngine:
 
     def save_checkpoint(self, path: PathLike, keep: int = 1,
                         extra: Optional[dict] = None) -> None:
-        """Durably write a v4 checkpoint to ``path``.
+        """Durably write a v5 checkpoint to ``path``.
 
         The file is the decimal CRC32 of the JSON payload's bytes on a
         first line, then those bytes: the payload is serialized once.
@@ -806,7 +805,7 @@ class StreamingEngine:
 
         The caller supplies the localizer (algorithm state is not
         serialized); it must be configured identically to the original
-        for the resumed run to match an uninterrupted one.  Only a v4
+        for the resumed run to match an uninterrupted one.  Only a v5
         payload restores, and every key it holds is read.  ``data`` is
         trusted: integrity is checked where a checkpoint is read from
         disk (:func:`load_checkpoint_data`).
@@ -826,17 +825,10 @@ class StreamingEngine:
         engine.gamma_state = GammaState.from_dict(data["gamma"])
         engine.scheduler.restore(data["dirty"])
         engine._seen = {MacAddress.parse(m) for m in data["seen"]}
-        tracks = data["tracks"]
-        for mobile_text, head in data["latest"].items():
-            mobile = MacAddress.parse(mobile_text)
-            for timestamp, x, y, algorithm, k in tracks[mobile_text]:
-                engine.tracker.record(mobile, timestamp, LocalizationEstimate(
-                    position=Point(x, y), algorithm=algorithm,
-                    used_ap_count=k))
-            engine.tracker.record(mobile, *decode_fix(head))
-        # The registry snapshot is the cumulative record — merging it
-        # makes resumed totals (counters, histograms, buckets) exactly
-        # those of an uninterrupted run.
+        for mobile, head in data["latest"].items():
+            engine.tracker.emit(MacAddress.parse(mobile), *decode_fix(head))
+        # Merging the counters makes resumed totals exactly those of an
+        # uninterrupted run; timers were not saved and start from zero.
         engine.registry.merge(data["metrics"])
         engine._g_devices.set(len(engine._seen))
         refit = data["refit"]

@@ -1,9 +1,9 @@
 """Sink stage: where the engine's estimates flow.
 
 Every flushed estimate is offered to each attached sink.  Sinks bridge
-the streaming engine to the existing batch-era consumers: the device
-tracker (:class:`TrackerSink` — the engine always owns one), the map
-display (:class:`RendererSink`), ad-hoc consumers
+the streaming engine to the existing batch-era consumers: per-device
+track history (:class:`TrackerSink`, attached by whoever wants tracks),
+the map display (:class:`RendererSink`), ad-hoc consumers
 (:class:`CallbackSink`), and live dashboards that only want the newest
 fix per device (:class:`LatestFixSink`).
 
@@ -15,11 +15,11 @@ required live objects as keyword context.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterable, Optional, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from repro.localization.base import LocalizationEstimate
 from repro.net80211.mac import MacAddress
-from repro.sniffer.tracker import DeviceTracker
+from repro.sniffer.tracker import DeviceTracker, TrackPoint
 
 
 class EngineSink:
@@ -57,24 +57,31 @@ class CallbackSink(EngineSink):
 
 
 class LatestFixSink(EngineSink):
-    """Keeps only the newest estimate per device (a live-map feed)."""
+    """Keeps only the newest estimate per device (a live-map feed); a
+    :class:`~repro.engine.StreamingEngine`'s ``tracker`` is one."""
 
     def __init__(self):
-        self._latest: Dict[MacAddress,
-                           Tuple[float, LocalizationEstimate]] = {}
+        self._latest: Dict[MacAddress, TrackPoint] = {}
 
     def emit(self, mobile: MacAddress, timestamp: float,
              estimate: LocalizationEstimate) -> None:
-        self._latest[mobile] = (timestamp, estimate)
+        self._latest[mobile] = TrackPoint(timestamp, estimate)
+
+    def devices(self) -> List[MacAddress]:
+        return sorted(self._latest)
+
+    def latest(self, mobile: MacAddress) -> Optional[TrackPoint]:
+        return self._latest.get(mobile)
 
     @property
     def fixes(self) -> Dict[MacAddress, Tuple[float, LocalizationEstimate]]:
-        return dict(self._latest)
+        return {mobile: (point.timestamp, point.estimate)
+                for mobile, point in self._latest.items()}
 
     def estimates(self) -> Dict[MacAddress, LocalizationEstimate]:
         """The newest estimate per device (display/geojson input shape)."""
-        return {mobile: estimate
-                for mobile, (_, estimate) in self._latest.items()}
+        return {mobile: point.estimate
+                for mobile, point in self._latest.items()}
 
 
 class RendererSink(EngineSink):

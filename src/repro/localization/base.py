@@ -99,14 +99,6 @@ class LocalizationEstimate:
         return float(np.quantile(distances, fraction))
 
 
-def point_record(timestamp: float, estimate: LocalizationEstimate) -> list:
-    """A track point as JSON-native values, ``[timestamp, x, y,
-    algorithm, k]``: the first five fields of :func:`fix_record`."""
-    position = estimate.position
-    return [float(timestamp), float(position.x), float(position.y),
-            estimate.algorithm, int(estimate.used_ap_count)]
-
-
 def fix_record(timestamp: float, estimate: LocalizationEstimate) -> list:
     """One fix as JSON-native values: ``[timestamp, x, y, algorithm, k,
     region_empty, inflation, discs, vertices]``, the region as its discs
@@ -117,9 +109,11 @@ def fix_record(timestamp: float, estimate: LocalizationEstimate) -> list:
         discs = [[float(disc.center.x), float(disc.center.y),
                   float(disc.radius)] for disc in region.discs]
         vertices = [[float(v.x), float(v.y)] for v in region.vertices]
-    return point_record(timestamp, estimate) + [
-        bool(estimate.region_empty), float(estimate.inflation_factor),
-        discs, vertices]
+    position = estimate.position
+    return [float(timestamp), float(position.x), float(position.y),
+            estimate.algorithm, int(estimate.used_ap_count),
+            bool(estimate.region_empty), float(estimate.inflation_factor),
+            discs, vertices]
 
 
 def decode_fix(record: list) -> Tuple[float, LocalizationEstimate]:

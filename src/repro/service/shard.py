@@ -15,7 +15,7 @@ A shard does not reorder: its engine sees its devices' frames in the
 order a single engine fed the same stream would (DESIGN.md §8).
 
 Checkpoints are the shard's own durability: a ``("checkpoint", marker)``
-barrier writes a v4 engine checkpoint covering every frame delivered
+barrier writes a v5 engine checkpoint covering every frame delivered
 before the barrier, and acks the marker — at which point the router
 may trim its retention buffer.  A shard that dies is restarted from
 that file plus a replay of the retained messages, which reproduces the
@@ -188,9 +188,7 @@ class ShardRuntime:
         fixes = {}
         for mobile in tracker.devices():
             point = tracker.latest(mobile)
-            if point is not None:
-                fixes[str(mobile)] = fix_record(point.timestamp,
-                                                point.estimate)
+            fixes[str(mobile)] = fix_record(point.timestamp, point.estimate)
         return fixes
 
     def _health(self) -> dict:

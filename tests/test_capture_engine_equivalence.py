@@ -15,11 +15,12 @@ import pytest
 from repro.capture import (FrameBatch, convert_capture, encode_frames,
                            make_capture_writer)
 from repro.faults import CaptureError
-from repro.engine import (GammaState, StreamingEngine, load_checkpoint_data,
-                          make_sink)
+from repro.engine import (GammaState, StreamingEngine, TrackerSink,
+                          load_checkpoint_data, make_sink)
 from repro.geometry.point import Point
 from repro.knowledge.apdb import ApDatabase, ApRecord
 from repro.localization import MLoc
+from repro.localization.base import fix_record
 from repro.net80211.frames import (
     Dot11Frame,
     FrameType,
@@ -84,17 +85,27 @@ def write_capture(path, fmt, records, **options):
             writer.write(record)
 
 
+def emitted_tracks(sink):
+    """Every fix a :class:`TrackerSink` received, as fix records."""
+    tracker = sink.tracker
+    return {str(mobile): [fix_record(point.timestamp, point.estimate)
+                          for point in tracker.track_of(mobile)]
+            for mobile in tracker.devices()}
+
+
 def stripped_checkpoint(engine):
-    """Engine checkpoint minus volatile timing/metrics payloads."""
+    """Engine checkpoint minus its metrics, plus every fix the engine
+    emitted (its second sink, a :class:`TrackerSink`)."""
     state = engine.checkpoint()
-    state.pop("metrics", None)
-    state.pop("stage_seconds", None)
+    state.pop("metrics")
+    state["emitted"] = emitted_tracks(engine.sinks[1])
     return json.dumps(state, sort_keys=True, default=str)
 
 
 def fresh_engine():
     return StreamingEngine(MLoc(build_database()), window_s=120.0,
-                           batch_size=8, sinks=[make_sink("latest")])
+                           batch_size=8,
+                           sinks=[make_sink("latest"), TrackerSink()])
 
 
 def run_records(path):
@@ -252,7 +263,7 @@ class TestSingleEngineBatchPath:
         def restored():
             return StreamingEngine.restore(
                 json.loads(json.dumps(data)), MLoc(build_database()),
-                sinks=[make_sink("latest")])
+                sinks=[make_sink("latest"), TrackerSink()])
 
         record, batched = restored(), restored()
         record.ingest_stream(tail)
@@ -319,12 +330,6 @@ def swapped_nearby(records, swaps=46, reach=40, seed=5):
     return swapped
 
 
-def tracks_of(engine):
-    return {str(mobile): [(point.timestamp, point.estimate.position)
-                          for point in engine.tracker.track_of(mobile)]
-            for mobile in engine.tracker.devices()}
-
-
 def fixes_of(engine):
     return {str(mobile): (ts, estimate.position)
             for mobile, (ts, estimate) in engine.sinks[0].fixes.items()}
@@ -353,7 +358,8 @@ class TestOutOfOrderCapture:
         # One flush per Γ change within a short window: every frame's
         # position in the stream shows in the tracks.
         return StreamingEngine(MLoc(build_database()), window_s=2.0,
-                               batch_size=1, sinks=[make_sink("latest")])
+                               batch_size=1,
+                               sinks=[make_sink("latest"), TrackerSink()])
 
     @pytest.mark.parametrize("batch_records", [1, 37, 1024])
     @pytest.mark.parametrize("fmt", ["jsonl", "columnar"])
@@ -366,7 +372,6 @@ class TestOutOfOrderCapture:
             swapped[fmt], batch_records=batch_records))
         assert stripped_checkpoint(batched) == stripped_checkpoint(record)
         assert fixes_of(batched) == fixes_of(record)
-        assert tracks_of(batched) == tracks_of(record)
         assert linker_state(batched) == linker_state(record)
 
 
@@ -381,11 +386,11 @@ def shuffled_within_windows(records, window=8, seed=3):
     return shuffled
 
 
-def per_device_state(checkpoints):
-    """The per-device parts of engine checkpoints, merged."""
-    state = {"tracks": {}, "latest": {}, "gamma": {}}
+def per_device_state(checkpoints, tracks):
+    """The per-device parts of engine checkpoints, merged, beside every
+    fix the ``tracks`` sink received."""
+    state = {"tracks": emitted_tracks(tracks), "latest": {}, "gamma": {}}
     for data in checkpoints:
-        state["tracks"].update(data["tracks"])
         state["latest"].update(data["latest"])
         state["gamma"].update(data["gamma"]["events"])
     return state
@@ -397,23 +402,29 @@ UNBATCHED = dict(window_s=120.0, batch_size=1)
 
 
 def oracle_state(frames):
-    engine = StreamingEngine(MLoc(build_database()), **UNBATCHED)
+    tracks = TrackerSink()
+    engine = StreamingEngine(MLoc(build_database()), **UNBATCHED,
+                             sinks=[tracks])
     engine.run(iter(frames))
-    return per_device_state([engine.checkpoint()])
+    return per_device_state([engine.checkpoint()], tracks)
 
 
-def fleet_state(engine, checkpoint_dir):
+def fleet_state(engine, checkpoint_dir, tracks):
     engine.drain()
     engine.save_checkpoints()
     return per_device_state(
-        load_checkpoint_data(path)
-        for path in sorted(checkpoint_dir.glob("shard-*.ckpt.json")))
+        [load_checkpoint_data(path)
+         for path in sorted(checkpoint_dir.glob("shard-*.ckpt.json"))],
+        tracks)
 
 
-def make_fleet(checkpoint_dir, transport="thread", shards=3):
+def make_fleet(checkpoint_dir, tracks, transport="thread", shards=3):
+    # Shard threads share the one tracker sink; each device's fixes
+    # come from the one shard that owns it.
     return ShardedEngine(functools.partial(MLoc, build_database()),
                          shards=shards, transport=transport,
-                         config=ShardConfig(**UNBATCHED),
+                         config=ShardConfig(**UNBATCHED,
+                                            sink_specs=(tracks,)),
                          checkpoint_dir=checkpoint_dir, publish_batch=16)
 
 
@@ -431,9 +442,10 @@ class TestShuffledStreamEveryPath:
     @pytest.mark.parametrize("shards", [1, 3])
     def test_sharded(self, shuffled, tmp_path, transport, shards):
         frames, want = shuffled
-        with make_fleet(tmp_path, transport, shards) as engine:
+        tracks = TrackerSink()
+        with make_fleet(tmp_path, tracks, transport, shards) as engine:
             engine.ingest_stream(frames)
-            assert fleet_state(engine, tmp_path) == want
+            assert fleet_state(engine, tmp_path, tracks) == want
 
     @pytest.fixture
     def capture(self, shuffled, tmp_path):
@@ -447,15 +459,20 @@ class TestShuffledStreamEveryPath:
                           reorder_buffer=0)
 
     def test_gateway_into_single_engine(self, shuffled, capture):
-        engine = StreamingEngine(MLoc(build_database()), **UNBATCHED)
+        tracks = TrackerSink()
+        engine = StreamingEngine(MLoc(build_database()), **UNBATCHED,
+                                 sinks=[tracks])
         with FrameIngestServer(engine) as gateway:
             self.stream(capture, gateway)
-        assert per_device_state([engine.checkpoint()]) == shuffled[1]
+        assert (per_device_state([engine.checkpoint()], tracks)
+                == shuffled[1])
 
     def test_gateway_into_sharded_engine(self, shuffled, capture,
                                          tmp_path):
         checkpoint_dir = tmp_path / "fleet"
-        with make_fleet(checkpoint_dir) as engine, \
+        tracks = TrackerSink()
+        with make_fleet(checkpoint_dir, tracks) as engine, \
                 FrameIngestServer(engine) as gateway:
             self.stream(capture, gateway)
-            assert fleet_state(engine, checkpoint_dir) == shuffled[1]
+            assert (fleet_state(engine, checkpoint_dir, tracks)
+                    == shuffled[1])

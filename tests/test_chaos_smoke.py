@@ -5,7 +5,7 @@ faults at every supervised site, and require the exact same estimates
 as an unfaulted run — the retries must be invisible in the output.
 """
 
-from repro.engine import StreamingEngine
+from repro.engine import StreamingEngine, TrackerSink
 from repro.engine.sinks import LatestFixSink
 from repro.faults import (
     FaultInjector,
@@ -28,11 +28,11 @@ def latest_fixes(sink):
 
 
 def run_mloc(square_db, frames, injector=None):
-    sink = LatestFixSink()
+    sink, tracks = LatestFixSink(), TrackerSink()
     # Six attempts: enough headroom to absorb two untyped engine.flush
     # faults followed by two typed ones inside one retry budget.
     engine = StreamingEngine(
-        MLoc(square_db), window_s=30.0, batch_size=3, sinks=[sink],
+        MLoc(square_db), window_s=30.0, batch_size=3, sinks=[sink, tracks],
         retry=RetryPolicy(max_attempts=6, base_delay=0.0,
                           sleep=noop_sleep))
     if injector is None:
@@ -40,12 +40,12 @@ def run_mloc(square_db, frames, injector=None):
     else:
         with use_injector(injector):
             engine.run(iter(frames))
-    return engine, sink
+    return engine, sink, tracks
 
 
 def test_faulted_run_matches_fault_free_output(square_db):
     frames = build_stream(square_db)
-    baseline, baseline_sink = run_mloc(square_db, frames)
+    baseline, baseline_sink, baseline_tracks = run_mloc(square_db, frames)
 
     injector = FaultInjector(
         [parse_fault_spec(spec) for spec in [
@@ -54,22 +54,25 @@ def test_faulted_run_matches_fault_free_output(square_db):
             "engine.flush:raise=SolverError,times=2",
         ]],
         seed=5)
-    chaotic, chaotic_sink = run_mloc(square_db, frames, injector)
+    chaotic, chaotic_sink, chaotic_tracks = run_mloc(square_db, frames,
+                                                     injector)
 
     assert injector.total_fired == 6
     stats = chaotic.stats()
     assert stats.retries > 0
     assert stats.quarantined == 0
     assert stats.sink_failures == 0
-    assert final_tracks(chaotic) == final_tracks(baseline)
+    assert final_tracks(chaotic_tracks) == final_tracks(baseline_tracks)
     assert latest_fixes(chaotic_sink) == latest_fixes(baseline_sink)
 
 
 def run_aprad(square_db, frames, injector=None):
     localizer = make_localizer("ap-rad:r_max=150,solver=revised",
                                database=square_db)
+    tracks = TrackerSink()
     engine = StreamingEngine(
         localizer, window_s=30.0, batch_size=3, refit_every=20,
+        sinks=[tracks],
         retry=RetryPolicy(max_attempts=3, base_delay=0.0,
                           sleep=noop_sleep))
     if injector is None:
@@ -77,22 +80,22 @@ def run_aprad(square_db, frames, injector=None):
     else:
         with use_injector(injector):
             engine.run(iter(frames))
-    return engine
+    return engine, tracks
 
 
 def test_refit_retry_is_invisible_in_aprad_output(square_db):
     frames = build_stream(square_db)
-    baseline = run_aprad(square_db, frames)
+    baseline, baseline_tracks = run_aprad(square_db, frames)
 
     injector = FaultInjector(
         [parse_fault_spec("lp.solve:raise=SolverError,times=1")], seed=5)
-    chaotic = run_aprad(square_db, frames, injector)
+    chaotic, chaotic_tracks = run_aprad(square_db, frames, injector)
 
     assert injector.total_fired == 1
     stats = chaotic.stats()
     assert stats.retries > 0
     assert stats.refits == baseline.stats().refits > 0
-    assert final_tracks(chaotic) == final_tracks(baseline)
+    assert final_tracks(chaotic_tracks) == final_tracks(baseline_tracks)
 
 
 def test_socket_fleet_survives_killed_connections_and_lost_frames(

@@ -7,7 +7,7 @@ import pytest
 
 from repro.capture import make_capture_writer
 from repro.cli import main
-from repro.engine import StreamingEngine, make_sink
+from repro.engine import StreamingEngine, TrackerSink
 from repro.geo.enu import LocalTangentPlane
 from repro.geo.wgs84 import GeodeticCoordinate
 from repro.knowledge.wigle import export_wigle_csv, import_wigle_csv
@@ -125,6 +125,38 @@ class TestEngineCommand:
         # The schedule kept firing on the second half's evidence.
         assert refit_count(out) > first_refits
         assert str(scenario.victim.mac) in out
+
+    def test_resumed_run_prints_every_device_fix(self, sim_capture,
+                                                  tmp_path, capsys):
+        """The victim falls silent after the split: the resumed run is
+        never asked to locate it again, yet prints its fix, exactly as
+        the uninterrupted run does."""
+        scenario, capture_path, wigle_path = sim_capture
+        victim = str(scenario.victim.mac)
+        lines = capture_path.read_text().splitlines(keepends=True)
+        half = len(lines) // 2
+        silent = [line for line in lines[half:] if victim not in line]
+        assert victim in "".join(lines[:half])
+        paths = {}
+        for name, part in (("whole", lines[:half] + silent),
+                           ("first", lines[:half]), ("second", silent)):
+            paths[name] = tmp_path / f"{name}.jsonl"
+            paths[name].write_text("".join(part))
+
+        def fix_lines(*extra):
+            # One flush per Γ change: nothing is pending at the split.
+            assert main(["engine", str(extra[0]), "--wigle",
+                         str(wigle_path), "--batch", "1",
+                         *map(str, extra[1:])]) == 0
+            return [line for line in capsys.readouterr().out.splitlines()
+                    if " -> (" in line]
+
+        want = fix_lines(paths["whole"])
+        ckpt = tmp_path / "split.ckpt.json"
+        fix_lines(paths["first"], "--checkpoint", ckpt)
+        got = fix_lines(paths["second"], "--resume", ckpt)
+        assert any(victim in line for line in want)
+        assert got == want
 
 
 class TestEngineObservability:
@@ -289,21 +321,22 @@ class TestColumnarCaptureCLI:
         oracle = StreamingEngine(
             make_localizer("m-loc", database=import_wigle_csv(wigle, plane),
                            fallback_range_m=150.0),
-            window_s=2.0, batch_size=1, sinks=[make_sink("latest")])
+            window_s=2.0, batch_size=1, sinks=[TrackerSink()])
         oracle.run(iter_capture(capture))
         want = []
-        for mobile, (timestamp, estimate) in sorted(
-                oracle.sinks[0].fixes.items(), key=lambda item: str(item[0])):
-            coordinate = plane.from_point(estimate.position)
+        for mobile in oracle.tracker.devices():
+            point = oracle.tracker.latest(mobile)
+            coordinate = plane.from_point(point.estimate.position)
             want.append(f"  {mobile}  -> ({coordinate.latitude_deg:.6f}, "
                         f"{coordinate.longitude_deg:.6f})  "
-                        f"at t={timestamp:.1f}s  "
-                        f"[{estimate.used_ap_count} APs]")
-        for mobile in oracle.tracker.devices():
+                        f"at t={point.timestamp:.1f}s  "
+                        f"[{point.estimate.used_ap_count} APs]")
+        tracks = oracle.sinks[0].tracker
+        for mobile in tracks.devices():
             want.append(f"  track {mobile}: " + " -> ".join(
                 f"({p.estimate.position.x:.0f},{p.estimate.position.y:.0f})"
                 f"@{p.timestamp:.0f}s"
-                for p in oracle.tracker.track_of(mobile)))
+                for p in tracks.track_of(mobile)))
         assert len(want) == 14
 
         metrics = tmp_path / "metrics.json"

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.engine import GammaCache, StreamingEngine
+from repro.engine import GammaCache, StreamingEngine, TrackerSink
 from repro.geometry.point import Point
 from repro.localization import CentroidLocalizer, MLoc
 from repro.localization.base import LocalizationEstimate
@@ -74,13 +74,15 @@ class TestEngineCacheEquivalence:
         # Every device hears the same APs, so most Γ sets repeat and
         # the cache answers them; memoization may change speed only.
         frames = build_stream(square_db)
-        cached = StreamingEngine(MLoc(square_db), batch_size=3)
+        cached_tracks, uncached_tracks = TrackerSink(), TrackerSink()
+        cached = StreamingEngine(MLoc(square_db), batch_size=3,
+                                 sinks=[cached_tracks])
         uncached = StreamingEngine(MLoc(square_db), batch_size=3,
-                                   cache_size=0)
+                                   cache_size=0, sinks=[uncached_tracks])
         cached.run(iter(frames))
         uncached.run(iter(frames))
         assert cached.stats().cache_hit_rate > 0.5
-        assert final_tracks(cached) == final_tracks(uncached)
+        assert final_tracks(cached_tracks) == final_tracks(uncached_tracks)
         assert (cached.stats().estimates_emitted
                 == uncached.stats().estimates_emitted)
 

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from repro.engine import StreamingEngine
+from repro.engine import StreamingEngine, TrackerSink
 from repro.knowledge.apdb import ApDatabase
 from repro.localization import MLoc
 from repro.localization.base import fix_record
@@ -45,19 +45,29 @@ def build_stream(square_db, devices=8, rounds=3):
     return frames
 
 
-def final_tracks(engine):
-    """Comparable (timestamp, x, y, algorithm, k) track tuples."""
-    return {
-        str(mobile): [
-            (point.timestamp,
-             round(point.estimate.position.x, 9),
-             round(point.estimate.position.y, 9),
-             point.estimate.algorithm,
-             point.estimate.used_ap_count)
-            for point in engine.tracker.track_of(mobile)
-        ]
-        for mobile in engine.tracker.devices()
-    }
+def final_tracks(*sinks):
+    """Comparable (timestamp, x, y, algorithm, k) track tuples per device,
+    joined in order over tracker sinks: pass the sinks of a run's
+    consecutive engines (before and after a restore) to get the whole
+    run's emitted stream."""
+    tracks = {}
+    for sink in sinks:
+        for mobile in sink.tracker.devices():
+            tracks.setdefault(str(mobile), []).extend(
+                (point.timestamp,
+                 round(point.estimate.position.x, 9),
+                 round(point.estimate.position.y, 9),
+                 point.estimate.algorithm,
+                 point.estimate.used_ap_count)
+                for point in sink.tracker.track_of(mobile))
+    return tracks
+
+
+def newest_fixes(engine):
+    """The engine's head table as fix records, per device."""
+    return {str(mobile): fix_record(point.timestamp, point.estimate)
+            for mobile in engine.tracker.devices()
+            for point in [engine.tracker.latest(mobile)]}
 
 
 @pytest.mark.parametrize("cut", [5, 37, 73])
@@ -65,19 +75,27 @@ def test_roundtrip_matches_uninterrupted_run(square_db, cut):
     frames = build_stream(square_db)
     assert cut < len(frames)
 
+    whole = TrackerSink()
     uninterrupted = StreamingEngine(MLoc(square_db), window_s=30.0,
-                                    batch_size=3)
+                                    batch_size=3, sinks=[whole])
     uninterrupted.run(iter(frames))
 
-    first = StreamingEngine(MLoc(square_db), window_s=30.0, batch_size=3)
+    before = TrackerSink()
+    first = StreamingEngine(MLoc(square_db), window_s=30.0, batch_size=3,
+                            sinks=[before])
     first.ingest_stream(frames[:cut])  # stop mid-stream, no final drain
     blob = json.dumps(first.checkpoint())  # must be JSON all the way
 
-    resumed = StreamingEngine.restore(json.loads(blob), MLoc(square_db))
+    after = TrackerSink()
+    resumed = StreamingEngine.restore(json.loads(blob), MLoc(square_db),
+                                      sinks=[after])
     resumed.ingest_stream(frames[cut:])
     resumed.flush()
 
-    assert final_tracks(resumed) == final_tracks(uninterrupted)
+    # The run's emitted stream, split at the restore, is the
+    # uninterrupted stream; the newest fixes agree too.
+    assert final_tracks(before, after) == final_tracks(whole)
+    assert newest_fixes(resumed) == newest_fixes(uninterrupted)
     assert (resumed.stats().estimates_emitted
             == uninterrupted.stats().estimates_emitted)
     assert (resumed.stats().frames_ingested
@@ -94,7 +112,7 @@ def test_save_and_load_checkpoint_file(square_db, tmp_path):
     restored = StreamingEngine.load_checkpoint(path, MLoc(square_db))
     assert restored.gamma_state.window_s == engine.gamma_state.window_s
     assert restored.scheduler.to_list() == engine.scheduler.to_list()
-    assert final_tracks(restored) == final_tracks(engine)
+    assert newest_fixes(restored) == newest_fixes(engine)
     assert (restored.stats().frames_ingested
             == engine.stats().frames_ingested)
 
@@ -116,16 +134,27 @@ def test_restored_latest_fix_is_the_served_fix(square_db, scale):
                     for i, r in enumerate(square_db))
     engine = StreamingEngine(MLoc(db), batch_size=2)
     engine.run(iter(build_stream(db, devices=3, rounds=2)))
-    restored = StreamingEngine.restore(
-        json.loads(json.dumps(engine.checkpoint())), MLoc(db))
+    data = json.loads(json.dumps(engine.checkpoint()))
+    assert "tracks" not in data  # the newest fix only, no history
+    restored = StreamingEngine.restore(data, MLoc(db))
     assert restored.tracker.devices() == engine.tracker.devices()
+    assert newest_fixes(restored) == newest_fixes(engine)
     for mobile in engine.tracker.devices():
         want = engine.tracker.latest(mobile)
         got = restored.tracker.latest(mobile)
-        assert (fix_record(got.timestamp, got.estimate)
-                == fix_record(want.timestamp, want.estimate))
         assert got.estimate.area_m2 == want.estimate.area_m2
         assert (want.estimate.inflation_factor > 1.0) == (scale < 1.0)
-        # Older points stay positional.
-        for point in restored.tracker.track_of(mobile)[:-1]:
-            assert point.estimate.region is None
+
+
+def test_two_runs_write_identical_checkpoint_bytes(square_db, tmp_path):
+    # Wall-clock timers stay out of the checkpoint, so one stream gives
+    # one file, byte for byte.
+    frames = build_stream(square_db)
+    paths = []
+    for run in range(2):
+        engine = StreamingEngine(MLoc(square_db), window_s=30.0,
+                                 batch_size=3)
+        engine.run(iter(frames))
+        paths.append(tmp_path / f"run{run}.ckpt")
+        engine.save_checkpoint(paths[-1])
+    assert paths[0].read_bytes() == paths[1].read_bytes()

@@ -5,7 +5,7 @@ import zlib
 
 import pytest
 
-from repro.engine import StreamingEngine, load_checkpoint_data
+from repro.engine import StreamingEngine, TrackerSink, load_checkpoint_data
 from repro.faults import (
     CheckpointError,
     FaultInjector,
@@ -14,7 +14,8 @@ from repro.faults import (
 )
 from repro.localization import MLoc
 
-from tests.test_engine_checkpoint import build_stream, final_tracks
+from tests.test_engine_checkpoint import (build_stream, final_tracks,
+                                         newest_fixes)
 
 
 def framed(data):
@@ -23,8 +24,9 @@ def framed(data):
     return b"%d\n" % zlib.crc32(body) + body
 
 
-def run_partial(square_db, frames):
-    engine = StreamingEngine(MLoc(square_db), window_s=30.0, batch_size=3)
+def run_partial(square_db, frames, sinks=()):
+    engine = StreamingEngine(MLoc(square_db), window_s=30.0, batch_size=3,
+                             sinks=sinks)
     engine.ingest_stream(frames)
     return engine
 
@@ -47,7 +49,7 @@ class TestAtomicSave:
         header, newline, body = path.read_bytes().partition(b"\n")
         assert newline and int(header) == zlib.crc32(body)
         data = json.loads(body)
-        assert data["engine_checkpoint"] == 4
+        assert data["engine_checkpoint"] == 5
         assert "crc32" not in data
         assert data == json.loads(json.dumps(engine.checkpoint()))
 
@@ -153,6 +155,23 @@ class TestIntegrity:
         with pytest.raises(CheckpointError, match="unsupported"):
             StreamingEngine.restore(data, MLoc(square_db))
 
+    def test_v4_checkpoint_is_rejected(self, square_db, tmp_path):
+        # v4: the same CRC header, but with each device's older fixes
+        # under "tracks" and timer histograms under "metrics".  No
+        # migration: it never restores.
+        engine = run_partial(square_db,
+                             build_stream(square_db, devices=2, rounds=1))
+        data = engine.checkpoint()
+        data["engine_checkpoint"] = 4
+        data["tracks"] = {mobile: [] for mobile in data["latest"]}
+        data["metrics"]["histograms"] = {}
+        path = tmp_path / "v4.ckpt"
+        path.write_bytes(framed(data))
+        with pytest.raises(CheckpointError, match="unsupported"):
+            load_checkpoint_data(path)
+        with pytest.raises(CheckpointError, match="unsupported"):
+            StreamingEngine.restore(data, MLoc(square_db))
+
 
 class TestRotation:
     def test_generations_rotate_up_to_keep(self, square_db, tmp_path):
@@ -176,22 +195,25 @@ class TestRotation:
         cut = 37
         path = tmp_path / "engine.ckpt"
 
+        whole, before, after = TrackerSink(), TrackerSink(), TrackerSink()
         uninterrupted = StreamingEngine(MLoc(square_db), window_s=30.0,
-                                        batch_size=3)
+                                        batch_size=3, sinks=[whole])
         uninterrupted.run(iter(frames))
 
-        engine = run_partial(square_db, frames[:cut])
+        engine = run_partial(square_db, frames[:cut], sinks=[before])
         engine.save_checkpoint(path, keep=2)
         engine.save_checkpoint(path, keep=2)
         # The newest generation is torn mid-write (killed process).
         path.write_text(path.read_text()[: path.stat().st_size // 2])
 
-        resumed = StreamingEngine.load_checkpoint(path, MLoc(square_db))
+        resumed = StreamingEngine.load_checkpoint(path, MLoc(square_db),
+                                                  sinks=[after])
         resumed.ingest_stream(frames[cut:])
         resumed.flush()
-        # Resumed-from-rotation still equals the uninterrupted run,
-        # tracks and cumulative metrics alike.
-        assert final_tracks(resumed) == final_tracks(uninterrupted)
+        # Resumed-from-rotation still equals the uninterrupted run:
+        # emitted tracks, newest fixes and cumulative metrics alike.
+        assert final_tracks(before, after) == final_tracks(whole)
+        assert newest_fixes(resumed) == newest_fixes(uninterrupted)
         assert resumed.stats().frames_ingested == (
             uninterrupted.stats().frames_ingested)
 

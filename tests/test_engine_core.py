@@ -12,6 +12,7 @@ from repro.engine import (
     LatestFixSink,
     MicroBatchScheduler,
     StreamingEngine,
+    TrackerSink,
     extract_evidence,
 )
 from repro.localization import MLoc
@@ -270,8 +271,9 @@ class TestStreamingEngine:
         assert engine.linker.fingerprint_of(pseudo) is not None
 
     def test_out_of_order_burst_keeps_track_monotonic(self, square_db):
+        tracks = TrackerSink()
         engine = StreamingEngine(MLoc(square_db), batch_size=1,
-                                 window_s=5.0)
+                                 window_s=5.0, sinks=[tracks])
         records = list(square_db)
         mobile = station(0)
         # Fresh evidence at t=100 ... then a late burst stamped t=50.
@@ -283,10 +285,11 @@ class TestStreamingEngine:
                                               6, 50.0,
                                               ssid=records[1].ssid)))
         engine.flush()
-        track = engine.tracker.track_of(mobile)
+        track = tracks.tracker.track_of(mobile)
         assert len(track) >= 1
         timestamps = [point.timestamp for point in track]
         assert timestamps == sorted(timestamps)
+        assert engine.tracker.latest(mobile) == track[-1]
 
     def test_sinks_receive_estimates(self, square_db):
         seen = []

@@ -11,7 +11,7 @@ import random
 import pytest
 
 from repro.capture import FrameBatch, encode_frames
-from repro.engine import CallbackSink, StreamingEngine
+from repro.engine import CallbackSink, StreamingEngine, TrackerSink
 from repro.faults import RetryPolicy, SolverError
 from repro.localization import MLoc
 from repro.localization.aprad import APRad
@@ -95,9 +95,11 @@ class TestEscapedErrorRequeues:
         # one at a time; the second one then raises out of the engine.
         inner = RaiseOnce(MLoc(square_db), "locate", RuntimeError("boom"),
                           after=1)
+        tracks = TrackerSink()
         engine = StreamingEngine(
             RaiseOnce(inner, "locate_batch", SolverError("no optimum")),
-            batch_size=8, retry=RetryPolicy(max_attempts=1))
+            batch_size=8, retry=RetryPolicy(max_attempts=1),
+            sinks=[tracks])
         engine.ingest_stream(response_stream(square_db, devices=3))
         with pytest.raises(RuntimeError, match="boom"):
             engine.flush()
@@ -106,7 +108,7 @@ class TestEscapedErrorRequeues:
                                               str(station(2))]
         assert engine.flush() == 2
         assert engine.tracker.devices() == [station(d) for d in range(3)]
-        assert len(engine.tracker.track_of(station(0))) == 1
+        assert len(tracks.tracker.track_of(station(0))) == 1
 
 
 def fitted_aprad():

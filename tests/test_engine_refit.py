@@ -150,3 +150,24 @@ class TestCheckpoint:
         assert resumed._events_since_refit == engine._events_since_refit
         assert resumed._pending_refit == engine._pending_refit
         assert resumed.stats().refits == engine.stats().refits
+
+    def test_checkpoint_does_not_grow_with_refits(self, square_db):
+        # Every refit re-emits every device's fix; the checkpoint keeps
+        # only the newest one, so a fixed device set's checkpoint stays
+        # the same size however many refits run.
+        devices = 6
+        frames = evidence_stream(square_db, devices=devices, rounds=6)
+        per_round = len(frames) // 6
+        engine = StreamingEngine(streaming_aprad(square_db),
+                                 window_s=30.0, batch_size=4,
+                                 refit_every=per_round)
+        sizes = {}
+        for start in range(0, len(frames), per_round):
+            engine.ingest_stream(frames[start:start + per_round])
+            engine.flush()
+            data = engine.checkpoint()
+            sizes[engine.stats().refits] = len(json.dumps(data))
+            assert "tracks" not in data
+            assert len(data["latest"]) == devices
+        assert set(sizes) == {1, 2, 3, 4, 5, 6}
+        assert abs(sizes[6] - sizes[2]) <= 0.05 * sizes[2]

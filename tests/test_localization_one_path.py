@@ -12,7 +12,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from repro.engine import StreamingEngine
+from repro.engine import StreamingEngine, TrackerSink
 from repro.faults import FaultInjector, FaultSpec, RetryPolicy, use_injector
 from repro.geometry import kernels
 from repro.geometry.point import mean_point
@@ -204,29 +204,31 @@ def device_stream(db, gammas):
     return frames
 
 
-def exact_tracks(engine):
+def exact_tracks(sink):
     return {
         mobile: [(point.timestamp, point.estimate.position,
                   point.estimate.inflation_factor,
                   tuple(point.estimate.region.vertices))
-                 for point in engine.tracker.track_of(mobile)]
-        for mobile in engine.tracker.devices()
+                 for point in sink.tracker.track_of(mobile)]
+        for mobile in sink.tracker.devices()
     }
 
 
 def test_degraded_flush_matches_clean_run(scattered_db):
     frames = device_stream(scattered_db, gammas_k1_to_10(scattered_db,
                                                          per_k=4))
-    clean = StreamingEngine(MLoc(scattered_db), batch_size=8)
+    clean_tracks, faulted_tracks = TrackerSink(), TrackerSink()
+    clean = StreamingEngine(MLoc(scattered_db), batch_size=8,
+                            sinks=[clean_tracks])
     clean.run(iter(frames))
 
     injector = FaultInjector([FaultSpec("engine.flush", mode="raise",
                                         error="SolverError")])
     faulted = StreamingEngine(
-        MLoc(scattered_db), batch_size=8,
+        MLoc(scattered_db), batch_size=8, sinks=[faulted_tracks],
         retry=RetryPolicy(max_attempts=1, sleep=lambda s: None))
     with use_injector(injector):
         stats = faulted.run(iter(frames))
     assert stats.degraded > 0
     assert stats.estimates_emitted == clean.stats().estimates_emitted
-    assert exact_tracks(faulted) == exact_tracks(clean)
+    assert exact_tracks(faulted_tracks) == exact_tracks(clean_tracks)
