@@ -13,9 +13,10 @@ revised-simplex engine:
 Sweeps AP count.  Every cell cross-checks that both paths land on the
 same radii (to 1e-6, with a tie-break making the LP optimum unique);
 standalone, the script exits 1 when any cell disagrees.  Each cell also
-reports the cold fit's pivots and its phase-1 pivots, read from the
-solver's ``repro.lp.revised.*`` counters (the cold fit starts from a
-feasible basis, so phase 1 should read 0).  Run
+reports the pivots and phase-1 pivots of the cold fit and of the warm
+refit, read from the solver's ``repro.lp.revised.*`` counters (the cold
+fit starts from a feasible basis, so its phase 1 should read 0; a warm
+refit's phase 1 comes from appended rows the last radii violate).  Run
 standalone for the JSON report (the tier-1 smoke test does)::
 
     PYTHONPATH=src python benchmarks/bench_aprad_lp.py \
@@ -125,10 +126,13 @@ def run_cell(ap_count: int, observations: int, repeats: int) -> dict:
     for _ in range(repeats):
         warm_est = make_estimator(locations)
         warm_est.fit(initial)
-        start = time.perf_counter()
-        warm_est.ingest(delta)
-        warm = warm_est.refit()
-        warm_seconds = min(warm_seconds, time.perf_counter() - start)
+        registry = obs.MetricsRegistry()
+        with obs.use_registry(registry):
+            start = time.perf_counter()
+            warm_est.ingest(delta)
+            warm = warm_est.refit()
+            warm_seconds = min(warm_seconds, time.perf_counter() - start)
+    warm_counters = registry.snapshot()["counters"]
 
     max_diff = max(abs(warm.radii[m] - cold.radii[m]) for m in locations)
     return {
@@ -141,10 +145,12 @@ def run_cell(ap_count: int, observations: int, repeats: int) -> dict:
         "incremental_vs_cold": (cold_seconds / warm_seconds
                                 if warm_seconds > 0.0 else 0.0),
         "warm_started": bool(warm.warm_started),
-        "warm_iterations": warm.solver_iterations,
         "cold_pivots": int(counters["repro.lp.revised.pivots"]),
         "cold_phase1_pivots": int(
             counters["repro.lp.revised.phase1_pivots"]),
+        "incremental_pivots": int(warm_counters["repro.lp.revised.pivots"]),
+        "incremental_phase1_pivots": int(
+            warm_counters["repro.lp.revised.phase1_pivots"]),
         "max_radius_diff_m": float(max_diff),
         "radii_agree": bool(max_diff <= 1e-6),
     }
@@ -232,10 +238,13 @@ def main(argv=None) -> int:
     report = run_sweep(args.aps, args.observations,
                        repeats=args.repeats)
     print(f"{'aps':>5} {'rows':>6} {'pivots':>7} {'phase1':>7} "
+          f"{'incr':>5} {'phase1':>7} "
           f"{'cold ms':>9} {'incr ms':>8} {'ix':>6} {'agree':>6}")
     for cell in report["results"]:
         print(f"{cell['aps']:>5} {cell['lp_rows']:>6} "
               f"{cell['cold_pivots']:>7} {cell['cold_phase1_pivots']:>7} "
+              f"{cell['incremental_pivots']:>5} "
+              f"{cell['incremental_phase1_pivots']:>7} "
               f"{cell['cold_seconds'] * 1e3:>9.1f} "
               f"{cell['incremental_seconds'] * 1e3:>8.1f} "
               f"{cell['incremental_vs_cold']:>5.1f}x "

@@ -102,12 +102,17 @@ def main(argv: Optional[List[str]] = None) -> int:
     p_engine.add_argument("--fallback-range", type=float, default=150.0,
                           help="assumed AP range (m) when the knowledge "
                                "base has none (the WiGLE case)")
-    p_engine.add_argument("--window", type=float, default=30.0,
-                          help="sliding co-observation window (s)")
-    p_engine.add_argument("--batch", type=int, default=32,
-                          help="dirty devices per micro-batch")
-    p_engine.add_argument("--cache-size", type=int, default=4096,
-                          help="Γ-set memoization entries (0 disables)")
+    # The flags a checkpoint's config records default to None, so a
+    # --resume can tell a flag given from one left out.
+    p_engine.add_argument("--window", type=float, default=None,
+                          help="sliding co-observation window (s; "
+                               "default 30)")
+    p_engine.add_argument("--batch", type=int, default=None,
+                          help="dirty devices per micro-batch "
+                               "(default 32)")
+    p_engine.add_argument("--cache-size", type=int, default=None,
+                          help="Γ-set memoization entries (0 disables; "
+                               "default 4096)")
     p_engine.add_argument("--no-cache", action="store_true",
                           help="disable Γ-set memoization")
     p_engine.add_argument("--refit-every", type=int, default=0,
@@ -127,7 +132,11 @@ def main(argv: Optional[List[str]] = None) -> int:
                           help="restore engine state from a checkpoint "
                                "before ingesting (falls back to the "
                                "newest valid FILE.N rotation when FILE "
-                               "is corrupt)")
+                               "is corrupt); the engine keeps the "
+                               "checkpoint's --window, --batch, "
+                               "--cache-size, --quarantine-after and "
+                               "--refit-every, and a flag that differs "
+                               "is an error")
     p_engine.add_argument("--lenient", action="store_true",
                           help="skip (and count) malformed capture "
                                "records instead of aborting on the "
@@ -141,9 +150,10 @@ def main(argv: Optional[List[str]] = None) -> int:
     p_engine.add_argument("--inject-seed", type=int, default=0,
                           help="seed for the fault injector's "
                                "probability streams")
-    p_engine.add_argument("--quarantine-after", type=int, default=3,
+    p_engine.add_argument("--quarantine-after", type=int, default=None,
                           help="quarantine a device after N consecutive "
-                               "localization failures (0 disables)")
+                               "localization failures (0 disables; "
+                               "default 3)")
     p_engine.add_argument("--tracks", action="store_true",
                           help="also print the tracks of the fixes this "
                                "run emits (after --resume, its own only)")
@@ -645,6 +655,29 @@ def _cmd_replay(args) -> int:
     return 0
 
 
+def _resume_conflict(args, config: dict) -> Optional[str]:
+    """The first ``engine`` flag on the command line that differs from
+    the checkpoint ``config`` it resumes, described; None when every
+    given flag agrees (a nonzero ``--refit-every`` counts as given)."""
+    given = (
+        ("--window", args.window, "window_s", float),
+        ("--batch", args.batch, "batch_size", int),
+        ("--cache-size", args.cache_size, "cache_size", int),
+        ("--no-cache", 0 if args.no_cache else None, "cache_size", int),
+        ("--quarantine-after", args.quarantine_after, "quarantine_after",
+         int),
+        ("--refit-every", args.refit_every or None, "refit_every", int),
+    )
+    for flag, value, key, kind in given:
+        if value is None:
+            continue
+        saved = kind(config.get(key))
+        if kind(value) != saved:
+            shown = flag if flag == "--no-cache" else f"{flag} {value}"
+            return f"{shown} differs from {key} = {saved}"
+    return None
+
+
 def _cmd_engine(args) -> int:
     import json
     from pathlib import Path
@@ -688,7 +721,7 @@ def _cmd_engine(args) -> int:
     if args.checkpoint_keep < 1:
         return _fail(
             f"--checkpoint-keep must be >= 1, got {args.checkpoint_keep}")
-    if args.quarantine_after < 0:
+    if args.quarantine_after is not None and args.quarantine_after < 0:
         return _fail(f"--quarantine-after must be >= 0, "
                      f"got {args.quarantine_after}")
     injector = None
@@ -707,17 +740,21 @@ def _cmd_engine(args) -> int:
             return _fail(f"corrupt checkpoint {args.resume!r}: {error}")
         except OSError as error:
             return _fail(f"cannot read checkpoint {args.resume!r}: {error}")
-        if refit_every == 0 and isinstance(checkpoint_data, dict):
-            # A checkpointed schedule survives the restart even when
-            # --refit-every is not repeated on the resume command line;
-            # the localizer choice below must match it.
-            config = checkpoint_data.get("config", {})
-            if isinstance(config, dict):
-                try:
-                    refit_every = int(config.get("refit_every", 0))
-                except (TypeError, ValueError) as error:
-                    return _fail(
-                        f"corrupt checkpoint {args.resume!r}: {error}")
+        config = (checkpoint_data.get("config")
+                  if isinstance(checkpoint_data, dict) else None)
+        if isinstance(config, dict):
+            try:
+                conflict = _resume_conflict(args, config)
+                # A checkpointed schedule survives the restart even
+                # when --refit-every is not repeated on the resume
+                # command line; the localizer choice below must match.
+                refit_every = int(config.get("refit_every", 0))
+            except (TypeError, ValueError) as error:
+                return _fail(f"corrupt checkpoint {args.resume!r}: {error}")
+            if conflict is not None:
+                return _fail(f"{conflict} in checkpoint {args.resume!r}; "
+                             "a resumed engine keeps its checkpointed "
+                             "configuration")
     try:
         if args.localizer:
             localizer = make_localizer(args.localizer, database=database)
@@ -737,7 +774,8 @@ def _cmd_engine(args) -> int:
                 fallback_range_m=args.fallback_range)
     except ValueError as error:
         return _fail(str(error))
-    cache_size = 0 if args.no_cache else args.cache_size
+    cache_size = (0 if args.no_cache
+                  else 4096 if args.cache_size is None else args.cache_size)
     # Fix lines come from engine.tracker; --tracks from this run's sink.
     tracks = make_sink("tracker")
     sinks = [tracks] if args.tracks else []
@@ -751,11 +789,13 @@ def _cmd_engine(args) -> int:
               f"({engine.stats().frames_ingested} frames already seen).")
     else:
         try:
-            engine = StreamingEngine(localizer, window_s=args.window,
-                                     batch_size=args.batch,
-                                     cache_size=cache_size, sinks=sinks,
-                                     refit_every=refit_every,
-                                     quarantine_after=args.quarantine_after)
+            engine = StreamingEngine(
+                localizer,
+                window_s=30.0 if args.window is None else args.window,
+                batch_size=32 if args.batch is None else args.batch,
+                cache_size=cache_size, sinks=sinks, refit_every=refit_every,
+                quarantine_after=(3 if args.quarantine_after is None
+                                  else args.quarantine_after))
         except ValueError as error:
             return _fail(str(error))
     recorder = obs.SpanRecorder() if args.trace else None

@@ -36,8 +36,10 @@ pairs append ">=" rows, separated pairs that became co-observed have
 their "<=" rows retuned to a never-binding right-hand side ("inerted"),
 and with ``solver="revised"`` the solve warm-starts from the previous
 optimal basis, so re-fit cost scales with the evidence delta rather
-than the corpus size.  Inert rows are garbage-collected by a full
-rebuild once they outnumber the live ones.
+than the corpus size.  An appended separated row that the last radii
+violate starts with its penalty slack basic, so it starts feasible.
+Inert rows are garbage-collected by a full rebuild once they outnumber
+the live ones.
 
 Every cold solve (a ``fit``, or the rebuild after compaction) starts
 the revised simplex from a basis that is feasible by construction:
@@ -195,6 +197,8 @@ class RadiusEstimator:
         self._sep_row = array("q")
         self._sep_live = array("b")
         self._lp_state: Optional[LpState] = None
+        # The radii of the solve that left ``_lp_state``.
+        self._lp_radii: Optional[np.ndarray] = None
 
     # ------------------------------------------------------------------
     # Public API
@@ -445,15 +449,42 @@ class RadiusEstimator:
             n, problem.num_variables)
         return LpState(row_basic=row_basic, at_upper=np.arange(n))
 
+    def _warm_start(self, problem: LpProblem) -> LpState:
+        """The last optimal basis, extended over the rows appended since.
+
+        An appended row keeps its own slack basic, except a separated
+        row that the last radii violate: its penalty slack is basic
+        instead, as in :meth:`_feasible_start`, and takes the excess,
+        so the row starts feasible.  An appended co-observed row the
+        last radii violate still starts infeasible.
+        """
+        state = self._lp_state
+        known = len(state.row_basic)
+        row_basic = slack_code(np.arange(problem.num_constraints))
+        row_basic[:known] = state.row_basic
+        n = len(self._bssids)
+        radii = self._lp_radii
+        # Separated rows are appended in order: the new ones are last.
+        for k in range(len(self._sep_row) - 1, -1, -1):
+            row = self._sep_row[k]
+            if row < known:
+                break
+            i, j = divmod(self._sep_key[k], n)
+            if radii[i] + radii[j] > self._sep_rhs(self._pair_distance(i, j)):
+                row_basic[row] = n + k
+        return LpState(row_basic=row_basic, at_upper=state.at_upper)
+
     def _solve(self, warm: bool) -> RadiusEstimate:
         problem = self._problem
         assert problem is not None
         started = time.perf_counter()
         if self.solver == "revised":
             result = problem.solve_revised(
-                warm_start=self._lp_state if warm
+                warm_start=self._warm_start(problem) if warm
                 else self._feasible_start(problem))
             self._lp_state = result.state
+            if result.x is not None:
+                self._lp_radii = result.x[:len(self._bssids)].copy()
             warm_started = warm and result.warm_started
         else:
             result = problem.solve(solver=self.solver)

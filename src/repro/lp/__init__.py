@@ -10,10 +10,11 @@ distance by solving::
 
 This package provides one from-scratch solver behind a modeling layer
 (:class:`LpProblem`): :func:`solve_revised`, a sparse revised simplex
-(CSC constraint storage, LU-factorized basis with product-form eta
-updates) that accepts an :class:`LpState` warm start, so streaming
-AP-Rad re-fits restart from the previous optimal basis.  The test suite
-cross-checks it against ``scipy.optimize.linprog``.
+(CSC constraint storage; the basis factored as singleton columns
+around a small dense core whose inverse each pivot updates in place)
+that accepts an :class:`LpState` warm start, so streaming AP-Rad
+re-fits restart from the previous optimal basis.  It needs NumPy only.
+The test suite cross-checks it against ``scipy.optimize.linprog``.
 """
 
 from repro.lp.revised import LpState, RevisedResult, solve_revised

@@ -12,18 +12,26 @@ built for that shape:
   materialized.  Row slacks make every row an equality, and variable
   bounds are handled directly by the bounded-variable simplex instead
   of being expanded into extra rows.
-* **Sparse basis factor** — the ``m × m`` basis is factorized by
-  SuperLU (``scipy.sparse.linalg.splu``) straight from its CSC column
-  slices, so no dense ``m × m`` array is ever built, and each pivot
-  appends a product-form eta vector instead of refactorizing.  The
-  basis is refactorized — and the basic solution recomputed to wash
-  out drift — every :data:`REFACTOR_EVERY` pivots or on a degenerate
-  pivot element.
+* **Singleton/core basis factor** — a basic column with one nonzero
+  (a row slack, or AP-Rad's penalty slack of a separated row) covers
+  its row and is solved by substitution; the ``k`` basic columns with
+  more entries, on the ``k`` rows no singleton covers, form a dense
+  ``k × k`` core kept as its explicit inverse.  ``ftran`` and
+  ``btran`` cost ``O(k²)`` plus a pass over the core columns' entries,
+  and every pivot updates the core in ``O(k²)``: a singleton moving to
+  another row replaces one core row, and a column entering or leaving
+  the core borders, shrinks or replaces it.  No dense array beyond
+  ``k × k`` is built.  The basis is refactorized — and the basic
+  solution recomputed to wash out drift — every
+  :data:`REFACTOR_EVERY` pivots or when an update's denominator is
+  tiny.
 * **Dantzig pricing with Bland fallback** — steepest reduced cost
   normally, switching to Bland's least-index rule after a pivot budget
-  so degenerate instances terminate.  Pricing and the ratio test are
-  whole-array NumPy passes; no per-row or per-column Python loop runs
-  inside a pivot.
+  so degenerate instances terminate.  Pricing reads the slack
+  columns' reduced costs straight from the duals and takes only the
+  structural columns through a sparse product; the ratio test runs
+  over the nonzeros of the entering column's ``B⁻¹ a``.  No per-row or
+  per-column Python loop runs inside a pivot.
 * **Phase 1 without artificials** — a composite infeasibility phase:
   basic variables outside their bounds price with ±1 costs and the
   ratio test stops at the first breakpoint where an infeasible basic
@@ -45,7 +53,7 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -169,9 +177,19 @@ class RevisedResult:
 
 
 class _Csc:
-    """Minimal CSC matrix: just the three arrays and column slicing."""
+    """Minimal CSC matrix: the three arrays, column slicing, each
+    column's lone entry when it has exactly one, and the entries row by
+    row.
 
-    __slots__ = ("m", "n", "indptr", "indices", "data")
+    ``single_row[j]`` is the row of column ``j``'s only nonzero and
+    ``single_val[j]`` its value; both read ``-1`` / ``0.0`` when column
+    ``j`` has any other number of entries.  Row ``i``'s entries are
+    ``row_col`` / ``row_val`` ``[row_ptr[i]:row_ptr[i + 1]]``.
+    """
+
+    __slots__ = ("m", "n", "indptr", "indices", "data", "single_row",
+                 "single_val", "row_ptr", "row_col", "row_val",
+                 "_nonempty", "_segments")
 
     def __init__(self, m: int, n: int, indptr: np.ndarray,
                  indices: np.ndarray, data: np.ndarray):
@@ -180,6 +198,20 @@ class _Csc:
         self.indptr = indptr
         self.indices = indices
         self.data = data
+        starts = indptr[:-1]
+        counts = indptr[1:] - starts
+        single = counts == 1
+        self.single_row = np.full(n, -1, dtype=np.int64)
+        self.single_row[single] = indices[starts[single]]
+        self.single_val = np.zeros(n)
+        self.single_val[single] = data[starts[single]]
+        order = indices.argsort(kind="stable")
+        self.row_ptr = np.zeros(m + 1, dtype=np.int64)
+        np.cumsum(np.bincount(indices, minlength=m), out=self.row_ptr[1:])
+        self.row_col = np.repeat(np.arange(n), counts)[order]
+        self.row_val = data[order]
+        self._nonempty = counts > 0
+        self._segments = starts[self._nonempty]
 
     def column(self, j: int) -> Tuple[np.ndarray, np.ndarray]:
         start, end = self.indptr[j], self.indptr[j + 1]
@@ -205,14 +237,11 @@ class _Csc:
 
     def transpose_dot(self, y: np.ndarray) -> np.ndarray:
         """``A^T y`` for all columns in one vectorized pass."""
+        sums = np.add.reduceat(self.data * y[self.indices], self._segments)
+        if self._segments.size == self.n:
+            return sums
         out = np.zeros(self.n)
-        if self.data.size == 0:
-            return out
-        prod = self.data * y[self.indices]
-        starts = self.indptr[:-1]
-        nonempty = self.indptr[1:] > starts
-        sums = np.add.reduceat(prod, np.minimum(starts, prod.size - 1))
-        out[nonempty] = sums[nonempty]
+        out[self._nonempty] = sums
         return out
 
 
@@ -249,70 +278,283 @@ class _SingularBasis(Exception):
     """Raised when the (warm) basis matrix cannot be factorized."""
 
 
-def _superlu(data: np.ndarray, indices: np.ndarray, indptr: np.ndarray,
-             m: int):
-    """SuperLU factor of the ``m × m`` CSC matrix ``(data, indices,
-    indptr)``.
+def _lu_pivots(core: np.ndarray) -> np.ndarray:
+    """``|diag(U)|`` of the partial-pivoting LU of the square ``core``.
 
-    ``scipy.sparse`` loads on the first factorization, not at import:
-    a process that never solves an LP pays neither its import time nor
-    its memory.
+    Entries after an exactly zero pivot read 0.
     """
-    from scipy.sparse import csc_matrix
-    from scipy.sparse.linalg import splu
-    return splu(csc_matrix((data, indices, indptr), shape=(m, m)))
+    work = core.copy()
+    size = work.shape[0]
+    pivots = np.zeros(size)
+    for i in range(size):
+        best = i + int(np.argmax(np.abs(work[i:, i])))
+        if best != i:
+            work[[i, best]] = work[[best, i]]
+        pivot = work[i, i]
+        pivots[i] = abs(pivot)
+        if pivot == 0.0:
+            break
+        work[i + 1:, i + 1:] -= np.multiply.outer(work[i + 1:, i] / pivot,
+                                                  work[i, i + 1:])
+    return pivots
 
 
 class _BasisFactor:
-    """Sparse LU-factorized basis with product-form eta updates.
+    """The basis as singleton columns around a small dense core.
 
-    ``ftran`` solves ``B x = a`` and ``btran`` solves ``B^T y = c``.
-    Each pivot appends one eta vector; the owner refactorizes when the
-    eta file grows past :data:`REFACTOR_EVERY` or a pivot is too small.
+    A basic column with one nonzero covers that row.  The ``k`` other
+    basic columns, on the ``k`` rows no singleton covers, form the core
+    ``K``: permuted, ``B = [[D, E], [0, K]]`` with ``D`` the
+    singletons' diagonal.  ``ftran`` solves ``B x = a`` as ``K x_C =
+    a_U`` and then each covered row by substitution; ``btran`` solves
+    ``B^T y = c`` the other way round.  The core is kept as its
+    explicit inverse — row ``i`` belongs to core column slot ``i``,
+    column ``i`` to core row slot ``i`` — and :meth:`update` changes it
+    in ``O(k²)`` per pivot.  The owner refactorizes after
+    :data:`REFACTOR_EVERY` updates or when one is refused.
+
+    A basis is singular when two singletons cover one row, or when a
+    singleton value or a pivot of the core's partial-pivoting LU is at
+    most ``1e-11 · max(1, max |B|)``.
     """
 
     def __init__(self, matrix: _Csc, basis: np.ndarray):
-        data, indices, indptr = matrix.columns(basis)
-        try:
-            self._lu = _superlu(data, indices, indptr, matrix.m)
-        except RuntimeError as error:  # SuperLU: "exactly singular"
-            raise _SingularBasis from error
-        scale = max(1.0, float(np.abs(data).max(initial=0.0)))
-        if np.abs(self._lu.U.diagonal()).min() <= 1e-11 * scale:
+        m = matrix.m
+        self.matrix = matrix
+        self.updates = 0
+        rows = matrix.single_row[basis]
+        covered = rows >= 0
+        if np.bincount(rows[covered], minlength=1).max() > 1:
             raise _SingularBasis
-        self._etas: List[Tuple[int, np.ndarray]] = []
+        # Per basis position: its singleton's row and value, or the
+        # dummy row m (an appended zero) and 1.0 for a core column.
+        self._pos_row = np.where(covered, rows, m)
+        self._pos_val = np.where(covered, matrix.single_val[basis], 1.0)
+        uncovered = np.ones(m, dtype=bool)
+        uncovered[rows[covered]] = False
+        self._core_rows = np.flatnonzero(uncovered)
+        self._core_pos = np.flatnonzero(~covered)
+        self._core_cols = basis[self._core_pos]
+        self._col_slot = np.full(matrix.n, -1, dtype=np.int64)
+        self._row_slot = np.full(m, -1, dtype=np.int64)
+        self._pos_slot = np.full(m, -1, dtype=np.int64)
+        size = self._core_pos.size
+        self._row_slot[self._core_rows] = np.arange(size)
+        self._pos_slot[self._core_pos] = np.arange(size)
+        self._col_slot[self._core_cols] = np.arange(size)
+        self._gather_core()
+        core = np.zeros((size, size))
+        slots = self._row_slot[self._entry_row]
+        inside = slots >= 0
+        core[slots[inside], self._entry_slot[inside]] = \
+            self._entry_val[inside]
+        tolerance = 1e-11 * max(
+            1.0, float(np.abs(self._pos_val).max(initial=0.0)),
+            float(np.abs(self._entry_val).max(initial=0.0)))
+        if np.abs(self._pos_val[covered]).min(initial=np.inf) <= tolerance:
+            raise _SingularBasis
+        try:
+            self._inv = np.linalg.inv(core)
+        except np.linalg.LinAlgError:  # an exactly zero LU pivot
+            raise _SingularBasis from None
+        # With |L| <= 1, min |diag(U)| <= tolerance would force
+        # max |K⁻¹| >= 1 / (size · ‖L‖_F · tolerance); only a larger
+        # inverse (10x margin) needs the LU pivots themselves.
+        if size and not np.abs(self._inv).max() < 0.1 / (
+                size * np.sqrt(size * (size + 1) / 2.0) * tolerance):
+            if _lu_pivots(core).min() <= tolerance:
+                raise _SingularBasis
 
-    @property
-    def eta_count(self) -> int:
-        return len(self._etas)
+    def _gather_core(self) -> None:
+        """The core columns' entries as flat (row, value, slot) arrays."""
+        data, indices, indptr = self.matrix.columns(self._core_cols)
+        self._entry_row = indices
+        self._entry_val = data
+        self._entry_slot = np.repeat(np.arange(self._core_cols.size),
+                                     np.diff(indptr))
+
+    # -- solves --------------------------------------------------------
 
     def ftran(self, rhs: np.ndarray) -> np.ndarray:
-        x = self._lu.solve(rhs)
-        for position, eta in self._etas:
-            pivot_value = x[position]
-            if pivot_value != 0.0:
-                x[position] = 0.0
-                x += eta * pivot_value
+        """``x`` with ``B x = rhs``."""
+        return self._substitute(np.append(rhs, 0.0),
+                                self._inv @ rhs[self._core_rows])
+
+    def ftran_column(self, column: int) -> np.ndarray:
+        """``B⁻¹ a`` for column ``column`` of the matrix."""
+        return self._substitute(*self._column(column))
+
+    def _column(self, column: int) -> Tuple[np.ndarray, np.ndarray]:
+        """Column ``column`` of the matrix as a dense right-hand side
+        plus a trailing zero, and its core part ``K⁻¹ a_U``."""
+        rows, values = self.matrix.column(column)
+        padded = np.zeros(self.matrix.m + 1)
+        padded[rows] = values
+        slot = self._row_slot[rows[0]] if rows.size == 1 else -1
+        if slot >= 0:  # a singleton on a core row: a column of K⁻¹
+            return padded, self._inv[:, slot] * values[0]
+        return padded, self._inv @ padded[self._core_rows]
+
+    def _substitute(self, padded: np.ndarray,
+                    x_core: np.ndarray) -> np.ndarray:
+        """Solve the covered rows once the core part ``x_core`` is
+        known; ``padded`` is the right-hand side plus a trailing zero
+        and is overwritten."""
+        if x_core.size:
+            padded[:-1] -= np.bincount(
+                self._entry_row,
+                weights=self._entry_val * x_core[self._entry_slot],
+                minlength=self.matrix.m)
+        x = padded[self._pos_row] / self._pos_val
+        x[self._core_pos] = x_core
         return x
 
     def btran(self, rhs: np.ndarray) -> np.ndarray:
-        y = np.array(rhs, dtype=float, copy=True)
-        for position, eta in reversed(self._etas):
-            y[position] = float(eta @ y)
-        return self._lu.solve(y, trans="T")
+        """``y`` with ``B^T y = rhs``."""
+        m = self.matrix.m
+        y = np.zeros(m + 1)
+        # Covered rows directly; core positions all land on row m.
+        y[self._pos_row] = rhs / self._pos_val
+        if self._core_pos.size:
+            y[m] = 0.0
+            core_rhs = rhs[self._core_pos] - np.bincount(
+                self._entry_slot,
+                weights=self._entry_val * y[self._entry_row],
+                minlength=self._core_pos.size)
+            y[self._core_rows] = core_rhs @ self._inv
+        return y[:m]
 
-    def update(self, position: int, w: np.ndarray) -> bool:
-        """Fold in a pivot replacing basis ``position`` (``w = B⁻¹ a_q``).
+    # -- updates -------------------------------------------------------
 
-        Returns False when the pivot element is numerically degenerate
-        and the caller must refactorize instead.
+    def update(self, position: int, column: int) -> bool:
+        """Fold in the pivot that puts ``column`` at basis ``position``.
+
+        Returns False when the pivot's denominator is numerically
+        degenerate (or the new basis is singular) and the caller must
+        refactorize instead.
         """
-        pivot_value = w[position]
-        if abs(pivot_value) < PIVOT_TOL:
+        row = int(self.matrix.single_row[column])
+        value = float(self.matrix.single_val[column])
+        slot = int(self._pos_slot[position])
+        if slot < 0:
+            left_row = int(self._pos_row[position])
+            if row == left_row:
+                # A singleton replaces one on the same row.
+                self._pos_val[position] = value
+                done = True
+            elif row >= 0:
+                done = self._move_singleton(position, left_row, row, value)
+            else:
+                done = self._border(position, left_row, column)
+        elif row >= 0:
+            done = self._shrink(position, slot, row, value)
+        else:
+            done = self._replace_column(slot, column)
+        if done:
+            self.updates += 1
+        return done
+
+    def _core_row(self, row: int) -> Tuple[np.ndarray, np.ndarray]:
+        """The core slots and values of the core columns' entries on
+        (covered) row ``row``."""
+        span = slice(self.matrix.row_ptr[row], self.matrix.row_ptr[row + 1])
+        slots = self._col_slot[self.matrix.row_col[span]]
+        core = slots >= 0
+        return slots[core], self.matrix.row_val[span][core]
+
+    def _move_singleton(self, position: int, left_row: int, row: int,
+                        value: float) -> bool:
+        """The singleton leaving ``left_row`` is replaced by one on core
+        row ``row``: ``left_row`` takes ``row``'s core row slot."""
+        i = int(self._row_slot[row])
+        if i < 0:  # row already covered: singular
             return False
-        eta = -w / pivot_value
-        eta[position] = 1.0 / pivot_value
-        self._etas.append((position, eta))
+        slots, values = self._core_row(left_row)
+        g = values @ self._inv[slots]
+        denominator = g[i]
+        if abs(denominator) < PIVOT_TOL:
+            return False
+        g[i] -= 1.0
+        self._inv -= np.multiply.outer(self._inv[:, i], g / denominator)
+        self._core_rows[i] = left_row
+        self._row_slot[left_row] = i
+        self._row_slot[row] = -1
+        self._pos_row[position] = row
+        self._pos_val[position] = value
+        return True
+
+    def _border(self, position: int, left_row: int, column: int) -> bool:
+        """A multi-entry column replaces the singleton on ``left_row``:
+        the core grows by that row and column."""
+        padded, x_core = self._column(column)
+        slots, entries = self._core_row(left_row)
+        schur = float(padded[left_row]) - float(entries @ x_core[slots])
+        if abs(schur) < PIVOT_TOL:
+            return False
+        g = entries @ self._inv[slots]
+        size = x_core.size
+        inv = np.empty((size + 1, size + 1))
+        inv[:size, :size] = self._inv + np.multiply.outer(x_core / schur, g)
+        inv[:size, size] = -x_core / schur
+        inv[size, :size] = -g / schur
+        inv[size, size] = 1.0 / schur
+        self._inv = inv
+        self._core_rows = np.append(self._core_rows, left_row)
+        self._core_pos = np.append(self._core_pos, position)
+        self._core_cols = np.append(self._core_cols, column)
+        self._row_slot[left_row] = size
+        self._pos_slot[position] = size
+        self._col_slot[column] = size
+        self._pos_row[position] = self.matrix.m
+        self._pos_val[position] = 1.0
+        rows, values = self.matrix.column(column)
+        self._entry_row = np.concatenate([self._entry_row, rows])
+        self._entry_val = np.concatenate([self._entry_val, values])
+        self._entry_slot = np.concatenate(
+            [self._entry_slot, np.full(rows.size, size)])
+        return True
+
+    def _shrink(self, position: int, slot: int, row: int,
+                value: float) -> bool:
+        """A singleton on core row ``row`` replaces core column
+        ``slot``: the core loses that row and column."""
+        i = int(self._row_slot[row])
+        if i < 0:
+            return False
+        denominator = self._inv[slot, i]
+        if abs(denominator) < PIVOT_TOL:
+            return False
+        inv = self._inv - np.multiply.outer(self._inv[:, i] / denominator,
+                                            self._inv[slot])
+        self._inv = np.delete(np.delete(inv, slot, axis=0), i, axis=1)
+        self._pos_slot[position] = -1
+        self._row_slot[row] = -1
+        self._col_slot[self._core_cols[slot]] = -1
+        self._core_pos = np.delete(self._core_pos, slot)
+        self._core_cols = np.delete(self._core_cols, slot)
+        self._core_rows = np.delete(self._core_rows, i)
+        size = self._core_pos.size
+        self._pos_slot[self._core_pos] = np.arange(size)
+        self._col_slot[self._core_cols] = np.arange(size)
+        self._row_slot[self._core_rows] = np.arange(size)
+        self._pos_row[position] = row
+        self._pos_val[position] = value
+        self._gather_core()
+        return True
+
+    def _replace_column(self, slot: int, column: int) -> bool:
+        """A multi-entry column replaces core column ``slot``."""
+        x_core = self._column(column)[1]
+        denominator = x_core[slot]
+        if abs(denominator) < PIVOT_TOL:
+            return False
+        change = x_core.copy()
+        change[slot] -= 1.0
+        self._inv -= np.multiply.outer(change, self._inv[slot] / denominator)
+        self._col_slot[self._core_cols[slot]] = -1
+        self._col_slot[column] = slot
+        self._core_cols[slot] = column
+        self._gather_core()
         return True
 
 
@@ -428,27 +670,26 @@ def _ratio_test(delta: np.ndarray, x_b: np.ndarray, lo_b: np.ndarray,
     rule is active.
     """
     up = delta > 0.0
+    lands_upper = up
+    blocks = np.abs(delta) > PIVOT_TOL
     if phase == 1:
         below = x_b < lo_b - FEAS_TOL
         above = x_b > hi_b + FEAS_TOL
-    else:
-        below = above = np.zeros(delta.shape, dtype=bool)
-    lands_upper = above | (~below & up)
-    target = np.where(lands_upper, hi_b, lo_b)
-    # A phase-1 row outside its bounds and moving further out never
-    # blocks.
-    blocks = ((np.abs(delta) > PIVOT_TOL) & np.isfinite(target)
-              & ~(below & ~up) & ~(above & up))
-    rows = np.nonzero(blocks)[0]
-    if rows.size == 0:
+        lands_upper = above | (~below & up)
+        # A row outside its bounds and moving further out never blocks.
+        blocks &= ~(below & ~up) & ~(above & up)
+    # A row that does not block steps NaN; one moving towards an
+    # infinite bound steps +inf.
+    t = np.maximum((np.where(lands_upper, hi_b, lo_b) - x_b)
+                   / np.where(blocks, delta, np.nan), 0.0)
+    t_min = float(np.fmin.reduce(t)) if t.size else np.inf
+    if not t_min < np.inf:
         return -1, _AT_LOWER, np.inf
-    t = np.maximum((target[rows] - x_b[rows]) / delta[rows], 0.0)
-    t_min = float(t.min())
-    near = rows[t <= t_min + FEAS_TOL]
+    near = (t <= t_min + FEAS_TOL).nonzero()[0]
     if bland:
-        row = int(near[np.argmin(basis[near])])
+        row = int(near[basis[near].argmin()])
     else:
-        row = int(near[np.argmax(np.abs(delta[near]))])
+        row = int(near[np.abs(delta[near]).argmax()])
     bound = _AT_UPPER if lands_upper[row] else _AT_LOWER
     return row, bound, t_min
 
@@ -481,6 +722,17 @@ class _RevisedSimplex:
         self.x_basic = np.zeros(self.m)
         self.nonbasic_value = np.zeros(self.total)
         self.factor: Optional[_BasisFactor] = None
+        # Pricing direction per column: +1 at lower, -1 at upper, 0
+        # basic or fixed, so ``reduced * sign < 0`` marks an improving
+        # column.  Set from ``status`` on every refactorization and kept
+        # in step by each pivot.
+        self.sign = np.zeros(self.total)
+        # The structural columns alone: a slack's reduced cost is read
+        # from its row's dual.
+        nnz = int(matrix.indptr[n_struct])
+        self.structural = _Csc(self.m, n_struct,
+                               matrix.indptr[:n_struct + 1],
+                               matrix.indices[:nnz], matrix.data[:nnz])
 
     # -- setup ---------------------------------------------------------
 
@@ -532,11 +784,14 @@ class _RevisedSimplex:
                 self.status[column] = _AT_UPPER
         self.status[self.basis] = _BASIC
 
-    def _refresh_nonbasic_values(self) -> None:
+    def _refresh_from_status(self) -> None:
+        """Nonbasic values and pricing signs from ``status``."""
         at_lower = self.status == _AT_LOWER
         at_upper = self.status == _AT_UPPER
         self.nonbasic_value = np.where(at_lower, self.lo,
                                        np.where(at_upper, self.hi, 0.0))
+        self.sign = np.where(self.fixed, 0.0,
+                             at_lower.astype(float) - at_upper)
 
     def _refactorize(self) -> None:
         self.factor = _BasisFactor(self.matrix, self.basis)
@@ -544,7 +799,7 @@ class _RevisedSimplex:
         self._recompute_basics()
 
     def _recompute_basics(self) -> None:
-        self._refresh_nonbasic_values()  # basic columns read 0 here
+        self._refresh_from_status()  # basic columns read 0 here
         residual = self.rhs - self.matrix.dot(self.nonbasic_value)
         self.x_basic = self.factor.ftran(residual)
 
@@ -581,7 +836,7 @@ class _RevisedSimplex:
             self.iterations += 1
             if phase == 1:
                 self.phase1_iterations += 1
-            if (self.factor.eta_count >= REFACTOR_EVERY
+            if (self.factor.updates >= REFACTOR_EVERY
                     or step == "refactor"):
                 try:
                     self._refactorize()
@@ -596,7 +851,7 @@ class _RevisedSimplex:
         if unbounded:
             return "unbounded"
         self.status[:] = np.where(self.cost >= 0, _AT_LOWER, _AT_UPPER)
-        self._refresh_nonbasic_values()
+        self._refresh_from_status()
         return "optimal"
 
     # -- pricing -------------------------------------------------------
@@ -625,66 +880,70 @@ class _RevisedSimplex:
             basic_cost = self.cost[self.basis]
             offset = self.cost
         y = self.factor.btran(basic_cost)
-        reduced = offset - self.matrix.transpose_dot(y)
-        at_lower = self.status == _AT_LOWER
-        at_upper = self.status == _AT_UPPER
-        candidates = ~self.fixed & (
-            (at_lower & (reduced < -DUAL_TOL))
-            | (at_upper & (reduced > DUAL_TOL)))
-        indices = np.nonzero(candidates)[0]
-        if indices.size == 0:
-            return -1, 0.0
+        # score = (offset - A^T y) * sign, in one buffer.
+        score = np.concatenate([self.structural.transpose_dot(y), y])
+        np.subtract(offset, score, out=score)
+        score *= self.sign
         if self.iterations < self.bland_after:
-            scores = np.abs(reduced[indices])
-            entering = int(indices[int(np.argmax(scores))])
+            # Steepest |reduced| among improving columns, least index
+            # on a tie.
+            entering = int(score.argmin())
+            if not score[entering] < -DUAL_TOL:
+                return -1, 0.0
         else:
-            entering = int(indices[0])  # Bland: least index
-        direction = 1.0 if self.status[entering] == _AT_LOWER else -1.0
-        return entering, direction
+            improving = np.flatnonzero(score < -DUAL_TOL)
+            if improving.size == 0:
+                return -1, 0.0
+            entering = int(improving[0])  # Bland: least index
+        return entering, float(self.sign[entering])
 
     # -- ratio test + pivot --------------------------------------------
 
     def _step(self, entering: int, direction: float, phase: int) -> str:
-        rows, values = self.matrix.column(entering)
-        column_dense = np.zeros(self.m)
-        column_dense[rows] = values
-        w = self.factor.ftran(column_dense)
-        delta = -direction * w  # basic-variable velocity per unit step
+        w = self.factor.ftran_column(entering)
+        # Only basic variables with w != 0 move, so only they can block.
+        moving = w.nonzero()[0]
+        w_moving = w[moving]
+        basic = self.basis[moving]
+        local, best_bound, best_t = _ratio_test(
+            -direction * w_moving, self.x_basic[moving], self.lo[basic],
+            self.hi[basic], basic, phase,
+            bland=self.iterations >= self.bland_after)
 
-        x_b = self.x_basic
-        best_row, best_bound, best_t = _ratio_test(
-            delta, x_b, self.lo[self.basis], self.hi[self.basis],
-            self.basis, phase, bland=self.iterations >= self.bland_after)
-
-        bound_span = self.hi[entering] - self.lo[entering]
-        if bound_span < best_t and np.isfinite(bound_span):
+        bound_span = float(self.hi[entering] - self.lo[entering])
+        if bound_span < best_t:
             # Bound flip: the entering variable crosses its own range
             # before any basic blocks; no basis change.
-            self.x_basic = x_b - direction * bound_span * w
+            self.x_basic[moving] -= direction * bound_span * w_moving
             self.status[entering] = (_AT_UPPER if direction > 0
                                      else _AT_LOWER)
+            self.sign[entering] = -direction
             return "ok"
-        if best_row < 0:
+        if local < 0:
             return "unbounded"
 
+        best_row = int(moving[local])
         entering_start = (self.lo[entering] if direction > 0
                           else self.hi[entering])
         entering_value = entering_start + direction * best_t
-        self.x_basic = x_b - direction * best_t * w
+        self.x_basic[moving] -= direction * best_t * w_moving
         leaving = int(self.basis[best_row])
         self.status[leaving] = best_bound
+        if not self.fixed[leaving]:
+            self.sign[leaving] = 1.0 if best_bound == _AT_LOWER else -1.0
         # Snap the leaving variable's stored value onto its bound.
         self.basis[best_row] = entering
         self.status[entering] = _BASIC
+        self.sign[entering] = 0.0
         self.x_basic[best_row] = entering_value
-        if not self.factor.update(best_row, w):
+        if not self.factor.update(best_row, entering):
             return "refactor"
         return "ok"
 
     # -- extraction ----------------------------------------------------
 
     def solution(self) -> np.ndarray:
-        self._refresh_nonbasic_values()
+        self._refresh_from_status()
         x = self.nonbasic_value.copy()
         if self.m:
             x[self.basis] = self.x_basic

@@ -42,6 +42,9 @@ def test_bench_aprad_lp_smoke(tmp_path):
     # The cold fit starts from a feasible basis: no phase-1 pivots.
     assert cell["cold_pivots"] > 0
     assert cell["cold_phase1_pivots"] == 0
+    # The warm refit's pivots are reported too.
+    assert cell["incremental_pivots"] >= cell["incremental_phase1_pivots"]
+    assert cell["incremental_phase1_pivots"] >= 0
     # The correctness property is exact at any scale: the warm and
     # cold paths must agree on the radii.
     assert cell["radii_agree"], cell["max_radius_diff_m"]

@@ -91,6 +91,46 @@ class TestEngineCommand:
         assert "Resumed from" in out
         assert "EngineStats:" in out
 
+    @pytest.fixture(scope="class")
+    def checkpoint(self, sim_capture, tmp_path_factory):
+        """A checkpoint written with the default engine flags."""
+        _, capture_path, wigle_path = sim_capture
+        ckpt = tmp_path_factory.mktemp("resume_flags") / "engine.ckpt.json"
+        assert main(["engine", str(capture_path), "--wigle", str(wigle_path),
+                     "--checkpoint", str(ckpt)]) == 0
+        return ckpt
+
+    @pytest.mark.parametrize("flags", [
+        ["--window", "60"], ["--batch", "7"], ["--cache-size", "16"],
+        ["--no-cache"], ["--quarantine-after", "5"],
+        ["--refit-every", "40"],
+    ], ids=lambda flags: flags[0])
+    def test_resume_rejects_a_flag_that_differs(self, sim_capture,
+                                                 checkpoint, flags, capsys):
+        _, capture_path, wigle_path = sim_capture
+        capsys.readouterr()
+        code = main(["engine", str(capture_path), "--wigle", str(wigle_path),
+                     "--resume", str(checkpoint), *flags])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert "Resumed from" not in captured.out
+        error = captured.err.strip()
+        assert error.startswith(f"error: {flags[0]}")
+        assert str(checkpoint) in error and "\n" not in error
+
+    @pytest.mark.parametrize("flags", [
+        [],
+        ["--window", "30", "--batch", "32", "--cache-size", "4096",
+         "--quarantine-after", "3"],
+    ], ids=["no-flags", "same-values"])
+    def test_resume_accepts_flags_that_agree(self, sim_capture, checkpoint,
+                                             flags, capsys):
+        _, capture_path, wigle_path = sim_capture
+        capsys.readouterr()
+        assert main(["engine", str(capture_path), "--wigle", str(wigle_path),
+                     "--resume", str(checkpoint), *flags]) == 0
+        assert "Resumed from" in capsys.readouterr().out
+
     def test_resume_restores_refit_schedule(self, sim_capture, tmp_path,
                                             capsys):
         """Resuming without --refit-every must honor the checkpointed

@@ -9,6 +9,11 @@ cover the degenerate / warm-start / softened-infeasible corners that
 random sampling rarely hits.
 """
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -18,8 +23,10 @@ from repro.localization.radius_lp import RadiusEstimator
 from repro.lp import LpProblem, LpState, solve_revised
 from repro.lp.revised import (
     _AT_LOWER, _AT_UPPER, FEAS_TOL, PIVOT_TOL, LpRows, _BasisFactor,
-    _build_csc, _ratio_test, _SingularBasis)
+    _build_csc, _lu_pivots, _ratio_test, _SingularBasis)
 from repro.net80211.mac import MacAddress
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 # Quantized draws: denormal-ish coefficients like 1e-7 make an instance
 # so ill-conditioned that HiGHS's own feasibility tolerance (~1e-9 on a
@@ -492,42 +499,123 @@ class TestCsc:
                                    atol=1e-12)
 
 
+def _radius_matrix(rng, aps=8, rows=30):
+    """An AP-Rad-shaped ``[A | I]``: radius columns ``0..aps-1``; each
+    row pairs two radii, and a separated row adds its own penalty slack
+    (coefficient -1) after the radii."""
+    constraints, separated = [], []
+    for _ in range(rows):
+        i, j = (int(v) for v in rng.choice(aps, size=2, replace=False))
+        if rng.random() < 0.6:
+            separated.append(len(constraints))
+            constraints.append(
+                ({i: 1.0, j: 1.0, aps + len(separated) - 1: -1.0}, "<=",
+                 0.0))
+        else:
+            constraints.append(({i: 1.0, j: 1.0}, ">=", 0.0))
+    n = aps + len(separated)
+    matrix, _, _, _ = _build_csc(LpRows.of(constraints), n)
+    # The feasible start: penalty slacks basic in separated rows, row
+    # slacks elsewhere -- every basic column a singleton (k = 0).
+    basis = np.arange(n, n + len(constraints), dtype=np.int64)
+    basis[separated] = np.arange(aps, n)
+    return matrix, basis
+
+
+def _dense_matrix(rng, m=12, n=20):
+    """``[A | I]`` with a fully dense ``A`` and a basis of ``m``
+    structural columns, so every basic column is in the core (k = m)."""
+    constraints = [({j: float(rng.uniform(-3.0, 3.0)) for j in range(n)},
+                    "<=", 0.0) for _ in range(m)]
+    matrix, _, _, _ = _build_csc(LpRows.of(constraints), n)
+    return matrix, rng.choice(n, size=m, replace=False).astype(np.int64)
+
+
+#: Pivot kinds by the leaving and entering column: a singleton
+#: replacing one on the same row, a singleton moving a row into the
+#: core and another out, a column bordering the core, a singleton
+#: shrinking it, a column replacing a core column.
+PIVOT_KINDS = ("swap", "move", "border", "shrink", "replace")
+
+
+def _pivot_kind(factor, matrix, position, entering):
+    entering_row = matrix.single_row[entering]
+    leaving_core = factor._pos_slot[position] >= 0
+    if entering_row < 0:
+        return "replace" if leaving_core else "border"
+    if leaving_core:
+        return "shrink"
+    return "swap" if entering_row == factor._pos_row[position] else "move"
+
+
 class TestBasisFactor:
-    """The SuperLU factor plus its eta file against dense solves."""
+    """The singleton/core factor against dense solves after each kind
+    of pivot, on radius-shaped (k << m) and dense (k = m) bases."""
 
-    def _pivot_in(self, rng, matrix, basis, factor):
-        """One basis change: a random column enters at its best row."""
-        outside = np.setdiff1d(np.arange(matrix.n), basis)
-        entering = int(rng.choice(outside))
-        rows, values = matrix.column(entering)
-        column = np.zeros(matrix.m)
-        column[rows] = values
-        w = factor.ftran(column)
-        position = int(np.argmax(np.abs(w)))
-        assert factor.update(position, w)
-        basis[position] = entering
-
-    @pytest.mark.parametrize("seed", range(5))
-    def test_ftran_btran_match_dense_solve_after_eta_updates(self, seed):
-        rng = np.random.default_rng(seed)
-        m, n = 30, 45
-        matrix = _random_sparse_matrix(rng, m, n)
-        basis = np.arange(n, n + m, dtype=np.int64)
-        factor = _BasisFactor(matrix, basis)
-        for _ in range(8):  # move off the identity, then refactorize
-            self._pivot_in(rng, matrix, basis, factor)
-        factor = _BasisFactor(matrix, basis)
-        for _ in range(12):
-            self._pivot_in(rng, matrix, basis, factor)
-        assert factor.eta_count == 12
+    def _check(self, factor, matrix, basis, rng):
         dense = _dense_columns(matrix, basis)
-        rhs = rng.normal(size=m)
+        rhs = rng.normal(size=matrix.m)
         np.testing.assert_allclose(factor.ftran(rhs),
                                    np.linalg.solve(dense, rhs),
                                    rtol=1e-9, atol=1e-9)
         np.testing.assert_allclose(factor.btran(rhs),
                                    np.linalg.solve(dense.T, rhs),
                                    rtol=1e-9, atol=1e-9)
+        columns = rng.choice(matrix.n, size=5, replace=False)
+        solved = np.linalg.solve(dense, _dense_columns(matrix, columns))
+        for position, column in enumerate(columns.tolist()):
+            np.testing.assert_allclose(factor.ftran_column(column),
+                                       solved[:, position],
+                                       rtol=1e-9, atol=1e-9)
+
+    def _pivot(self, factor, matrix, basis, kind, rng):
+        """Make one pivot of ``kind`` with a well-sized pivot element."""
+        outside = np.setdiff1d(np.arange(matrix.n), basis)
+        for entering in rng.permutation(outside).tolist():
+            w = factor.ftran_column(entering)
+            for position in np.flatnonzero(np.abs(w) > 0.2).tolist():
+                if _pivot_kind(factor, matrix, position, entering) == kind:
+                    assert factor.update(position, entering)
+                    basis[position] = entering
+                    return
+        pytest.fail(f"no {kind} pivot available")
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_radius_shaped_basis_after_every_pivot_kind(self, seed):
+        rng = np.random.default_rng(seed)
+        matrix, basis = _radius_matrix(rng)
+        factor = _BasisFactor(matrix, basis)
+        assert factor._core_pos.size == 0
+        kinds = ("border", "border", "swap", "move", "border", "replace",
+                 "move", "shrink", "swap", "replace", "shrink", "move")
+        for kind in kinds:
+            self._pivot(factor, matrix, basis, kind, rng)
+            self._check(factor, matrix, basis, rng)
+        assert factor.updates == len(kinds)
+        assert 0 < factor._core_pos.size < matrix.m
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_dense_basis_after_every_pivot_kind(self, seed):
+        rng = np.random.default_rng(seed)
+        matrix, basis = _dense_matrix(rng)
+        factor = _BasisFactor(matrix, basis)
+        assert factor._core_pos.size == matrix.m
+        self._check(factor, matrix, basis, rng)
+        for kind in ("replace", "shrink", "border", "shrink", "shrink",
+                     "move", "replace", "border", "move"):
+            self._pivot(factor, matrix, basis, kind, rng)
+            self._check(factor, matrix, basis, rng)
+        # A refactorization of the updated basis agrees with the updates.
+        self._check(_BasisFactor(matrix, basis), matrix, basis, rng)
+
+    def test_update_refuses_a_zero_pivot(self):
+        rng = np.random.default_rng(0)
+        matrix, basis = _radius_matrix(rng)
+        factor = _BasisFactor(matrix, basis)
+        column = 0  # radius 0 is absent from some row
+        w = factor.ftran_column(column)
+        position = int(np.flatnonzero(w == 0.0)[0])
+        assert not factor.update(position, column)
 
     def test_singular_basis_is_rejected(self):
         rng = np.random.default_rng(0)
@@ -535,6 +623,50 @@ class TestBasisFactor:
         basis = np.array([0, 0, 6, 7, 8, 9], dtype=np.int64)
         with pytest.raises(_SingularBasis):
             _BasisFactor(matrix, basis)
+
+    def test_two_singletons_on_one_row_are_singular(self):
+        rng = np.random.default_rng(0)
+        matrix, basis = _radius_matrix(rng)
+        n = matrix.n - matrix.m
+        separated = int(np.flatnonzero(basis < n)[0])
+        # Row ``separated`` keeps its penalty slack and gains its row
+        # slack, which another row gives up.
+        basis[(separated + 1) % matrix.m] = n + separated
+        with pytest.raises(_SingularBasis):
+            _BasisFactor(matrix, basis)
+
+
+def test_lu_pivots_match_scipy():
+    lu = pytest.importorskip("scipy.linalg").lu
+    rng = np.random.default_rng(5)
+    for size in (1, 2, 7, 30):
+        core = rng.normal(size=(size, size))
+        core[rng.random((size, size)) < 0.3] = 0.0
+        np.testing.assert_allclose(_lu_pivots(core),
+                                   np.abs(np.diagonal(lu(core)[2])),
+                                   rtol=1e-12, atol=1e-12)
+    np.testing.assert_array_equal(
+        _lu_pivots(np.array([[1.0, 2.0], [2.0, 4.0]])), [2.0, 0.0])
+
+
+def test_revised_solve_leaves_scipy_sparse_unloaded():
+    code = (
+        "import sys\n"
+        "from repro.lp import LpProblem\n"
+        "problem = LpProblem(maximize=True)\n"
+        "x = problem.add_variable(low=0.0, up=5.0)\n"
+        "y = problem.add_variable(low=0.0, up=5.0)\n"
+        "problem.set_objective({x: 2.0, y: 1.0})\n"
+        "problem.add_constraint({x: 1.0, y: 1.0}, '<=', 6.0)\n"
+        "assert problem.solve(solver='revised').objective == 11.0\n"
+        "print(sorted(m for m in sys.modules if m.startswith('scipy')))\n")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    result = subprocess.run([sys.executable, "-c", code], env=env,
+                            capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    assert "scipy.sparse" not in result.stdout, result.stdout
 
 
 #: Warm codes naming two structural columns for a basis they cannot

@@ -228,3 +228,33 @@ class TestFeasibleStart:
         compactions = run_chain(locations, chunks, r_max=100.0,
                                 max_separated_neighbors=1)
         assert compactions >= 1
+
+
+class TestWarmStart:
+    def test_appended_separated_rows_start_feasible(self):
+        # Three collinear APs 100 m apart; C is seen once, below
+        # min_evidence, so the fit has only the co-observed row A-B and
+        # every radius at r_max.  A second sighting of C appends the
+        # separated rows A-C and B-C, both violated by those radii:
+        # their penalty slacks start basic, so phase 1 has no work.
+        locations = {mac(i): Point(100.0 * i, 0.0) for i in range(3)}
+        a, b, c = locations
+        estimator = RadiusEstimator(locations, r_max=200.0, min_evidence=2,
+                                    tie_break=TIE)
+        fitted = estimator.fit([{a, b}, {a, b}, {c}])
+        assert estimator.lp_rows == 1
+        assert list(fitted.radii.values()) == pytest.approx([200.0] * 3)
+        estimator.ingest([{c}])
+        registry = obs.MetricsRegistry()
+        with obs.use_registry(registry):
+            estimate = estimator.refit()
+        assert estimate.warm_started
+        assert estimate.lp_rows == 3 and estimate.separated_pairs == 2
+        counters = registry.snapshot()["counters"]
+        assert counters["repro.lp.revised.phase1_pivots"] == 0
+        highs = RadiusEstimator(locations, r_max=200.0, min_evidence=2,
+                                tie_break=TIE, solver="scipy").fit(
+            [{a, b}, {a, b}, {c}, {c}])
+        for m in locations:
+            assert estimate.radii[m] == pytest.approx(highs.radii[m],
+                                                      abs=1e-6)
