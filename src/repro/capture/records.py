@@ -278,16 +278,20 @@ class FrameBatch:
     memory-mapped file.  Consumers that can work columnar (the engine's
     vectorized ingest, ``locate_batch`` feeders) read the columns;
     consumers that need objects call :meth:`frame_at` or
-    :meth:`iter_frames`.
+    :meth:`iter_frames`.  ``checked`` says every row is already known to
+    decode (:func:`check_rows` passed on these bytes), so a consumer
+    that would check them again may skip it.
     """
 
-    __slots__ = ("records", "aux", "frame_types")
+    __slots__ = ("records", "aux", "frame_types", "checked")
 
     def __init__(self, records: np.ndarray, aux=b"",
-                 frame_types: Sequence[FrameType] = FRAME_TYPES):
+                 frame_types: Sequence[FrameType] = FRAME_TYPES,
+                 checked: bool = False):
         self.records = records
         self.aux = aux
         self.frame_types = frame_types
+        self.checked = checked
 
     def __len__(self) -> int:
         return len(self.records)

@@ -49,8 +49,8 @@ from repro import faults, obs
 from repro.faults import CheckpointError, ReproError, RetryPolicy
 from repro.capture.records import FrameBatch, check_rows, mac_from_int
 from repro.engine.cache import GammaCache
-from repro.engine.ingest import (Evidence, GammaState, classify_rows,
-                                 extract_evidence)
+from repro.engine.ingest import (BatchFold, Evidence, GammaState,
+                                 classify_rows, extract_evidence)
 from repro.engine.scheduler import MicroBatchScheduler
 from repro.engine.sinks import EngineSink, LatestFixSink
 from repro.engine.stats import EngineStats
@@ -217,25 +217,29 @@ class StreamingEngine:
         """Consume one :class:`~repro.capture.records.FrameBatch`.
 
         The columnar hot path: :func:`~repro.engine.ingest.classify_rows`
-        classifies the whole batch over its NumPy columns, and only
-        evidence rows touch Python one at a time.  Probe requests feed
-        the pseudonym linker once per distinct (source, SSID) pair,
+        classifies the whole batch over its NumPy columns, and a
+        :class:`~repro.engine.ingest.BatchFold` picks the evidence rows
+        that can change a Γ; only those touch Python one at a time, and
+        the rest raise their devices' times in bulk.  Probe requests
+        feed the pseudonym linker once per distinct (source, SSID) pair,
         straight from the columns (a row with an aux payload is decoded
         in full); beacons, deauths and multicast traffic never
-        materialize.  The probe rows are checked to decode first, so a
-        malformed one raises :class:`~repro.faults.CaptureError` naming
-        its row and leaves the engine untouched.
+        materialize.  Unless the batch is already ``checked`` (the wire
+        codec checks what a socket shard receives), the probe rows are
+        checked to decode first, so a malformed one raises
+        :class:`~repro.faults.CaptureError` naming its row and leaves
+        the engine untouched.
 
         Exactly equivalent to calling :meth:`ingest` per record in row
-        order: evidence folds into Γ one event at a time, and the
-        refit-schedule and micro-batch-flush checks run after each
-        evidence row (after any other row they find nothing due, unless
-        something was due before the batch began), so flush interleaving
-        — and therefore emitted fixes and checkpoints — match the
-        record-at-a-time path bit for bit.  Probe rows never mark a
-        device dirty, so linking them ahead of the evidence changes no
-        flush.  The ``ingest`` stage is timed once per run of rows
-        between two flush points, not per row.
+        order: the Γ-changing rows fold one event at a time, and the
+        refit-schedule and micro-batch-flush checks run after each row
+        at which something can fall due (after any other row they find
+        nothing due), so flush interleaving — and therefore emitted
+        fixes and checkpoints — match the record-at-a-time path bit for
+        bit.  Probe rows never mark a device dirty, so linking them
+        ahead of the evidence changes no flush.  The ``ingest`` stage is
+        timed once per run of rows between two flush points, not per
+        row.
         """
         total = len(batch)
         if total == 0:
@@ -243,29 +247,74 @@ class StreamingEngine:
         started = time.perf_counter()
         records = batch.records
         probe, evidence, mobiles = classify_rows(batch)
-        check_rows(records, batch.aux, batch.frame_types, rows=probe)
+        if not batch.checked:
+            check_rows(records, batch.aux, batch.frame_types, rows=probe)
         timer = self._stage_timer("ingest")
         self._c_frames.inc(total)
         self._c_probes.inc(int(probe.sum()))
         self._c_evidence.inc(int(evidence.sum()))
         self._link_probes(batch, probe)
-        if not evidence[0] and self._settle_due():
-            # The record path settles after row 0 whatever it carries.
+        # The record path settles after row 0 whatever it carries.
+        due_first = self._settle_due()
+        if due_first and not evidence[0]:
             timer.observe(time.perf_counter() - started)
             self._settle()
             started = time.perf_counter()
-        rows = np.nonzero(evidence)[0]
-        for mobile, ap, timestamp in zip(mobiles[rows].tolist(),
-                                         records["bssid"][rows].tolist(),
-                                         records["rx_ts"][rows].tolist()):
-            self._fold(Evidence(mac_from_int(mobile), mac_from_int(ap),
-                                timestamp))
+            due_first = False
+        rows = np.flatnonzero(evidence)
+        if rows.size:
+            plan = BatchFold(self.gamma_state, mobiles[rows],
+                             records["bssid"][rows], records["rx_ts"][rows])
+            started = self._fold_plan(plan, rows.size, due_first, timer,
+                                      started)
+        self._g_devices.set(len(self._seen))
+        timer.observe(time.perf_counter() - started)
+
+    def _fold_plan(self, plan: BatchFold, count: int, due_first: bool,
+                   timer: obs.Timer, started: float) -> float:
+        """Fold a batch's ``count`` evidence rows as :meth:`ingest` would.
+
+        Only the plan's rows go through :meth:`_fold`.  The others
+        change no Γ and dirty no device, so a settle can follow only a
+        folded row, a row at which a re-fit falls due, or row 0 when a
+        settle was due before the batch (``due_first``); the plan raises
+        the skipped rows' times just before each settle, and a re-fit
+        engine queues their Γ as pending observations in row order.
+        Returns the ingest stage's new start time.
+        """
+        folds = plan.rows + [count]
+        refit_every = self.refit_every
+        fold_index = 0
+        done = 0                 # rows [0, done) are accounted for
+        while True:
+            row = folds[fold_index]
+            if refit_every:
+                # The row whose event count reaches the schedule.
+                row = min(row, max(done, done + refit_every
+                                   - self._events_since_refit - 1))
+            if due_first:
+                row, due_first = 0, False
+            if row >= count:
+                break
+            folded = row == folds[fold_index]
+            if refit_every:
+                skipped = row if folded else row + 1
+                self._pending_refit.extend(plan.gammas(done, skipped))
+                self._events_since_refit += skipped - done
+            if folded:
+                self._fold(plan.evidence(row))
+                fold_index += 1
+            done = row + 1
             if self._settle_due():
+                plan.raise_through(row)
                 timer.observe(time.perf_counter() - started)
                 self._settle()
                 started = time.perf_counter()
-        self._g_devices.set(len(self._seen))
-        timer.observe(time.perf_counter() - started)
+        if refit_every:
+            self._pending_refit.extend(plan.gammas(done, count))
+            self._events_since_refit += count - done
+        plan.raise_through(count - 1)
+        return started
 
     def _link_probes(self, batch: FrameBatch, probe: np.ndarray) -> None:
         """Feed the batch's probe requests to the linker from columns.

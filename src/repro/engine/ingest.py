@@ -26,11 +26,11 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Optional, Tuple
+from typing import Dict, FrozenSet, List, Optional, Tuple
 
 import numpy as np
 
-from repro.capture.records import NO_BSSID, FrameBatch
+from repro.capture.records import NO_BSSID, FrameBatch, mac_from_int
 from repro.net80211.frames import FrameType
 from repro.net80211.mac import MacAddress
 from repro.net80211.medium import ReceivedFrame
@@ -230,3 +230,109 @@ class GammaState:
             state._devices[MacAddress.parse(mobile_text)] = _DeviceGamma(
                 parsed, state.window_s)
         return state
+
+
+class BatchFold:
+    """One batch's evidence rows, split by whether a row can change Γ.
+
+    A device is *safe* for the batch when ``max(frontier, max ts) -
+    window <= min(floor, min ts)`` over its rows (a device new to the
+    state counts with no frontier and no floor): no horizon the batch
+    can reach passes a member or a row, so no member expires and Γ only
+    grows.  Of a safe device's rows, only the first row of each
+    (device, AP) pair whose AP is outside Γ when the batch starts can
+    change Γ, and it always does; every other row only raises
+    ``by_ap[ap]`` and ``frontier``.  Every row of an unsafe device can
+    change Γ.
+
+    Built over one batch's evidence columns (row order: 48-bit mobile
+    and AP ints, times).  :attr:`rows` lists the rows that can change
+    Γ, in row order; the caller
+    folds each through :meth:`GammaState.observe` (:meth:`evidence`
+    builds the event).  The other rows are raised in bulk by
+    :meth:`raise_through`, which the caller runs before anything reads
+    a device's times and once at the end.  Raising out of row order is
+    exact: the times are maxima, and a safe device's folded rows do not
+    depend on them.
+    """
+
+    __slots__ = ("rows", "_state", "_macs", "_held", "_aps",
+                 "_device_of", "_ap_of", "_stamps", "_bulk", "_keys",
+                 "_raised")
+
+    def __init__(self, state: GammaState, mobiles: np.ndarray,
+                 aps: np.ndarray, stamps: np.ndarray):
+        window = state.window_s
+        values, device_of = np.unique(mobiles, return_inverse=True)
+        ap_values, ap_of = np.unique(aps, return_inverse=True)
+        self._macs = [mac_from_int(value) for value in values.tolist()]
+        self._aps = [mac_from_int(value) for value in ap_values.tolist()]
+        self._state = state
+        self._held = [state._devices.get(mac) for mac in self._macs]
+        low = np.full(len(values), np.inf)
+        np.minimum.at(low, device_of, stamps)
+        high = np.full(len(values), -np.inf)
+        np.maximum.at(high, device_of, stamps)
+        safe = np.array([
+            hi - window <= lo if device is None else
+            max(device.frontier, hi) - window <= min(device.floor, lo)
+            for device, lo, hi in zip(self._held, low.tolist(),
+                                      high.tolist())])
+        fold = ~safe[device_of]
+        keys = device_of * len(ap_values) + ap_of
+        _, firsts = np.unique(keys, return_index=True)
+        for row, device, ap in zip(firsts.tolist(),
+                                   device_of[firsts].tolist(),
+                                   ap_of[firsts].tolist()):
+            held = self._held[device]
+            if held is None or self._aps[ap] not in held.gamma:
+                fold[row] = True
+        self.rows = np.flatnonzero(fold).tolist()
+        self._device_of = device_of.tolist()
+        self._ap_of = ap_of.tolist()
+        self._stamps = stamps
+        self._bulk = np.flatnonzero(~fold)
+        self._keys = keys
+        self._raised = 0
+
+    def _device(self, index: int) -> _DeviceGamma:
+        device = self._held[index]
+        if device is None:
+            # New to the state: its first row has been folded since.
+            device = self._state._devices[self._macs[index]]
+            self._held[index] = device
+        return device
+
+    def evidence(self, row: int) -> Evidence:
+        return Evidence(self._macs[self._device_of[row]],
+                        self._aps[self._ap_of[row]],
+                        float(self._stamps[row]))
+
+    def gammas(self, start: int, stop: int) -> List[FrozenSet[MacAddress]]:
+        """The current Γ of each row's device, for rows ``start`` to
+        ``stop`` (none of them folded)."""
+        device = self._device
+        return [device(index).gamma
+                for index in self._device_of[start:stop]]
+
+    def raise_through(self, row: int) -> None:
+        """Raise the times of every unfolded row up to ``row``."""
+        stop = int(np.searchsorted(self._bulk, row, side="right"))
+        if stop <= self._raised:
+            return
+        span = self._bulk[self._raised:stop]
+        self._raised = stop
+        keys = self._keys[span]
+        stamps = self._stamps[span]
+        order = np.lexsort((stamps, keys))
+        keys = keys[order]
+        last = np.flatnonzero(np.append(keys[1:] != keys[:-1], True))
+        width = len(self._aps)
+        for key, ts in zip(keys[last].tolist(),
+                           stamps[order][last].tolist()):
+            device = self._device(key // width)
+            ap = self._aps[key % width]
+            if ts > device.by_ap[ap]:
+                device.by_ap[ap] = ts
+            if ts > device.frontier:
+                device.frontier = ts

@@ -15,6 +15,7 @@ required live objects as keyword context.
 
 from __future__ import annotations
 
+from operator import attrgetter
 from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from repro.localization.base import LocalizationEstimate
@@ -68,7 +69,7 @@ class LatestFixSink(EngineSink):
         self._latest[mobile] = TrackPoint(timestamp, estimate)
 
     def devices(self) -> List[MacAddress]:
-        return sorted(self._latest)
+        return sorted(self._latest, key=attrgetter("value"))
 
     def latest(self, mobile: MacAddress) -> Optional[TrackPoint]:
         return self._latest.get(mobile)

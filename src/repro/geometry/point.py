@@ -11,8 +11,14 @@ from typing import Iterable, Iterator, Tuple
 class Point:
     """An immutable 2-D point (planar coordinates, meters)."""
 
+    __slots__ = ("x", "y")
+
     x: float
     y: float
+
+    def __reduce__(self):
+        # Frozen with manual slots: unpickling must go through __init__.
+        return (type(self), (self.x, self.y))
 
     def distance_to(self, other: "Point") -> float:
         """Euclidean distance to another point."""

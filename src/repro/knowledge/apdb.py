@@ -10,6 +10,7 @@ logged positions are themselves estimates with meters of error.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from operator import attrgetter
 from typing import Dict, Iterable, Iterator, List, Optional, Set
 
 import numpy as np
@@ -82,7 +83,8 @@ class ApDatabase:
         everything.
         """
         found: List[ApRecord] = []
-        for bssid in sorted(bssids):
+        # MAC order, keyed on the int: no dataclass comparisons.
+        for bssid in sorted(bssids, key=attrgetter("value")):
             record = self._records.get(bssid)
             if record is None:
                 if skip_unknown:

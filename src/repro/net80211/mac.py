@@ -37,6 +37,8 @@ OUI_VENDORS: Dict[str, str] = {
 class MacAddress:
     """A 48-bit MAC address stored as an integer."""
 
+    __slots__ = ("value",)
+
     value: int
 
     def __post_init__(self) -> None:
@@ -74,10 +76,12 @@ class MacAddress:
         value |= 0x02 << 40     # locally administered
         return cls(value)
 
+    def __reduce__(self):
+        # Frozen with manual slots: unpickling must go through __init__.
+        return (type(self), (self.value,))
+
     def __str__(self) -> str:
-        octets = [(self.value >> shift) & 0xFF
-                  for shift in (40, 32, 24, 16, 8, 0)]
-        return ":".join(f"{octet:02x}" for octet in octets)
+        return self.value.to_bytes(6, "big").hex(":")
 
     @property
     def oui(self) -> str:

@@ -21,12 +21,18 @@ MAX_SSID_BYTES = 32
 class Ssid:
     """An SSID: 0–32 bytes of UTF-8 text (empty = wildcard/broadcast)."""
 
+    __slots__ = ("name",)
+
     name: str
 
     def __post_init__(self) -> None:
         if len(self.name.encode("utf-8")) > MAX_SSID_BYTES:
             raise ValueError(
                 f"SSID exceeds {MAX_SSID_BYTES} bytes: {self.name!r}")
+
+    def __reduce__(self):
+        # Frozen with manual slots: unpickling must go through __init__.
+        return (type(self), (self.name,))
 
     @property
     def is_wildcard(self) -> bool:

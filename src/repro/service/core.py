@@ -402,15 +402,17 @@ class ShardedEngine:
 
         Rows are not decoded: :func:`~repro.service.sharding.\
 route_batch` picks each row's shard, and each shard's rows join its
-        pending messages in arrival order.  The batch is first checked
-        to decode, so a malformed row fails here, in the caller, not
-        inside a shard.
+        pending messages in arrival order.  A batch not already
+        ``checked`` (the wire codec checks what the gateway hands over)
+        is first checked to decode, so a malformed row fails here, in
+        the caller, not inside a shard.
         """
         if self._stopped:
             raise ServiceError("service is stopped")
         if len(batch) == 0:
             return
-        check_rows(batch.records, batch.aux, batch.frame_types)
+        if not batch.checked:
+            check_rows(batch.records, batch.aux, batch.frame_types)
         # New traffic invalidates any cached drain report.
         self._drained = None
         owners = route_batch(batch, self.shards)

@@ -310,7 +310,7 @@ def unpack_data(payload: bytes) -> Tuple[int, tuple]:
         check_rows(rows, aux)
     except CaptureError as error:
         raise WireError(f"malformed DATA rows: {error}") from error
-    return seq, ("frames", FrameBatch(rows, aux))
+    return seq, ("frames", FrameBatch(rows, aux, checked=True))
 
 
 def pack_count(count: int) -> bytes:

@@ -33,7 +33,9 @@ from repro.net80211.medium import ReceivedFrame
 from repro.net80211.ssid import Ssid
 from repro.obs import MetricsRegistry
 from repro.service import (FrameIngestServer, ShardConfig, ShardedEngine,
-                           stream_capture_to)
+                           stream_capture_to, wire)
+from repro.engine import core as engine_core
+from repro.service import core as service_core
 from repro.sniffer.replay import iter_capture, iter_capture_batches
 
 GRID = 4
@@ -195,6 +197,51 @@ class TestShardedEngine:
             a.stop()
             b.stop()
 
+    def test_gateway_rows_are_checked_once(self, captures, monkeypatch):
+        # The wire codec checks what reaches the gateway; the router
+        # does not check it again.
+        counts = {"wire": 0, "router": 0}
+
+        def counting(site, check):
+            def counted(*args, **kwargs):
+                counts[site] += 1
+                return check(*args, **kwargs)
+            return counted
+
+        monkeypatch.setattr(wire, "check_rows",
+                            counting("wire", wire.check_rows))
+        monkeypatch.setattr(service_core, "check_rows",
+                            counting("router", service_core.check_rows))
+        engine = self._sharded()
+        try:
+            with FrameIngestServer(engine) as gateway:
+                stream_capture_to(captures["columnar"], gateway.address,
+                                  batch_records=64)
+            assert engine.drain().frames_ingested == len(
+                captures["records"])
+        finally:
+            engine.stop()
+        assert counts["wire"] > 0
+        assert counts["router"] == 0
+
+    def test_hand_built_batches_are_checked(self, captures, monkeypatch):
+        calls = []
+        check = service_core.check_rows
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return check(*args, **kwargs)
+
+        monkeypatch.setattr(service_core, "check_rows", counted)
+        engine = self._sharded()
+        try:
+            for start in range(0, 64, 16):
+                engine.ingest_batch(FrameBatch(*encode_frames(
+                    captures["records"][start:start + 16])))
+            assert len(calls) == 4
+        finally:
+            engine.stop()
+
     def test_malformed_row_fails_in_the_caller(self, captures):
         rows, aux = encode_frames(captures["records"][:8])
         rows["ssid"][5] = b"\xff"
@@ -283,18 +330,48 @@ class TestSingleEngineBatchPath:
         assert json.dumps(engine.checkpoint(), sort_keys=True) == before
         assert engine.stats().frames_ingested == 0
 
-    def test_gamma_observed_once_per_evidence_event(self, monkeypatch):
+    def test_gamma_observed_once_per_gamma_change(self, monkeypatch):
+        # Every device stays inside the window for the whole stream, so
+        # the batch path folds exactly the rows that change a Γ on the
+        # record path and raises the rest in bulk.
         observe = GammaState.observe
-        calls = []
+        changed = []
 
         def counted(self, evidence):
-            calls.append(evidence)
-            return observe(self, evidence)
+            before = self.gamma(evidence.mobile)
+            gamma = observe(self, evidence)
+            changed.append(gamma is not before)
+            return gamma
 
         monkeypatch.setattr(GammaState, "observe", counted)
+        record = fresh_engine()
+        record.run(iter(generate_records()))
+        changes = sum(changed)
+        changed.clear()
+        batched = fresh_engine()
+        batched.run_batches(batches_of(generate_records(), 128))
+        assert all(changed)
+        assert len(changed) == changes < batched.stats().evidence_events
+
+    def test_gateway_rows_are_not_checked_again(self, captures,
+                                                monkeypatch):
+        calls = []
+        check = engine_core.check_rows
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return check(*args, **kwargs)
+
+        monkeypatch.setattr(engine_core, "check_rows", counted)
         engine = fresh_engine()
-        engine.run_batches(batches_of(generate_records(), 128))
-        assert len(calls) == engine.stats().evidence_events > 0
+        with FrameIngestServer(engine) as gateway:
+            stream_capture_to(captures["columnar"], gateway.address,
+                              batch_records=64)
+        assert engine.stats().frames_ingested == len(captures["records"])
+        assert calls == []
+        engine.ingest_batch(FrameBatch(*encode_frames(
+            captures["records"][:16])))
+        assert len(calls) == 1
 
     @pytest.mark.parametrize("rows", [64, 1024])
     def test_metric_lookups_do_not_scale_with_rows(self, monkeypatch,
