@@ -13,11 +13,19 @@ revised-simplex engine:
 Sweeps AP count.  Every cell cross-checks that both paths land on the
 same radii (to 1e-6, with a tie-break making the LP optimum unique);
 standalone, the script exits 1 when any cell disagrees.  Each cell also
-reports the pivots and phase-1 pivots of the cold fit and of the warm
-refit, read from the solver's ``repro.lp.revised.*`` counters (the cold
-fit starts from a feasible basis, so its phase 1 should read 0; a warm
-refit's phase 1 comes from appended rows the last radii violate).  Run
-standalone for the JSON report (the tier-1 smoke test does)::
+reports the pivots, phase-1 pivots and elastic breakpoints passed of
+the cold fit and of the warm refit, read from the solver's
+``repro.lp.revised.*`` counters (the cold fit starts from a feasible
+basis, so its phase 1 should read 0; a warm refit's phase 1 comes from
+appended rows the last radii violate).
+
+Standalone, the script also solves the paper-scale campus LP
+(``build_disc_model_experiment(seed=11)``, about 25,700 rows) and
+reports the in-tree solver's pivots, breakpoints and solve seconds
+beside HiGHS's seconds on the same LP; it exits 1 unless both reach
+one objective (to 1e-9 relative) and the in-tree solve takes at most
+10x HiGHS's time.  Run standalone for the JSON report (the tier-1
+smoke test does)::
 
     PYTHONPATH=src python benchmarks/bench_aprad_lp.py \
         --aps 50,100,200 --observations 400 --json out.json
@@ -39,6 +47,7 @@ from repro import obs
 from repro.geometry.point import Point
 from repro.localization.radius_lp import RadiusEstimator
 from repro.net80211.mac import MacAddress
+from repro.sim.scenarios import build_disc_model_experiment
 
 R_MAX = 150.0
 TRUE_RADIUS = 90.0
@@ -55,6 +64,9 @@ DELTA_FRACTION = 0.05
 
 DEFAULT_APS = (50, 100, 200)
 DEFAULT_OBSERVATIONS = 400
+#: The campus LP's seed, and its bound on in-tree / HiGHS solve time.
+CAMPUS_SEED = 11
+CAMPUS_MAX_RATIO = 10.0
 
 
 def build_locations(ap_count: int, seed: int = 20090622
@@ -148,11 +160,58 @@ def run_cell(ap_count: int, observations: int, repeats: int) -> dict:
         "cold_pivots": int(counters["repro.lp.revised.pivots"]),
         "cold_phase1_pivots": int(
             counters["repro.lp.revised.phase1_pivots"]),
+        "cold_breakpoints": int(counters["repro.lp.revised.breakpoints"]),
         "incremental_pivots": int(warm_counters["repro.lp.revised.pivots"]),
         "incremental_phase1_pivots": int(
             warm_counters["repro.lp.revised.phase1_pivots"]),
+        "incremental_breakpoints": int(
+            warm_counters["repro.lp.revised.breakpoints"]),
         "max_radius_diff_m": float(max_diff),
         "radii_agree": bool(max_diff <= 1e-6),
+    }
+
+
+def _objective(estimate) -> float:
+    """The radius LP's objective from a fit: unit radius weights (no
+    tie-break) and the estimator's slack penalty of 10."""
+    return sum(estimate.radii.values()) - 10.0 * estimate.total_slack
+
+
+def run_campus(repeats: int) -> dict:
+    """The paper-scale campus LP, in-tree against HiGHS (best of
+    ``repeats`` solves each)."""
+    exp = build_disc_model_experiment(seed=CAMPUS_SEED)
+    locations = {record.bssid: record.location
+                 for record in exp.location_db}
+    fits = {}
+    seconds = {}
+    for solver in ("revised", "scipy"):
+        estimator = RadiusEstimator(locations, r_max=exp.r_max,
+                                    solver=solver,
+                                    min_evidence=exp.aprad_min_evidence)
+        seconds[solver] = float("inf")
+        for _ in range(repeats):
+            registry = obs.MetricsRegistry()
+            with obs.use_registry(registry):
+                fits[solver] = estimator.fit(exp.corpus)
+            seconds[solver] = min(seconds[solver],
+                                  fits[solver].solve_seconds)
+        if solver == "revised":
+            counters = registry.snapshot()["counters"]
+    objective = _objective(fits["revised"])
+    reference = _objective(fits["scipy"])
+    ratio = seconds["revised"] / seconds["scipy"]
+    relative = abs(objective - reference) / abs(reference)
+    return {
+        "seed": CAMPUS_SEED,
+        "lp_rows": fits["revised"].lp_rows,
+        "pivots": int(counters["repro.lp.revised.pivots"]),
+        "breakpoints": int(counters["repro.lp.revised.breakpoints"]),
+        "seconds": seconds["revised"],
+        "highs_seconds": seconds["scipy"],
+        "vs_highs": ratio,
+        "objective_rel_diff": relative,
+        "ok": bool(relative <= 1e-9 and ratio <= CAMPUS_MAX_RATIO),
     }
 
 
@@ -237,14 +296,17 @@ def main(argv=None) -> int:
 
     report = run_sweep(args.aps, args.observations,
                        repeats=args.repeats)
+    report["campus"] = campus = run_campus(args.repeats)
     print(f"{'aps':>5} {'rows':>6} {'pivots':>7} {'phase1':>7} "
-          f"{'incr':>5} {'phase1':>7} "
+          f"{'breaks':>7} {'incr':>5} {'phase1':>7} {'breaks':>7} "
           f"{'cold ms':>9} {'incr ms':>8} {'ix':>6} {'agree':>6}")
     for cell in report["results"]:
         print(f"{cell['aps']:>5} {cell['lp_rows']:>6} "
               f"{cell['cold_pivots']:>7} {cell['cold_phase1_pivots']:>7} "
+              f"{cell['cold_breakpoints']:>7} "
               f"{cell['incremental_pivots']:>5} "
               f"{cell['incremental_phase1_pivots']:>7} "
+              f"{cell['incremental_breakpoints']:>7} "
               f"{cell['cold_seconds'] * 1e3:>9.1f} "
               f"{cell['incremental_seconds'] * 1e3:>8.1f} "
               f"{cell['incremental_vs_cold']:>5.1f}x "
@@ -254,11 +316,19 @@ def main(argv=None) -> int:
           f"incremental speedup "
           f"{acceptance['incremental_vs_cold']:.2f}x vs cold fit, "
           f"radii agree: {acceptance['radii_agree']}")
+    print(f"campus seed={campus['seed']} rows={campus['lp_rows']}: "
+          f"{campus['pivots']} pivots, {campus['breakpoints']} "
+          f"breakpoints, {campus['seconds']:.2f} s vs HiGHS "
+          f"{campus['highs_seconds']:.2f} s "
+          f"({campus['vs_highs']:.1f}x, bound "
+          f"{CAMPUS_MAX_RATIO:.0f}x), objective rel diff "
+          f"{campus['objective_rel_diff']:.1e}: "
+          f"{'ok' if campus['ok'] else 'FAIL'}")
     if args.json:
         with open(args.json, "w", encoding="utf-8") as handle:
             json.dump(report, handle, indent=2)
         print(f"JSON written to {args.json}")
-    return 0 if acceptance["radii_agree"] else 1
+    return 0 if acceptance["radii_agree"] and campus["ok"] else 1
 
 
 if __name__ == "__main__":

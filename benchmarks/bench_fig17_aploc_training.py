@@ -42,7 +42,7 @@ def test_fig17_aploc_vs_training_tuples(benchmark, campus_experiment, reporter):
         # Region mode (exact intersection centroid) is the robust M-Loc
         # variant; with estimated AP positions its stability matters.
         aploc = APLoc(training, training_radius_m=exp.r_max,
-                      r_max=exp.r_max, solver="scipy",
+                      r_max=exp.r_max, solver="revised",
                       min_evidence=exp.aprad_min_evidence,
                       overestimate_factor=exp.aprad_overestimate,
                       mloc_mode="region")

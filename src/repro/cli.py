@@ -637,7 +637,7 @@ def _cmd_replay(args) -> int:
         return 0
     # WiGLE knowledge has locations only: AP-Rad is the right algorithm.
     aprad = make_localizer("ap-rad", database=database,
-                           r_max=args.r_max, solver="scipy",
+                           r_max=args.r_max, solver="revised",
                            min_evidence=2, overestimate_factor=1.2)
     aprad.fit(result.store.corpus())
     located = 0

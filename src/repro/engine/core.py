@@ -225,10 +225,10 @@ class StreamingEngine:
         straight from the columns (a row with an aux payload is decoded
         in full); beacons, deauths and multicast traffic never
         materialize.  Unless the batch is already ``checked`` (the wire
-        codec checks what a socket shard receives), the probe rows are
-        checked to decode first, so a malformed one raises
-        :class:`~repro.faults.CaptureError` naming its row and leaves
-        the engine untouched.
+        codec checks what a socket shard receives), the probe and
+        evidence rows are checked to decode first, so a malformed one
+        raises :class:`~repro.faults.CaptureError` naming its row and
+        leaves the engine untouched.
 
         Exactly equivalent to calling :meth:`ingest` per record in row
         order: the Γ-changing rows fold one event at a time, and the
@@ -248,7 +248,8 @@ class StreamingEngine:
         records = batch.records
         probe, evidence, mobiles = classify_rows(batch)
         if not batch.checked:
-            check_rows(records, batch.aux, batch.frame_types, rows=probe)
+            check_rows(records, batch.aux, batch.frame_types,
+                       rows=probe | evidence)
         timer = self._stage_timer("ingest")
         self._c_frames.inc(total)
         self._c_probes.inc(int(probe.sum()))

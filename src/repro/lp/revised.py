@@ -25,12 +25,22 @@ built for that shape:
   solution recomputed to wash out drift — every
   :data:`REFACTOR_EVERY` pivots or when an update's denominator is
   tiny.
-* **Dantzig pricing with Bland fallback** — steepest reduced cost
-  normally, switching to Bland's least-index rule after a pivot budget
-  so degenerate instances terminate.  Pricing reads the slack
-  columns' reduced costs straight from the duals and takes only the
-  structural columns through a sparse product; the ratio test runs
-  over the nonzeros of the entering column's ``B⁻¹ a``.  No per-row or
+* **Dantzig pricing, long-step ratio test, Bland fallback** — steepest
+  reduced cost normally, switching to Bland's least-index rule (and the
+  plain ratio test) after a pivot budget so degenerate instances
+  terminate.  Pricing reads the slack columns' reduced costs straight
+  from the duals and takes only the structural columns through a
+  sparse product; the ratio test runs over the nonzeros of the
+  entering column's ``B⁻¹ a``.  In phase 2 a step passes *elastic
+  breakpoints* (Fourer's piecewise-linear simplex): an elastic pair is
+  a row's slack and a structural singleton on that row with a negative
+  coefficient, both bounded ``[0, ∞)`` — AP-Rad's separated row and its
+  penalty slack.  When the basic member reaches 0 its twin takes the
+  row, a same-row singleton swap with no ftran and no core update, and
+  the step goes on while the entering column's reduced cost, raised by
+  each swap's cost change, still improves.  The step ends at the
+  breakpoint where it stops improving, at the first other blocking
+  basic, or at the entering column's bound flip.  No per-row or
   per-column Python loop runs inside a pivot.
 * **Phase 1 without artificials** — a composite infeasibility phase:
   basic variables outside their bounds price with ±1 costs and the
@@ -167,6 +177,8 @@ class RevisedResult:
     objective: Optional[float]
     iterations: int = 0
     phase1_iterations: int = 0
+    #: Elastic breakpoints the steps passed (see :func:`_elastic_twins`).
+    breakpoints: int = 0
     refactorizations: int = 0
     warm_started: bool = False
     state: Optional[LpState] = None
@@ -439,8 +451,7 @@ class _BasisFactor:
         if slot < 0:
             left_row = int(self._pos_row[position])
             if row == left_row:
-                # A singleton replaces one on the same row.
-                self._pos_val[position] = value
+                self.swap(position, value)
                 done = True
             elif row >= 0:
                 done = self._move_singleton(position, left_row, row, value)
@@ -453,6 +464,12 @@ class _BasisFactor:
         if done:
             self.updates += 1
         return done
+
+    def swap(self, positions, values) -> None:
+        """Singletons of ``values`` replace those at ``positions`` on
+        their own rows.  Only the covered rows' divisors change, so the
+        core inverse is untouched and this is no update."""
+        self._pos_val[positions] = values
 
     def _core_row(self, row: int) -> Tuple[np.ndarray, np.ndarray]:
         """The core slots and values of the core columns' entries on
@@ -631,6 +648,8 @@ def solve_rows(
     registry.counter("repro.lp.revised.pivots").inc(solver.iterations)
     registry.counter("repro.lp.revised.phase1_pivots").inc(
         solver.phase1_iterations)
+    registry.counter("repro.lp.revised.breakpoints").inc(
+        solver.breakpoints)
     registry.counter("repro.lp.revised.refactorizations").inc(
         solver.refactorizations)
     result = RevisedResult(
@@ -639,6 +658,7 @@ def solve_rows(
         objective=None,
         iterations=solver.iterations,
         phase1_iterations=solver.phase1_iterations,
+        breakpoints=solver.breakpoints,
         refactorizations=solver.refactorizations,
         warm_started=solver.warm_started,
         state=None,
@@ -694,6 +714,31 @@ def _ratio_test(delta: np.ndarray, x_b: np.ndarray, lo_b: np.ndarray,
     return row, bound, t_min
 
 
+def _elastic_twins(matrix: _Csc, n_struct: int, lo: np.ndarray,
+                   hi: np.ndarray) -> np.ndarray:
+    """Each column's elastic twin, or -1.
+
+    An elastic pair is a row's slack with bounds ``[0, ∞)`` and a
+    structural singleton on that row with a negative coefficient and
+    bounds ``[0, ∞)`` (the first such column when a row has several):
+    AP-Rad's separated row and its penalty slack.  The two cover the
+    same row with opposite signs, so at most one is basic, and when the
+    basic one falls to 0 its twin can take the row and rise from 0.
+    """
+    twin = np.full(matrix.n, -1, dtype=np.int64)
+    rows = matrix.single_row[:n_struct]
+    elastic = ((rows >= 0) & (matrix.single_val[:n_struct] < 0.0)
+               & (lo[:n_struct] == 0.0) & (hi[:n_struct] == np.inf))
+    columns = np.flatnonzero(elastic)
+    slacks = n_struct + rows[columns]
+    open_slack = (lo[slacks] == 0.0) & (hi[slacks] == np.inf)
+    columns, slacks = columns[open_slack], slacks[open_slack]
+    slacks, first = np.unique(slacks, return_index=True)
+    twin[columns[first]] = slacks
+    twin[slacks] = columns[first]
+    return twin
+
+
 class _RevisedSimplex:
     """One solve's worth of revised-simplex state."""
 
@@ -713,10 +758,12 @@ class _RevisedSimplex:
                             else max(1000, 10 * (self.m + self.total)))
         self.iterations = 0
         self.phase1_iterations = 0
+        self.breakpoints = 0
         self.refactorizations = 0
         self.warm_started = False
         # Columns that can never usefully enter: fixed range.
         self.fixed = (self.hi - self.lo) <= 0.0
+        self.twin = _elastic_twins(matrix, n_struct, lo, hi)
         self.status = np.empty(self.total, dtype=np.int8)
         self.basis = np.empty(self.m, dtype=np.int64)
         self.x_basic = np.zeros(self.m)
@@ -825,12 +872,12 @@ class _RevisedSimplex:
         while self.iterations < self.max_iter:
             if phase == 1 and self._infeasibility() <= FEAS_TOL:
                 phase = 2
-            entering, direction = self._price(phase)
+            entering, slope = self._price(phase)
             if entering < 0:
                 # Phase 1 prices only while the basis is infeasible, so
                 # no improving column there means no feasible point.
                 return "infeasible" if phase == 1 else "optimal"
-            step = self._step(entering, direction, phase)
+            step = self._step(entering, slope, phase)
             if step == "unbounded":
                 return "unbounded"
             self.iterations += 1
@@ -872,7 +919,10 @@ class _RevisedSimplex:
         return g
 
     def _price(self, phase: int) -> Tuple[int, float]:
-        """Pick the entering column; returns (column, direction σ)."""
+        """Pick the entering column; returns ``(column, slope)``, the
+        slope being the objective's rate of change as the column moves
+        off its bound in direction ``sign[column]`` (negative while
+        improving)."""
         if phase == 1:
             basic_cost = self._phase1_gradient()
             offset = np.zeros(self.total)
@@ -895,26 +945,62 @@ class _RevisedSimplex:
             if improving.size == 0:
                 return -1, 0.0
             entering = int(improving[0])  # Bland: least index
-        return entering, float(self.sign[entering])
+        return entering, float(score[entering])
 
     # -- ratio test + pivot --------------------------------------------
 
-    def _step(self, entering: int, direction: float, phase: int) -> str:
+    def _step(self, entering: int, slope: float, phase: int) -> str:
+        direction = float(self.sign[entering])
         w = self.factor.ftran_column(entering)
         # Only basic variables with w != 0 move, so only they can block.
         moving = w.nonzero()[0]
         w_moving = w[moving]
         basic = self.basis[moving]
+        delta = -direction * w_moving
+        x_moving = self.x_basic[moving]
+        bland = self.iterations >= self.bland_after
+        twins = self.twin[basic]
+        # Long step: in phase 2, until Bland's rule takes over, a basic
+        # elastic column falling to 0 is a breakpoint, not a block.
+        elastic = ((twins >= 0) & (delta < -PIVOT_TOL) & (twins != entering)
+                   & (phase == 2 and not bland))
         local, best_bound, best_t = _ratio_test(
-            -direction * w_moving, self.x_basic[moving], self.lo[basic],
-            self.hi[basic], basic, phase,
-            bland=self.iterations >= self.bland_after)
-
+            np.where(elastic, 0.0, delta), x_moving, self.lo[basic],
+            self.hi[basic], basic, phase, bland)
         bound_span = float(self.hi[entering] - self.lo[entering])
+
+        # Walk the breakpoints the step reaches in order.  Passing one
+        # swaps the twin in, which raises the slope by the pair's cost
+        # change; the step stops at the first breakpoint after which the
+        # slope no longer improves, and that column leaves instead.
+        passed = np.flatnonzero(elastic)
+        if passed.size:
+            t_site = np.maximum(x_moving[passed] / -delta[passed], 0.0)
+            reached = t_site <= min(best_t, bound_span)
+            passed, t_site = passed[reached], t_site[reached]
+            order = np.argsort(t_site, kind="stable")
+            passed, t_site = passed[order], t_site[order]
+            leaving, twin = basic[passed], twins[passed]
+            ratio = (self.matrix.single_val[leaving]
+                     / self.matrix.single_val[twin])
+            slopes = slope + np.cumsum(-delta[passed] * (
+                self.cost[leaving] - self.cost[twin] * ratio))
+            stops = np.flatnonzero(slopes >= -DUAL_TOL)
+            if stops.size:
+                # As in the plain test, the largest |delta| among the
+                # breakpoints tied with the stopping one leaves.
+                stop = int(stops[0])
+                best_t = float(t_site[stop])
+                near = passed[stop:][t_site[stop:] <= best_t + FEAS_TOL]
+                local = int(near[np.abs(delta[near]).argmax()])
+                best_bound = _AT_LOWER
+                passed = passed[:stop]
+
         if bound_span < best_t:
             # Bound flip: the entering variable crosses its own range
             # before any basic blocks; no basis change.
             self.x_basic[moving] -= direction * bound_span * w_moving
+            self._swap_twins(moving[passed])
             self.status[entering] = (_AT_UPPER if direction > 0
                                      else _AT_LOWER)
             self.sign[entering] = -direction
@@ -927,6 +1013,7 @@ class _RevisedSimplex:
                           else self.hi[entering])
         entering_value = entering_start + direction * best_t
         self.x_basic[moving] -= direction * best_t * w_moving
+        self._swap_twins(moving[passed])
         leaving = int(self.basis[best_row])
         self.status[leaving] = best_bound
         if not self.fixed[leaving]:
@@ -939,6 +1026,22 @@ class _RevisedSimplex:
         if not self.factor.update(best_row, entering):
             return "refactor"
         return "ok"
+
+    def _swap_twins(self, rows: np.ndarray) -> None:
+        """Pass the breakpoints at basis ``rows``: each basic elastic
+        column, now at or past 0, leaves at 0 and its twin takes the row
+        with the value ``v_basic · x / v_twin`` the row equation gives."""
+        leaving = self.basis[rows]
+        twin = self.twin[leaving]
+        single_val = self.matrix.single_val
+        self.x_basic[rows] *= single_val[leaving] / single_val[twin]
+        self.status[leaving] = _AT_LOWER
+        self.sign[leaving] = 1.0
+        self.status[twin] = _BASIC
+        self.sign[twin] = 0.0
+        self.basis[rows] = twin
+        self.factor.swap(rows, single_val[twin])
+        self.breakpoints += rows.size
 
     # -- extraction ----------------------------------------------------
 

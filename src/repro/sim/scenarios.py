@@ -194,7 +194,7 @@ class DiscModelExperiment:
     aprad_min_evidence: int = 2
     aprad_overestimate: float = 1.2
 
-    def make_aprad(self, solver: str = "scipy"):
+    def make_aprad(self, solver: str = "revised"):
         """An :class:`~repro.localization.aprad.APRad` wired with the
         scenario's recommended settings (not yet fitted)."""
         from repro.localization import make_localizer

@@ -35,6 +35,7 @@ from repro.obs import MetricsRegistry
 from repro.service import (FrameIngestServer, ShardConfig, ShardedEngine,
                            stream_capture_to, wire)
 from repro.engine import core as engine_core
+from repro.engine.ingest import classify_rows
 from repro.service import core as service_core
 from repro.sniffer.replay import iter_capture, iter_capture_batches
 
@@ -329,6 +330,23 @@ class TestSingleEngineBatchPath:
             engine.ingest_batch(FrameBatch(rows, aux))
         assert json.dumps(engine.checkpoint(), sort_keys=True) == before
         assert engine.stats().frames_ingested == 0
+
+    def test_out_of_range_evidence_mac_leaves_the_engine_untouched(
+            self, captures):
+        # The 4th evidence row of 40 carries a BSSID past 48 bits.
+        rows, aux = encode_frames(captures["records"][:40])
+        _, evidence, _ = classify_rows(FrameBatch(rows, aux))
+        assert int(evidence.sum()) == 24
+        row = int(evidence.nonzero()[0][3])
+        rows["bssid"][row] = 2 ** 48 + 5
+        engine = fresh_engine()
+        before = json.dumps(engine.checkpoint(), sort_keys=True)
+        with pytest.raises(CaptureError, match=f"record {row}"):
+            engine.ingest_batch(FrameBatch(rows, aux))
+        assert json.dumps(engine.checkpoint(), sort_keys=True) == before
+        stats = engine.stats()
+        assert stats.frames_ingested == 0
+        assert stats.evidence_events == 0
 
     def test_gamma_observed_once_per_gamma_change(self, monkeypatch):
         # Every device stays inside the window for the whole stream, so

@@ -9,22 +9,27 @@ cover the degenerate / warm-start / softened-infeasible corners that
 random sampling rarely hits.
 """
 
+import math
 import os
 import subprocess
 import sys
+from itertools import combinations
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro import obs
 from repro.geometry.point import Point
 from repro.localization.radius_lp import RadiusEstimator
-from repro.lp import LpProblem, LpState, solve_revised
+from repro.lp import LpProblem, LpState, revised, solve_revised
 from repro.lp.revised import (
     _AT_LOWER, _AT_UPPER, FEAS_TOL, PIVOT_TOL, LpRows, _BasisFactor,
-    _build_csc, _lu_pivots, _ratio_test, _SingularBasis)
+    _build_csc, _lu_pivots, _ratio_test, _SingularBasis, slack_code)
 from repro.net80211.mac import MacAddress
+from repro.sim.scenarios import build_disc_model_experiment
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -845,3 +850,238 @@ class TestApRadShapedLp:
                                                   abs=1e-6)
         np.testing.assert_allclose(revised.x[:64], reference.x[:64],
                                    atol=1e-6)
+
+
+def aprad_refit_estimator():
+    """The perfbench ``aprad-refit`` radius LP: an exact 8 x 8 lattice
+    at 100 m, each device hearing the 3-4 APs its 20 records walk past
+    (seven records per AP, evidence in slots 3-8 of every ten).  Five
+    laps of the 448-record walk hold every distinct 20-record window."""
+    locations = {MacAddress(i + 1): Point(i % 8 * 100.0, i // 8 * 100.0)
+                 for i in range(64)}
+    macs = list(locations)
+    corpus = {frozenset(macs[i // 7 % 64] for i in range(start, start + 20)
+                        if 3 <= i % 10 <= 8)
+              for start in range(0, 64 * 7 * 5, 20)}
+    return RadiusEstimator(locations, r_max=200.0, tie_break=1e-6), corpus
+
+
+class TestApRadRefitLp:
+    def test_cold_fit_steps_through_breakpoints(self):
+        estimator, corpus = aprad_refit_estimator()
+        registry = obs.MetricsRegistry()
+        with obs.use_registry(registry):
+            estimator.fit(corpus)
+        counters = registry.snapshot()["counters"]
+        assert estimator.lp_rows == 918
+        assert counters["repro.lp.revised.phase1_pivots"] == 0
+        assert counters["repro.lp.revised.pivots"] <= 100
+        assert counters["repro.lp.revised.breakpoints"] > 0
+        problem = estimator._problem
+        revised_x = problem.solve_revised(
+            warm_start=estimator._feasible_start(problem)).x
+        reference = problem.solve(solver="scipy")
+        np.testing.assert_allclose(revised_x[:64], reference.x[:64],
+                                   atol=1e-6)
+
+
+def test_campus_lp_solves_in_tree():
+    # The paper-scale AP-Rad LP (25,715 rows): the in-tree solver must
+    # finish under its default iteration limit at HiGHS's optimum.
+    exp = build_disc_model_experiment(seed=11)
+    estimator = RadiusEstimator(
+        {record.bssid: record.location for record in exp.location_db},
+        r_max=exp.r_max, min_evidence=exp.aprad_min_evidence)
+    fit = estimator.fit(exp.corpus)
+    assert fit.lp_rows > 25_000
+    # Unit radius weights and the penalty 10 per unit of slack.
+    objective = sum(fit.radii.values()) - 10.0 * fit.total_slack
+    reference = estimator._problem.solve(solver="scipy")
+    assert reference.is_optimal
+    assert objective == pytest.approx(reference.objective, rel=1e-9)
+
+
+#: AP coordinates off the lattice, quantized so distances stay tame.
+COORD = st.integers(min_value=0, max_value=12).map(lambda v: v / 4.0)
+
+
+class ElasticLp:
+    """A drawn AP-Rad-shaped LP: ``k`` radii, then one penalty column
+    per separated row in row order.  Each row is ``(i, j, separated,
+    rhs)``; a separated row reads ``r_i + r_j + coef · p <= rhs``."""
+
+    def __init__(self, data):
+        self.k = data.draw(st.integers(min_value=3, max_value=9))
+        if data.draw(st.booleans()):  # a lattice: exact distance ties
+            self.coords = [(float(i % 3), float(i // 3))
+                           for i in range(self.k)]
+        else:
+            self.coords = [(data.draw(COORD), data.draw(COORD))
+                           for _ in range(self.k)]
+        self.r_max = data.draw(st.sampled_from([0.75, 1.0, 1.5]))
+        self.r_min = data.draw(st.sampled_from([0.0, 0.25]))
+        self.penalty = data.draw(st.sampled_from([0.0, 0.5, 2.0, 10.0]))
+        self.coef = data.draw(st.sampled_from([-1.0, -0.5, -2.0]))
+        self.weights = [1.0 + data.draw(st.integers(0, 3)) / 8.0
+                        for _ in range(self.k)]
+        self.rows = []
+        for i, j in combinations(range(self.k), 2):
+            distance = math.dist(self.coords[i], self.coords[j])
+            if distance >= 2.0 * self.r_max:
+                continue
+            kind = data.draw(st.sampled_from(["none", "co", "sep", "sep",
+                                              "inert"]))
+            if kind != "none":
+                self.rows.append(self._row(i, j, kind, distance))
+
+    def _row(self, i, j, kind, distance):
+        if kind == "co":
+            return (i, j, False, min(distance, 2.0 * self.r_max))
+        rhs = 2.0 * self.r_max if kind == "inert" else distance
+        return (i, j, True, max(2.0 * self.r_min, rhs))
+
+    def separated(self, rows):
+        return [index for index, row in enumerate(rows) if row[2]]
+
+    def problem(self, rows):
+        """``(cost, LpRows, lower, upper)`` for ``solve_rows``."""
+        lp_rows = LpRows()
+        column = self.k
+        for i, j, separated, rhs in rows:
+            coefficients = {i: 1.0, j: 1.0}
+            if separated:
+                coefficients[column] = self.coef
+                column += 1
+            lp_rows.append(coefficients, "<=" if separated else ">=", rhs)
+        penalties = column - self.k
+        cost = np.array(self.weights + [-self.penalty] * penalties)
+        lower = np.array([self.r_min] * self.k + [0.0] * penalties)
+        upper = np.array([self.r_max] * self.k + [np.inf] * penalties)
+        return cost, lp_rows, lower, upper
+
+    def feasible_start(self, rows):
+        """Radii at ``r_max``, penalties basic in their rows: feasible,
+        and degenerate wherever a separated rhs is ``2 * r_max``."""
+        row_basic = slack_code(np.arange(len(rows)))
+        separated = self.separated(rows)
+        row_basic[separated] = self.k + np.arange(len(separated))
+        return LpState(row_basic=row_basic, at_upper=np.arange(self.k))
+
+    def highs_objective(self, rows):
+        linprog = pytest.importorskip("scipy.optimize").linprog
+        cost, lp_rows, lower, upper = self.problem(rows)
+        start, col, val, sense, rhs = lp_rows.arrays()
+        a_ub = np.zeros((len(rows), cost.size))
+        for index in range(len(rows)):
+            span = slice(start[index], start[index + 1])
+            a_ub[index, col[span]] = val[span]
+        flip = np.where(sense == 1, -1.0, 1.0)
+        outcome = linprog(-cost, A_ub=a_ub * flip[:, None], b_ub=rhs * flip,
+                          bounds=list(zip(lower, [None if np.isinf(u)
+                                                  else u for u in upper])),
+                          method="highs")
+        assert outcome.status == 0
+        return -outcome.fun
+
+
+def solve_recorded(problem, **options):
+    """``solve_rows`` on ``problem``, plus the solver it ran and the
+    counters it left."""
+    solvers = []
+
+    class Recording(revised._RevisedSimplex):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            solvers.append(self)
+
+    registry = obs.MetricsRegistry()
+    with mock.patch.object(revised, "_RevisedSimplex", Recording), \
+            obs.use_registry(registry):
+        result = revised.solve_rows(*problem, maximize=True, **options)
+    return result, solvers[0], registry.snapshot()["counters"]
+
+
+def assert_consistent(result, solver, counters):
+    assert result.is_optimal
+    assert counters["repro.lp.revised.pivots"] == result.iterations
+    assert counters["repro.lp.revised.breakpoints"] == result.breakpoints
+    # The basic values the steps carried equal a fresh solve of the
+    # final basis.
+    solver._refresh_from_status()
+    residual = solver.rhs - solver.matrix.dot(solver.nonbasic_value)
+    fresh = _BasisFactor(solver.matrix, solver.basis).ftran(residual)
+    np.testing.assert_allclose(solver.x_basic, fresh, rtol=0.0, atol=1e-9)
+
+
+class TestLongStep:
+    """The phase-2 ratio test passes elastic breakpoints (a separated
+    row's slack and its penalty column trading the row) and must land
+    where HiGHS does, from any start, in either pricing mode."""
+
+    @pytest.mark.parametrize("penalty, iterations, breakpoints, x", [
+        # Past r1 + r2 = 1 the slope -2 turns 8: stop, r1 takes the row.
+        (10.0, 1, 0, [1.0, 0.0, 0.0]),
+        # Turns -0.5: pass, and r1 runs to its bound.
+        (1.5, 1, 1, [5.0, 0.0, 4.0]),
+        # r2's weight outbids the penalty too.
+        (0.5, 2, 1, [5.0, 5.0, 9.0]),
+    ])
+    def test_step_stops_where_the_slope_turns(self, penalty, iterations,
+                                              breakpoints, x):
+        # max 2 r1 + r2 - penalty * p  s.t.  r1 + r2 - p <= 1, from the
+        # slack basis: r1 enters and the row's slack falls to 0 at t = 1.
+        rows = LpRows.of([({0: 1.0, 1: 1.0, 2: -1.0}, "<=", 1.0)])
+        result = revised.solve_rows(
+            np.array([2.0, 1.0, -penalty]), rows, np.zeros(3),
+            np.array([5.0, 5.0, np.inf]), maximize=True)
+        assert (result.iterations, result.breakpoints) == (iterations,
+                                                           breakpoints)
+        np.testing.assert_allclose(result.x, x, atol=1e-12)
+
+    @settings(max_examples=120, deadline=None)
+    @given(st.data())
+    def test_elastic_lps_match_highs(self, data):
+        lp = ElasticLp(data)
+        rows = lp.rows
+        start = data.draw(st.sampled_from(["slack", "feasible"]))
+        bland_after = data.draw(st.sampled_from([None, 0]))
+        result, solver, counters = solve_recorded(
+            lp.problem(rows), bland_after=bland_after,
+            warm_start=lp.feasible_start(rows) if start == "feasible"
+            else None)
+        assert_consistent(result, solver, counters)
+        if bland_after == 0:
+            assert result.breakpoints == 0
+        if rows:
+            assert result.objective == pytest.approx(
+                lp.highs_objective(rows), rel=1e-9, abs=1e-9)
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_warm_start_after_appended_and_retuned_rows(self, data):
+        lp = ElasticLp(data)
+        keep = data.draw(st.integers(min_value=0, max_value=len(lp.rows)))
+        first_rows = lp.rows[:keep]
+        first, _, _ = solve_recorded(lp.problem(first_rows),
+                                     warm_start=lp.feasible_start(
+                                         first_rows))
+        assert first.is_optimal
+        # Retune some kept separated rows (as inerting does), then
+        # append the rest; penalty columns keep their order.
+        rows = list(first_rows)
+        for index in lp.separated(rows):
+            choice = data.draw(st.sampled_from(["keep", "inert", "tight"]))
+            i, j, _, rhs = rows[index]
+            if choice == "inert":
+                rows[index] = (i, j, True, 2.0 * lp.r_max)
+            elif choice == "tight":
+                rows[index] = (i, j, True, max(2.0 * lp.r_min, rhs / 2.0))
+        rows += lp.rows[keep:]
+        bland_after = data.draw(st.sampled_from([None, 0]))
+        result, solver, counters = solve_recorded(
+            lp.problem(rows), warm_start=first.state,
+            bland_after=bland_after)
+        assert_consistent(result, solver, counters)
+        if rows:
+            assert result.objective == pytest.approx(
+                lp.highs_objective(rows), rel=1e-9, abs=1e-9)
