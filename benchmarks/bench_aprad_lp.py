@@ -22,10 +22,11 @@ appended rows the last radii violate).
 Standalone, the script also solves the paper-scale campus LP
 (``build_disc_model_experiment(seed=11)``, about 25,700 rows) and
 reports the in-tree solver's pivots, breakpoints and solve seconds
-beside HiGHS's seconds on the same LP; it exits 1 unless both reach
-one objective (to 1e-9 relative) and the in-tree solve takes at most
-10x HiGHS's time.  Run standalone for the JSON report (the tier-1
-smoke test does)::
+beside the seconds the test suite's HiGHS oracle
+(``tests.helpers.highs_solve``, which needs scipy) takes on the LP the
+fit assembled; it exits 1 unless both reach one objective (to 1e-9
+relative) and the in-tree solve takes at most 10x HiGHS's time.  Run
+standalone for the JSON report (the tier-1 smoke test does)::
 
     PYTHONPATH=src python benchmarks/bench_aprad_lp.py \
         --aps 50,100,200 --observations 400 --json out.json
@@ -39,6 +40,7 @@ import argparse
 import json
 import sys
 import time
+from pathlib import Path
 from typing import Dict, FrozenSet, List
 
 import numpy as np
@@ -48,6 +50,10 @@ from repro.geometry.point import Point
 from repro.localization.radius_lp import RadiusEstimator
 from repro.net80211.mac import MacAddress
 from repro.sim.scenarios import build_disc_model_experiment
+
+# The HiGHS oracle lives with the tests: scipy is a test dependency.
+sys.path.append(str(Path(__file__).resolve().parent.parent))
+from tests.helpers import highs_solve  # noqa: E402
 
 R_MAX = 150.0
 TRUE_RADIUS = 90.0
@@ -183,32 +189,31 @@ def run_campus(repeats: int) -> dict:
     exp = build_disc_model_experiment(seed=CAMPUS_SEED)
     locations = {record.bssid: record.location
                  for record in exp.location_db}
-    fits = {}
-    seconds = {}
-    for solver in ("revised", "scipy"):
-        estimator = RadiusEstimator(locations, r_max=exp.r_max,
-                                    solver=solver,
-                                    min_evidence=exp.aprad_min_evidence)
-        seconds[solver] = float("inf")
-        for _ in range(repeats):
-            registry = obs.MetricsRegistry()
-            with obs.use_registry(registry):
-                fits[solver] = estimator.fit(exp.corpus)
-            seconds[solver] = min(seconds[solver],
-                                  fits[solver].solve_seconds)
-        if solver == "revised":
-            counters = registry.snapshot()["counters"]
-    objective = _objective(fits["revised"])
-    reference = _objective(fits["scipy"])
-    ratio = seconds["revised"] / seconds["scipy"]
-    relative = abs(objective - reference) / abs(reference)
+    estimator = RadiusEstimator(locations, r_max=exp.r_max,
+                                min_evidence=exp.aprad_min_evidence)
+    seconds = highs_seconds = float("inf")
+    for _ in range(repeats):
+        registry = obs.MetricsRegistry()
+        with obs.use_registry(registry):
+            fit = estimator.fit(exp.corpus)
+        seconds = min(seconds, fit.solve_seconds)
+        # HiGHS on the LP the fit assembled, timed over its own
+        # assembly of the rows plus the solve.
+        start = time.perf_counter()
+        reference = highs_solve(estimator._problem)
+        highs_seconds = min(highs_seconds, time.perf_counter() - start)
+    assert reference.is_optimal, reference.status
+    counters = registry.snapshot()["counters"]
+    ratio = seconds / highs_seconds
+    relative = (abs(_objective(fit) - reference.objective)
+                / abs(reference.objective))
     return {
         "seed": CAMPUS_SEED,
-        "lp_rows": fits["revised"].lp_rows,
+        "lp_rows": fit.lp_rows,
         "pivots": int(counters["repro.lp.revised.pivots"]),
         "breakpoints": int(counters["repro.lp.revised.breakpoints"]),
-        "seconds": seconds["revised"],
-        "highs_seconds": seconds["scipy"],
+        "seconds": seconds,
+        "highs_seconds": highs_seconds,
         "vs_highs": ratio,
         "objective_rel_diff": relative,
         "ok": bool(relative <= 1e-9 and ratio <= CAMPUS_MAX_RATIO),

@@ -42,7 +42,7 @@ def main() -> None:
     # 4b. AP-Rad: only locations known; radii estimated by linear
     #     programming over everything the sniffer saw.
     aprad = APRad(scenario.truth_db.without_ranges(), r_max=150.0,
-                  solver="scipy", min_evidence=2, overestimate_factor=1.2)
+                  min_evidence=2, overestimate_factor=1.2)
     aprad.fit(store.corpus())
     aprad_estimate = aprad.locate(gamma)
     print(f"AP-Rad   : {_fmt(aprad_estimate.position)}  "

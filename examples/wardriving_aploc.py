@@ -38,7 +38,7 @@ def main() -> None:
 
         # --- Attack phase: AP-Loc end to end -------------------------
         aploc = APLoc(training, training_radius_m=exp.r_max,
-                      r_max=exp.r_max, solver="scipy",
+                      r_max=exp.r_max,
                       min_evidence=exp.aprad_min_evidence,
                       overestimate_factor=exp.aprad_overestimate)
         aploc.fit(exp.corpus)

@@ -159,7 +159,7 @@ def main(argv: Optional[List[str]] = None) -> int:
                                "run emits (after --resume, its own only)")
     p_engine.add_argument("--localizer", metavar="SPEC",
                           help="localizer spec, e.g. 'm-loc', "
-                               "'ap-rad:r_max=200,solver=revised', or a "
+                               "'ap-rad:r_max=200,min_evidence=2', or a "
                                "degradation chain "
                                "'ap-rad:r_max=200+fallback:m-loc,centroid' "
                                "(default: ap-rad when --refit-every is "
@@ -637,8 +637,8 @@ def _cmd_replay(args) -> int:
         return 0
     # WiGLE knowledge has locations only: AP-Rad is the right algorithm.
     aprad = make_localizer("ap-rad", database=database,
-                           r_max=args.r_max, solver="revised",
-                           min_evidence=2, overestimate_factor=1.2)
+                           r_max=args.r_max, min_evidence=2,
+                           overestimate_factor=1.2)
     aprad.fit(result.store.corpus())
     located = 0
     for mobile, estimate in sorted(
@@ -764,7 +764,7 @@ def _cmd_engine(args) -> int:
             # incremental LP.
             localizer = make_localizer(
                 "ap-rad", database=database, r_max=args.r_max,
-                solver="revised", min_evidence=2, overestimate_factor=1.2)
+                min_evidence=2, overestimate_factor=1.2)
         else:
             # WiGLE knowledge carries locations only: M-Loc with an
             # assumed range is the stream-friendly choice when no

@@ -53,7 +53,7 @@ class APLoc(Localizer):
     training_radius_m:
         The "theoretical upper bound" used as the disc radius around
         each training location when placing APs.
-    r_max / r_min / solver:
+    r_max / r_min:
         Passed through to the AP-Rad radius LP.
     refine_iterations:
         Extension beyond the paper: after the radius LP, re-place each
@@ -72,7 +72,7 @@ class APLoc(Localizer):
 
     def __init__(self, training: Sequence[TrainingTuple],
                  training_radius_m: float, r_max: float,
-                 r_min: float = 1.0, solver: str = "revised",
+                 r_min: float = 1.0,
                  mloc_mode: str = "vertex",
                  max_separated_neighbors: Optional[int] = None,
                  min_evidence: int = 1,
@@ -87,7 +87,6 @@ class APLoc(Localizer):
         self._aprad: Optional[APRad] = None  # built lazily in fit()
         self._r_max = r_max
         self._r_min = r_min
-        self._solver = solver
         self._mloc_mode = mloc_mode
         self._max_separated_neighbors = max_separated_neighbors
         self._min_evidence = min_evidence
@@ -206,7 +205,7 @@ class APLoc(Localizer):
             )
             self._aprad = APRad(
                 database, r_max=self._r_max, r_min=self._r_min,
-                solver=self._solver, mloc_mode=self._mloc_mode,
+                mloc_mode=self._mloc_mode,
                 max_separated_neighbors=self._max_separated_neighbors,
                 min_evidence=self._min_evidence,
                 overestimate_factor=self._overestimate_factor,
@@ -225,8 +224,8 @@ class APLoc(Localizer):
 
         AP placements stay as fitted (they derive from the training
         corpus, which does not grow here); the inner AP-Rad re-fit is
-        incremental, warm-starting from its previous basis when the
-        solver supports it.  Raises if :meth:`fit` has not run.
+        incremental, warm-starting from its previous basis.  Raises if
+        :meth:`fit` has not run.
         """
         if self._aprad is None:
             raise RuntimeError(

@@ -31,6 +31,13 @@ class APRad(Localizer):
 
     ``locate`` raises if called before ``fit`` — AP-Rad has no radii
     until the LP has run.
+
+    ``solver`` is not an option: the radius LP has one solver, the
+    in-tree revised simplex.  The keyword stays only because the
+    pipeline benchmark (``perfbench/workloads.py``) still passes
+    ``solver="revised"``; it accepts that value alone, raises
+    ``ValueError`` on any other when the localizer is built, and is
+    neither stored nor forwarded.
     """
 
     name = "ap-rad"
@@ -43,10 +50,13 @@ class APRad(Localizer):
                  min_evidence: int = 1,
                  overestimate_factor: float = 1.0,
                  tie_break: float = 0.0):
+        if solver != "revised":
+            raise ValueError(
+                f"unknown solver {solver!r}; the radius LP has one "
+                "solver, 'revised'")
         self.database = database
         self.r_max = r_max
         self.r_min = r_min
-        self.solver = solver
         self.mloc_mode = mloc_mode
         self.max_separated_neighbors = max_separated_neighbors
         self.min_evidence = min_evidence
@@ -67,7 +77,6 @@ class APRad(Localizer):
                      for record in self.database}
         return RadiusEstimator(
             locations, r_max=self.r_max, r_min=self.r_min,
-            solver=self.solver,
             max_separated_neighbors=self.max_separated_neighbors,
             min_evidence=self.min_evidence,
             overestimate_factor=self.overestimate_factor,
@@ -94,10 +103,10 @@ class APRad(Localizer):
                     ) -> RadiusEstimate:
         """Fold new observations in and re-solve incrementally.
 
-        The estimator (and with ``solver="revised"`` its LP basis)
-        persists across calls, so each re-fit costs roughly the
-        evidence delta instead of the accumulated corpus.  The first
-        call on an unfitted instance is equivalent to :meth:`fit`.
+        The estimator (and its LP basis) persists across calls, so each
+        re-fit costs roughly the evidence delta instead of the
+        accumulated corpus.  The first call on an unfitted instance is
+        equivalent to :meth:`fit`.
         """
         if self._estimator is None:
             return self.fit(observations)

@@ -7,13 +7,12 @@ comma-separated ``key=value`` overrides::
 
     make_localizer("m-loc", database=db)
     make_localizer("m-loc:fallback_range_m=120", database=db)
-    make_localizer("ap-rad:r_max=150,solver=revised,min_evidence=2",
-                   database=db)
+    make_localizer("ap-rad:r_max=150,min_evidence=2", database=db)
     make_localizer("ap-loc:training_radius_m=90,r_max=150",
                    training=tuples)
 
 Values are coerced ``int`` → ``float`` → ``bool`` → ``str`` in that
-order, so ``solver=revised`` stays a string while ``r_max=150`` becomes
+order, so ``mode=region`` stays a string while ``r_max=150`` becomes
 a number.  Keyword arguments to :func:`make_localizer` are defaults the
 spec can override — the CLI passes its flag values that way.
 """
@@ -147,7 +146,7 @@ def make_localizer(spec: str, database=None, training=None,
         args = ()
     try:
         return cls(*args, **kwargs)
-    except TypeError as error:
+    except (TypeError, ValueError) as error:
         raise ValueError(
             f"bad options for localizer {name!r}: {error}") from None
 

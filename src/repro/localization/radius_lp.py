@@ -34,12 +34,11 @@ the evidence counters, and :meth:`RadiusEstimator.refit` re-solves by
 *mutating* the persistent LP instead of rebuilding it — new co-observed
 pairs append ">=" rows, separated pairs that became co-observed have
 their "<=" rows retuned to a never-binding right-hand side ("inerted"),
-and with ``solver="revised"`` the solve warm-starts from the previous
-optimal basis, so re-fit cost scales with the evidence delta rather
-than the corpus size.  An appended separated row that the last radii
-violate starts with its penalty slack basic, so it starts feasible.
-Inert rows are garbage-collected by a full rebuild once they outnumber
-the live ones.
+and the solve warm-starts from the previous optimal basis, so re-fit
+cost scales with the evidence delta rather than the corpus size.  An
+appended separated row that the last radii violate starts with its
+penalty slack basic, so it starts feasible.  Inert rows are
+garbage-collected by a full rebuild once they outnumber the live ones.
 
 Every cold solve (a ``fit``, or the rebuild after compaction) starts
 the revised simplex from a basis that is feasible by construction:
@@ -95,9 +94,9 @@ class RadiusEstimate:
     co_observed_pairs: int
     separated_pairs: int
     total_slack: float
-    #: Simplex iterations the solve took (0 for backends not reporting).
+    #: Simplex iterations (pivots) the solve took.
     solver_iterations: int = 0
-    #: Basis refactorizations (0 for backends without a factored basis).
+    #: Basis refactorizations the solve took.
     refactorizations: int = 0
     #: Wall-clock seconds spent inside the LP solve.
     solve_seconds: float = 0.0
@@ -120,22 +119,19 @@ class RadiusEstimator:
         few hundred meters outdoors).
     r_min:
         Lower bound; a working AP has some nonzero range.
-    solver:
-        ``"revised"`` (the in-tree sparse solver, warm-startable — the
-        incremental refit path needs it) or ``"scipy"`` (HiGHS, always
-        a cold rebuild).
     tie_break:
         When > 0, adds a deterministic per-variable objective
         perturbation of this magnitude (scaled into ``(0, tie_break]``
         by variable index).  The radius LP routinely has alternate
         optima (any split of a separated pair's distance budget scores
-        the same), so exact per-radius agreement across solvers — or
-        across cold and warm solves — needs the optimum made unique.
-        Off by default: the perturbation slightly biases later APs.
+        the same), so exact per-radius agreement across cold and warm
+        solves, or with the test suite's HiGHS oracle, needs the
+        optimum made unique.  Off by default: the perturbation slightly
+        biases later APs.
     """
 
     def __init__(self, locations: Dict[MacAddress, Point], r_max: float,
-                 r_min: float = 1.0, solver: str = "revised",
+                 r_min: float = 1.0,
                  max_separated_neighbors: Optional[int] = None,
                  min_evidence: int = 1,
                  overestimate_factor: float = 1.0,
@@ -152,7 +148,6 @@ class RadiusEstimator:
         self.r_min = r_min
         if min_evidence < 1:
             raise ValueError(f"min_evidence must be >= 1, got {min_evidence}")
-        self.solver = solver
         self.max_separated_neighbors = max_separated_neighbors
         #: "if over a *sufficient amount of time*, the two APs have
         #: never been observed by the same mobile device" — a
@@ -193,7 +188,7 @@ class RadiusEstimator:
         self._co_pairs: Set[Tuple[int, int]] = set()
         # Co-observed pairs that have no ">=" row in the LP yet.
         self._new_co_pairs: Set[Tuple[int, int]] = set()
-        # Persistent LP state (solver="revised" incremental path).
+        # Persistent LP state (the incremental refit path).
         # Variable i < len(bssids) is AP i's radius; variable
         # len(bssids) + k is the penalty slack of the k-th separated
         # row, whose pair (packed as i * len(bssids) + j), row index and
@@ -234,12 +229,12 @@ class RadiusEstimator:
     def refit(self) -> RadiusEstimate:
         """Re-solve after :meth:`ingest`, reusing the previous LP.
 
-        With ``solver="revised"`` the existing constraint system is
-        mutated in place (rows appended or inerted, never rebuilt) and
-        the solve warm-starts from the last optimal basis; other
-        backends fall back to a full rebuild + cold solve.
+        The existing constraint system is mutated in place (rows
+        appended or inerted, never rebuilt) and the solve warm-starts
+        from the last optimal basis.  Before any fit, this is a cold fit
+        over the evidence ingested so far.
         """
-        if self._problem is None or self.solver != "revised":
+        if self._problem is None:
             self._rebuild_problem()
             return self._solve(warm=False)
         self._apply_evidence_delta()
@@ -484,17 +479,13 @@ class RadiusEstimator:
         problem = self._problem
         assert problem is not None
         started = time.perf_counter()
-        if self.solver == "revised":
-            result = problem.solve_revised(
-                warm_start=self._warm_start(problem) if warm
-                else self._feasible_start(problem))
-            self._lp_state = result.state
-            if result.x is not None:
-                self._lp_radii = result.x[:len(self._bssids)].copy()
-            warm_started = warm and result.warm_started
-        else:
-            result = problem.solve(solver=self.solver)
-            warm_started = False
+        result = problem.solve(
+            warm_start=self._warm_start(problem) if warm
+            else self._feasible_start(problem))
+        self._lp_state = result.state
+        if result.x is not None:
+            self._lp_radii = result.x[:len(self._bssids)].copy()
+        warm_started = warm and result.warm_started
         elapsed = time.perf_counter() - started
         if not result.is_optimal:
             if result.status == "infeasible":
@@ -522,8 +513,8 @@ class RadiusEstimator:
             co_observed_pairs=len(self._co_pairs),
             separated_pairs=self._sep_live.count(1),
             total_slack=total_slack,
-            solver_iterations=int(getattr(result, "iterations", 0)),
-            refactorizations=int(getattr(result, "refactorizations", 0)),
+            solver_iterations=result.iterations,
+            refactorizations=result.refactorizations,
             solve_seconds=elapsed,
             warm_started=warm_started,
             lp_rows=problem.num_constraints,

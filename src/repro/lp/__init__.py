@@ -14,14 +14,14 @@ This package provides one from-scratch solver behind a modeling layer
 around a small dense core whose inverse each pivot updates in place)
 that accepts an :class:`LpState` warm start, so streaming AP-Rad
 re-fits restart from the previous optimal basis.  It needs NumPy only.
-The test suite cross-checks it against ``scipy.optimize.linprog``.
+The test suite cross-checks it against ``scipy.optimize.linprog``
+(HiGHS), its oracle; the library itself never imports scipy.
 """
 
 from repro.lp.revised import LpState, RevisedResult, solve_revised
-from repro.lp.problem import LpProblem, LpResult
+from repro.lp.problem import LpProblem
 
 __all__ = [
-    "LpResult",
     "LpProblem",
     "solve_revised",
     "RevisedResult",

@@ -194,14 +194,14 @@ class DiscModelExperiment:
     aprad_min_evidence: int = 2
     aprad_overestimate: float = 1.2
 
-    def make_aprad(self, solver: str = "revised"):
+    def make_aprad(self):
         """An :class:`~repro.localization.aprad.APRad` wired with the
         scenario's recommended settings (not yet fitted)."""
         from repro.localization import make_localizer
 
         return make_localizer(
             "ap-rad", database=self.location_db, r_max=self.r_max,
-            solver=solver, min_evidence=self.aprad_min_evidence,
+            min_evidence=self.aprad_min_evidence,
             overestimate_factor=self.aprad_overestimate)
 
 

@@ -1,5 +1,10 @@
 """Shared test helpers (importable as ``tests.helpers``)."""
 
+from dataclasses import dataclass
+from typing import Optional
+
+import numpy as np
+
 from repro.geometry.circle import circle_intersections
 from repro.geometry.point import Point
 from repro.knowledge.apdb import ApRecord
@@ -65,3 +70,87 @@ def reference_is_empty(discs, tol=1e-9):
     """No vertex survives and no disc is nested in all the others."""
     return (not reference_vertices(discs, tol)
             and reference_nested_disc(discs, tol) is None)
+
+
+# ----------------------------------------------------------------------
+# The LP oracle
+# ----------------------------------------------------------------------
+#
+# The library solves every LP with its in-tree revised simplex
+# (repro.lp); scipy's HiGHS is the independent solver the tests and
+# bench_aprad_lp compare it against.  scipy is a test dependency only.
+
+@dataclass
+class HighsResult:
+    """Status, solution and objective of a :func:`highs_solve`."""
+
+    status: str  # "optimal" | "infeasible" | "unbounded" | "iteration_limit"
+    x: Optional[np.ndarray]
+    objective: Optional[float]
+
+    @property
+    def is_optimal(self) -> bool:
+        return self.status == "optimal"
+
+
+def highs_solve(problem) -> HighsResult:
+    """Solve an :class:`~repro.lp.LpProblem`'s rows with
+    ``scipy.optimize.linprog`` (HiGHS); ``objective`` is in the
+    problem's own sense."""
+    from scipy.optimize import linprog
+    from scipy.sparse import csr_matrix
+
+    n = problem.num_variables
+    cost = np.array(problem._cost)
+    start, col, val, sense, rhs = problem._rows.arrays()
+    # Sparse triplet assembly: AP-Rad instances have thousands of rows
+    # with only 2-3 nonzeros each.  ">=" rows enter A_ub negated.
+    row = np.repeat(np.arange(len(rhs)), np.diff(start))
+    sign = np.where(sense == 1, -1.0, 1.0)
+    equality = sense == 2
+
+    def block(selected: np.ndarray):
+        if not selected.any():
+            return None, None
+        renumber = np.cumsum(selected) - 1
+        entries = selected[row]
+        matrix = csr_matrix(
+            ((sign[row] * val)[entries],
+             (renumber[row][entries], col[entries])),
+            shape=(int(selected.sum()), n))
+        return matrix, (sign * rhs)[selected]
+
+    a_ub, b_ub = block(~equality)
+    a_eq, b_eq = block(equality)
+    obj_sign = -1.0 if problem.maximize else 1.0
+    outcome = linprog(
+        obj_sign * cost, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq,
+        bounds=list(zip(problem._low, problem._up)),
+        method="highs",
+    )
+    if outcome.status == 0:
+        return HighsResult("optimal", outcome.x, float(cost @ outcome.x))
+    if outcome.status == 2:
+        return HighsResult("infeasible", None, None)
+    if outcome.status == 3:
+        return HighsResult("unbounded", None, None)
+    return HighsResult("iteration_limit", None, None)
+
+
+
+def highs_fit(estimator, observations):
+    """Fit ``estimator`` cold on ``observations``, then solve the LP it
+    assembled with HiGHS.
+
+    Returns HiGHS's radii, scaled and capped as the estimator scales
+    and caps its own, and HiGHS's total penalty slack.
+    """
+    estimator.fit(observations)
+    result = highs_solve(estimator._problem)
+    assert result.is_optimal, result.status
+    radii = {bssid: min(estimator.r_max,
+                        float(result.x[index])
+                        * estimator.overestimate_factor)
+             for index, bssid in enumerate(estimator._bssids)}
+    total_slack = float(sum(result.x[len(radii):].tolist()))
+    return radii, total_slack

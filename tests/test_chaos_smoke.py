@@ -67,7 +67,7 @@ def test_faulted_run_matches_fault_free_output(square_db):
 
 
 def run_aprad(square_db, frames, injector=None):
-    localizer = make_localizer("ap-rad:r_max=150,solver=revised",
+    localizer = make_localizer("ap-rad:r_max=150",
                                database=square_db)
     tracks = TrackerSink()
     engine = StreamingEngine(

@@ -209,7 +209,7 @@ class TestEngineObservability:
         code = main(["engine", str(capture_path),
                      "--wigle", str(wigle_path),
                      "--refit-every", "50", "--r-max", "120",
-                     "--localizer", "ap-rad:r_max=120,solver=revised",
+                     "--localizer", "ap-rad:r_max=120",
                      "--metrics-json", str(out_path)])
         assert code == 0
         assert "Metrics snapshot written to" in capsys.readouterr().out

@@ -106,8 +106,8 @@ def resumable(engine):
 
 def make_localizer(refit_every):
     if refit_every:
-        return APRad(DATABASE, r_max=120.0, solver="revised",
-                     min_evidence=1, tie_break=1e-7)
+        return APRad(DATABASE, r_max=120.0, min_evidence=1,
+                     tie_break=1e-7)
     return MLoc(DATABASE)
 
 

@@ -95,8 +95,7 @@ class TestLocalizerCacheKey:
     def test_aprad_key_changes_on_refit(self, square_db):
         from repro.localization import APRad
 
-        aprad = APRad(square_db.without_ranges(), r_max=150.0,
-                      solver="scipy")
+        aprad = APRad(square_db.without_ranges(), r_max=150.0)
         corpus = [set(square_db.bssids)]
         key_before = aprad.cache_key()
         aprad.fit(corpus)

@@ -112,8 +112,7 @@ class TestEscapedErrorRequeues:
 
 
 def fitted_aprad():
-    localizer = APRad(build_database(), r_max=200.0, solver="revised",
-                      tie_break=1e-6)
+    localizer = APRad(build_database(), r_max=200.0, tie_break=1e-6)
     localizer.fit([[ap_mac(i), ap_mac(i + 1)] for i in range(15)])
     return localizer
 

@@ -154,7 +154,7 @@ class TestQuarantine:
 
 class TestRefitSupervision:
     def test_failed_refit_keeps_engine_alive(self, square_db):
-        localizer = make_localizer("ap-rad:r_max=150,solver=revised",
+        localizer = make_localizer("ap-rad:r_max=150",
                                    database=square_db)
         injector = FaultInjector(
             [FaultSpec("lp.solve", mode="raise", error="SolverError")])
@@ -179,7 +179,7 @@ class TestQuarantineAcrossRefits:
             FaultSpec("engine.localize", mode="raise",
                       error="SolverError", match=str(poison)),
         ])
-        localizer = make_localizer("ap-rad:r_max=150,solver=revised",
+        localizer = make_localizer("ap-rad:r_max=150",
                                    database=square_db)
         sink = RecordingSink()
         engine = StreamingEngine(localizer, batch_size=3, refit_every=8,

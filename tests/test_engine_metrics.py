@@ -115,7 +115,7 @@ class TestEngineRegistry:
         # Cross pairs never observed together sit inside 2*r_max, so
         # their "<" rows bind and the cold solve must pivot away from
         # its all-radii-at-r_max start.
-        localizer = make_localizer("ap-rad:r_max=150,solver=revised",
+        localizer = make_localizer("ap-rad:r_max=150",
                                    database=square_db)
         engine = StreamingEngine(localizer, window_s=30.0, batch_size=3,
                                  refit_every=20)

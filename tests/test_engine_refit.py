@@ -42,8 +42,7 @@ def evidence_stream(square_db, devices=6, rounds=2):
 
 
 def streaming_aprad(square_db):
-    return APRad(square_db, r_max=80.0, solver="revised",
-                 min_evidence=1, tie_break=1e-7)
+    return APRad(square_db, r_max=80.0, min_evidence=1, tie_break=1e-7)
 
 
 class TestRefitScheduling:

@@ -89,7 +89,7 @@ class TestApLocPipeline:
                                rows, per_row)[:tuple_count]
             training = Wardriver(oracle).collect(route)
             aploc = APLoc(training, training_radius_m=experiment.r_max,
-                          r_max=experiment.r_max, solver="scipy",
+                          r_max=experiment.r_max,
                           min_evidence=experiment.aprad_min_evidence,
                           overestimate_factor=experiment.aprad_overestimate)
             aploc.fit(experiment.corpus)
@@ -134,8 +134,7 @@ class TestFullWorldPipeline:
         scenario.world.run(duration_s=240.0)
         corpus = scenario.world.sniffer.store.corpus()
         assert corpus
-        aprad = APRad(scenario.truth_db.without_ranges(), r_max=150.0,
-                      solver="scipy")
+        aprad = APRad(scenario.truth_db.without_ranges(), r_max=150.0)
         aprad.fit(corpus)
         gamma = scenario.world.sniffer.store.gamma(scenario.victim.mac)
         estimate = aprad.locate(gamma)

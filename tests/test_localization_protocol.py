@@ -167,6 +167,16 @@ class TestFactory:
         with pytest.raises(ValueError, match="bad options"):
             make_localizer("m-loc:warp_factor=9", database=square_db)
 
+    def test_unknown_aprad_solver_raises_when_built(self, square_db):
+        # The radius LP has one solver: any other name fails here, not
+        # at the first fit (which an engine first runs mid-stream).
+        with pytest.raises(ValueError,
+                           match="bad options for localizer 'ap-rad'"):
+            make_localizer("ap-rad:r_max=100,solver=highs",
+                           database=square_db)
+        assert make_localizer("ap-rad:r_max=100,solver=revised",
+                              database=square_db).name == "ap-rad"
+
     def test_make_localizers_vectorizes(self, square_db, training):
         localizers = make_localizers(
             ["m-loc", "centroid"], database=square_db, training=training)

@@ -14,7 +14,7 @@ from repro.localization.aprad import APRad
 from repro.localization.radius_lp import RadiusEstimator
 from repro.knowledge.apdb import ApDatabase
 
-from tests.helpers import make_record
+from tests.helpers import highs_fit, make_record
 
 TIE = 1e-7
 
@@ -58,7 +58,6 @@ def disc_corpus(locations, true_radius, count, seed):
 
 def make_estimator(locations, **kwargs):
     kwargs.setdefault("r_max", 100.0)
-    kwargs.setdefault("solver", "revised")
     kwargs.setdefault("tie_break", TIE)
     return RadiusEstimator(locations, **kwargs)
 
@@ -88,10 +87,9 @@ class TestIncrementalEquivalence:
         incremental.ingest(corpus[60:])
         warm = incremental.refit()
 
-        reference = make_estimator(locations, solver="scipy").fit(corpus)
+        reference, _ = highs_fit(make_estimator(locations), corpus)
         for m in locations:
-            assert warm.radii[m] == pytest.approx(reference.radii[m],
-                                                  abs=1e-6)
+            assert warm.radii[m] == pytest.approx(reference[m], abs=1e-6)
 
     def test_many_small_deltas(self):
         # Radii must stay consistent through a long refit chain, not
@@ -204,7 +202,7 @@ class TestAPRadPartialFit:
         locations = grid_locations(3)
         db = ApDatabase(make_record(i, p.x, p.y)
                         for i, (m, p) in enumerate(sorted(locations.items())))
-        aprad = APRad(db, r_max=100.0, solver="revised", tie_break=TIE)
+        aprad = APRad(db, r_max=100.0, tie_break=TIE)
         assert not aprad.is_fitted
         corpus = disc_corpus({r.bssid: r.location for r in db},
                              45.0, 40, seed=31)
@@ -222,13 +220,13 @@ class TestAPRadPartialFit:
         locations = {r.bssid: r.location for r in db}
         corpus = disc_corpus(locations, 45.0, 90, seed=37)
 
-        streaming = APRad(db, r_max=100.0, solver="revised", tie_break=TIE)
+        streaming = APRad(db, r_max=100.0, tie_break=TIE)
         streaming.fit(corpus[:60])
         generation = streaming.cache_key()
         warm = streaming.partial_fit(corpus[60:])
         assert streaming.cache_key() != generation  # cache invalidated
 
-        cold = APRad(db, r_max=100.0, solver="revised", tie_break=TIE)
+        cold = APRad(db, r_max=100.0, tie_break=TIE)
         cold_fit = cold.fit(corpus)
         for bssid in locations:
             assert warm.radii[bssid] == pytest.approx(

@@ -6,6 +6,7 @@ import pytest
 from repro.geometry.point import Point
 from repro.localization.radius_lp import RadiusEstimator
 from repro.net80211.mac import MacAddress
+from tests.helpers import highs_fit
 
 A = MacAddress(1)
 B = MacAddress(2)
@@ -132,18 +133,20 @@ class TestRecoveryQuality:
                      if loc.distance_to(p) <= true_r[m]}
             if gamma:
                 observations.append(gamma)
-        estimator = RadiusEstimator(locations, r_max=120.0, solver=solver)
-        estimate = estimator.fit(observations)
-        errors = [abs(estimate.radii[m] - true_r[m]) for m in locations]
+        estimator = RadiusEstimator(locations, r_max=120.0)
+        if solver == "revised":
+            radii = estimator.fit(observations).radii
+        else:
+            radii, _ = highs_fit(estimator, observations)
+        errors = [abs(radii[m] - true_r[m]) for m in locations]
         assert np.mean(errors) < 25.0
 
     def test_solvers_agree(self):
         locations = collinear_locations()
         observations = [{A, B}, {B}, {C}]
-        ours = RadiusEstimator(locations, r_max=100.0,
-                               solver="revised").fit(observations)
-        scipy_fit = RadiusEstimator(locations, r_max=100.0,
-                                    solver="scipy").fit(observations)
+        ours = RadiusEstimator(locations, r_max=100.0).fit(observations)
+        highs, _ = highs_fit(RadiusEstimator(locations, r_max=100.0),
+                             observations)
         total_ours = sum(ours.radii.values())
-        total_scipy = sum(scipy_fit.radii.values())
-        assert total_ours == pytest.approx(total_scipy, rel=1e-6)
+        total_highs = sum(highs.values())
+        assert total_ours == pytest.approx(total_highs, rel=1e-6)

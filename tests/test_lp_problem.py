@@ -1,8 +1,9 @@
-"""LpProblem modeling-layer tests, including backend agreement."""
+"""LpProblem modeling-layer tests, including agreement with HiGHS."""
 
 import pytest
 
 from repro.lp.problem import LpProblem
+from tests.helpers import highs_solve
 
 
 def build_sample_problem() -> LpProblem:
@@ -43,27 +44,24 @@ class TestModeling:
         with pytest.raises(IndexError):
             problem.set_objective({0: 1.0})
 
-    def test_unknown_solver(self):
-        problem = build_sample_problem()
-        with pytest.raises(ValueError):
-            problem.solve(solver="gurobi")
-
 
 class TestSolving:
     def test_simplex_backend(self):
-        result = build_sample_problem().solve(solver="revised")
+        result = build_sample_problem().solve()
         assert result.is_optimal
         assert result.objective == pytest.approx(2.8)
 
     def test_scipy_backend(self):
-        result = build_sample_problem().solve(solver="scipy")
+        # The tests' HiGHS oracle on the same rows.
+        result = highs_solve(build_sample_problem())
         assert result.is_optimal
         assert result.objective == pytest.approx(2.8)
 
     def test_backends_agree(self):
-        ours = build_sample_problem().solve(solver="revised")
-        scipy_result = build_sample_problem().solve(solver="scipy")
-        assert ours.objective == pytest.approx(scipy_result.objective)
+        problem = build_sample_problem()
+        ours = problem.solve()
+        assert ours.objective == pytest.approx(
+            highs_solve(problem).objective)
 
     def test_value_accessor(self):
         problem = build_sample_problem()
@@ -87,8 +85,7 @@ class TestSolving:
         problem.add_constraint({x: 1.0, y: 1.0}, "==", 6.0)
         problem.add_constraint({x: 1.0}, ">=", 2.0)
         problem.set_objective({y: 1.0})  # minimize y
-        for solver in ("revised", "scipy"):
-            result = problem.solve(solver=solver)
+        for result in (problem.solve(), highs_solve(problem)):
             assert result.is_optimal
             assert result.x[0] + result.x[1] == pytest.approx(6.0)
             assert result.objective == pytest.approx(0.0, abs=1e-9)
@@ -123,7 +120,7 @@ class TestRaiseOnFailure:
         x = problem.add_variable("x", low=0.0)
         problem.set_objective({x: 1.0})
         with pytest.raises(RuntimeError) as excinfo:
-            problem.solve(solver="revised", raise_on_failure=True)
+            problem.solve(raise_on_failure=True)
         assert isinstance(excinfo.value, SolverError)
         assert excinfo.value.status == "unbounded"
 

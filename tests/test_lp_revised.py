@@ -1,9 +1,8 @@
 """Sparse revised-simplex tests, cross-checked against scipy's HiGHS.
 
-The revised engine (:mod:`repro.lp.revised`) is the one in-tree LP
-solver.  It must agree with ``LpProblem.solve(solver="scipy")`` on
-every instance both can express — that equivalence is the contract
-that lets AP-Rad swap solvers freely.
+The revised engine (:mod:`repro.lp.revised`) is the library's one LP
+solver.  It must agree with the HiGHS oracle
+(:func:`tests.helpers.highs_solve`) on every instance both can express.
 Property tests generate random bounded LPs and compare; targeted tests
 cover the degenerate / warm-start / softened-infeasible corners that
 random sampling rarely hits.
@@ -30,6 +29,7 @@ from repro.lp.revised import (
     _build_csc, _lu_pivots, _ratio_test, _SingularBasis, slack_code)
 from repro.net80211.mac import MacAddress
 from repro.sim.scenarios import build_disc_model_experiment
+from tests.helpers import highs_solve
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -134,8 +134,7 @@ class TestLpProblemRevised:
         "cost, rows, bounds, maximize, status, objective, x", LP_CASES)
     def test_solve(self, cost, rows, bounds, maximize, status, objective,
                    x):
-        result = build_problem(cost, rows, bounds, maximize).solve(
-            "revised")
+        result = build_problem(cost, rows, bounds, maximize).solve()
         assert result.status == status
         if status != "optimal":
             assert result.x is None
@@ -144,18 +143,6 @@ class TestLpProblemRevised:
         for index, value in x.items():
             assert result.x[index] == pytest.approx(value)
         assert_rows_hold(rows, result.x)
-
-    def test_revised_is_the_default_solver(self):
-        problem = build_problem(BEALE_COST, BEALE_ROWS, [FREE] * 4)
-        default = problem.solve()
-        revised = problem.solve("revised")
-        assert default.objective == revised.objective
-        assert default.iterations == revised.iterations
-
-    def test_simplex_solver_is_unknown(self):
-        problem = build_problem([1.0], [], [(0.0, 5.0)])
-        with pytest.raises(ValueError, match="unknown solver 'simplex'"):
-            problem.solve(solver="simplex")
 
 
 class TestBasicLps:
@@ -267,8 +254,8 @@ class TestScipyCrossCheck:
 
         problem = build_problem(cost, constraints, [(0.0, 10.0)] * n,
                                 maximize)
-        revised = problem.solve(solver="revised")
-        reference = problem.solve(solver="scipy")
+        revised = problem.solve()
+        reference = highs_solve(problem)
         assert revised.status == reference.status
         if reference.is_optimal:
             assert revised.objective == pytest.approx(reference.objective,
@@ -294,8 +281,8 @@ class TestScipyCrossCheck:
 
         problem = build_problem([1.0] * n, constraints, [(0.0, 10.0)] * n,
                                 maximize=True)
-        revised = problem.solve(solver="revised")
-        reference = problem.solve(solver="scipy")
+        revised = problem.solve()
+        reference = highs_solve(problem)
         assert revised.status == reference.status
         if reference.is_optimal:
             assert revised.objective == pytest.approx(reference.objective,
@@ -393,8 +380,8 @@ class TestSoftenedInfeasible:
         problem.set_objective({r_a: 1.0, r_b: 1.0, w: -10.0})
         problem.add_constraint({r_a: 1.0, r_b: 1.0}, ">=", 120.0)
         problem.add_constraint({r_a: 1.0, r_b: 1.0, w: -1.0}, "<=", 50.0)
-        reference = problem.solve(solver="scipy")
-        revised = problem.solve_revised()
+        reference = highs_solve(problem)
+        revised = problem.solve()
         assert reference.is_optimal and revised.is_optimal
         assert revised.objective == pytest.approx(reference.objective,
                                                   abs=1e-6)
@@ -403,15 +390,13 @@ class TestSoftenedInfeasible:
 
 
 class TestLpProblemIntegration:
-    def test_solver_dispatch(self):
+    def test_solve_matches_highs(self):
         problem = LpProblem(maximize=True)
         x = problem.add_variable("x", low=0.0, up=5.0)
         problem.set_objective({x: 1.0})
         problem.add_constraint({x: 1.0}, "<=", 3.0)
-        via_scipy = problem.solve(solver="scipy")
-        via_revised = problem.solve(solver="revised")
-        assert via_scipy.objective == pytest.approx(3.0)
-        assert via_revised.objective == pytest.approx(3.0)
+        assert highs_solve(problem).objective == pytest.approx(3.0)
+        assert problem.solve().objective == pytest.approx(3.0)
 
     def test_iteration_counts_reported(self):
         problem = LpProblem(maximize=True)
@@ -419,13 +404,11 @@ class TestLpProblemIntegration:
         y = problem.add_variable("y", low=0.0, up=5.0)
         problem.set_objective({x: 2.0, y: 1.0})
         problem.add_constraint({x: 1.0, y: 1.0}, "<=", 6.0)
-        revised = problem.solve_revised()
-        assert revised.iterations > 0
-        assert problem.solve().iterations == revised.iterations
+        assert problem.solve().iterations > 0
 
 
 class TestRefactorizationParity:
-    """``refactorizations`` reads uniformly across backends."""
+    """A solve's counters land in the routed metrics registry."""
 
     def _problem(self):
         problem = LpProblem(maximize=True)
@@ -435,20 +418,6 @@ class TestRefactorizationParity:
         problem.add_constraint({x: 1.0, y: 1.0}, "<=", 6.0)
         return problem
 
-    def test_solve_dispatch_agrees_with_solve_revised(self):
-        problem = self._problem()
-        dispatched = problem.solve(solver="revised")
-        direct = problem.solve_revised()
-        assert dispatched.iterations == direct.iterations
-        assert dispatched.refactorizations == direct.refactorizations
-        assert dispatched.objective == pytest.approx(direct.objective)
-
-    def test_scipy_backend_reports_zero_refactorizations(self):
-        pytest.importorskip("scipy.optimize")
-        result = self._problem().solve(solver="scipy")
-        assert result.is_optimal
-        assert result.refactorizations == 0
-
     def test_pivot_metrics_land_in_routed_registry(self):
         from repro import obs
 
@@ -457,7 +426,7 @@ class TestRefactorizationParity:
         problem.add_constraint({0: 1.0, 1: 1.0}, ">=", 3.0)
         registry = obs.MetricsRegistry()
         with obs.use_registry(registry):
-            result = problem.solve(solver="revised")
+            result = problem.solve()
         counters = registry.snapshot()["counters"]
         assert counters["repro.lp.revised.pivots"] == result.iterations
         assert result.phase1_iterations > 0
@@ -654,24 +623,51 @@ def test_lu_pivots_match_scipy():
         _lu_pivots(np.array([[1.0, 2.0], [2.0, 4.0]])), [2.0, 0.0])
 
 
+#: An AP-Rad fit + locate and an AP-Loc fit on a 2 x 2 square of APs
+#: at 100 m, whose corpus co-observes each side pair.
+_APRAD_APLOC_FIT = (
+    "from repro.geometry.point import Point\n"
+    "from repro.knowledge.apdb import ApDatabase, ApRecord\n"
+    "from repro.knowledge.wardrive import TrainingTuple\n"
+    "from repro.localization import APLoc, APRad\n"
+    "from repro.net80211.mac import MacAddress\n"
+    "from repro.net80211.ssid import Ssid\n"
+    "macs = [MacAddress(i + 1) for i in range(4)]\n"
+    "spots = [Point(i % 2 * 100.0, i // 2 * 100.0) for i in range(4)]\n"
+    "db = ApDatabase(ApRecord(m, Ssid('ap'), p)\n"
+    "                for m, p in zip(macs, spots))\n"
+    "corpus = [frozenset({macs[a], macs[b]})\n"
+    "          for a, b in ((0, 1), (2, 3), (0, 2), (1, 3))]\n"
+    "aprad = APRad(db, r_max=150.0)\n"
+    "aprad.fit(corpus)\n"
+    "assert aprad.locate(corpus[0]) is not None\n"
+    "training = [TrainingTuple(p, frozenset({m}))\n"
+    "            for m, p in zip(macs, spots)]\n"
+    "APLoc(training, training_radius_m=60.0, r_max=150.0).fit(corpus)\n")
+
+
 def test_revised_solve_leaves_scipy_sparse_unloaded():
-    code = (
-        "import sys\n"
+    solve = (
         "from repro.lp import LpProblem\n"
         "problem = LpProblem(maximize=True)\n"
         "x = problem.add_variable(low=0.0, up=5.0)\n"
         "y = problem.add_variable(low=0.0, up=5.0)\n"
         "problem.set_objective({x: 2.0, y: 1.0})\n"
         "problem.add_constraint({x: 1.0, y: 1.0}, '<=', 6.0)\n"
-        "assert problem.solve(solver='revised').objective == 11.0\n"
-        "print(sorted(m for m in sys.modules if m.startswith('scipy')))\n")
+        "assert problem.solve().objective == 11.0\n")
+    # The second input makes any scipy import raise ImportError.
+    no_scipy = "sys.modules['scipy'] = None\n"
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(SRC), env.get("PYTHONPATH")]))
-    result = subprocess.run([sys.executable, "-c", code], env=env,
-                            capture_output=True, text=True, timeout=120)
-    assert result.returncode == 0, result.stderr
-    assert "scipy.sparse" not in result.stdout, result.stdout
+    for code in (solve, no_scipy + _APRAD_APLOC_FIT):
+        code = ("import sys\n" + code + "print(sorted(m for m in "
+                "sys.modules if m.startswith('scipy')))\n")
+        result = subprocess.run([sys.executable, "-c", code], env=env,
+                                capture_output=True, text=True,
+                                timeout=120)
+        assert result.returncode == 0, result.stderr
+        assert "scipy.sparse" not in result.stdout, result.stdout
 
 
 #: Warm codes naming two structural columns for a basis they cannot
@@ -702,8 +698,8 @@ class TestSingularWarmStart:
     def test_singular_warm_basis_falls_back_to_cold(self, rows, state):
         problem = build_problem([1.0, 1.0, 1.0], rows,
                                 [(0.0, 10.0)] * 3, maximize=True)
-        revised = problem.solve_revised(warm_start=state)
-        reference = problem.solve(solver="scipy")
+        revised = problem.solve(warm_start=state)
+        reference = highs_solve(problem)
         assert revised.is_optimal and reference.is_optimal
         assert revised.warm_started is False
         assert revised.objective == pytest.approx(reference.objective,
@@ -843,8 +839,8 @@ class TestApRadShapedLp:
         estimator.fit(corpus)
         assert 850 <= estimator.lp_rows <= 1000
         problem = estimator._problem
-        revised = problem.solve(solver="revised")
-        reference = problem.solve(solver="scipy")
+        revised = problem.solve()
+        reference = highs_solve(problem)
         assert revised.is_optimal and reference.is_optimal
         assert revised.objective == pytest.approx(reference.objective,
                                                   abs=1e-6)
@@ -878,9 +874,9 @@ class TestApRadRefitLp:
         assert counters["repro.lp.revised.pivots"] <= 100
         assert counters["repro.lp.revised.breakpoints"] > 0
         problem = estimator._problem
-        revised_x = problem.solve_revised(
+        revised_x = problem.solve(
             warm_start=estimator._feasible_start(problem)).x
-        reference = problem.solve(solver="scipy")
+        reference = highs_solve(problem)
         np.testing.assert_allclose(revised_x[:64], reference.x[:64],
                                    atol=1e-6)
 
@@ -896,7 +892,7 @@ def test_campus_lp_solves_in_tree():
     assert fit.lp_rows > 25_000
     # Unit radius weights and the penalty 10 per unit of slack.
     objective = sum(fit.radii.values()) - 10.0 * fit.total_slack
-    reference = estimator._problem.solve(solver="scipy")
+    reference = highs_solve(estimator._problem)
     assert reference.is_optimal
     assert objective == pytest.approx(reference.objective, rel=1e-9)
 

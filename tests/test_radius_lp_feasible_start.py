@@ -20,6 +20,7 @@ from repro.geometry.point import Point
 from repro.localization import radius_lp
 from repro.localization.radius_lp import RadiusEstimator
 from repro.net80211.mac import MacAddress
+from tests.helpers import highs_fit
 
 pytest.importorskip("scipy.optimize")
 
@@ -108,8 +109,7 @@ def run_chain(locations, chunks, **options):
     model = EvidenceModel(coords, options["r_max"],
                           options.get("min_evidence", 1),
                           options.get("max_separated_neighbors"))
-    estimator = RadiusEstimator(locations, solver="revised",
-                                tie_break=TIE, **options)
+    estimator = RadiusEstimator(locations, tie_break=TIE, **options)
     rebuilds = []
     rebuild = estimator._rebuild_problem
 
@@ -146,13 +146,11 @@ def run_chain(locations, chunks, **options):
             # A row-less LP is solved without a basis at all.
             assert estimate.warm_started == (estimate.lp_rows > 0)
 
-        highs = RadiusEstimator(locations, solver="scipy", tie_break=TIE,
-                                **options).fit(seen)
+        radii, total_slack = highs_fit(
+            RadiusEstimator(locations, tie_break=TIE, **options), seen)
         for m in locations:
-            assert estimate.radii[m] == pytest.approx(highs.radii[m],
-                                                      abs=1e-6)
-        assert estimate.total_slack == pytest.approx(highs.total_slack,
-                                                     abs=1e-5)
+            assert estimate.radii[m] == pytest.approx(radii[m], abs=1e-6)
+        assert estimate.total_slack == pytest.approx(total_slack, abs=1e-5)
     return compactions
 
 
@@ -252,9 +250,8 @@ class TestWarmStart:
         assert estimate.lp_rows == 3 and estimate.separated_pairs == 2
         counters = registry.snapshot()["counters"]
         assert counters["repro.lp.revised.phase1_pivots"] == 0
-        highs = RadiusEstimator(locations, r_max=200.0, min_evidence=2,
-                                tie_break=TIE, solver="scipy").fit(
-            [{a, b}, {a, b}, {c}, {c}])
+        radii, _ = highs_fit(
+            RadiusEstimator(locations, r_max=200.0, min_evidence=2,
+                            tie_break=TIE), [{a, b}, {a, b}, {c}, {c}])
         for m in locations:
-            assert estimate.radii[m] == pytest.approx(highs.radii[m],
-                                                      abs=1e-6)
+            assert estimate.radii[m] == pytest.approx(radii[m], abs=1e-6)
