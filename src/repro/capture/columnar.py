@@ -48,7 +48,7 @@ from repro import obs
 from repro.capture.bloom import BloomFilter
 from repro.capture.records import (CAPTURE_DTYPE, FRAME_TYPES, NO_BSSID,
                                    FrameBatch, concat_batches,
-                                   encode_frames)
+                                   encode_frames, normalize_device)
 from repro.faults import CaptureError
 from repro.net80211.frames import FrameType
 from repro.net80211.mac import MacAddress
@@ -225,7 +225,7 @@ class ColumnarReader:
         self.path = Path(path)
         self.strict = strict
         self.on_skip = on_skip
-        self.device = _normalize_device(device)
+        self.device = normalize_device(device)
         #: Malformed records skipped by the most recent iteration.
         self.skipped = 0
         self._file = self.path.open("rb")
@@ -334,7 +334,7 @@ class ColumnarReader:
             "repro.capture.bloom.false_positives")
         filtered = registry.counter("repro.capture.records_filtered")
         batches = registry.counter("repro.capture.batches")
-        wanted = _normalize_device(device)
+        wanted = normalize_device(device)
         if wanted is None:
             wanted = self.device
         wanted_value = None if wanted is None else int(wanted.value)
@@ -434,16 +434,6 @@ class ColumnarReader:
                 "mean_fill": (sum(fills) / len(fills)) if fills else 0.0,
             },
         }
-
-
-def _normalize_device(device) -> Optional[MacAddress]:
-    if device is None:
-        return None
-    if isinstance(device, MacAddress):
-        return device
-    if isinstance(device, int):
-        return MacAddress(device)
-    return MacAddress.parse(str(device))
 
 
 def sniff_columnar(path: PathLike) -> bool:

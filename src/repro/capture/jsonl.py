@@ -15,7 +15,7 @@ from pathlib import Path
 from typing import Callable, Iterator, Optional, Union
 
 from repro import obs
-from repro.capture.records import FrameBatch, encode_frames
+from repro.capture.records import FrameBatch, encode_frames, normalize_device
 from repro.faults import CaptureError
 from repro.net80211.frames import Dot11Frame, FrameType
 from repro.net80211.mac import MacAddress
@@ -128,7 +128,7 @@ class JsonlReader:
         self.path = Path(path)
         self.strict = strict
         self.on_skip = on_skip
-        self.device = _normalize_device(device)
+        self.device = normalize_device(device)
         #: Malformed records skipped by the most recent iteration.
         self.skipped = 0
 
@@ -235,16 +235,6 @@ class JsonlReader:
         self.skipped += 1
         if self.on_skip is not None:
             self.on_skip(line_number, reason)
-
-
-def _normalize_device(device) -> Optional[MacAddress]:
-    if device is None:
-        return None
-    if isinstance(device, MacAddress):
-        return device
-    if isinstance(device, int):
-        return MacAddress(device)
-    return MacAddress.parse(str(device))
 
 
 def _mentions_device(received: ReceivedFrame, device: MacAddress) -> bool:

@@ -102,6 +102,18 @@ def mac_from_int(value: int) -> MacAddress:
     return mac
 
 
+def normalize_device(device) -> Optional[MacAddress]:
+    """A reader's ``device`` filter as a :class:`MacAddress` (``None``
+    passes through; an int or MAC text is converted)."""
+    if device is None:
+        return None
+    if isinstance(device, MacAddress):
+        return device
+    if isinstance(device, int):
+        return MacAddress(device)
+    return MacAddress.parse(str(device))
+
+
 def encode_frames(frames: Sequence[ReceivedFrame]
                   ) -> Tuple[np.ndarray, bytes]:
     """Pack received frames into (rows, aux blob).

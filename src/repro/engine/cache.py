@@ -28,7 +28,7 @@ _ABSENT = object()
 
 
 def _count(event: str, by: int = 1) -> None:
-    """Mirror a cache event to ``repro.engine.cache.<event>``."""
+    """Count a cache event in ``repro.engine.cache.<event>``."""
     obs.current_registry().counter(f"repro.engine.cache.{event}").inc(by)
 
 
@@ -39,11 +39,12 @@ class GammaCache:
     unlocatable until the knowledge base changes, and re-discovering
     that is exactly as expensive as a real localization.
 
-    Every event is mirrored to ``repro.engine.cache.*`` counters on the
-    currently-routed :class:`~repro.obs.MetricsRegistry` (whatever
+    Every event is counted only in ``repro.engine.cache.*`` series on
+    the currently-routed :class:`~repro.obs.MetricsRegistry` (whatever
     :func:`repro.obs.current_registry` resolves to at event time — the
-    engine routes its own registry around each flush).  The plain int
-    attributes remain the authoritative per-cache counters.
+    engine routes its own registry around each flush and around
+    :meth:`~repro.engine.StreamingEngine.invalidate_cache`); the cache
+    keeps no counters of its own.
     """
 
     def __init__(self, max_entries: int = 4096):
@@ -52,10 +53,6 @@ class GammaCache:
         self.max_entries = max_entries
         self._entries: "OrderedDict[Hashable, Optional[LocalizationEstimate]]" = (
             OrderedDict())
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
-        self.invalidations = 0
 
     @staticmethod
     def key_for(localizer_key: str,
@@ -72,11 +69,9 @@ class GammaCache:
         """
         key = self.key_for(localizer_key, gamma)
         if key in self._entries:
-            self.hits += 1
             _count("hit")
             self._entries.move_to_end(key)
             return self._entries[key]
-        self.misses += 1
         _count("miss")
         return _ABSENT
 
@@ -88,7 +83,6 @@ class GammaCache:
         exists.  That *is* the Γ-set memoization working — the counters
         report it the same way a post-:meth:`put` lookup would.
         """
-        self.hits += 1
         _count("hit")
 
     def put(self, localizer_key: str, gamma: FrozenSet[MacAddress],
@@ -99,7 +93,6 @@ class GammaCache:
         evicted = 0
         while len(self._entries) > self.max_entries:
             self._entries.popitem(last=False)
-            self.evictions += 1
             evicted += 1
         if evicted:
             _count("eviction", evicted)
@@ -109,27 +102,11 @@ class GammaCache:
     def invalidate(self) -> None:
         """Drop every entry — call after any AP knowledge-base mutation."""
         self._entries.clear()
-        self.invalidations += 1
         _count("invalidation")
         obs.current_registry().gauge("repro.engine.cache.entries").set(0)
 
-    @property
-    def hit_rate(self) -> float:
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0
-
     def __len__(self) -> int:
         return len(self._entries)
-
-    def counters(self) -> dict:
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "hit_rate": self.hit_rate,
-            "entries": len(self._entries),
-            "evictions": self.evictions,
-            "invalidations": self.invalidations,
-        }
 
 
 #: Public sentinel for :meth:`GammaCache.get` misses.

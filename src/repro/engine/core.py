@@ -681,9 +681,14 @@ class StreamingEngine:
                                       error=type(error).__name__).inc()
 
     def invalidate_cache(self) -> None:
-        """Flush the Γ memoization after an AP knowledge-base mutation."""
+        """Flush the Γ memoization after an AP knowledge-base mutation.
+
+        Counted in the engine's registry, whichever one the caller has
+        routed.
+        """
         if self.cache is not None:
-            self.cache.invalidate()
+            with obs.use_registry(self.registry):
+                self.cache.invalidate()
 
     # ------------------------------------------------------------------
     # Observability
@@ -703,52 +708,14 @@ class StreamingEngine:
         """Timing context for one pipeline stage."""
         return self._stage_timer(name).time()
 
-    def _stage_seconds(self) -> Dict[str, float]:
-        """Accumulated seconds per stage, from the registry series."""
-        return {
-            dict(inst.labels).get("stage", ""): inst.sum
-            for inst in self.registry.find("repro.engine.stage.duration")
-        }
-
     def metrics_snapshot(self) -> dict:
         """The engine registry's JSON-compatible snapshot."""
         return self.registry.snapshot()
 
     def stats(self) -> EngineStats:
-        """A consistent snapshot of every pipeline counter.
-
-        A *view* over :attr:`registry` — the registry is the source of
-        truth; this projects the core series into the ergonomic
-        dataclass the CLI and benches print.
-        """
-        cache_counters = (self.cache.counters() if self.cache is not None
-                          else {})
-
-        def _total(metric: str) -> int:
-            return sum(int(inst.value)
-                       for inst in self.registry.find(metric))
-
-        return EngineStats(
-            frames_ingested=int(self._c_frames.value),
-            evidence_events=int(self._c_evidence.value),
-            probe_requests=int(self._c_probes.value),
-            devices_seen=len(self._seen),
-            batches_flushed=int(self._c_batches.value),
-            estimates_emitted=int(self._c_estimates.value),
-            unlocatable=int(self._c_unlocatable.value),
-            cache_enabled=self.cache is not None,
-            cache_hits=cache_counters.get("hits", 0),
-            cache_misses=cache_counters.get("misses", 0),
-            cache_entries=cache_counters.get("entries", 0),
-            refits=int(self._c_refits.value),
-            last_fit_iterations=int(self._g_fit_iterations.value),
-            stage_seconds=self._stage_seconds(),
-            retries=_total("repro.engine.retries"),
-            sink_failures=_total("repro.engine.sink.failures"),
-            quarantined=len(self._quarantine),
-            degraded=(_total("repro.engine.flush.degraded")
-                      + _total("repro.localization.fallback.degraded")),
-        )
+        """A consistent snapshot of every pipeline counter, read from
+        :attr:`registry` (:meth:`EngineStats.from_snapshot`)."""
+        return EngineStats.from_snapshot(self.registry.snapshot())
 
     # ------------------------------------------------------------------
     # Checkpoint / restore
@@ -881,6 +848,9 @@ class StreamingEngine:
         # uninterrupted run; timers were not saved and start from zero.
         engine.registry.merge(data["metrics"])
         engine._g_devices.set(len(engine._seen))
+        if engine.cache is not None:
+            # The saved gauge counted the lost cache; this one is empty.
+            engine.registry.gauge("repro.engine.cache.entries").set(0)
         refit = data["refit"]
         engine._events_since_refit = int(refit["events_since_refit"])
         engine._pending_refit = [

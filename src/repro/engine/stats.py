@@ -3,22 +3,28 @@
 A production engine is judged by its counters — estimates per second,
 cache hit rate, where the wall time goes.  :class:`EngineStats` is the
 immutable snapshot the engine hands out (and the CLI prints), a
-*view* computed from the engine's :class:`~repro.obs.MetricsRegistry`.
+*view* read from a :class:`~repro.obs.MetricsRegistry` snapshot by
+:meth:`EngineStats.from_snapshot`: the registry is the only counter
+store, for one engine and for a fleet alike.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable
+from typing import Dict
+
+from repro.obs import parse_key
 
 
 @dataclass(frozen=True)
 class EngineStats:
     """One consistent snapshot of the engine's counters.
 
-    Built by :meth:`StreamingEngine.stats` as a view over the engine's
-    metrics registry — the registry is the source of truth, this is the
-    ergonomic read side.
+    Built only by :meth:`from_snapshot` — over the engine's registry
+    for :meth:`StreamingEngine.stats`, over the fleet's merged snapshot
+    for :meth:`ShardedEngine.stats <repro.service.ShardedEngine.stats>`
+    — so the registry is the source of truth and this is the ergonomic
+    read side.
     """
 
     frames_ingested: int = 0
@@ -40,51 +46,60 @@ class EngineStats:
     quarantined: int = 0
     degraded: int = 0
 
-    def merge(self, other: "EngineStats") -> "EngineStats":
-        """Combine two disjoint snapshots (e.g. two shards') into one.
-
-        The merge is associative and commutative — counters sum,
-        per-stage seconds sum key-wise, ``cache_enabled`` ORs, and
-        ``last_fit_iterations`` takes the max — so folding any number
-        of shard snapshots together yields the same totals whatever
-        the fold order.  ``EngineStats(cache_enabled=False)`` is the
-        identity element.
-        Derived properties (hit rate, throughput) are recomputed from
-        the merged counters, never averaged.
-        """
-        stage_seconds = dict(self.stage_seconds)
-        for name, seconds in other.stage_seconds.items():
-            stage_seconds[name] = stage_seconds.get(name, 0.0) + seconds
-        return EngineStats(
-            frames_ingested=self.frames_ingested + other.frames_ingested,
-            evidence_events=self.evidence_events + other.evidence_events,
-            probe_requests=self.probe_requests + other.probe_requests,
-            devices_seen=self.devices_seen + other.devices_seen,
-            batches_flushed=self.batches_flushed + other.batches_flushed,
-            estimates_emitted=(self.estimates_emitted
-                               + other.estimates_emitted),
-            unlocatable=self.unlocatable + other.unlocatable,
-            cache_enabled=self.cache_enabled or other.cache_enabled,
-            cache_hits=self.cache_hits + other.cache_hits,
-            cache_misses=self.cache_misses + other.cache_misses,
-            cache_entries=self.cache_entries + other.cache_entries,
-            refits=self.refits + other.refits,
-            last_fit_iterations=max(self.last_fit_iterations,
-                                    other.last_fit_iterations),
-            stage_seconds=stage_seconds,
-            retries=self.retries + other.retries,
-            sink_failures=self.sink_failures + other.sink_failures,
-            quarantined=self.quarantined + other.quarantined,
-            degraded=self.degraded + other.degraded,
-        )
-
     @classmethod
-    def merge_all(cls, snapshots: "Iterable[EngineStats]") -> "EngineStats":
-        """Fold any number of snapshots into one (order-independent)."""
-        merged = cls(cache_enabled=False)
-        for snapshot in snapshots:
-            merged = merged.merge(snapshot)
-        return merged
+    def from_snapshot(cls, snapshot: dict) -> "EngineStats":
+        """The stats held in a registry snapshot: one engine's
+        :meth:`~repro.obs.MetricsRegistry.snapshot`, or a fleet's
+        per-shard snapshots folded by :func:`repro.obs.merge_snapshots`.
+
+        Counters and gauges are summed over their label sets (a fleet
+        labels each shard's gauges ``shard=<index>``), except the last
+        fit's iteration count, which takes the max.  ``stage_seconds``
+        are the stage timers' sums, and the cache counts as enabled
+        when its series are present: an engine with a cache binds them
+        at construction.
+        """
+        totals: Dict[str, float] = {}
+        iterations = 0.0
+        for kind in ("counters", "gauges"):
+            for key, value in snapshot[kind].items():
+                name = parse_key(key)[0]
+                totals[name] = totals.get(name, 0.0) + value
+                if name == "repro.engine.fit.iterations":
+                    iterations = max(iterations, value)
+        stage_seconds: Dict[str, float] = {}
+        for key, histogram in snapshot["histograms"].items():
+            name, labels = parse_key(key)
+            if name == "repro.engine.stage.duration":
+                stage = dict(labels).get("stage", "")
+                stage_seconds[stage] = (stage_seconds.get(stage, 0.0)
+                                        + histogram["sum"])
+
+        def total(*names: str) -> int:
+            return int(sum(totals.get(name, 0.0) for name in names))
+
+        return cls(
+            frames_ingested=total("repro.engine.frames"),
+            evidence_events=total("repro.engine.evidence"),
+            probe_requests=total("repro.engine.probe_requests"),
+            devices_seen=total("repro.engine.devices.seen"),
+            batches_flushed=total("repro.engine.batches"),
+            estimates_emitted=total("repro.engine.estimates"),
+            unlocatable=total("repro.engine.unlocatable"),
+            cache_enabled=any(name.startswith("repro.engine.cache.")
+                              for name in totals),
+            cache_hits=total("repro.engine.cache.hit"),
+            cache_misses=total("repro.engine.cache.miss"),
+            cache_entries=total("repro.engine.cache.entries"),
+            refits=total("repro.engine.refits"),
+            last_fit_iterations=int(iterations),
+            stage_seconds=stage_seconds,
+            retries=total("repro.engine.retries"),
+            sink_failures=total("repro.engine.sink.failures"),
+            quarantined=total("repro.engine.quarantined"),
+            degraded=total("repro.engine.flush.degraded",
+                           "repro.localization.fallback.degraded"),
+        )
 
     @property
     def cache_hit_rate(self) -> float:

@@ -21,12 +21,14 @@ over the fleet:
   ingest is deterministic the restarted shard converges to exactly the
   state the crash destroyed — invisible to the rest of the fleet.
 * **Merged reads** — shards answer with JSON-native results on every
-  transport; ``stats()`` folds their :class:`~repro.engine.EngineStats`
-  with the associative merge, ``locate()`` / ``snapshot()`` rebuild
-  estimates with :func:`~repro.localization.base.decode_fix`, and
+  transport; ``locate()`` / ``snapshot()`` rebuild estimates with
+  :func:`~repro.localization.base.decode_fix`, and
   ``metrics_snapshot()`` / ``render_prometheus()`` fold per-shard
   registry snapshots through :func:`repro.obs.merge_snapshots`, each
-  shard's gauges labelled ``shard=<index>``.
+  shard's gauges labelled ``shard=<index>``.  ``stats()`` and
+  ``drain()`` read :class:`~repro.engine.EngineStats` from that merged
+  snapshot (:meth:`~repro.engine.EngineStats.from_snapshot`): the
+  registries are the fleet's only counter store.
 """
 
 from __future__ import annotations
@@ -438,8 +440,7 @@ route_batch` picks each row's shard, and each shard's rows join its
         until :meth:`stop`.
         """
         self.ingest_stream(stream)
-        self.drain()
-        return self.stats()
+        return self.drain()
 
     def _publish_pending(self, handle: _ShardHandle) -> None:
         if not handle.pending:
@@ -600,13 +601,8 @@ route_batch` picks each row's shard, and each shard's rows join its
         }
 
     def stats(self) -> EngineStats:
-        """Merged fleet stats (associative per-shard fold)."""
-        if self._drained is not None:
-            snapshots = [report["stats"] for report in self._drained]
-        else:
-            snapshots = [self._request(index, "stats")
-                         for index in range(self.shards)]
-        return _merged_stats(snapshots)
+        """Fleet stats, read from :meth:`metrics_snapshot`."""
+        return EngineStats.from_snapshot(self.metrics_snapshot())
 
     def metrics_snapshot(self) -> dict:
         """Merged registry snapshot: every shard plus the router."""
@@ -647,16 +643,15 @@ route_batch` picks each row's shard, and each shard's rows join its
     def drain(self) -> EngineStats:
         """Settle the whole fleet (pending publishes, refits, flushes).
 
-        Caches each shard's drain report — fixes, stats, metrics — as
-        it arrived, so the read side keeps answering after :meth:`stop`
-        and decodes fixes only when they are read.  Returns the merged
-        stats.
+        Caches each shard's drain report — fixes and metrics — as it
+        arrived, so the read side keeps answering after :meth:`stop`
+        and decodes fixes only when they are read.  Returns
+        :meth:`stats` over the drained reports.
         """
         self.flush_publishes()
         self._drained = [self._request(index, "drain")
                          for index in range(self.shards)]
-        return _merged_stats(report["stats"]
-                             for report in self._drained)
+        return self.stats()
 
     def save_checkpoints(self, timeout: Optional[float] = None) -> None:
         """Synchronous checkpoint barrier across the fleet.
@@ -729,12 +724,6 @@ route_batch` picks each row's shard, and each shard's rows join its
 
     def __exit__(self, exc_type, exc, tb) -> None:
         self.stop()
-
-
-def _merged_stats(snapshots: Iterable[dict]) -> EngineStats:
-    """Fold shard stats replies (``dataclasses.asdict`` form)."""
-    return EngineStats.merge_all(EngineStats(**snapshot)
-                                 for snapshot in snapshots)
 
 
 def _shard_gauges(snapshot: dict, index: int) -> dict:

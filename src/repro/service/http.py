@@ -9,7 +9,7 @@ the *service contract*, not the web stack:
 ``GET /locate?device=aa:bb:cc:dd:ee:ff``  newest fix for one device
 ``GET /snapshot``     newest fix per device, merged across the fleet
 ``GET /health``       per-shard liveness + lag (``503`` when degraded)
-``GET /stats``        merged :class:`~repro.engine.EngineStats`
+``GET /stats``        merged-registry :class:`~repro.engine.EngineStats`
 ``GET /metrics``      Prometheus text exposition of the merged registries
 ====================  =====================================================
 """

@@ -5,11 +5,13 @@ loop runs inside a thread or, behind a
 :class:`~repro.service.socketbus.SocketBus`, an OS process: it pulls
 envelopes off its inbox, hands each frame batch straight to its private
 :class:`~repro.engine.StreamingEngine`'s ``ingest_batch``, and answers
-the serving-layer requests (`locate`, `health`, `stats`, `metrics`,
+the serving-layer requests (`locate`, `health`, `metrics`,
 `snapshot`, `drain`) on its outbox with JSON-native results on every
-transport: stats as ``dataclasses.asdict``, fixes as
-:func:`~repro.localization.base.fix_record` lists the router turns
-back into estimates with :func:`~repro.localization.base.decode_fix`.
+transport: metrics as the engine registry's snapshot (the router reads
+its :class:`~repro.engine.EngineStats` from the fleet's merged
+snapshot), fixes as :func:`~repro.localization.base.fix_record` lists
+the router turns back into estimates with
+:func:`~repro.localization.base.decode_fix`.
 
 A shard does not reorder: its engine sees its devices' frames in the
 order a single engine fed the same stream would (DESIGN.md §8).
@@ -34,7 +36,7 @@ capture rows or JSON arrays)::
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Any, Callable, Dict, Optional, Tuple
 
 from repro import obs
@@ -169,8 +171,6 @@ class ShardRuntime:
             return self._snapshot()
         if what == "health":
             return self._health()
-        if what == "stats":
-            return asdict(self.engine.stats())
         if what == "metrics":
             return self.engine.metrics_snapshot()
         if what == "drain":
@@ -209,7 +209,6 @@ class ShardRuntime:
         return {
             "shard": self.shard_id,
             "emitted": emitted,
-            "stats": asdict(engine.stats()),
             "fixes": self._snapshot(),
             "metrics": engine.metrics_snapshot(),
         }

@@ -225,7 +225,7 @@ def _text(value) -> bool:
 
 
 #: The serving requests a shard answers.
-REQUESTS = ("locate", "snapshot", "health", "stats", "metrics", "drain")
+REQUESTS = ("locate", "snapshot", "health", "metrics", "drain")
 
 #: Field checks of each JSON message kind, after the kind itself;
 #: ``("frames", FrameBatch)`` travels as rows instead.

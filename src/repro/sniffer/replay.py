@@ -120,12 +120,13 @@ def iter_capture_batches(path: PathLike,
 
     The path is decided once per capture, before the first batch: a
     columnar capture whose rows all decode in replay order goes out as
-    its own row slices, without decoding a record; anything else —
-    JSONL, an armed ``capture.record`` fault spec, a columnar capture
-    with a late or malformed row — goes through :func:`iter_capture`
-    from the first record, the columnar case counted per batch under
-    ``repro.sniffer.replay.fallbacks``.  Arguments are checked here, not
-    at the first batch.
+    its own row slices, without decoding a record, marked ``checked``
+    (every row was checked to decode while choosing the path); anything
+    else — JSONL, an armed ``capture.record`` fault spec, a columnar
+    capture with a late or malformed row — goes through
+    :func:`iter_capture` from the first record, unchecked, the columnar
+    case counted per batch under ``repro.sniffer.replay.fallbacks``.
+    Arguments are checked here, not at the first batch.
     """
     if batch_records < 1:
         raise ValueError(
@@ -155,6 +156,8 @@ def _batches(path: PathLike, size: int, reorder_buffer: int,
                 frames = registry.counter("repro.sniffer.replay.frames")
                 for batch in _row_slices(reader.iter_batches(), size):
                     frames.inc(len(batch))
+                    # _rows_as_replayed has checked every row.
+                    batch.checked = True
                     yield batch
                 return
         fallbacks = registry.counter("repro.sniffer.replay.fallbacks")

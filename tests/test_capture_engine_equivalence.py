@@ -12,8 +12,9 @@ import random
 
 import pytest
 
-from repro.capture import (FrameBatch, convert_capture, encode_frames,
-                           make_capture_writer)
+from repro import obs
+from repro.capture import (ColumnarWriter, FrameBatch, convert_capture,
+                           encode_frames, make_capture_writer)
 from repro.faults import CaptureError
 from repro.engine import (GammaState, StreamingEngine, TrackerSink,
                           load_checkpoint_data, make_sink)
@@ -37,6 +38,7 @@ from repro.service import (FrameIngestServer, ShardConfig, ShardedEngine,
 from repro.engine import core as engine_core
 from repro.engine.ingest import classify_rows
 from repro.service import core as service_core
+from repro.sniffer import replay
 from repro.sniffer.replay import iter_capture, iter_capture_batches
 
 GRID = 4
@@ -390,6 +392,53 @@ class TestSingleEngineBatchPath:
         engine.ingest_batch(FrameBatch(*encode_frames(
             captures["records"][:16])))
         assert len(calls) == 1
+
+    def test_replayed_columnar_slices_are_checked_once(self, captures,
+                                                      monkeypatch):
+        # Choosing the row-slice path checks every row once; the
+        # engine does not check the slices again.  JSONL batches are
+        # not checked on the way in, so the engine checks each one.
+        counts = {"replay": 0, "engine": 0}
+
+        def counting(site, check):
+            def counted(*args, **kwargs):
+                counts[site] += 1
+                return check(*args, **kwargs)
+            return counted
+
+        monkeypatch.setattr(replay, "check_rows",
+                            counting("replay", replay.check_rows))
+        monkeypatch.setattr(engine_core, "check_rows",
+                            counting("engine", engine_core.check_rows))
+        batches = -(-len(captures["records"]) // 64)
+        engine = run_batched(captures["columnar"], batch_records=64)
+        assert engine.stats().frames_ingested == len(captures["records"])
+        assert counts == {"replay": batches, "engine": 0}
+        counts.update(replay=0, engine=0)
+        run_batched(captures["jsonl"], batch_records=64)
+        assert counts == {"replay": 0, "engine": batches}
+
+    def test_malformed_columnar_row_raises_through_the_fallback(
+            self, captures, tmp_path):
+        rows, aux = encode_frames(captures["records"])
+        assert captures["records"][200].frame.frame_type is \
+            FrameType.PROBE_REQUEST
+        rows["ssid"][200] = b"\xff"
+        path = tmp_path / "malformed.cap"
+        with ColumnarWriter(path, block_records=64) as writer:
+            writer.write_rows(rows, aux)
+        registry = MetricsRegistry()
+        checked = []
+        with obs.use_registry(registry), \
+                pytest.raises(CaptureError, match="undecodable SSID"):
+            for batch in iter_capture_batches(path, batch_records=64,
+                                              reorder_buffer=0):
+                checked.append(batch.checked)
+        assert checked == [False] * 3
+        assert registry.snapshot()["counters"][
+            "repro.sniffer.replay.fallbacks"] == 3
+        with pytest.raises(CaptureError, match="undecodable SSID"):
+            run_batched(path, batch_records=64)
 
     @pytest.mark.parametrize("rows", [64, 1024])
     def test_metric_lookups_do_not_scale_with_rows(self, monkeypatch,

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.engine import GammaCache, StreamingEngine, TrackerSink
+from repro import obs
+from repro.engine import EngineStats, GammaCache, StreamingEngine, TrackerSink
 from repro.geometry.point import Point
 from repro.localization import CentroidLocalizer, MLoc
 from repro.localization.base import LocalizationEstimate
@@ -20,48 +21,66 @@ def estimate_at(x, y):
     return LocalizationEstimate(position=Point(x, y), algorithm="test")
 
 
+@pytest.fixture
+def registry():
+    """A fresh registry routed while the test runs: the cache counts
+    its events in whichever registry is current."""
+    registry = obs.MetricsRegistry()
+    with obs.use_registry(registry):
+        yield registry
+
+
+def count(registry, event):
+    return registry.snapshot()["counters"].get(
+        f"repro.engine.cache.{event}", 0)
+
+
 class TestGammaCache:
-    def test_hit_miss_counters(self):
+    def test_hit_miss_counters(self, registry):
         cache = GammaCache(max_entries=8)
         assert cache.get("m-loc", gamma(1, 2)) is GammaCache.ABSENT
         cache.put("m-loc", gamma(1, 2), estimate_at(1.0, 2.0))
         hit = cache.get("m-loc", gamma(2, 1))  # set order irrelevant
         assert hit is not GammaCache.ABSENT
         assert hit.position.is_close(Point(1.0, 2.0))
-        assert cache.hits == 1
-        assert cache.misses == 1
-        assert cache.hit_rate == 0.5
+        assert count(registry, "hit") == 1
+        assert count(registry, "miss") == 1
+        stats = EngineStats.from_snapshot(registry.snapshot())
+        assert stats.cache_hit_rate == 0.5
+        assert stats.cache_entries == 1
 
     def test_distinct_localizer_keys_do_not_collide(self):
         cache = GammaCache()
         cache.put("m-loc", gamma(1), estimate_at(0.0, 0.0))
         assert cache.get("centroid", gamma(1)) is GammaCache.ABSENT
 
-    def test_none_results_are_cached(self):
+    def test_none_results_are_cached(self, registry):
         cache = GammaCache()
         cache.put("m-loc", gamma(7), None)
         assert cache.get("m-loc", gamma(7)) is None
-        assert cache.hits == 1
+        assert count(registry, "hit") == 1
 
-    def test_lru_eviction(self):
+    def test_lru_eviction(self, registry):
         cache = GammaCache(max_entries=2)
         cache.put("k", gamma(1), estimate_at(1, 1))
         cache.put("k", gamma(2), estimate_at(2, 2))
         cache.get("k", gamma(1))  # refresh 1: it survives
         cache.put("k", gamma(3), estimate_at(3, 3))
-        assert cache.evictions == 1
+        assert count(registry, "eviction") == 1
         assert cache.get("k", gamma(2)) is GammaCache.ABSENT
         assert cache.get("k", gamma(1)) is not GammaCache.ABSENT
         assert len(cache) == 2
 
-    def test_invalidate_clears_entries_not_history(self):
+    def test_invalidate_clears_entries_not_history(self, registry):
         cache = GammaCache()
         cache.put("k", gamma(1), estimate_at(1, 1))
         cache.get("k", gamma(1))
         cache.invalidate()
         assert len(cache) == 0
-        assert cache.hits == 1
-        assert cache.invalidations == 1
+        assert count(registry, "hit") == 1
+        assert count(registry, "invalidation") == 1
+        assert registry.snapshot()["gauges"][
+            "repro.engine.cache.entries"] == 0
         assert cache.get("k", gamma(1)) is GammaCache.ABSENT
 
     def test_rejects_bad_capacity(self):

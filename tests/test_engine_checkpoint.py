@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from repro.engine import StreamingEngine, TrackerSink
+from repro.engine import EngineStats, StreamingEngine, TrackerSink
 from repro.knowledge.apdb import ApDatabase
 from repro.localization import MLoc
 from repro.localization.base import fix_record
@@ -100,6 +100,30 @@ def test_roundtrip_matches_uninterrupted_run(square_db, cut):
             == uninterrupted.stats().estimates_emitted)
     assert (resumed.stats().frames_ingested
             == uninterrupted.stats().frames_ingested)
+
+
+def test_restored_stats_read_the_registry(square_db, tmp_path):
+    # Counters resume from the checkpoint; the cache comes back empty,
+    # and its entries gauge says so.
+    frames = build_stream(square_db)
+    engine = StreamingEngine(MLoc(square_db), window_s=30.0, batch_size=3)
+    engine.ingest_stream(frames[:60])
+    before = engine.stats()
+    assert before.cache_hits > 0 and before.cache_entries > 0
+    path = tmp_path / "engine.ckpt"
+    engine.save_checkpoint(path)
+
+    restored = StreamingEngine.load_checkpoint(path, MLoc(square_db))
+    stats = restored.stats()
+    assert stats == EngineStats.from_snapshot(restored.metrics_snapshot())
+    assert stats.cache_entries == len(restored.cache) == 0
+    assert (stats.cache_hits, stats.cache_misses, stats.frames_ingested,
+            stats.devices_seen) == (before.cache_hits, before.cache_misses,
+                                    before.frames_ingested,
+                                    before.devices_seen)
+    restored.ingest_stream(frames[60:])
+    restored.flush()
+    assert restored.stats().cache_entries == len(restored.cache) > 0
 
 
 def test_save_and_load_checkpoint_file(square_db, tmp_path):

@@ -5,6 +5,7 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro import obs
 from repro.engine import (
     CallbackSink,
     Evidence,
@@ -308,6 +309,28 @@ class TestStreamingEngine:
         assert len(engine.cache) > 0
         engine.invalidate_cache()
         assert len(engine.cache) == 0
+
+    def test_invalidate_cache_counts_in_the_engine_registry(self,
+                                                            square_db):
+        # Called outside run, with no registry routed: the count and
+        # the emptied gauge still land in the engine's own registry.
+        def cache_series(snapshot):
+            return {key: value
+                    for kind in ("counters", "gauges")
+                    for key, value in snapshot[kind].items()
+                    if key.startswith("repro.engine.cache.")}
+
+        engine = StreamingEngine(MLoc(square_db), batch_size=4)
+        engine.run(response_stream(square_db, devices=3))
+        assert engine.stats().cache_entries == len(engine.cache) > 0
+        default_before = cache_series(obs.default_registry().snapshot())
+        engine.invalidate_cache()
+        snapshot = engine.metrics_snapshot()
+        assert snapshot["counters"]["repro.engine.cache.invalidation"] == 1
+        assert snapshot["gauges"]["repro.engine.cache.entries"] == 0
+        assert engine.stats().cache_entries == len(engine.cache) == 0
+        assert (cache_series(obs.default_registry().snapshot())
+                == default_before)
 
     def test_stats_format_mentions_pipeline(self, square_db):
         engine = StreamingEngine(MLoc(square_db), batch_size=4)

@@ -13,7 +13,7 @@ import pytest
 
 from repro import obs
 from repro.capture.records import FrameBatch, encode_frames
-from repro.engine import StreamingEngine
+from repro.engine import EngineStats, StreamingEngine
 from repro.engine.sinks import EngineSink
 from repro.faults import FaultInjector, FaultSpec, use_injector
 from repro.localization import MLoc
@@ -158,6 +158,32 @@ class TestRecovery:
             assert engine._handles[1].restarts == 1
         finally:
             engine.stop()
+
+    def test_restarted_fleet_stats_read_the_merged_registry(
+            self, square_db, tmp_path):
+        # Micro-batches of 2 flush during ingest, so the checkpoint the
+        # killed shard restarts from already counts cache hits.  The
+        # restarted shard resumes those counters with an empty cache;
+        # the fleet's stats are the merged registry's, before and after
+        # stop.
+        frames = build_stream(square_db, devices=12, rounds=4)
+        engine = fleet(square_db, checkpoint_dir=tmp_path / "ckpt",
+                       checkpoint_every=20,
+                       config=ShardConfig(window_s=30.0, batch_size=2))
+        try:
+            half = len(frames) // 2
+            engine.ingest_stream(frames[:half])
+            engine.kill_shard(1)
+            engine.ingest_stream(frames[half:])
+            stats = engine.drain()
+            assert engine._handles[1].restarts == 1
+            assert stats == engine.stats() == EngineStats.from_snapshot(
+                engine.metrics_snapshot())
+            assert stats.frames_ingested == len(frames)
+            assert stats.devices_seen == 12
+        finally:
+            engine.stop()
+        assert engine.stats() == stats
 
     def test_recovery_without_checkpoints_replays_retention(
             self, square_db):
